@@ -11,9 +11,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "CapabilityError": ".errors", "ConfigError": ".errors", "DomainError": ".errors",
+    "NumericalError": ".errors",
     "FockState": ".fock_basis", "SectorBasis": ".fock_basis",
     "chiral_parity": ".fock_basis", "dim_difference_formula": ".fock_basis",
-    "dipole_moment": ".fock_basis", "enumerate_sector": ".fock_basis",
+    "dipole_moment": ".fock_basis",
     "parity_dim_sums": ".fock_basis", "pinnacle_state": ".fock_basis",
     "pinnacle_in_larger_sector": ".fock_basis", "subspace_dims": ".fock_basis",
     "HOP_CLASSES": ".hamiltonian", "HamiltonianMatrix": ".hamiltonian",
@@ -21,7 +22,8 @@ _EXPORTS = {
     "build_effective_general": ".hamiltonian",
     "build_effective_resonant": ".hamiltonian", "build_half_period": ".hamiltonian",
     "build_hop": ".hamiltonian", "build_onsite": ".hamiltonian",
-    "classify_hop": ".hamiltonian", "onsite_energy": ".hamiltonian",
+    "classify_hop": ".hamiltonian", "hop_moves": ".hamiltonian",
+    "onsite_energy": ".hamiltonian",
     "resonant_amplitudes": ".hamiltonian",
     "AmplitudeRatios": ".resonance", "ResonantFamily": ".resonance",
     "amplitude_ratio": ".resonance", "is_resonant": ".resonance",

@@ -7,7 +7,8 @@ previously written manifest, whose stored configuration is reused).  Each
 file-writing run drops a manifest JSON beside its primary output so the run
 can be repeated verbatim with `--config <manifest>`.
 
-Exit codes: 0 success, 2 configuration problems, 3 capability limits.
+Exit codes: 0 success, 2 configuration problems, 3 capability limits or a
+failed numerical invariant (non-Hermitian build, unitarity drift).
 
 Heavy imports happen inside handlers so `--threads` can cap the BLAS pools
 before numpy first loads.
@@ -20,7 +21,7 @@ import json
 import os
 import sys
 
-from .errors import CapabilityError, ConfigError, DomainError
+from .errors import CapabilityError, ConfigError, DomainError, NumericalError
 
 ENV_PREFIX = "SCARKIT_"
 _TRUE_WORDS = {"1", "true", "yes", "on"}
@@ -44,22 +45,29 @@ def _as_bool(value) -> bool:
 
 
 def _fmt(x) -> str:
-    """CSV cell: 15 significant digits for floats, plain ints, raw strings."""
+    """CSV cell: 15 significant digits for floats, plain ints, raw strings.
+
+    Plain Python floats and ints (as from `ndarray.tolist()`) take the first
+    two branches; numpy scalars format the same way, only more slowly.
+    """
+    if type(x) is float:
+        return format(x + 0.0, ".15g")  # folds -0.0 into 0
+    if type(x) is int:
+        return str(x)
     import numpy as np
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return format(float(x) + 0.0, ".15g")  # folds -0.0 into 0
+        return format(float(x) + 0.0, ".15g")
     return str(x)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _json_ready(obj):
@@ -228,15 +236,30 @@ def _sector(opts: dict):
     return SectorBasis(L, N)
 
 
+def _positive(opts: dict, key: str, default):
+    """opts[key], or `default` when unset; an explicit value below 1 is refused."""
+    value = opts.get(key)
+    if value is None:
+        return default
+    if value < 1:
+        raise ConfigError(f"{key}: must be at least 1, got {value}")
+    return value
+
+
 def _parse_initial(text: str, L: int):
-    """tp | te_p:<q> | te_h:<q> | bits:<word> | random:<n>:<seed> -> spec dict."""
+    """tp | te_p:<q> | te_h:<q> | [bits:]<word> | random:<n>:<seed> -> spec dict.
+
+    A bare word must be L characters of 0/1, so it cannot be mistaken for
+    the other forms.
+    """
     from .fock_basis import FockState, pinnacle_state
     text = str(text).strip()
     if text == "tp":
         return {"kind": "state", "state": pinnacle_state(L), "label": "tp"}
-    if text.startswith("bits:"):
-        return {"kind": "state", "state": FockState.from_string(text[5:]),
-                "label": text[5:]}
+    if text.startswith("bits:") or (len(text) == L and set(text) <= {"0", "1"}):
+        word = text.removeprefix("bits:")
+        return {"kind": "state", "state": FockState.from_string(word),
+                "label": word}
     if text.startswith(("te_p:", "te_h:")):
         branch, q_text = text.split(":", 1)
         N = L // 2
@@ -287,7 +310,7 @@ def _build_effective(basis, params, family):
 
 def _diagonalize(opts: dict, ham):
     from .spectral import DENSE_EIG_DEFAULT, diagonalize
-    threshold = opts.get("dense_threshold") or DENSE_EIG_DEFAULT
+    threshold = _positive(opts, "dense_threshold", DENSE_EIG_DEFAULT)
     return diagonalize(ham, dense_threshold=threshold)
 
 
@@ -368,8 +391,8 @@ def _cmd_resonance(opts: dict) -> int:
     table = scan_ratio_grid(U_values, g_values, omega, u)
     out = _require(opts, "out")
     _write_csv(out, ["U", "g", "r1", "r2", "r3", "div1", "div2", "div3"],
-               ((row[0], row[1], row[2], row[3], row[4],
-                 int(row[5]), int(row[6]), int(row[7])) for row in table))
+               (r + d for r, d in zip(table[:, :5].tolist(),
+                                      table[:, 5:].astype(int).tolist())))
     _write_manifest("resonance", opts, _manifest_path(opts, out))
     _emit_json({"rows": len(table), "omega": omega, "u": u})
     return 0
@@ -574,7 +597,7 @@ def _cmd_dynamics(opts: dict) -> int:
     model = opts.get("model") or "effective"
     if model not in ("effective", "full"):
         raise ConfigError(f"model: expected effective or full, got {model!r}")
-    cycles = opts.get("cycles") or 4096
+    cycles = _positive(opts, "cycles", 4096)
     wanted = _parse_observables(opts.get("observables"))
     init = _parse_initial(opts.get("initial") or "tp", basis.L)
 
@@ -626,7 +649,7 @@ def _cmd_compare(opts: dict) -> int:
     from .dynamics import fidelity_series, full_fidelity_series
     basis = _sector(opts)
     params, family = _resolve_params(opts)
-    cycles = opts.get("cycles") or int(round(50 * params.g))
+    cycles = _positive(opts, "cycles", int(round(50 * params.g)))
     init = _parse_initial(opts.get("initial") or "tp", basis.L)
     if init["kind"] != "state":
         raise ConfigError("initial: compare runs a single Fock state")
@@ -708,10 +731,11 @@ def _bundle_spectral_map(opts: dict, outdir: str, scale: str) -> dict:
 
 def _bundle_quench_series(opts: dict, outdir: str, scale: str) -> dict:
     sizes = (12, 14) if scale == "desk" else (16, 18)
-    cycles = opts.get("cycles") or 4096
+    cycles = _positive(opts, "cycles", 4096)
+    seed = 7 if opts.get("seed") is None else opts["seed"]
     files = []
     for L in sizes:
-        for initial in ("tp", "te_p:2", f"random:10:{opts.get('seed') or 7}"):
+        for initial in ("tp", "te_p:2", f"random:10:{seed}"):
             stem = initial.replace(":", "-")
             out = os.path.join(outdir, f"quench_L{L}_{stem}.csv")
             run = dict(opts, L=L, N=None, family="0,0,+", g=50.0, u=0.5,
@@ -737,7 +761,7 @@ def _bundle_revival_spectra(opts: dict, outdir: str, scale: str) -> dict:
     from .fock_basis import SectorBasis, pinnacle_state
     from .hamiltonian import build_effective_resonant
     sizes = (12, 14) if scale == "desk" else (16, 18)
-    cycles = opts.get("cycles") or 4096
+    cycles = _positive(opts, "cycles", 4096)
     files, peaks = [], {}
     for L in sizes:
         basis = SectorBasis(L, L // 2)
@@ -777,7 +801,7 @@ def _bundle_model_comparison(opts: dict, outdir: str, scale: str) -> dict:
     g_values = (15.0, 30.0)
     files, summary = [], {}
     for g in g_values:
-        cycles = opts.get("cycles") or int(round(50 * g))
+        cycles = _positive(opts, "cycles", int(round(50 * g)))
         out = os.path.join(outdir, f"compare_L{L}_g{g:g}.csv")
         run = dict(opts, L=L, N=None, family="0,0,+", g=g, u=0.5,
                    cycles=cycles, initial="tp", out=out,
@@ -807,9 +831,10 @@ def _bundle_ratio_landscape(opts: dict, outdir: str, scale: str) -> dict:
     files = []
     for i, name in enumerate(("r1", "r2", "r3")):
         out = os.path.join(outdir, f"ratio_{name}.csv")
+        values = table[:, [0, 1, 2 + i]].tolist()
+        flags = table[:, 5 + i].astype(int).tolist()
         _write_csv(out, ["U", "g", name, "div"],
-                   ((row[0], row[1], row[2 + i], int(row[5 + i]))
-                    for row in table))
+                   (r + [d] for r, d in zip(values, flags)))
         files.append(out)
     return {"files": files, "steps": steps}
 
@@ -904,7 +929,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, _OptionRegistry]:
     _add_common(reg, p)
     reg.add(p, "--model", help="effective | full")
     reg.add(p, "--initial",
-            help="tp | te_p:<q> | te_h:<q> | bits:<word> | random:<n>:<seed>")
+            help="tp | te_p:<q> | te_h:<q> | [bits:]<word> | random:<n>:<seed>")
     reg.add(p, "--cycles", type=int, help="driving cycles (default 4096)")
     reg.add(p, "--observables", help="comma list from F,EE,Pt")
     reg.add(p, "--out", help="series CSV path")
@@ -945,7 +970,11 @@ _HANDLERS = {
 
 
 def _pin_threads(argv: list[str]) -> None:
-    """Apply --threads / SCARKIT_THREADS before numpy configures its pools."""
+    """Apply --threads / SCARKIT_THREADS before numpy configures its pools.
+
+    An explicit request overrides thread settings inherited from the
+    environment; without one those settings are left alone.
+    """
     count = os.environ.get(ENV_PREFIX + "THREADS")
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
@@ -960,7 +989,7 @@ def _pin_threads(argv: list[str]) -> None:
         return  # the argparse pass reports this properly
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
+        os.environ[var] = str(n)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -979,6 +1008,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
+        return 3
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.signal import find_peaks
 from scipy.special import xlogy
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, NumericalError
 from .fock_basis import FockState, SectorBasis
 from .graph import Tower, spta_matrix, tower_states
 from .hamiltonian import (ModelParams, build_effective_resonant,
@@ -254,7 +254,7 @@ def evolve_full(basis: SectorBasis, params: ModelParams, initial, cycles,
             psi = prop.step(psi)
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > UNITARITY_TOL * max(int(ks[-1]), 1):
-        raise AssertionError(f"unitarity drift {drift:.2e} over {ks[-1]} cycles")
+        raise NumericalError(f"unitarity drift {drift:.2e} over {ks[-1]} cycles")
     return out
 
 
@@ -275,7 +275,7 @@ def full_fidelity_series(basis: SectorBasis, params: ModelParams, initial,
         out[k] = abs(psi0.conj() @ psi) ** 2
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > UNITARITY_TOL * max(len(ks) - 1, 1):
-        raise AssertionError(f"unitarity drift {drift:.2e} over {len(ks)} cycles")
+        raise NumericalError(f"unitarity drift {drift:.2e} over {len(ks)} cycles")
     return TimeSeries("F", out, params=params, initial=_describe(initial))
 
 

@@ -11,3 +11,7 @@ class CapabilityError(RuntimeError):
 
 class ConfigError(ValueError):
     """Malformed configuration input (CLI flags, config files, manifests)."""
+
+
+class NumericalError(ArithmeticError):
+    """A numerical invariant failed (non-Hermitian build, unitarity drift)."""

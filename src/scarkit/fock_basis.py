@@ -188,10 +188,6 @@ class SectorBasis:
         return ChiralSplit(n_plus, n_minus, larger)
 
 
-def enumerate_sector(L: int, N: int) -> SectorBasis:
-    return SectorBasis(L, N)
-
-
 def subspace_dims(L: int, N: int) -> ChiralSplit:
     """Dipole-parity sector sizes of the (L, N) sector."""
     return SectorBasis(L, N).chiral_split()

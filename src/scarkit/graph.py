@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DomainError
 from .fock_basis import FockState, SectorBasis, pinnacle_state
-from .hamiltonian import (HOP_CLASSES, HamiltonianMatrix, _hop_class_code,
-                          _right_moves)
+from .hamiltonian import HOP_CLASSES, HamiltonianMatrix, hop_moves
 
 # DOT styling per barrier class, in HOP_CLASSES order
 _EDGE_STYLE = ("dashed", "solid", "dotted")
@@ -77,18 +77,9 @@ def build_graph(basis: SectorBasis, params=None) -> HilbertGraph:
     """Enumerate every legal hop once; `params` is accepted for symmetry with
     the operator builders but the class labels are purely geometric."""
     del params
-    ea, eb, ec = [], [], []
-    L = basis.L
-    for a, b, j, bits in _right_moves(basis):
-        lo, hi = (a, b) if a < b else (b, a)
-        ea.append(lo)
-        eb.append(hi)
-        ec.append(_hop_class_code(bits, j, L))
-    order = np.lexsort((eb, ea))
-    return HilbertGraph(basis,
-                        np.asarray(ea, dtype=np.intp)[order],
-                        np.asarray(eb, dtype=np.intp)[order],
-                        np.asarray(ec, dtype=np.int8)[order])
+    src, dst, cls = hop_moves(basis)      # dst < src
+    order = np.lexsort((src, dst))
+    return HilbertGraph(basis, dst[order], src[order], cls[order])
 
 
 def bipartite_violations(graph: HilbertGraph) -> int:
@@ -101,32 +92,24 @@ def components(graph: HilbertGraph,
                allowed: set[str] | None = None) -> list[np.ndarray]:
     """Connected components of the class-filtered subgraph.
 
-    Iterative union-find; components come back as ascending index arrays,
-    ordered by their smallest vertex, so the labeling is deterministic.
+    Components come back as ascending index arrays, ordered by their smallest
+    vertex, so the labeling is deterministic.
     """
-    parent = np.arange(graph.n_vertices, dtype=np.intp)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:        # path compression
-            parent[x], x = root, parent[x]
-        return root
-
+    # imported here so that importing this module does not load csgraph
+    from scipy.sparse.csgraph import connected_components
     keep = graph._edge_mask(allowed)
-    for a, b in zip(graph.edge_a[keep], graph.edge_b[keep]):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            if ra < rb:                 # smaller root wins: deterministic labels
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    roots = np.array([find(v) for v in range(graph.n_vertices)], dtype=np.intp)
-    comps: dict[int, list[int]] = {}
-    for v, r in enumerate(roots):
-        comps.setdefault(int(r), []).append(v)
-    return [np.asarray(comps[r], dtype=np.intp) for r in sorted(comps)]
+    n = graph.n_vertices
+    adj = sp.csr_matrix((np.ones(int(keep.sum()), dtype=np.int8),
+                         (graph.edge_a[keep], graph.edge_b[keep])), shape=(n, n))
+    _, labels = connected_components(adj, directed=False)
+    # relabel by smallest member: np.unique's first indices are those members
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    labels = rank[labels]
+    members = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels))[:-1]
+    return np.split(members, bounds)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .fock_basis import FockState, SectorBasis
 from .spectral import fold_quasienergy
 
@@ -79,6 +79,16 @@ def onsite_energy(state: FockState, params: ModelParams) -> float:
     return params.U * pairs - params.g * d
 
 
+def hop_class_code(n_left, n_right):
+    """0 / 1 / 2 for barrier class g-U / g / g+U from the flanking sites.
+
+    `n_left` and `n_right` are the occupations of sites j-1 and j+2 beside
+    bond (j, j+1): equal flanks give g, an occupied right flank g-U, an
+    occupied left flank g+U. Works elementwise on integer arrays.
+    """
+    return 1 + n_left - n_right
+
+
 def classify_hop(state: FockState, j: int, params: ModelParams) -> HopClass | None:
     """Classify the hop across bond (j, j+1) of `state`, or None if blocked.
 
@@ -97,12 +107,9 @@ def classify_hop(state: FockState, j: int, params: ModelParams) -> HopClass | No
         return None
     n_left = (bits >> (L - j + 1)) & 1 if j >= 2 else 0
     n_right = (bits >> (L - j - 2)) & 1 if j + 2 <= L else 0
-    if n_left == n_right:
-        kind, barrier = "g", params.g
-    elif n_right == 1:
-        kind, barrier = "g-U", abs(params.g - params.U)
-    else:
-        kind, barrier = "g+U", params.g + params.U
+    code = hop_class_code(n_left, n_right)
+    kind = HOP_CLASSES[code]
+    barrier = (abs(params.g - params.U), params.g, params.g + params.U)[code]
     moved = FockState(bits ^ (1 << (L - j)) ^ (1 << (L - j - 1)), L)
     delta = onsite_energy(moved, params) - onsite_energy(state, params)
     return HopClass(kind, barrier, delta)
@@ -192,50 +199,54 @@ class HamiltonianMatrix:
 def _assert_hermitian(m: sp.csr_matrix) -> None:
     diff = (m - m.conjugate().T).tocsr()
     if diff.nnz and np.max(np.abs(diff.data)) != 0.0:
-        raise AssertionError("constructed matrix is not exactly Hermitian")
+        raise NumericalError("constructed matrix is not exactly Hermitian")
 
 
-def _right_moves(basis: SectorBasis):
-    """Yield (a, b, j, bits) for each hop with site j occupied, j+1 empty.
+def hop_moves(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every hop pair of the sector once, as (src, dst, cls) index arrays.
 
-    `a` is the source index, `b` the index of the state with the particle
-    moved j -> j+1. Every undirected hop pair is produced exactly once.
+    `src` holds the states with site j occupied and site j+1 empty, `dst` the
+    state with that particle moved j -> j+1, and `cls` the int8 barrier class
+    of the hop. Moving a particle right lowers the word, so dst < src. One
+    numpy pass per bond; `dst` is found by `searchsorted` because the sector
+    states are ascending.
     """
-    L = basis.L
-    for a in range(basis.size):
-        bits = int(basis.states[a])
-        for j in range(1, L):
-            hi = (bits >> (L - j)) & 1
-            lo = (bits >> (L - j - 1)) & 1
-            if hi == 1 and lo == 0:
-                moved = bits ^ (1 << (L - j)) ^ (1 << (L - j - 1))
-                yield a, basis.rank(moved), j, bits
+    L, states = basis.L, basis.states
+    srcs, dsts, classes = [], [], []
+    for j in range(1, L):
+        lo = L - j - 1                     # bit of site j+1; site j sits at lo+1
+        src = np.flatnonzero(((states >> lo) & 3) == 2)
+        words = states[src]
+        empty = np.zeros_like(words)       # virtual sites 0 and L+1
+        n_left = (words >> (lo + 2)) & 1 if j >= 2 else empty
+        n_right = (words >> (lo - 1)) & 1 if j + 2 <= L else empty
+        srcs.append(src)
+        dsts.append(np.searchsorted(states, words ^ (3 << lo)))
+        classes.append(hop_class_code(n_left, n_right).astype(np.int8))
+    if not srcs:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty.copy(), np.empty(0, dtype=np.int8)
+    return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(classes)
 
 
-def _hop_class_code(bits: int, j: int, L: int) -> int:
-    """0 / 1 / 2 for barrier class g-U / g / g+U of the bond-j hop."""
-    n_left = (bits >> (L - j + 1)) & 1 if j >= 2 else 0
-    n_right = (bits >> (L - j - 2)) & 1 if j + 2 <= L else 0
-    if n_left == n_right:
-        return 1
-    return 0 if n_right == 1 else 2
+def _static_energies(basis: SectorBasis, params: ModelParams) -> np.ndarray:
+    """U * (adjacent pairs) - g * (dipole moment) for every sector state."""
+    occ = basis._site_columns()
+    pairs = (occ[:-1] & occ[1:]).sum(axis=0, dtype=np.int64)
+    return params.U * pairs - params.g * basis.dipoles.astype(np.float64)
 
 
 def build_onsite(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
     """Diagonal static Hamiltonian (interaction plus tilt)."""
-    pairs = np.array([(int(s) & (int(s) >> 1)).bit_count() for s in basis.states],
-                     dtype=np.int64)
-    diag = params.U * pairs - params.g * basis.dipoles.astype(np.float64)
-    m = sp.diags(diag, format="csr")
+    m = sp.diags(_static_energies(basis, params), format="csr")
     return HamiltonianMatrix(basis, "onsite", params, m)
 
 
 def build_hop(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
     """Bare nearest-neighbour tunneling, all matrix elements J."""
-    rows, cols = [], []
-    for a, b, _, _ in _right_moves(basis):
-        rows += [a, b]
-        cols += [b, a]
+    src, dst, _ = hop_moves(basis)
+    rows = np.concatenate((src, dst))
+    cols = np.concatenate((dst, src))
     data = np.full(len(rows), params.J)
     m = sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
     _assert_hermitian(m)
@@ -262,21 +273,14 @@ def build_effective_general(basis: SectorBasis,
     the class amplitude J_c on the energy-raising hop direction, conjugate on
     the reverse.
     """
-    L = basis.L
-    amps = amplitudes_general(params)
-    rows, cols, data = [], [], []
-    for a, b, j, bits in _right_moves(basis):
-        jc = amps[_hop_class_code(bits, j, L)]
-        # moving j -> j+1 lowers the tilt energy; the raising direction is b -> a
-        rows += [a, b]
-        cols += [b, a]
-        data += [jc, jc.conjugate()]
-    pairs = np.array([(int(s) & (int(s) >> 1)).bit_count() for s in basis.states],
-                     dtype=np.int64)
-    energies = params.U * pairs - params.g * basis.dipoles.astype(np.float64)
-    diag = np.array([fold_quasienergy(e, params.omega) for e in energies])
-    m = (sp.csr_matrix((np.array(data, dtype=np.complex128), (rows, cols)),
-                       shape=(basis.size, basis.size))
+    src, dst, cls = hop_moves(basis)
+    jc = np.array(amplitudes_general(params), dtype=np.complex128)[cls]
+    # moving j -> j+1 lowers the tilt energy; the raising direction is dst -> src
+    rows = np.concatenate((src, dst))
+    cols = np.concatenate((dst, src))
+    data = np.concatenate((jc, jc.conj()))
+    diag = fold_quasienergy(_static_energies(basis, params), params.omega)
+    m = (sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
          + sp.diags(diag.astype(np.complex128))).tocsr()
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, "effective_general", params, m)
@@ -290,17 +294,12 @@ def build_effective_resonant(basis: SectorBasis, params: ModelParams,
     +i*Ac. Wrong-resonance parameters are rejected rather than silently built.
     """
     _check_resonance(params, k1, k2, branch)
-    a1, a2, a3 = resonant_amplitudes(params, k1, k2, branch)
-    amps = (a1, a2, a3)
-    L = basis.L
-    rows, cols, data = [], [], []
-    for a, b, j, bits in _right_moves(basis):
-        ac = amps[_hop_class_code(bits, j, L)]
-        rows += [b, a]
-        cols += [a, b]
-        data += [1j * ac, -1j * ac]
-    m = sp.csr_matrix((np.array(data, dtype=np.complex128), (rows, cols)),
-                      shape=(basis.size, basis.size))
+    src, dst, cls = hop_moves(basis)
+    ac = np.array(resonant_amplitudes(params, k1, k2, branch))[cls]
+    rows = np.concatenate((dst, src))
+    cols = np.concatenate((src, dst))
+    data = np.concatenate((1j * ac, -1j * ac))
+    m = sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, "effective_resonant", params, m,
                              family=(k1, k2, branch))

@@ -37,14 +37,15 @@ COE_MEAN_R = 0.53
 POISSON_MEAN_R = 0.386
 
 
-def fold_quasienergy(energy: float, omega: float) -> float:
-    """Fold an energy into the principal window [-omega/2, omega/2).
+def fold_quasienergy(energy, omega: float):
+    """Fold an energy (or an array of them) into [-omega/2, omega/2).
 
     The upper endpoint maps to -omega/2, keeping the window half open.
     """
     if omega <= 0:
         raise DomainError(f"omega must be positive, got {omega}")
-    return energy - omega * math.floor(energy / omega + 0.5)
+    floor = math.floor if isinstance(energy, float) else np.floor  # same value
+    return energy - omega * floor(energy / omega + 0.5)
 
 
 def _phase_fix(V: np.ndarray) -> np.ndarray:
@@ -323,7 +324,7 @@ def diagonalize(ham: "HamiltonianMatrix",
         return _diagonalize_chiral(ham)
     A = ham.toarray()
     vals, V = np.linalg.eigh(A)
-    folded = np.array([fold_quasienergy(float(e), ham.params.omega) for e in vals])
+    folded = fold_quasienergy(vals, ham.params.omega)
     perm = np.argsort(folded, kind="stable")
     folded, vals, V = folded[perm], vals[perm], V[:, perm]
     V = _phase_fix(V)
@@ -349,8 +350,7 @@ def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
     r = int(np.count_nonzero(s > tol))
     n_zero = (len(plus_idx) - r) + (len(minus_idx) - r)
     internal = np.concatenate([-s[:r], np.zeros(n_zero), s[:r][::-1]])
-    folded = np.array([fold_quasienergy(float(e), ham.params.omega)
-                       for e in internal])
+    folded = fold_quasienergy(internal, ham.params.omega)
     perm = np.argsort(folded, kind="stable")
     vec = ChiralPairVectors(plus_idx, minus_idx, Uf, Vt, s, r, perm)
     folded = folded[perm]

@@ -1,0 +1,140 @@
+"""Per-state loop implementations of the hop enumeration, the builders, the
+hop graph and union-find components.
+
+These are the original scalar routes, kept as oracles for the array routes in
+`scarkit.hamiltonian` and `scarkit.graph`: one Python iteration per state and
+bond, a binomial-table `rank` per hop, and an iterative union-find.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+
+from scarkit.fock_basis import SectorBasis
+from scarkit.graph import HilbertGraph
+from scarkit.hamiltonian import (ModelParams, amplitudes_general,
+                                 resonant_amplitudes)
+
+
+def right_moves(basis: SectorBasis):
+    """Yield (a, b, j, bits) for each hop with site j occupied, j+1 empty.
+
+    `a` is the source index, `b` the index of the state with the particle
+    moved j -> j+1. Every undirected hop pair is produced exactly once.
+    """
+    L = basis.L
+    for a in range(basis.size):
+        bits = int(basis.states[a])
+        for j in range(1, L):
+            hi = (bits >> (L - j)) & 1
+            lo = (bits >> (L - j - 1)) & 1
+            if hi == 1 and lo == 0:
+                moved = bits ^ (1 << (L - j)) ^ (1 << (L - j - 1))
+                yield a, basis.rank(moved), j, bits
+
+
+def hop_class(bits: int, j: int, L: int) -> int:
+    """0 / 1 / 2 for barrier class g-U / g / g+U of the bond-j hop."""
+    n_left = (bits >> (L - j + 1)) & 1 if j >= 2 else 0
+    n_right = (bits >> (L - j - 2)) & 1 if j + 2 <= L else 0
+    if n_left == n_right:
+        return 1
+    return 0 if n_right == 1 else 2
+
+
+def move_set(basis: SectorBasis) -> set[tuple[int, int, int]]:
+    return {(a, b, hop_class(bits, j, basis.L))
+            for a, b, j, bits in right_moves(basis)}
+
+
+def _static_energies(basis: SectorBasis, params: ModelParams) -> np.ndarray:
+    pairs = np.array([(int(s) & (int(s) >> 1)).bit_count() for s in basis.states],
+                     dtype=np.int64)
+    return params.U * pairs - params.g * basis.dipoles.astype(np.float64)
+
+
+def onsite(basis: SectorBasis, params: ModelParams) -> sp.csr_matrix:
+    return sp.diags(_static_energies(basis, params), format="csr")
+
+
+def hop(basis: SectorBasis, params: ModelParams) -> sp.csr_matrix:
+    rows, cols = [], []
+    for a, b, _, _ in right_moves(basis):
+        rows += [a, b]
+        cols += [b, a]
+    data = np.full(len(rows), params.J)
+    return sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
+
+
+def effective_general(basis: SectorBasis, params: ModelParams) -> sp.csr_matrix:
+    L = basis.L
+    amps = amplitudes_general(params)
+    rows, cols, data = [], [], []
+    for a, b, j, bits in right_moves(basis):
+        jc = amps[hop_class(bits, j, L)]
+        rows += [a, b]
+        cols += [b, a]
+        data += [jc, jc.conjugate()]
+    omega = params.omega
+    diag = np.array([e - omega * math.floor(e / omega + 0.5)
+                     for e in _static_energies(basis, params)])
+    return (sp.csr_matrix((np.array(data, dtype=np.complex128), (rows, cols)),
+                          shape=(basis.size, basis.size))
+            + sp.diags(diag.astype(np.complex128))).tocsr()
+
+
+def effective_resonant(basis: SectorBasis, params: ModelParams,
+                       k1: int, k2: int, branch: str) -> sp.csr_matrix:
+    amps = resonant_amplitudes(params, k1, k2, branch)
+    L = basis.L
+    rows, cols, data = [], [], []
+    for a, b, j, bits in right_moves(basis):
+        ac = amps[hop_class(bits, j, L)]
+        rows += [b, a]
+        cols += [a, b]
+        data += [1j * ac, -1j * ac]
+    return sp.csr_matrix((np.array(data, dtype=np.complex128), (rows, cols)),
+                         shape=(basis.size, basis.size))
+
+
+def graph(basis: SectorBasis) -> HilbertGraph:
+    ea, eb, ec = [], [], []
+    L = basis.L
+    for a, b, j, bits in right_moves(basis):
+        lo, hi = (a, b) if a < b else (b, a)
+        ea.append(lo)
+        eb.append(hi)
+        ec.append(hop_class(bits, j, L))
+    order = np.lexsort((eb, ea))
+    return HilbertGraph(basis,
+                        np.asarray(ea, dtype=np.intp)[order],
+                        np.asarray(eb, dtype=np.intp)[order],
+                        np.asarray(ec, dtype=np.int8)[order])
+
+
+def components(g: HilbertGraph, allowed: set[str] | None = None) -> list[np.ndarray]:
+    """Iterative union-find; smaller root wins, components by smallest vertex."""
+    parent = np.arange(g.n_vertices, dtype=np.intp)
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:        # path compression
+            parent[x], x = root, parent[x]
+        return root
+
+    keep = g._edge_mask(allowed)
+    for a, b in zip(g.edge_a[keep], g.edge_b[keep]):
+        ra, rb = find(int(a)), find(int(b))
+        if ra != rb:
+            if ra < rb:
+                parent[rb] = ra
+            else:
+                parent[ra] = rb
+    roots = np.array([find(v) for v in range(g.n_vertices)], dtype=np.intp)
+    comps: dict[int, list[int]] = {}
+    for v, r in enumerate(roots):
+        comps.setdefault(int(r), []).append(v)
+    return [np.asarray(comps[r], dtype=np.intp) for r in sorted(comps)]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -268,3 +269,112 @@ def test_console_script_entry_point():
 def test_threads_flag_accepted(capsys):
     code, out, _ = run(capsys, "basis", "--L", "4", "--threads", "1")
     assert code == 0
+
+
+def _seed_fmt(x) -> str:
+    """The original cell formatter, numpy types checked first."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x) + 0.0, ".15g")
+    return str(x)
+
+
+def _seed_csv_body(table) -> str:
+    return "".join(",".join(_seed_fmt(c) for c in (*row[:5], *row[5:].astype(int)))
+                   + "\n" for row in table)
+
+
+def test_csv_writer_matches_numpy_row_formatting(tmp_path, capsys):
+    from scarkit.resonance import scan_ratio_grid
+    axis = np.linspace(1, 80, 6)
+    table = scan_ratio_grid(axis, axis, 20.0, 0.5)
+    assert table[:, 5:].any() and np.isinf(table[:, 2:5]).any()
+    path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, "resonance", "--omega", "20", "--u", "0.5",
+                     "--grid", "1:80:6,1:80:6", "--out", str(path))
+    assert code == 0
+    assert path.read_text().split("\n", 1)[1] == _seed_csv_body(table)
+
+    table[0, 2:5] = (-0.0, np.inf, -np.inf)
+    table[1, 0] = -0.0
+    cli._write_csv(str(path), ["h"], (r + d for r, d in zip(
+        table[:, :5].tolist(), table[:, 5:].astype(int).tolist())))
+    body = path.read_text().split("\n", 1)[1]
+    assert body == _seed_csv_body(table)
+    assert body.startswith("1,1,0,inf,-inf,") and "\n0," in body
+
+
+@pytest.mark.parametrize("argv", [
+    ("dynamics", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5"),
+    ("compare", "--L", "6", "--family", "0,0,+", "--g", "20", "--u", "0.5"),
+    ("reproduce", "--bundle", "quench-series"),
+])
+def test_cycles_zero_exits_2(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, "--cycles", "0",
+                       *(("--outdir",) if argv[0] == "reproduce" else ("--out",)),
+                       str(tmp_path / "x"))
+    assert code == 2 and "cycles" in err
+    assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5"),
+    ("reproduce", "--bundle", "revival-spectra", "--cycles", "64"),
+])
+def test_dense_threshold_zero_exits_2(tmp_path, capsys, argv):
+    extra = ("--outdir", str(tmp_path / "x")) if argv[0] == "reproduce" else ()
+    code, _, err = run(capsys, *argv, *extra, "--dense-threshold", "0")
+    assert code == 2 and "dense_threshold" in err
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_threads_request_overrides_inherited_env(capsys, monkeypatch, via_env):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    if via_env:
+        monkeypatch.setenv("SCARKIT_THREADS", "1")
+        code, _, _ = run(capsys, "basis", "--L", "4")
+    else:
+        monkeypatch.delenv("SCARKIT_THREADS", raising=False)
+        code, _, _ = run(capsys, "basis", "--L", "4", "--threads", "1")
+    assert code == 0
+    assert all(os.environ[var] == "1" for var in _THREAD_VARS)
+
+
+def test_no_threads_request_keeps_inherited_env(capsys, monkeypatch):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    monkeypatch.delenv("SCARKIT_THREADS", raising=False)
+    assert run(capsys, "basis", "--L", "4")[0] == 0
+    assert all(os.environ[var] == "4" for var in _THREAD_VARS)
+
+
+def test_non_hermitian_build_exits_3(capsys, monkeypatch):
+    from scarkit import hamiltonian
+    monkeypatch.setattr(hamiltonian, "resonant_amplitudes",
+                        lambda *args: (1 + 1j, 1 + 1j, 1 + 1j))
+    code, out, err = run(capsys, "hamiltonian", "--L", "6", "--family", "0,0,+",
+                         "--g", "50", "--u", "0.5")
+    assert code == 3 and out == ""
+    assert err == "numerical error: constructed matrix is not exactly Hermitian\n"
+
+
+def test_dynamics_accepts_bare_occupation_word(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for path, initial in ((a, "110100"), (b, "bits:110100")):
+        code, out, _ = run(capsys, "dynamics", "--L", "6", "--family", "0,0,+",
+                           "--g", "50", "--u", "0.5", "--initial", initial,
+                           "--cycles", "16", "--observables", "F", "--out", str(path))
+        assert code == 0 and json.loads(out)["initial"] == "110100"
+    assert a.read_bytes() == b.read_bytes()
+    code, _, err = run(capsys, "dynamics", "--L", "6", "--family", "0,0,+",
+                       "--g", "50", "--u", "0.5", "--initial", "11010",
+                       "--out", str(tmp_path / "c.csv"))
+    assert code == 2 and "11010" in err

@@ -177,3 +177,14 @@ def test_explicit_cycle_lists():
     full = fidelity_series(spec, "111000", cycles=64).values
     sparse = fidelity_series(spec, "111000", cycles=[0, 10, 30, 64]).values
     np.testing.assert_allclose(sparse, full[[0, 10, 30, 64]], atol=1e-12)
+
+
+def test_unitarity_drift_raises_numerical_error(monkeypatch, standard_params):
+    from scarkit import dynamics
+    from scarkit.errors import NumericalError
+    monkeypatch.setattr(dynamics, "UNITARITY_TOL", -1.0)
+    basis = SectorBasis(4, 2)
+    with pytest.raises(NumericalError, match="unitarity drift"):
+        dynamics.full_fidelity_series(basis, standard_params, pinnacle_state(4), 4)
+    with pytest.raises(NumericalError, match="unitarity drift"):
+        dynamics.evolve_full(basis, standard_params, pinnacle_state(4), 4)
