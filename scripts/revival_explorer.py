@@ -41,7 +41,7 @@ def run(argv=None) -> int:
     freqs, amps = fta(series)
     peaks, heights = dominant_peaks(freqs, amps, count=4)
 
-    p0 = float(spec.weight_row(basis.index_of(word))[spec.zero_indices].sum())
+    p0 = zero_projection(word, spec)
     table = overlap_table(spec, word)
     pos = table[table[:, 0] > 1e-9]
     top = pos[np.argsort(pos[:, 1])[::-1][:3]]

@@ -27,6 +27,9 @@ ENV_PREFIX = "SCARKIT_"
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off", ""}
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
 BUNDLES = ("spectral-map", "quench-series", "revival-spectra",
            "model-comparison", "ratio-landscape")
 
@@ -261,6 +264,7 @@ def _parse_initial(text: str, L: int):
         return {"kind": "state", "state": FockState.from_string(word),
                 "label": word}
     if text.startswith(("te_p:", "te_h:")):
+        from .graph import tower_states
         branch, q_text = text.split(":", 1)
         N = L // 2
         try:
@@ -269,12 +273,9 @@ def _parse_initial(text: str, L: int):
             raise ConfigError(f"initial: {exc}") from exc
         if not 1 <= q <= N:
             raise ConfigError(f"initial: excursion index {q} outside 1..{N}")
-        if branch == "te_p":
-            word = "1" * (N - 1) + "0" * q + "1" + "0" * (N - q)
-        else:
-            word = "1" * (N - q) + "0" + "1" * q + "0" * (N - 1)
-        return {"kind": "state", "state": FockState.from_string(word),
-                "label": text}
+        eaves = tower_states(L).eaves   # hole N..2, shared, particle 2..N
+        state = eaves[N - 2 + q] if branch == "te_p" else eaves[N - q]
+        return {"kind": "state", "state": state, "label": text}
     if text.startswith("random:"):
         parts = text.split(":")
         if len(parts) != 3:
@@ -400,7 +401,6 @@ def _cmd_resonance(opts: dict) -> int:
 
 def _cmd_spectrum(opts: dict) -> int:
     import numpy as np
-    from .errors import DomainError as _DomainError
     from .fock_basis import dim_difference_formula
     from .spectral import gap_ratio_stats
     basis = _sector(opts)
@@ -408,8 +408,7 @@ def _cmd_spectrum(opts: dict) -> int:
     spec = _diagonalize(opts, _build_effective(basis, params, family))
     out = opts.get("out")
     if out:
-        is_zero = np.zeros(spec.size, dtype=bool)
-        is_zero[spec.zero_indices] = True
+        is_zero = np.isin(np.arange(spec.size), spec.zero_indices)
         plus_weight = spec.vectors.sector_weight(basis.parities == 1)
         rows = ((a, float(spec.quasienergies[a]), int(is_zero[a]),
                  float(plus_weight[a])) for a in range(spec.size))
@@ -417,7 +416,7 @@ def _cmd_spectrum(opts: dict) -> int:
                          "chiral_weight_plus"], rows)
     try:
         r_mean = gap_ratio_stats(spec).mean_r
-    except _DomainError:
+    except DomainError:
         r_mean = None
     _write_manifest("spectrum", opts, _manifest_path(opts, out))
     _emit_json({"dimension": spec.size,
@@ -483,7 +482,6 @@ def _cmd_graph(opts: dict) -> int:
 def _scar_report(spec, basis):
     """Scar JSON payload; observables that need a kernel go null without one."""
     import numpy as np
-    from .errors import DomainError as _DomainError
     from .fock_basis import pinnacle_state
     from .observables import (coe_ie_reference, entanglement_entropy,
                               page_entropy, scar_state, shannon_entropy,
@@ -500,13 +498,13 @@ def _scar_report(spec, basis):
     }
     try:
         s0 = scar_state(spec, tp)
-    except _DomainError:
-        return payload, None
+    except DomainError:
+        return payload
     idx = basis.index_of(tp)
     payload["overlap_tp_s0"] = float(np.abs(s0.amplitudes[idx]) ** 2)
     payload["S_EE_s0"] = entanglement_entropy(s0)
     payload["S_IE_s0"] = shannon_entropy(s0)
-    return payload, s0
+    return payload
 
 
 def _cmd_scar(opts: dict) -> int:
@@ -518,16 +516,14 @@ def _cmd_scar(opts: dict) -> int:
         raise ConfigError("N: the scar report is defined at half filling")
     params, family = _resolve_params(opts)
     spec = _diagonalize(opts, _build_effective(basis, params, family))
-    payload, _ = _scar_report(spec, basis)
+    payload = _scar_report(spec, basis)
     per_state = opts.get("per_state")
     if per_state:
         ee = entropy_profile(spec)
         w_tp = spec.weight_row(basis.index_of(pinnacle_state(basis.L)))
-        is_zero = np.zeros(spec.size, dtype=bool)
-        is_zero[spec.zero_indices] = True
-        ie = np.empty(spec.size)
-        for a in range(spec.size):
-            ie[a] = shannon_entropy(StateVector(spec.vectors.column(a), basis))
+        is_zero = np.isin(np.arange(spec.size), spec.zero_indices)
+        ie = [shannon_entropy(StateVector(spec.vectors.column(a), basis))
+              for a in range(spec.size)]
         rows = ((a, float(spec.quasienergies[a]), float(ee[a]), float(ie[a]),
                  float(w_tp[a]), int(is_zero[a])) for a in range(spec.size))
         _write_csv(per_state, ["alpha", "quasienergy", "S_EE", "S_IE",
@@ -564,34 +560,10 @@ def _effective_series(spec, state, cycles, wanted):
     return out
 
 
-def _full_series(basis, params, state, cycles, wanted):
-    import numpy as np
-    from .dynamics import TimeSeries, evolve_full
-    from .graph import tower_states
-    from .observables import SCHMIDT_FLOOR, schmidt_spectrum
-    from scipy.special import xlogy
-    states = evolve_full(basis, params, state, cycles)
-    psi0 = states[:, 0]
-    out = {}
-    if "F" in wanted:
-        out["F"] = TimeSeries("F", np.abs(psi0.conj() @ states) ** 2)
-    if "EE" in wanted:
-        vals = np.empty(states.shape[1])
-        for i in range(states.shape[1]):
-            lam = schmidt_spectrum(states[:, i], basis, basis.L // 2)
-            lam = lam[lam >= SCHMIDT_FLOOR]
-            vals[i] = -xlogy(lam, lam).sum()
-        out["EE"] = TimeSeries("S_EE", vals)
-    if "Pt" in wanted:
-        t_idx = tower_states(basis.L).indices(basis)
-        out["Pt"] = TimeSeries("P_t",
-                               (np.abs(states[t_idx, :]) ** 2).sum(axis=0))
-    return out
-
-
 def _cmd_dynamics(opts: dict) -> int:
     import numpy as np
-    from .dynamics import ensemble_stats, fta, random_nontower_states
+    from .dynamics import (ensemble_stats, fta, full_drive_series,
+                           random_nontower_states)
     basis = _sector(opts)
     params, family = _resolve_params(opts)
     model = opts.get("model") or "effective"
@@ -608,7 +580,7 @@ def _cmd_dynamics(opts: dict) -> int:
     def run_one(state):
         if model == "effective":
             return _effective_series(spec, state, cycles, wanted)
-        return _full_series(basis, params, state, cycles, wanted)
+        return full_drive_series(basis, params, state, cycles, wanted)
 
     if init["kind"] == "state":
         series = run_one(init["state"])
@@ -670,48 +642,6 @@ def _cmd_compare(opts: dict) -> int:
 
 # ------------------------------------------------------------- reproduce
 
-def _svg_lineplot(path: str, series: dict[str, "object"], title: str,
-                  xlabel: str, ylabel: str) -> None:
-    """Dependency-free polyline rendering of a few named series."""
-    import numpy as np
-    width, height, pad = 720, 440, 52
-    colors = ("#1f6fb2", "#c44e52", "#55a868", "#8172b2", "#937860")
-    xs = {k: np.arange(len(v)) for k, v in series.items()}
-    xmax = max(len(v) for v in series.values()) - 1 or 1
-    ymin = min(float(np.min(v)) for v in series.values())
-    ymax = max(float(np.max(v)) for v in series.values())
-    if ymax == ymin:
-        ymax = ymin + 1.0
-    sx = (width - 2 * pad) / xmax
-    sy = (height - 2 * pad) / (ymax - ymin)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width/2:.0f}" y="20" text-anchor="middle" '
-             f'font-size="14">{title}</text>',
-             f'<text x="{width/2:.0f}" y="{height-8}" text-anchor="middle" '
-             f'font-size="12">{xlabel}</text>',
-             f'<text x="14" y="{height/2:.0f}" text-anchor="middle" '
-             f'font-size="12" transform="rotate(-90 14 {height/2:.0f})">'
-             f'{ylabel}</text>',
-             f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" '
-             f'y2="{height-pad}" stroke="black"/>',
-             f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" '
-             f'stroke="black"/>']
-    for i, (name, values) in enumerate(series.items()):
-        pts = " ".join(
-            f"{pad + x * sx:.1f},{height - pad - (float(y) - ymin) * sy:.1f}"
-            for x, y in zip(xs[name], np.asarray(values)))
-        color = colors[i % len(colors)]
-        parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="1" points="{pts}"/>')
-        parts.append(f'<text x="{width-pad+4}" y="{pad + 14*i}" '
-                     f'font-size="11" fill="{color}">{name}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
 def _silently(handler, opts: dict) -> None:
     """Run a subcommand for a bundle, swallowing its stdout JSON."""
     import contextlib
@@ -744,32 +674,22 @@ def _bundle_quench_series(opts: dict, outdir: str, scale: str) -> dict:
                        manifest=os.devnull)
             _silently(_cmd_dynamics, run)
             files.append(out)
-            if opts.get("svg"):
-                import numpy as np
-                data = np.genfromtxt(out, delimiter=",", names=True)
-                _svg_lineplot(out[:-4] + ".svg",
-                              {"F": data["F"], "P_t": data["P_t"]},
-                              f"L={L} from {initial}", "driving cycle k",
-                              "F, P_t")
     return {"files": files}
 
 
 def _bundle_revival_spectra(opts: dict, outdir: str, scale: str) -> dict:
-    import numpy as np
     from .dynamics import (analytic_fidelity, dominant_peaks, fta,
                            spta_fidelity, tower_probability_series)
     from .fock_basis import SectorBasis, pinnacle_state
-    from .hamiltonian import build_effective_resonant
+    from .resonance import resonant_family
     sizes = (12, 14) if scale == "desk" else (16, 18)
     cycles = _positive(opts, "cycles", 4096)
+    family = resonant_family(0, 0, "+")
+    params = family.params(50.0, 0.5)
     files, peaks = [], {}
     for L in sizes:
         basis = SectorBasis(L, L // 2)
-        from .resonance import resonant_family
-        family = resonant_family(0, 0, "+")
-        params = family.params(50.0, 0.5)
-        spec = _diagonalize(opts, build_effective_resonant(
-            basis, params, 0, 0, "+"))
+        spec = _diagonalize(opts, _build_effective(basis, params, family))
         tp = pinnacle_state(L)
         f_series = analytic_fidelity(spec, tp, cycles)
         pt_series = tower_probability_series(spec, tp, cycles=cycles)
@@ -785,11 +705,6 @@ def _bundle_revival_spectra(opts: dict, outdir: str, scale: str) -> dict:
         pk_s, _ = dominant_peaks(freqs, spta_amp, count=1)
         peaks[f"L{L}"] = {"F": [float(x) for x in pk_f],
                           "F_spta": [float(x) for x in pk_s]}
-        if opts.get("svg"):
-            _svg_lineplot(out[:-4] + ".svg",
-                          {"F": f_amp, "F_spta": spta_amp},
-                          f"L={L} revival spectrum", "rad per cycle",
-                          "normalized amplitude")
     with open(os.path.join(outdir, "peaks.json"), "w") as fh:
         json.dump(_json_ready(peaks), fh, indent=2)
         fh.write("\n")
@@ -797,6 +712,7 @@ def _bundle_revival_spectra(opts: dict, outdir: str, scale: str) -> dict:
 
 
 def _bundle_model_comparison(opts: dict, outdir: str, scale: str) -> dict:
+    import numpy as np
     L = 12 if scale == "desk" else 16
     g_values = (15.0, 30.0)
     files, summary = [], {}
@@ -808,13 +724,8 @@ def _bundle_model_comparison(opts: dict, outdir: str, scale: str) -> dict:
                    manifest=os.devnull)
         _silently(_cmd_compare, run)
         files.append(out)
-        import numpy as np
         data = np.genfromtxt(out, delimiter=",", names=True)
         summary[f"g{g:g}"] = float(np.max(data["abs_diff"]))
-        if opts.get("svg"):
-            _svg_lineplot(out[:-4] + ".svg",
-                          {"F_full": data["F_full"], "F_eff": data["F_eff"]},
-                          f"L={L}, g={g:g}", "driving cycle k", "fidelity")
     with open(os.path.join(outdir, "discrepancy.json"), "w") as fh:
         json.dump(_json_ready(summary), fh, indent=2)
         fh.write("\n")
@@ -949,7 +860,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, _OptionRegistry]:
     reg.add(p, "--outdir", help="bundle output directory")
     reg.add(p, "--cycles", type=int, help="override bundle cycle counts")
     reg.add(p, "--seed", type=int, help="ensemble seed (default 7)")
-    reg.add(p, "--svg", flag=True, help="also render simple SVG plots")
     reg.add(p, "--dense-threshold", type=int,
             help="refuse dense eigensolves above this dimension")
 
@@ -969,36 +879,15 @@ _HANDLERS = {
 }
 
 
-def _pin_threads(argv: list[str]) -> None:
-    """Apply --threads / SCARKIT_THREADS before numpy configures its pools.
-
-    An explicit request overrides thread settings inherited from the
-    environment; without one those settings are left alone.
-    """
-    count = os.environ.get(ENV_PREFIX + "THREADS")
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            count = argv[i + 1]
-        elif arg.startswith("--threads="):
-            count = arg.split("=", 1)[1]
-    if count is None:
-        return
-    try:
-        n = max(1, int(count))
-    except ValueError:
-        return  # the argparse pass reports this properly
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _pin_threads(argv)
     parser, registry = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(sys.argv[1:] if argv is None else argv)
     try:
         opts = _resolve_options(ns, registry)
+        if opts.get("threads") is not None:
+            # set before any handler imports numpy; overrides inherited sizes
+            n = str(max(1, opts["threads"]))
+            os.environ.update(dict.fromkeys(_THREAD_VARS, n))
         return _HANDLERS[ns.command](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,19 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks
-from scipy.special import xlogy
 
 from .errors import CapabilityError, DomainError, NumericalError
 from .fock_basis import FockState, SectorBasis
 from .graph import Tower, spta_matrix, tower_states
 from .hamiltonian import (ModelParams, build_effective_resonant,
                           build_half_period)
-from .observables import SCHMIDT_FLOOR, StateVector, schmidt_spectrum
+from .observables import (StateVector, cluster_levels, fock_vector,
+                          schmidt_entropies)
 from .spectral import Spectrum
 
 FULL_DENSE_MAX = 4096       # dense half-period propagators up to this dimension
 DEFAULT_CYCLES = 4096
-CLUSTER_WIDTH = 1e-9
 UNITARITY_TOL = 1e-8
 STATE_BLOCK_BYTES = 2_000_000_000
 
@@ -62,10 +61,7 @@ def _as_vector(basis: SectorBasis, initial) -> tuple[np.ndarray, int | None]:
             raise DomainError("initial state lives on a different sector")
         amps = initial.amplitudes
     elif isinstance(initial, (FockState, str)):
-        idx = basis.index_of(initial)
-        amps = np.zeros(basis.size, dtype=np.complex128)
-        amps[idx] = 1.0
-        return amps, idx
+        return fock_vector(basis, initial).amplitudes, basis.index_of(initial)
     else:
         amps = np.asarray(initial, dtype=np.complex128)
         if amps.shape != (basis.size,):
@@ -124,10 +120,7 @@ def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
     out = np.empty(len(ks))
     for lo in range(0, len(ks), chunk):
         states = spec.propagate(psi0, ks[lo:lo + chunk], period)
-        for i in range(states.shape[1]):
-            lam = schmidt_spectrum(states[:, i], spec.basis, cut)
-            lam = lam[lam >= SCHMIDT_FLOOR]
-            out[lo + i] = -xlogy(lam, lam).sum()
+        out[lo:lo + chunk] = schmidt_entropies(states, spec.basis, cut)
     return TimeSeries("S_EE", out, initial=_describe(initial))
 
 
@@ -158,19 +151,6 @@ def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None
     return TimeSeries("P_t", out, initial=_describe(initial))
 
 
-def _cluster(eps: np.ndarray, w: np.ndarray,
-             width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Merge ascending quasienergies closer than `width`, summing weights."""
-    means, sums = [], []
-    start = 0
-    for i in range(1, len(eps) + 1):
-        if i == len(eps) or eps[i] - eps[i - 1] > width:
-            means.append(eps[start:i].mean())
-            sums.append(w[start:i].sum())
-            start = i
-    return np.asarray(means), np.asarray(sums)
-
-
 def analytic_fidelity(spec: Spectrum, f: FockState | str,
                       cycles=DEFAULT_CYCLES) -> TimeSeries:
     """Closed-form fidelity of a Fock start under a mirror-symmetric spectrum.
@@ -187,8 +167,8 @@ def analytic_fidelity(spec: Spectrum, f: FockState | str,
     mask[spec.zero_indices] = False
     pos = mask & (eps > 0)
     neg = mask & (eps < 0)
-    pe, pw = _cluster(eps[pos], w[pos], CLUSTER_WIDTH)
-    ne, nw = _cluster(-eps[neg][::-1], w[neg][::-1], CLUSTER_WIDTH)
+    pe, pw = cluster_levels(eps[pos], w[pos])
+    ne, nw = cluster_levels(-eps[neg][::-1], w[neg][::-1])
     if len(pe) != len(ne) or np.max(np.abs(pe - ne), initial=0.0) > 1e-8:
         raise DomainError("spectrum is not mirror symmetric; the paired "
                           "cosine form does not apply")
@@ -236,25 +216,36 @@ class FullPropagator:
         return expm_multiply(self._halves[1], expm_multiply(self._halves[0], psi))
 
 
+def _drive(basis: SectorBasis, params: ModelParams, psi0: np.ndarray,
+           last: int, dense_max: int):
+    """Yield the state after each cycle k = 0..last of the exact drive.
+
+    Once the last state is consumed the norm is checked: a drift above
+    UNITARITY_TOL per cycle stepped raises NumericalError.
+    """
+    prop = FullPropagator(basis, params, dense_max)
+    psi = psi0.astype(np.complex128)
+    yield psi
+    for _ in range(last):
+        psi = prop.step(psi)
+        yield psi
+    drift = abs(np.linalg.norm(psi) - 1.0)
+    if drift > UNITARITY_TOL * max(last, 1):
+        raise NumericalError(f"unitarity drift {drift:.2e} over {last} cycles")
+
+
 def evolve_full(basis: SectorBasis, params: ModelParams, initial, cycles,
                 dense_max: int = FULL_DENSE_MAX) -> np.ndarray:
     """State columns at the requested cycles under the exact driven model."""
     psi0, _ = _as_vector(basis, initial)
     ks = _cycle_array(cycles)
     _guard_block(basis.size, len(ks))
-    prop = FullPropagator(basis, params, dense_max)
     out = np.empty((basis.size, len(ks)), dtype=np.complex128)
-    psi = psi0.astype(np.complex128)
     ptr = 0
-    for k in range(int(ks[-1]) + 1):
-        if ptr < len(ks) and ks[ptr] == k:
+    for k, psi in enumerate(_drive(basis, params, psi0, int(ks[-1]), dense_max)):
+        if k == ks[ptr]:
             out[:, ptr] = psi
             ptr += 1
-        if k < ks[-1]:
-            psi = prop.step(psi)
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > UNITARITY_TOL * max(int(ks[-1]), 1):
-        raise NumericalError(f"unitarity drift {drift:.2e} over {ks[-1]} cycles")
     return out
 
 
@@ -266,17 +257,37 @@ def full_fidelity_series(basis: SectorBasis, params: ModelParams, initial,
     ks = _cycle_array(cycles)
     if not np.array_equal(ks, np.arange(len(ks))):
         raise DomainError("streaming fidelity needs contiguous cycles 0..K")
-    prop = FullPropagator(basis, params, dense_max)
-    out = np.empty(len(ks))
+    bra = psi0.conj()
+    out = np.array([abs(bra @ psi) ** 2 for psi in
+                    _drive(basis, params, psi0, len(ks) - 1, dense_max)])
     out[0] = 1.0
-    psi = psi0.astype(np.complex128)
-    for k in range(1, len(ks)):
-        psi = prop.step(psi)
-        out[k] = abs(psi0.conj() @ psi) ** 2
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > UNITARITY_TOL * max(len(ks) - 1, 1):
-        raise NumericalError(f"unitarity drift {drift:.2e} over {len(ks)} cycles")
     return TimeSeries("F", out, params=params, initial=_describe(initial))
+
+
+def full_drive_series(basis: SectorBasis, params: ModelParams, initial,
+                      cycles=DEFAULT_CYCLES, observables=("F", "EE", "Pt"),
+                      chunk: int = 128) -> dict[str, TimeSeries]:
+    """F, half-chain S_EE and P_t under the exact drive, from one evolution.
+
+    Keys are the requested names among "F", "EE" and "Pt".
+    """
+    psi0, _ = _as_vector(basis, initial)
+    states = evolve_full(basis, params, psi0, cycles)
+    label = _describe(initial)
+    out = {}
+    if "F" in observables:
+        f = np.abs(psi0.conj() @ states) ** 2
+        out["F"] = TimeSeries("F", f, params=params, initial=label)
+    if "EE" in observables:
+        ee = np.concatenate([
+            schmidt_entropies(states[:, lo:lo + chunk], basis, basis.L // 2)
+            for lo in range(0, states.shape[1], chunk)])
+        out["EE"] = TimeSeries("S_EE", ee, params=params, initial=label)
+    if "Pt" in observables:
+        t_idx = tower_states(basis.L).indices(basis)
+        pt = (np.abs(states[t_idx, :]) ** 2).sum(axis=0)
+        out["Pt"] = TimeSeries("P_t", pt, params=params, initial=label)
+    return out
 
 
 def fta(series) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, NumericalError
-from .fock_basis import FockState, SectorBasis
+from .fock_basis import FockState, SectorBasis, dipole_moment
 from .spectral import fold_quasienergy
 
 HOP_CLASSES = ("g-U", "g", "g+U")
@@ -71,12 +71,7 @@ class HopClass:
 def onsite_energy(state: FockState, params: ModelParams) -> float:
     """Static energy U * (adjacent pairs) - g * (dipole moment)."""
     pairs = (state.bits & (state.bits >> 1)).bit_count()
-    d, bits, L = 0, state.bits, state.L
-    while bits:
-        p = bits & -bits
-        d += L - p.bit_length() + 1
-        bits ^= p
-    return params.U * pairs - params.g * d
+    return params.U * pairs - params.g * dipole_moment(state)
 
 
 def hop_class_code(n_left, n_right):

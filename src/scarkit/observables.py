@@ -87,18 +87,38 @@ def _cut_layout(L: int, N: int, cut: int):
 
 def schmidt_spectrum(amplitudes: np.ndarray, basis: SectorBasis,
                      cut: int) -> np.ndarray:
-    """Squared Schmidt coefficients across sites (1..cut | cut+1..L)."""
+    """Squared Schmidt coefficients across sites (1..cut | cut+1..L).
+
+    A (dim, n) block of amplitude columns gives an (n, k) array, one row of
+    coefficients per column; each block shape takes one stacked SVD.
+    """
     if not 1 <= cut < basis.L:
         raise DomainError(f"cut {cut} outside 1..{basis.L - 1}")
     block_id, row, col, shapes = _cut_layout(basis.L, basis.N, cut)
+    amps = np.asarray(amplitudes)
+    cols = amps[:, None] if amps.ndim == 1 else amps
     lams = []
     for b, shape in enumerate(shapes):
-        block = np.zeros(shape, dtype=np.complex128)
         sel = block_id == b
-        block[row[sel], col[sel]] = amplitudes[sel]
-        s = np.linalg.svd(block, compute_uv=False)
+        blocks = np.zeros((cols.shape[1], *shape), dtype=np.complex128)
+        blocks[:, row[sel], col[sel]] = cols[sel].T
+        s = np.linalg.svd(blocks, compute_uv=False)
         lams.append(s * s)
-    return np.concatenate(lams)
+    lam = np.concatenate(lams, axis=1)
+    return lam[0] if amps.ndim == 1 else lam
+
+
+def schmidt_entropies(columns: np.ndarray, basis: SectorBasis,
+                      cut: int) -> np.ndarray:
+    """Von Neumann entropy in nats of each amplitude column across the cut.
+
+    Reduced-density eigenvalues below SCHMIDT_FLOOR are dropped.
+    """
+    out = np.empty(columns.shape[1])
+    for i, lam in enumerate(schmidt_spectrum(columns, basis, cut)):
+        lam = lam[lam >= SCHMIDT_FLOOR]
+        out[i] = -xlogy(lam, lam).sum()
+    return out
 
 
 def entanglement_entropy(state: StateVector, cut: int | None = None) -> float:
@@ -106,9 +126,7 @@ def entanglement_entropy(state: StateVector, cut: int | None = None) -> float:
     amps = _require_normalized(state)
     if cut is None:
         cut = state.basis.L // 2
-    lam = schmidt_spectrum(amps, state.basis, cut)
-    lam = lam[lam >= SCHMIDT_FLOOR]
-    return float(-xlogy(lam, lam).sum())
+    return float(schmidt_entropies(amps[:, None], state.basis, cut)[0])
 
 
 def entropy_profile(spec: Spectrum, indices=None, cut: int | None = None,
@@ -122,10 +140,7 @@ def entropy_profile(spec: Spectrum, indices=None, cut: int | None = None,
     out = np.empty(len(indices))
     for lo in range(0, len(indices), batch):
         cols = spec.vectors.columns(indices[lo:lo + batch])
-        for i in range(cols.shape[1]):
-            lam = schmidt_spectrum(cols[:, i], spec.basis, cut)
-            lam = lam[lam >= SCHMIDT_FLOOR]
-            out[lo + i] = -xlogy(lam, lam).sum()
+        out[lo:lo + cols.shape[1]] = schmidt_entropies(cols, spec.basis, cut)
     return out
 
 
@@ -178,6 +193,22 @@ def scar_state(spec: Spectrum, f: FockState | int | str) -> StateVector:
     return StateVector(amps, spec.basis)
 
 
+def cluster_levels(eps: np.ndarray, w: np.ndarray,
+                   width: float = CLUSTER_WIDTH) -> tuple[np.ndarray, np.ndarray]:
+    """Merge ascending quasienergies closer than `width` into one level.
+
+    Returns each level's mean quasienergy and summed weight.
+    """
+    means, sums = [], []
+    start = 0
+    for i in range(1, len(eps) + 1):
+        if i == len(eps) or eps[i] - eps[i - 1] > width:
+            means.append(eps[start:i].mean())
+            sums.append(w[start:i].sum())
+            start = i
+    return np.asarray(means), np.asarray(sums)
+
+
 def overlap_table(spec: Spectrum, f: FockState | int | str,
                   aggregate: bool = True,
                   width: float = CLUSTER_WIDTH) -> np.ndarray:
@@ -192,14 +223,7 @@ def overlap_table(spec: Spectrum, f: FockState | int | str,
     eps = spec.quasienergies
     if not aggregate:
         return np.column_stack([eps, w])
-    rows = []
-    start = 0
-    for i in range(1, len(eps) + 1):
-        if i == len(eps) or eps[i] - eps[i - 1] > width:
-            chunk = slice(start, i)
-            rows.append((float(eps[chunk].mean()), float(w[chunk].sum())))
-            start = i
-    return np.asarray(rows)
+    return np.column_stack(cluster_levels(eps, w, width))
 
 
 def ee_outlier_flags(entropies: np.ndarray, n_mad: float = 3.0) -> np.ndarray:

@@ -378,3 +378,77 @@ def test_dynamics_accepts_bare_occupation_word(tmp_path, capsys):
                        "--g", "50", "--u", "0.5", "--initial", "11010",
                        "--out", str(tmp_path / "c.csv"))
     assert code == 2 and "11010" in err
+
+
+def _full_columns(L, initial, cycles):
+    """F, S_EE and P_t computed directly from `evolve_full` states."""
+    from scarkit import (SectorBasis, StateVector, entanglement_entropy,
+                         evolve_full, resonant_family, tower_states)
+    basis = SectorBasis(L, L // 2)
+    params = resonant_family(0, 0, "+").params(g=50.0, u=0.5)
+    states = evolve_full(basis, params, initial, cycles)
+    f = np.abs(states[:, 0].conj() @ states) ** 2
+    ee = [entanglement_entropy(StateVector(states[:, k], basis))
+          for k in range(states.shape[1])]
+    pt = (np.abs(states[tower_states(L).indices(basis)]) ** 2).sum(axis=0)
+    return np.column_stack([f, ee, pt])
+
+
+def test_dynamics_full_model_columns(tmp_path, capsys):
+    out_csv = tmp_path / "full.csv"
+    code, out, _ = run(capsys, "dynamics", "--L", "6", "--family", "0,0,+",
+                       "--g", "50", "--u", "0.5", "--model", "full",
+                       "--initial", "110010", "--cycles", "40",
+                       "--out", str(out_csv))
+    assert code == 0 and json.loads(out)["model"] == "full"
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "k,F,S_EE,P_t"
+    table = np.array([[float(c) for c in l.split(",")] for l in lines[1:]])
+    np.testing.assert_array_equal(table[:, 0], np.arange(41))
+    np.testing.assert_allclose(table[:, 1:], _full_columns(6, "110010", 40),
+                               rtol=0, atol=1e-12)
+
+    ens_csv = tmp_path / "ens.csv"
+    code, _, _ = run(capsys, "dynamics", "--L", "6", "--family", "0,0,+",
+                     "--g", "50", "--u", "0.5", "--model", "full",
+                     "--initial", "random:3:2", "--cycles", "40",
+                     "--out", str(ens_csv))
+    assert code == 0
+    assert ens_csv.read_text().splitlines()[0] == \
+        "k,F,S_EE,P_t,F_sd,S_EE_sd,P_t_sd"
+
+
+@pytest.mark.parametrize("L", [4, 6, 8, 12])
+def test_excursion_initials_are_the_tower_eaves(L):
+    from scarkit.graph import tower_states
+    N = L // 2
+    eaves = tower_states(L).eaves
+    for q in range(1, N + 1):
+        assert cli._parse_initial(f"te_p:{q}", L)["state"] == eaves[N - 2 + q]
+        assert cli._parse_initial(f"te_h:{q}", L)["state"] == eaves[N - q]
+
+
+@pytest.mark.parametrize("source", ["config", "manifest"])
+def test_threads_from_config_file_or_manifest(tmp_path, capsys, monkeypatch,
+                                              source):
+    monkeypatch.delenv("SCARKIT_THREADS", raising=False)
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 1\n")
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "basis",
+                                   "config": {"L": 4, "threads": 1}}))
+    assert run(capsys, "basis", "--config", str(cfg), "--L", "4")[0] == 0
+    assert all(os.environ[var] == "1" for var in _THREAD_VARS)
+
+
+def test_manifest_with_svg_key_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "bundle.manifest.json"
+    manifest.write_text(json.dumps({"command": "reproduce", "config": {
+        "bundle": "ratio-landscape", "outdir": str(tmp_path / "rl"),
+        "svg": False}}))
+    code, _, err = run(capsys, "reproduce", "--config", str(manifest))
+    assert code == 2 and "'svg'" in err
