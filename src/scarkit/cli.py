@@ -408,7 +408,8 @@ def _cmd_spectrum(opts: dict) -> int:
     spec = _diagonalize(opts, _build_effective(basis, params, family))
     out = opts.get("out")
     if out:
-        is_zero = np.isin(np.arange(spec.size), spec.zero_indices)
+        is_zero = np.zeros(spec.size, dtype=bool)
+        is_zero[spec.zero_indices] = True
         plus_weight = spec.vectors.sector_weight(basis.parities == 1)
         rows = ((a, float(spec.quasienergies[a]), int(is_zero[a]),
                  float(plus_weight[a])) for a in range(spec.size))
@@ -521,9 +522,11 @@ def _cmd_scar(opts: dict) -> int:
     if per_state:
         ee = entropy_profile(spec)
         w_tp = spec.weight_row(basis.index_of(pinnacle_state(basis.L)))
-        is_zero = np.isin(np.arange(spec.size), spec.zero_indices)
-        ie = [shannon_entropy(StateVector(spec.vectors.column(a), basis))
-              for a in range(spec.size)]
+        is_zero = np.zeros(spec.size, dtype=bool)
+        is_zero[spec.zero_indices] = True
+        ie = np.empty(spec.size)
+        for a in range(spec.size):
+            ie[a] = shannon_entropy(StateVector(spec.vectors.column(a), basis))
         rows = ((a, float(spec.quasienergies[a]), float(ee[a]), float(ie[a]),
                  float(w_tp[a]), int(is_zero[a])) for a in range(spec.size))
         _write_csv(per_state, ["alpha", "quasienergy", "S_EE", "S_IE",

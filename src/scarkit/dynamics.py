@@ -26,6 +26,7 @@ FULL_DENSE_MAX = 4096       # dense half-period propagators up to this dimension
 DEFAULT_CYCLES = 4096
 UNITARITY_TOL = 1e-8
 STATE_BLOCK_BYTES = 2_000_000_000
+EE_CHUNK = 128              # states per stacked Schmidt SVD block
 
 
 @dataclass
@@ -110,7 +111,7 @@ def fidelity_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
 
 
 def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
-              cut: int | None = None, chunk: int = 128) -> TimeSeries:
+              cut: int | None = None, chunk: int = EE_CHUNK) -> TimeSeries:
     """Half-chain entanglement entropy along the evolution."""
     psi0, _ = _as_vector(spec.basis, initial)
     ks = _cycle_array(cycles)
@@ -265,8 +266,8 @@ def full_fidelity_series(basis: SectorBasis, params: ModelParams, initial,
 
 
 def full_drive_series(basis: SectorBasis, params: ModelParams, initial,
-                      cycles=DEFAULT_CYCLES, observables=("F", "EE", "Pt"),
-                      chunk: int = 128) -> dict[str, TimeSeries]:
+                      cycles=DEFAULT_CYCLES, observables=("F", "EE", "Pt")
+                      ) -> dict[str, TimeSeries]:
     """F, half-chain S_EE and P_t under the exact drive, from one evolution.
 
     Keys are the requested names among "F", "EE" and "Pt".
@@ -280,8 +281,8 @@ def full_drive_series(basis: SectorBasis, params: ModelParams, initial,
         out["F"] = TimeSeries("F", f, params=params, initial=label)
     if "EE" in observables:
         ee = np.concatenate([
-            schmidt_entropies(states[:, lo:lo + chunk], basis, basis.L // 2)
-            for lo in range(0, states.shape[1], chunk)])
+            schmidt_entropies(states[:, lo:lo + EE_CHUNK], basis, basis.L // 2)
+            for lo in range(0, states.shape[1], EE_CHUNK)])
         out["EE"] = TimeSeries("S_EE", ee, params=params, initial=label)
     if "Pt" in observables:
         t_idx = tower_states(basis.L).indices(basis)

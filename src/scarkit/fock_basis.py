@@ -47,10 +47,6 @@ class FockState:
             raise DomainError(f"site {j} outside 1..{self.L}")
         return (self.bits >> (self.L - j)) & 1
 
-    @property
-    def particle_number(self) -> int:
-        return self.bits.bit_count()
-
 
 def dipole_moment(state: FockState) -> int:
     """D = sum_j j * n_j with 1-based site indices."""

@@ -47,13 +47,6 @@ class HilbertGraph:
         counts = np.bincount(self.edge_class, minlength=len(HOP_CLASSES))
         return {name: int(c) for name, c in zip(HOP_CLASSES, counts)}
 
-    def degrees(self, allowed: set[str] | None = None) -> np.ndarray:
-        keep = self._edge_mask(allowed)
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        np.add.at(deg, self.edge_a[keep], 1)
-        np.add.at(deg, self.edge_b[keep], 1)
-        return deg
-
     def neighbors(self, v: int, allowed: set[str] | None = None):
         """(vertex, class name) pairs adjacent to v, ascending by vertex."""
         keep = self._edge_mask(allowed)

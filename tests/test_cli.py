@@ -420,12 +420,30 @@ def test_dynamics_full_model_columns(tmp_path, capsys):
 
 @pytest.mark.parametrize("L", [4, 6, 8, 12])
 def test_excursion_initials_are_the_tower_eaves(L):
+    from scarkit.fock_basis import FockState
     from scarkit.graph import tower_states
     N = L // 2
     eaves = tower_states(L).eaves
     for q in range(1, N + 1):
-        assert cli._parse_initial(f"te_p:{q}", L)["state"] == eaves[N - 2 + q]
-        assert cli._parse_initial(f"te_h:{q}", L)["state"] == eaves[N - q]
+        te_p = cli._parse_initial(f"te_p:{q}", L)["state"]
+        te_h = cli._parse_initial(f"te_h:{q}", L)["state"]
+        assert te_p == FockState.from_string(
+            "1" * (N - 1) + "0" * q + "1" + "0" * (N - q))
+        assert te_h == FockState.from_string(
+            "1" * (N - q) + "0" + "1" * q + "0" * (N - 1))
+        assert te_p == eaves[N - 2 + q] and te_h == eaves[N - q]
+
+
+def test_excursion_initial_words_at_L6():
+    assert cli._parse_initial("te_p:2", 6)["state"].to_string() == "110010"
+    assert cli._parse_initial("te_h:3", 6)["state"].to_string() == "011100"
+
+
+def test_excursion_initial_needs_a_tower(tmp_path, capsys):
+    code, _, err = run(capsys, "dynamics", "--L", "2", "--family", "0,0,+",
+                       "--g", "50", "--u", "0.5", "--initial", "te_p:1",
+                       "--observables", "F", "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and "tower needs L = 2N with N >= 2" in err
 
 
 @pytest.mark.parametrize("source", ["config", "manifest"])
