@@ -565,7 +565,7 @@ def _effective_series(spec, state, cycles, wanted):
 
 def _cmd_dynamics(opts: dict) -> int:
     import numpy as np
-    from .dynamics import (ensemble_stats, fta, full_drive_series,
+    from .dynamics import (ensemble_stats, fta, full_drive_ensemble,
                            random_nontower_states)
     basis = _sector(opts)
     params, family = _resolve_params(opts)
@@ -580,18 +580,18 @@ def _cmd_dynamics(opts: dict) -> int:
     if model == "effective":
         spec = _diagonalize(opts, _build_effective(basis, params, family))
 
-    def run_one(state):
+    def run_all(states):
         if model == "effective":
-            return _effective_series(spec, state, cycles, wanted)
-        return full_drive_series(basis, params, state, cycles, wanted)
+            return [_effective_series(spec, s, cycles, wanted) for s in states]
+        return full_drive_ensemble(basis, params, states, cycles, wanted)
 
     if init["kind"] == "state":
-        series = run_one(init["state"])
+        series = run_all([init["state"]])[0]
         sds = {}
     else:
         samples = random_nontower_states(basis, count=init["count"],
                                          seed=init["seed"])
-        runs = [run_one(s) for s in samples]
+        runs = run_all(samples)
         series, sds = {}, {}
         for name in wanted:
             agg = ensemble_stats([r[name] for r in runs],
@@ -620,6 +620,12 @@ def _cmd_dynamics(opts: dict) -> int:
 
 
 def _cmd_compare(opts: dict) -> int:
+    _emit_json(_compare(opts))
+    return 0
+
+
+def _compare(opts: dict) -> dict:
+    """Write the `compare` CSV and manifest; return its stdout payload."""
     import numpy as np
     from .dynamics import fidelity_series, full_fidelity_series
     basis = _sector(opts)
@@ -638,9 +644,8 @@ def _cmd_compare(opts: dict) -> int:
         _write_csv(out, ["k", "F_full", "F_eff", "abs_diff"],
                    zip(ks, f_full.values, f_eff.values, diff))
     _write_manifest("compare", opts, _manifest_path(opts, out))
-    _emit_json({"dimension": basis.size, "g": params.g, "cycles": int(cycles),
-                "initial": init["label"], "max_abs_diff": float(diff.max())})
-    return 0
+    return {"dimension": basis.size, "g": params.g, "cycles": int(cycles),
+            "initial": init["label"], "max_abs_diff": float(diff.max())}
 
 
 # ------------------------------------------------------------- reproduce
@@ -715,7 +720,6 @@ def _bundle_revival_spectra(opts: dict, outdir: str, scale: str) -> dict:
 
 
 def _bundle_model_comparison(opts: dict, outdir: str, scale: str) -> dict:
-    import numpy as np
     L = 12 if scale == "desk" else 16
     g_values = (15.0, 30.0)
     files, summary = [], {}
@@ -725,10 +729,8 @@ def _bundle_model_comparison(opts: dict, outdir: str, scale: str) -> dict:
         run = dict(opts, L=L, N=None, family="0,0,+", g=g, u=0.5,
                    cycles=cycles, initial="tp", out=out,
                    manifest=os.devnull)
-        _silently(_cmd_compare, run)
+        summary[f"g{g:g}"] = _compare(run)["max_abs_diff"]
         files.append(out)
-        data = np.genfromtxt(out, delimiter=",", names=True)
-        summary[f"g{g:g}"] = float(np.max(data["abs_diff"]))
     with open(os.path.join(outdir, "discrepancy.json"), "w") as fh:
         json.dump(_json_ready(summary), fh, indent=2)
         fh.write("\n")

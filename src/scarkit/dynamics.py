@@ -99,28 +99,41 @@ def evolve_effective(spec: Spectrum, initial, cycles) -> np.ndarray:
 
 def fidelity_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
                     chunk: int = 512) -> TimeSeries:
-    """|<psi(0)|psi(k)>|^2 from explicitly evolved states, chunked over k."""
-    psi0, _ = _as_vector(spec.basis, initial)
+    """|<psi(0)|psi(k)>|^2 = |sum_a w_a exp(-i e_a k T)|^2, chunked over k.
+
+    The weights w_a = |<a|psi(0)>|^2 come from one pass over the eigenvectors
+    (one Fock row for a Fock start), so no state is materialized.
+    """
+    psi0, idx = _as_vector(spec.basis, initial)
+    w = spec.weight_row(idx) if idx is not None else spec.vectors.weights(psi0)
     ks = _cycle_array(cycles)
     period = 2.0 * np.pi / spec.omega
     out = np.empty(len(ks))
     for lo in range(0, len(ks), chunk):
-        states = spec.propagate(psi0, ks[lo:lo + chunk], period)
-        out[lo:lo + chunk] = np.abs(psi0.conj() @ states) ** 2
+        phase = np.outer(spec.quasienergies, ks[lo:lo + chunk] * period)
+        out[lo:lo + chunk] = (w @ np.cos(phase)) ** 2 + (w @ np.sin(phase)) ** 2
     return TimeSeries("F", out, initial=_describe(initial))
 
 
 def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
               cut: int | None = None, chunk: int = EE_CHUNK) -> TimeSeries:
-    """Half-chain entanglement entropy along the evolution."""
+    """Half-chain entanglement entropy along the evolution.
+
+    A real start is passed on as a real array: the chiral route then evolves
+    it in real arithmetic and the Schmidt step takes real SVDs (the dense
+    route gives the same columns either way).
+    """
     psi0, _ = _as_vector(spec.basis, initial)
+    if not np.any(psi0.imag):
+        psi0 = psi0.real
     ks = _cycle_array(cycles)
     if cut is None:
         cut = spec.basis.L // 2
     period = 2.0 * np.pi / spec.omega
     out = np.empty(len(ks))
     for lo in range(0, len(ks), chunk):
-        states = spec.propagate(psi0, ks[lo:lo + chunk], period)
+        states = spec.vectors.propagate(psi0, ks[lo:lo + chunk] * period,
+                                        spec.quasienergies)
         out[lo:lo + chunk] = schmidt_entropies(states, spec.basis, cut)
     return TimeSeries("S_EE", out, initial=_describe(initial))
 
@@ -217,14 +230,12 @@ class FullPropagator:
         return expm_multiply(self._halves[1], expm_multiply(self._halves[0], psi))
 
 
-def _drive(basis: SectorBasis, params: ModelParams, psi0: np.ndarray,
-           last: int, dense_max: int):
+def _drive(prop: FullPropagator, psi0: np.ndarray, last: int):
     """Yield the state after each cycle k = 0..last of the exact drive.
 
     Once the last state is consumed the norm is checked: a drift above
     UNITARITY_TOL per cycle stepped raises NumericalError.
     """
-    prop = FullPropagator(basis, params, dense_max)
     psi = psi0.astype(np.complex128)
     yield psi
     for _ in range(last):
@@ -241,9 +252,13 @@ def evolve_full(basis: SectorBasis, params: ModelParams, initial, cycles,
     psi0, _ = _as_vector(basis, initial)
     ks = _cycle_array(cycles)
     _guard_block(basis.size, len(ks))
-    out = np.empty((basis.size, len(ks)), dtype=np.complex128)
+    return _states_at(FullPropagator(basis, params, dense_max), psi0, ks)
+
+
+def _states_at(prop: FullPropagator, psi0: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    out = np.empty((len(psi0), len(ks)), dtype=np.complex128)
     ptr = 0
-    for k, psi in enumerate(_drive(basis, params, psi0, int(ks[-1]), dense_max)):
+    for k, psi in enumerate(_drive(prop, psi0, int(ks[-1]))):
         if k == ks[ptr]:
             out[:, ptr] = psi
             ptr += 1
@@ -259,36 +274,43 @@ def full_fidelity_series(basis: SectorBasis, params: ModelParams, initial,
     if not np.array_equal(ks, np.arange(len(ks))):
         raise DomainError("streaming fidelity needs contiguous cycles 0..K")
     bra = psi0.conj()
-    out = np.array([abs(bra @ psi) ** 2 for psi in
-                    _drive(basis, params, psi0, len(ks) - 1, dense_max)])
+    prop = FullPropagator(basis, params, dense_max)
+    out = np.array([abs(bra @ psi) ** 2 for psi in _drive(prop, psi0, len(ks) - 1)])
     out[0] = 1.0
     return TimeSeries("F", out, params=params, initial=_describe(initial))
 
 
-def full_drive_series(basis: SectorBasis, params: ModelParams, initial,
-                      cycles=DEFAULT_CYCLES, observables=("F", "EE", "Pt")
-                      ) -> dict[str, TimeSeries]:
-    """F, half-chain S_EE and P_t under the exact drive, from one evolution.
+def full_drive_ensemble(basis: SectorBasis, params: ModelParams, initials,
+                        cycles=DEFAULT_CYCLES, observables=("F", "EE", "Pt")
+                        ) -> list[dict[str, TimeSeries]]:
+    """F, half-chain S_EE and P_t under the exact drive, per initial state.
 
-    Keys are the requested names among "F", "EE" and "Pt".
+    One FullPropagator steps every start; each start's observables come from
+    one evolution.  Keys are the requested names among "F", "EE" and "Pt".
     """
-    psi0, _ = _as_vector(basis, initial)
-    states = evolve_full(basis, params, psi0, cycles)
-    label = _describe(initial)
-    out = {}
-    if "F" in observables:
-        f = np.abs(psi0.conj() @ states) ** 2
-        out["F"] = TimeSeries("F", f, params=params, initial=label)
-    if "EE" in observables:
-        ee = np.concatenate([
-            schmidt_entropies(states[:, lo:lo + EE_CHUNK], basis, basis.L // 2)
-            for lo in range(0, states.shape[1], EE_CHUNK)])
-        out["EE"] = TimeSeries("S_EE", ee, params=params, initial=label)
-    if "Pt" in observables:
-        t_idx = tower_states(basis.L).indices(basis)
-        pt = (np.abs(states[t_idx, :]) ** 2).sum(axis=0)
-        out["Pt"] = TimeSeries("P_t", pt, params=params, initial=label)
-    return out
+    psis = [_as_vector(basis, initial)[0] for initial in initials]
+    ks = _cycle_array(cycles)
+    _guard_block(basis.size, len(ks))
+    prop = FullPropagator(basis, params)
+    t_idx = tower_states(basis.L).indices(basis) if "Pt" in observables else None
+    runs = []
+    for initial, psi0 in zip(initials, psis):
+        states = _states_at(prop, psi0, ks)
+        label = _describe(initial)
+        out = {}
+        if "F" in observables:
+            f = np.abs(psi0.conj() @ states) ** 2
+            out["F"] = TimeSeries("F", f, params=params, initial=label)
+        if "EE" in observables:
+            ee = np.concatenate([
+                schmidt_entropies(states[:, lo:lo + EE_CHUNK], basis, basis.L // 2)
+                for lo in range(0, states.shape[1], EE_CHUNK)])
+            out["EE"] = TimeSeries("S_EE", ee, params=params, initial=label)
+        if "Pt" in observables:
+            pt = (np.abs(states[t_idx, :]) ** 2).sum(axis=0)
+            out["Pt"] = TimeSeries("P_t", pt, params=params, initial=label)
+        runs.append(out)
+    return runs
 
 
 def fta(series) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,15 @@
 Entanglement entropy exploits particle-number conservation: the coefficient
 matrix across a cut is block diagonal in the left particle count, so each
 block is Schmidt-decomposed separately instead of reshaping the full vector.
+Real amplitude columns get real blocks and a real SVD.
+
+Chiral spectra are handled in a real frame.  The on-site phase products
+(-1)^D and i^D (D = sum_j j n_j, the dipole moment) are local unitaries, so
+they leave every Schmidt spectrum unchanged.  (-1)^D maps the pair column
+psi_- = (u, +i v)/sqrt(2) to its partner psi_+ = (u, -i v)/sqrt(2), and
+i^D psi_- is real.  `entropy_profile` therefore takes one real SVD per
++-s pair, shares its entropy between both columns, and takes kernel columns
+as they are (already real).
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from scipy.special import xlogy
 
 from .errors import DomainError
 from .fock_basis import FockState, SectorBasis
-from .spectral import Spectrum
+from .spectral import ChiralPairVectors, Spectrum
 
 NORM_TOL = 1e-10
 SCHMIDT_FLOOR = 1e-14      # reduced-density eigenvalues below this are dropped
@@ -90,17 +99,19 @@ def schmidt_spectrum(amplitudes: np.ndarray, basis: SectorBasis,
     """Squared Schmidt coefficients across sites (1..cut | cut+1..L).
 
     A (dim, n) block of amplitude columns gives an (n, k) array, one row of
-    coefficients per column; each block shape takes one stacked SVD.
+    coefficients per column; each block shape takes one stacked SVD, real
+    when the amplitudes have a real dtype.
     """
     if not 1 <= cut < basis.L:
         raise DomainError(f"cut {cut} outside 1..{basis.L - 1}")
     block_id, row, col, shapes = _cut_layout(basis.L, basis.N, cut)
     amps = np.asarray(amplitudes)
     cols = amps[:, None] if amps.ndim == 1 else amps
+    dtype = np.complex128 if np.iscomplexobj(cols) else np.float64
     lams = []
     for b, shape in enumerate(shapes):
         sel = block_id == b
-        blocks = np.zeros((cols.shape[1], *shape), dtype=np.complex128)
+        blocks = np.zeros((cols.shape[1], *shape), dtype=dtype)
         blocks[:, row[sel], col[sel]] = cols[sel].T
         s = np.linalg.svd(blocks, compute_uv=False)
         lams.append(s * s)
@@ -131,17 +142,27 @@ def entanglement_entropy(state: StateVector, cut: int | None = None) -> float:
 
 def entropy_profile(spec: Spectrum, indices=None, cut: int | None = None,
                     batch: int = 256) -> np.ndarray:
-    """Entanglement entropy of eigenstate columns, materialized in batches."""
+    """Entanglement entropy of eigenstate columns, materialized in batches.
+
+    On a chiral spectrum each batch holds real columns, one per +-s pair or
+    kernel state among `indices`; both pair columns get the pair's entropy.
+    """
     if indices is None:
         indices = np.arange(spec.size)
     indices = np.asarray(indices, dtype=np.intp)
     if cut is None:
         cut = spec.basis.L // 2
-    out = np.empty(len(indices))
-    for lo in range(0, len(indices), batch):
-        cols = spec.vectors.columns(indices[lo:lo + batch])
-        out[lo:lo + cols.shape[1]] = schmidt_entropies(cols, spec.basis, cut)
-    return out
+    vec = spec.vectors
+    if isinstance(vec, ChiralPairVectors):
+        keys, where = np.unique(vec.pair_keys(indices), return_inverse=True)
+        columns = vec.real_columns
+    else:
+        keys, where, columns = indices, slice(None), vec.columns
+    out = np.empty(len(keys))
+    for lo in range(0, len(keys), batch):
+        out[lo:lo + batch] = schmidt_entropies(columns(keys[lo:lo + batch]),
+                                               spec.basis, cut)
+    return out[where]
 
 
 def shannon_entropy(state: StateVector) -> float:

@@ -10,6 +10,16 @@ largest half-filled sectors this package targets inside a few hundred MB,
 and the +s/-s pairing and the kernel come out exact instead of only to
 solver precision.
 
+Real frame.  With A = -iH real antisymmetric, e^{-iHt} = e^{tA} is a real
+orthogonal matrix, so a real start (every Fock state) stays real and
+`ChiralPairVectors.propagate` evolves it in real arithmetic.  The pair columns
+psi_-+ = (u, +-i v)/sqrt(2) map into each other under the dipole parity
+(-1)^D, and i^D psi_- = (-1)^ceil(D/2) (u, v)/sqrt(2) is real (D the dipole
+moment, sum_j j n_j).  (-1)^D and i^D are products of the on-site phases
+(-1)^(j n_j) and i^(j n_j), local unitaries that leave the Schmidt spectrum
+across every cut unchanged; so a +-s pair has one entanglement entropy, which
+`ChiralPairVectors.real_columns` lets callers compute from one real column.
+
 Eigenvector phase convention: whenever a column is materialized, its
 largest-magnitude component is made real positive (ties: lowest basis index;
 equal maxima in both parity blocks: the even-parity block wins).
@@ -83,11 +93,21 @@ class DenseVectors:
     def sector_weight(self, mask: np.ndarray) -> np.ndarray:
         return (np.abs(self._V[mask, :]) ** 2).sum(axis=0)
 
+    def weights(self, psi0: np.ndarray) -> np.ndarray:
+        """|<a|psi0>|^2 for every eigenvector column a."""
+        return np.abs(self._V.conj().T @ psi0) ** 2
+
     def propagate(self, psi0: np.ndarray, kt_values: np.ndarray,
                   eigvals: np.ndarray) -> np.ndarray:
         c = self._V.conj().T @ psi0
         phases = np.exp(-1j * np.outer(eigvals, kt_values))
         return self._V @ (c[:, None] * phases)
+
+
+def _scaled(F: np.ndarray, coef: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """F * coef along the last axis where `keep`, exact +0 elsewhere."""
+    out = np.zeros(F.shape, dtype=np.complex128)
+    return np.multiply(F, coef, where=keep, out=out)
 
 
 def _real_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -105,12 +125,13 @@ class ChiralPairVectors:
     matrix are (u_i on even rows, -+ i v_i on odd rows) / sqrt(2) with
     eigenvalue +- s_i, and the kernel consists of the singular directions
     beyond the rank: (u_i, 0) and (0, v_i). Only the two factor matrices are
-    stored; columns are materialized on demand.
+    stored; columns are materialized on demand. `dipoles` (D per basis state)
+    fixes the real frame of `real_columns`.
     """
 
     def __init__(self, plus_idx: np.ndarray, minus_idx: np.ndarray,
                  Uf: np.ndarray, Vt: np.ndarray, s: np.ndarray, rank: int,
-                 perm: np.ndarray):
+                 perm: np.ndarray, dipoles: np.ndarray):
         self.plus_idx = plus_idx
         self.minus_idx = minus_idx
         self.Uf = Uf
@@ -127,8 +148,12 @@ class ChiralPairVectors:
         self._block_pos[minus_idx] = np.arange(self.n_minus)
         self._is_plus = np.zeros(self.n_states, dtype=bool)
         self._is_plus[plus_idx] = True
+        # i^D psi_- = (-1)^ceil(D/2) (u, v)/sqrt(2) is real (module docstring)
+        sign = np.where(((dipoles + 1) // 2) & 1, -1.0, 1.0) / math.sqrt(2.0)
+        self._real_u, self._real_v = sign[plus_idx], sign[minus_idx]
         self._fix_kernel_signs()
         self._precompute_pair_phases()
+        self._precompute_factor_map()
 
     def _fix_kernel_signs(self):
         # paired factors must not be flipped independently (that would break
@@ -172,63 +197,71 @@ class ChiralPairVectors:
             "pv": np.where(u_wins, -1j * su, sv),   # '+' branch, v factor
         }
 
-    def _decode(self, a: int) -> tuple[str, int]:
-        """Map a spectrum column to ('-'|'0+'|'0-'|'+', factor index)."""
-        j = int(self._perm[a])
-        r = self.rank
-        if j < r:
-            return "-", j
-        j -= r
-        if j < self.n_plus - r:
-            return "0+", r + j
-        j -= self.n_plus - r
-        if j < self.n_minus - r:
-            return "0-", r + j
-        j -= self.n_minus - r
-        return "+", r - 1 - j
+    def _precompute_factor_map(self):
+        """Per spectrum column: whether it is paired, the factor index and
+        coefficient of its u part (even rows) and v part (odd rows), and
+        whether it has each part."""
+        j = self._perm
+        r, n_plus, n = self.rank, self.n_plus, self.n_states
+        minus, plus = j < r, j >= n - r
+        paired = self._paired = minus | plus
+        pair = np.where(minus, j, n - 1 - j)
+        self._column_of = np.argsort(j)          # spectrum column of each j
+        self._has_u = paired | (j < n_plus)
+        self._has_v = paired | (j >= n_plus)
+        self._iu = np.where(paired, pair, np.where(self._has_u, j, 0))
+        self._iv = np.where(paired, pair, np.where(self._has_v, j - n_plus + r, 0))
+        self._cu = np.ones(n, dtype=np.complex128)
+        self._cv = np.ones(n, dtype=np.complex128)
+        w = 1.0 / math.sqrt(2.0)
+        for m, bu, bv in ((minus, "mu", "mv"), (plus, "pu", "pv")):
+            self._cu[m] = self._ph[bu][pair[m]] * w
+            self._cv[m] = self._ph[bv][pair[m]] * w
 
     def column(self, a: int) -> np.ndarray:
-        kind, i = self._decode(a)
-        psi = np.zeros(self.n_states, dtype=np.complex128)
-        if kind == "0+":
-            psi[self.plus_idx] = self.Uf[:, i]
-        elif kind == "0-":
-            psi[self.minus_idx] = self.Vt[i, :]
-        else:
-            bu, bv = ("mu", "mv") if kind == "-" else ("pu", "pv")
-            w = 1.0 / math.sqrt(2.0)
-            psi[self.plus_idx] = self._ph[bu][i] * w * self.Uf[:, i]
-            psi[self.minus_idx] = self._ph[bv][i] * w * self.Vt[i, :]
-        return psi
+        return self.columns([a])[:, 0]
 
     def columns(self, indices) -> np.ndarray:
-        out = np.empty((self.n_states, len(indices)), dtype=np.complex128)
-        for k, a in enumerate(indices):
-            out[:, k] = self.column(int(a))
+        a = np.asarray(indices, dtype=np.intp)
+        out = np.empty((self.n_states, len(a)), dtype=np.complex128)
+        out[self.plus_idx] = _scaled(self.Uf[:, self._iu[a]], self._cu[a],
+                                     self._has_u[a])
+        out[self.minus_idx] = _scaled(self.Vt[self._iv[a], :].T, self._cv[a],
+                                      self._has_v[a])
         return out
 
     def row(self, n: int) -> np.ndarray:
         return self.rows([n])[0]
 
     def rows(self, indices) -> np.ndarray:
-        r = self.rank
-        w = 1.0 / math.sqrt(2.0)
-        out = np.empty((len(indices), self.n_states), dtype=np.complex128)
-        for k, n in enumerate(indices):
-            n = int(n)
-            p = self._block_pos[n]
-            internal = np.zeros(self.n_states, dtype=np.complex128)
-            if self._is_plus[n]:
-                fac = self.Uf[p, :]
-                internal[:r] = self._ph["mu"] * w * fac[:r]
-                internal[r:self.n_plus] = fac[r:]
-                internal[self.n_states - r:] = (self._ph["pu"] * w * fac[:r])[::-1]
-            else:
-                fac = self.Vt[:, p]
-                internal[:r] = self._ph["mv"] * w * fac[:r]
-                internal[self.n_plus:self.n_plus + self.n_minus - r] = fac[r:]
-                internal[self.n_states - r:] = (self._ph["pv"] * w * fac[:r])[::-1]
-            out[k] = internal[self._perm]
+        idx = np.asarray(indices, dtype=np.intp)
+        pos, on_plus = self._block_pos[idx], self._is_plus[idx]
+        out = np.empty((len(idx), self.n_states), dtype=np.complex128)
+        u_rows = np.take(self.Uf[pos[on_plus], :], self._iu, axis=1)
+        v_rows = np.take(self.Vt[:, pos[~on_plus]].T, self._iv, axis=1)
+        out[on_plus] = _scaled(u_rows, self._cu, self._has_u)
+        out[~on_plus] = _scaled(v_rows, self._cv, self._has_v)
+        return out
+
+    def pair_keys(self, indices) -> np.ndarray:
+        """Each column index, a '+' column replaced by its '-' partner."""
+        a = np.asarray(indices, dtype=np.intp)
+        j, n = self._perm[a], self.n_states
+        return np.where(j >= n - self.rank, self._column_of[n - 1 - j], a)
+
+    def real_columns(self, indices) -> np.ndarray:
+        """Real states with the Schmidt spectra of the columns `indices`.
+
+        Either column of a pair gives i^D psi_- = (-1)^ceil(D/2) (u, v)/sqrt(2),
+        a local unitary image of both; a kernel column comes as it is.
+        """
+        a = np.asarray(indices, dtype=np.intp)
+        paired = self._paired[a]
+        out = np.empty((self.n_states, len(a)))
+        out[self.plus_idx] = self.Uf[:, self._iu[a]] * np.where(
+            paired, self._real_u[:, None], self._has_u[a])
+        out[self.minus_idx] = self.Vt[self._iv[a], :].T * np.where(
+            paired, self._real_v[:, None], self._has_v[a])
         return out
 
     def dense(self) -> np.ndarray:
@@ -249,17 +282,41 @@ class ChiralPairVectors:
         internal[self.n_states - r:] = internal[:r][::-1]
         return internal[self._perm]
 
+    def weights(self, psi0: np.ndarray) -> np.ndarray:
+        """|<a|psi0>|^2 for every column a, from one product with each factor."""
+        alpha = _real_matmul(self.Uf.T, psi0[self.plus_idx])
+        beta = _real_matmul(self.Vt, psi0[self.minus_idx])
+        amp = (np.conj(self._cu) * np.where(self._has_u, alpha[self._iu], 0)
+               + np.conj(self._cv) * np.where(self._has_v, beta[self._iv], 0))
+        return np.abs(amp) ** 2
+
     def propagate(self, psi0: np.ndarray, kt_values: np.ndarray,
                   eigvals: np.ndarray) -> np.ndarray:
-        # rotate to the real frame: z_even = psi_even, z_odd = i * psi_odd
+        """State columns at times kt_values; real columns for a real psi0.
+
+        e^{-iHt} is real orthogonal, so a real start is evolved in real
+        arithmetic; a complex start takes the rotated complex route.
+        """
         del eigvals  # the factored form uses the singular values directly
         r = self.rank
+        skt = np.outer(self.s[:r], kt_values)
+        cos_m, sin_m = np.cos(skt), np.sin(skt)
+        if not np.iscomplexobj(psi0):
+            alpha = self.Uf.T @ psi0[self.plus_idx]
+            beta = self.Vt @ psi0[self.minus_idx]
+            out = np.empty((self.n_states, len(kt_values)))
+            out[self.plus_idx] = (
+                self.Uf[:, :r] @ (cos_m * alpha[:r, None] + sin_m * beta[:r, None])
+                + (self.Uf[:, r:] @ alpha[r:])[:, None])
+            out[self.minus_idx] = (
+                self.Vt[:r, :].T @ (cos_m * beta[:r, None] - sin_m * alpha[:r, None])
+                + (self.Vt[r:, :].T @ beta[r:])[:, None])
+            return out
+        # rotate to the real frame: z_even = psi_even, z_odd = i * psi_odd
         a = psi0[self.plus_idx]
         b = 1j * psi0[self.minus_idx]
         alpha = _real_matmul(self.Uf.T, a)
         beta = _real_matmul(self.Vt, b)
-        skt = np.outer(self.s[:r], kt_values)
-        cos_m, sin_m = np.cos(skt), np.sin(skt)
         coef_plus = cos_m * alpha[:r, None] - 1j * (sin_m * beta[:r, None])
         coef_minus = cos_m * beta[:r, None] - 1j * (sin_m * alpha[:r, None])
         z_plus = _real_matmul(self.Uf[:, :r], coef_plus)
@@ -352,7 +409,8 @@ def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
     internal = np.concatenate([-s[:r], np.zeros(n_zero), s[:r][::-1]])
     folded = fold_quasienergy(internal, ham.params.omega)
     perm = np.argsort(folded, kind="stable")
-    vec = ChiralPairVectors(plus_idx, minus_idx, Uf, Vt, s, r, perm)
+    vec = ChiralPairVectors(plus_idx, minus_idx, Uf, Vt, s, r, perm,
+                            ham.basis.dipoles)
     folded = folded[perm]
     zero_idx = np.flatnonzero(folded == 0.0)
     return Spectrum(folded, internal[perm], vec, zero_idx,

@@ -1,0 +1,70 @@
+"""Per-column and per-row loop implementations of the ChiralPairVectors
+accessors, kept as oracles for the vectorized scatters in `scarkit.spectral`.
+
+Each materializes one eigenvector column (or one Fock row) at a time from the
+SVD factors, exactly as the original loop did.
+"""
+
+import math
+
+import numpy as np
+
+
+def decode(vec, a: int) -> tuple[str, int]:
+    """Map a spectrum column to ('-'|'0+'|'0-'|'+', factor index)."""
+    j = int(vec._perm[a])
+    r = vec.rank
+    if j < r:
+        return "-", j
+    j -= r
+    if j < vec.n_plus - r:
+        return "0+", r + j
+    j -= vec.n_plus - r
+    if j < vec.n_minus - r:
+        return "0-", r + j
+    j -= vec.n_minus - r
+    return "+", r - 1 - j
+
+
+def column(vec, a: int) -> np.ndarray:
+    kind, i = decode(vec, a)
+    psi = np.zeros(vec.n_states, dtype=np.complex128)
+    if kind == "0+":
+        psi[vec.plus_idx] = vec.Uf[:, i]
+    elif kind == "0-":
+        psi[vec.minus_idx] = vec.Vt[i, :]
+    else:
+        bu, bv = ("mu", "mv") if kind == "-" else ("pu", "pv")
+        w = 1.0 / math.sqrt(2.0)
+        psi[vec.plus_idx] = vec._ph[bu][i] * w * vec.Uf[:, i]
+        psi[vec.minus_idx] = vec._ph[bv][i] * w * vec.Vt[i, :]
+    return psi
+
+
+def columns(vec, indices) -> np.ndarray:
+    out = np.empty((vec.n_states, len(indices)), dtype=np.complex128)
+    for k, a in enumerate(indices):
+        out[:, k] = column(vec, int(a))
+    return out
+
+
+def rows(vec, indices) -> np.ndarray:
+    r = vec.rank
+    w = 1.0 / math.sqrt(2.0)
+    out = np.empty((len(indices), vec.n_states), dtype=np.complex128)
+    for k, n in enumerate(indices):
+        n = int(n)
+        p = vec._block_pos[n]
+        internal = np.zeros(vec.n_states, dtype=np.complex128)
+        if vec._is_plus[n]:
+            fac = vec.Uf[p, :]
+            internal[:r] = vec._ph["mu"] * w * fac[:r]
+            internal[r:vec.n_plus] = fac[r:]
+            internal[vec.n_states - r:] = (vec._ph["pu"] * w * fac[:r])[::-1]
+        else:
+            fac = vec.Vt[:, p]
+            internal[:r] = vec._ph["mv"] * w * fac[:r]
+            internal[vec.n_plus:vec.n_plus + vec.n_minus - r] = fac[r:]
+            internal[vec.n_states - r:] = (vec._ph["pv"] * w * fac[:r])[::-1]
+        out[k] = internal[vec._perm]
+    return out

@@ -20,8 +20,8 @@ from scarkit.graph import (bipartite_violations, build_graph, components,
                            tower_internal_edges, tower_states)
 from scarkit.hamiltonian import ModelParams, build_effective_resonant
 from scarkit.observables import (coe_ie_reference, entanglement_entropy,
-                                 entropy_profile, overlap_table, scar_state,
-                                 shannon_entropy, zero_projection)
+                                 entropy_profile, fock_vector, overlap_table,
+                                 scar_state, shannon_entropy, zero_projection)
 from scarkit.resonance import amplitude_ratio, scan_ratio_grid
 from scarkit.spectral import diagonalize, gap_ratio_stats, mirror_asymmetry
 from scarkit.dynamics import (analytic_fidelity, dominant_peaks,
@@ -145,7 +145,10 @@ def test_criterion_06_closed_form_vs_direct(spectrum_cache):
         initials = [pinnacle_state(L), tower.eaves[L // 2],
                     random_nontower_states(basis, tower, count=1, seed=7)[0]]
         for state in initials:
-            direct = fidelity_series(spec, state, 256).values
+            # direct: |<psi0|psi(k)>|^2 from explicitly propagated states
+            psi0 = fock_vector(basis, state).amplitudes
+            states = spec.propagate(psi0, np.arange(257), 2 * np.pi / spec.omega)
+            direct = np.abs(psi0.conj() @ states) ** 2
             closed = analytic_fidelity(spec, state, 256).values
             dev = np.max(np.abs(direct - closed))
             assert dev < 1e-8, f"L={L} {state.to_string()}: {dev}"

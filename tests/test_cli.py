@@ -470,3 +470,50 @@ def test_manifest_with_svg_key_exits_2(tmp_path, capsys):
         "svg": False}}))
     code, _, err = run(capsys, "reproduce", "--config", str(manifest))
     assert code == 2 and "'svg'" in err
+
+
+def test_full_model_ensemble_steps_every_member_through_one_propagator(
+        tmp_path, capsys, monkeypatch):
+    from scarkit import dynamics
+    built = []
+
+    class Counting(dynamics.FullPropagator):
+        def __init__(self, *args, **kw):
+            built.append(1)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(dynamics, "FullPropagator", Counting)
+    out_csv = tmp_path / "ens.csv"
+    code, _, _ = run(capsys, "dynamics", "--L", "6", "--family", "0,0,+",
+                     "--g", "50", "--u", "0.5", "--model", "full",
+                     "--initial", "random:3:2", "--cycles", "40",
+                     "--out", str(out_csv))
+    assert code == 0 and len(built) == 1
+    # the same numbers as evolving each member through its own propagator
+    from scarkit.fock_basis import SectorBasis
+    members = np.stack([_full_columns(6, s, 40) for s in
+                        dynamics.random_nontower_states(SectorBasis(6, 3),
+                                                        count=3, seed=2)])
+    expected = np.column_stack([np.arange(41), members.mean(axis=0),
+                                members.std(axis=0)])
+    table = np.array([[float(c) for c in l.split(",")]
+                      for l in out_csv.read_text().splitlines()[1:]])
+    np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+
+
+def test_model_comparison_discrepancy_is_compare_max(tmp_path, capsys):
+    outdir = tmp_path / "bundle"
+    code, _, _ = run(capsys, "reproduce", "--bundle", "model-comparison",
+                     "--outdir", str(outdir), "--cycles", "30")
+    assert code == 0
+    summary = json.loads((outdir / "discrepancy.json").read_text())
+    for g in ("15", "30"):
+        code, out, _ = run(capsys, "compare", "--L", "12", "--family", "0,0,+",
+                           "--g", g, "--u", "0.5", "--cycles", "30",
+                           "--manifest", os.devnull)
+        assert code == 0
+        assert summary[f"g{g}"] == json.loads(out)["max_abs_diff"]
+        lines = (outdir / f"compare_L12_g{g}.csv").read_text().splitlines()[1:]
+        column = max(float(l.split(",")[3]) for l in lines)
+        # JSON and CSV both round to 15 digits, and rounding commutes with max
+        assert summary[f"g{g}"] == column
