@@ -10,8 +10,12 @@ can be repeated verbatim with `--config <manifest>`.
 Exit codes: 0 success, 2 configuration problems, 3 capability limits or a
 failed numerical invariant (non-Hermitian build, unitarity drift).
 
-Heavy imports happen inside handlers so `--threads` can cap the BLAS pools
-before numpy first loads.
+Option resolution imports no numpy: the handlers import the library, so
+`--threads` can cap the BLAS pools before numpy first loads.  The library
+modules load numpy and `scipy.sparse` only; `scipy.sparse.csgraph` and
+`scipy.sparse.linalg` load inside the functions that use them (`components`,
+the Krylov branch of the exact drive), and no module imports
+`scipy.signal`, `scipy.special` or `scipy.stats`.
 """
 
 from __future__ import annotations

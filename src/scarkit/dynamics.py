@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import CapabilityError, DomainError, NumericalError
 from .fock_basis import FockState, SectorBasis
@@ -144,7 +143,8 @@ def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None
     """Total weight on the tower states along the evolution.
 
     For a Fock start the tower amplitudes collapse to a row-product form,
-    avoiding full state materialization.
+    avoiding full state materialization.  Both branches work in blocks of
+    `chunk` cycles.
     """
     psi0, idx = _as_vector(spec.basis, initial)
     if tower is None:
@@ -152,13 +152,15 @@ def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None
     t_idx = tower.indices(spec.basis)
     ks = _cycle_array(cycles)
     period = 2.0 * np.pi / spec.omega
+    out = np.empty(len(ks))
     if idx is not None:
         rows = spec.vectors.rows(t_idx)
         weights = rows * np.conj(spec.vectors.row(idx))[None, :]
-        phases = np.exp(-1j * np.outer(spec.quasienergies, ks * period))
-        out = (np.abs(weights @ phases) ** 2).sum(axis=0)
+        for lo in range(0, len(ks), chunk):
+            phases = np.exp(-1j * np.outer(spec.quasienergies,
+                                           ks[lo:lo + chunk] * period))
+            out[lo:lo + chunk] = (np.abs(weights @ phases) ** 2).sum(axis=0)
     else:
-        out = np.empty(len(ks))
         for lo in range(0, len(ks), chunk):
             states = spec.propagate(psi0, ks[lo:lo + chunk], period)
             out[lo:lo + chunk] = (np.abs(states[t_idx, :]) ** 2).sum(axis=0)
@@ -329,15 +331,35 @@ def fta(series) -> tuple[np.ndarray, np.ndarray]:
     return freqs, amps / peak if peak > 0 else amps
 
 
+def local_maxima(x: np.ndarray, height: float | None = None) -> np.ndarray:
+    """Indices of the local maxima of a 1-D array, by scipy's `find_peaks` rules.
+
+    A peak has a strictly lower neighbour on each side; a flat top counts
+    once, at its middle sample (rounded down); the first and last samples are
+    never peaks.  With `height`, only peaks with x >= height are kept.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    steps = np.flatnonzero(x[1:] != x[:-1])  # x[j + 1] differs from x[j]
+    rise = x[steps + 1] > x[steps]
+    fall = x[steps + 1] < x[steps]
+    top = rise[:-1] & fall[1:]                # a rise, then a fall at the next step
+    peaks = (steps[:-1][top] + 1 + steps[1:][top]) // 2
+    if height is not None:
+        peaks = peaks[x[peaks] >= height]
+    return peaks
+
+
 def dominant_peaks(freqs: np.ndarray, amps: np.ndarray, count: int = 2,
                    min_height: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
-    """Strongest local maxima of an amplitude spectrum, descending by height."""
-    idx, props = find_peaks(amps, height=min_height)
+    """Strongest local maxima of an amplitude spectrum, descending by height.
+
+    With no local maximum at or above `min_height`, the global maximum is
+    returned instead.
+    """
+    idx = local_maxima(amps, min_height)
     if len(idx) == 0:
         idx = np.array([int(np.argmax(amps))])
-        heights = amps[idx]
-    else:
-        heights = props["peak_heights"]
+    heights = amps[idx]
     order = np.argsort(heights)[::-1][:count]
     return freqs[idx[order]], amps[idx[order]]
 

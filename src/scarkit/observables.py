@@ -21,7 +21,6 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError
 from .fock_basis import FockState, SectorBasis
@@ -119,6 +118,11 @@ def schmidt_spectrum(amplitudes: np.ndarray, basis: SectorBasis,
     return lam[0] if amps.ndim == 1 else lam
 
 
+def plogp(p: np.ndarray) -> np.ndarray:
+    """p * ln p elementwise, exactly 0 where p = 0; same shape as p."""
+    return p * np.log(p, out=np.zeros_like(p), where=p > 0)
+
+
 def schmidt_entropies(columns: np.ndarray, basis: SectorBasis,
                       cut: int) -> np.ndarray:
     """Von Neumann entropy in nats of each amplitude column across the cut.
@@ -128,7 +132,7 @@ def schmidt_entropies(columns: np.ndarray, basis: SectorBasis,
     out = np.empty(columns.shape[1])
     for i, lam in enumerate(schmidt_spectrum(columns, basis, cut)):
         lam = lam[lam >= SCHMIDT_FLOOR]
-        out[i] = -xlogy(lam, lam).sum()
+        out[i] = -plogp(lam).sum()
     return out
 
 
@@ -169,7 +173,7 @@ def shannon_entropy(state: StateVector) -> float:
     """Spread of the state over the Fock basis, -sum p ln p in nats."""
     amps = _require_normalized(state)
     p = np.abs(amps) ** 2
-    return float(-xlogy(p, p).sum())
+    return float(-plogp(p).sum())
 
 
 def page_entropy(L: int) -> float:

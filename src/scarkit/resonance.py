@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import ModelParams, amplitudes_general
+from .hamiltonian import ModelParams, _drive_averaged_amplitude
 from .spectral import fold_quasienergy
 
 RESONANCE_RTOL = 1e-9
@@ -96,19 +96,9 @@ class AmplitudeRatios:
 
 def amplitude_ratio(params: ModelParams) -> AmplitudeRatios:
     """Perturbative validity measure |J_i| / |folded barrier_i| at one point."""
-    amps = amplitudes_general(params)
-    barriers = (abs(params.g - params.U), params.g, params.g + params.U)
-    ratios, flags = [], []
-    for amp, barrier in zip(amps, barriers):
-        gap = abs(fold_quasienergy(barrier, params.omega))
-        if gap < DIVERGENCE_CUT:
-            flags.append(True)
-            ratios.append(abs(amp) / barrier if barrier > DIVERGENCE_CUT
-                          else float("inf"))
-        else:
-            flags.append(False)
-            ratios.append(abs(amp) / gap)
-    return AmplitudeRatios(tuple(ratios), tuple(flags))
+    row = scan_ratio_grid(params.U, params.g, params.omega, params.u,
+                          params.J)[0].tolist()
+    return AmplitudeRatios(tuple(row[2:5]), tuple(f == 1.0 for f in row[5:8]))
 
 
 def scan_ratio_grid(U_values, g_values, omega: float, u: float,
@@ -117,17 +107,34 @@ def scan_ratio_grid(U_values, g_values, omega: float, u: float,
 
     Returns rows (U, g, r1, r2, r3, div1, div2, div3) with g varying fastest;
     the row order is deterministic so repeated scans are byte-identical.
+    Each row holds the `AmplitudeRatios` of its point; the drive-averaged
+    amplitude is computed once per distinct signed barrier.
     """
     U_values = np.atleast_1d(np.asarray(U_values, dtype=np.float64))
     g_values = np.atleast_1d(np.asarray(g_values, dtype=np.float64))
     out = np.empty((U_values.size * g_values.size, 8))
-    i = 0
-    for U in U_values:
-        for g in g_values:
-            point = amplitude_ratio(ModelParams(g=float(g), U=float(U),
-                                                u=u, omega=omega, J=J))
-            out[i, 0], out[i, 1] = U, g
-            out[i, 2:5] = point.ratios
-            out[i, 5:8] = point.divergent
-            i += 1
+    if len(out) == 0:
+        return out
+    # the first point raises what ModelParams raises there; any later
+    # non-positive U or g raises the positivity error
+    first = ModelParams(g=float(g_values[0]), U=float(U_values[0]), u=u,
+                        omega=omega, J=J)
+    if np.any(U_values <= 0) or np.any(g_values <= 0):
+        raise DomainError("g, U, omega, J must all be positive")
+    U = np.repeat(U_values, g_values.size)
+    g = np.tile(g_values, U_values.size)
+    signed = np.stack([g - U, g, g + U])        # one row per hop class
+    deltas, where = np.unique(signed, return_inverse=True)
+    amp = np.array([abs(_drive_averaged_amplitude(float(d), first.T, first.u,
+                                                  first.J)) for d in deltas])
+    amp = amp[where.reshape(signed.shape)]
+    barrier = np.abs(signed)
+    gap = np.abs(fold_quasienergy(barrier, omega))
+    divergent = gap < DIVERGENCE_CUT
+    ratio = np.full(signed.shape, np.inf)
+    np.divide(amp, np.where(divergent, barrier, gap), out=ratio,
+              where=~divergent | (barrier > DIVERGENCE_CUT))
+    out[:, 0], out[:, 1] = U, g
+    out[:, 2:5] = ratio.T
+    out[:, 5:8] = divergent.T
     return out

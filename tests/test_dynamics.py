@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from scarkit.dynamics import (analytic_fidelity, dominant_peaks, ee_series,
                               ensemble_stats, evolve_effective, evolve_full,
                               fidelity_series, fta, full_fidelity_series,
-                              random_nontower_states, spta_fidelity,
-                              tower_probability_series, TimeSeries)
+                              local_maxima, random_nontower_states,
+                              spta_fidelity, tower_probability_series,
+                              TimeSeries)
 from scarkit.errors import DomainError
 from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.graph import tower_states
@@ -86,6 +90,22 @@ def test_tower_probability_shortcut_matches_projection():
     assert series[0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("L, cycles", [(8, 64), (12, 200)])
+def test_tower_probability_chunks_agree(L, cycles):
+    spec = spectrum_for(L)
+    word = "1" * (L // 2) + "0" * (L // 2)
+    one = tower_probability_series(spec, word, cycles=cycles,
+                                   chunk=cycles + 1).values
+    small = tower_probability_series(spec, word, cycles=cycles, chunk=7).values
+    np.testing.assert_allclose(small, one, rtol=0, atol=1e-13)
+    # a StateVector start takes the state-materializing branch
+    vector = fock_vector(spec.basis, word)
+    for chunk in (7, cycles + 1):
+        direct = tower_probability_series(spec, vector, cycles=cycles,
+                                          chunk=chunk).values
+        np.testing.assert_allclose(one, direct, rtol=0, atol=1e-12)
+
+
 def test_full_propagator_is_unitary_and_consistent():
     basis = SectorBasis(6, 3)
     states_dense = evolve_full(basis, PARAMS, "111000", np.arange(11))
@@ -138,6 +158,83 @@ def test_dominant_peaks_on_synthetic_spectrum():
     pk, ph = dominant_peaks(freqs, amps, count=2)
     assert sorted(pk) == pytest.approx([0.25, 0.8], abs=2 * math.pi / 2048)
     assert ph[0] >= ph[1]
+
+
+def scipy_dominant_peaks(freqs, amps, count=2, min_height=0.05):
+    """The find_peaks route `dominant_peaks` replaced, kept as its oracle."""
+    idx, props = find_peaks(amps, height=min_height)
+    if len(idx) == 0:
+        idx = np.array([int(np.argmax(amps))])
+        heights = amps[idx]
+    else:
+        heights = props["peak_heights"]
+    order = np.argsort(heights)[::-1][:count]
+    return freqs[idx[order]], amps[idx[order]]
+
+
+@given(st.lists(st.integers(0, 3), max_size=64),
+       st.one_of(st.none(), st.integers(0, 3)))
+@settings(max_examples=400, deadline=None)
+def test_local_maxima_matches_find_peaks_on_plateaus(values, height):
+    # small integers make plateaus, flat edges and edge maxima common
+    x = np.asarray(values, dtype=np.float64)
+    h = None if height is None else float(height)
+    expected, _ = find_peaks(x, height=h)
+    assert np.array_equal(local_maxima(x, h), expected)
+
+
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=64),
+       st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False)))
+@settings(max_examples=300, deadline=None)
+def test_local_maxima_matches_find_peaks_on_floats(values, height):
+    x = np.asarray(values, dtype=np.float64)
+    expected, _ = find_peaks(x, height=height)
+    assert np.array_equal(local_maxima(x, height), expected)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 1.0, np.nan], [0.0, 1.0, np.nan, 1.0, 0.0], [np.nan, 1.0, 0.0],
+    [0.0, np.inf, np.inf, 0.0], [0.0, np.inf, np.inf], [-np.inf, 0.0, -np.inf],
+])
+def test_local_maxima_matches_find_peaks_on_nan_and_inf(values):
+    x = np.asarray(values)
+    assert np.array_equal(local_maxima(x), find_peaks(x)[0])
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=64),
+       st.integers(1, 4), st.sampled_from([0.05, 1.0, 2.5, 4.0]))
+@settings(max_examples=300, deadline=None)
+def test_dominant_peaks_matches_find_peaks_route(values, count, min_height):
+    # min_height 4.0 is above every value, so the argmax fallback runs
+    amps = np.asarray(values, dtype=np.float64)
+    freqs = np.arange(1, len(amps) + 1) * 0.5
+    got = dominant_peaks(freqs, amps, count, min_height)
+    want = scipy_dominant_peaks(freqs, amps, count, min_height)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("amps", [[0.2, 0.5, 1.0], [1.0, 1.0, 0.3],
+                                  [0.5, 1.0, 1.0], [0.7], [0.0, 0.01, 0.0]])
+def test_dominant_peaks_falls_back_to_argmax(amps):
+    amps = np.asarray(amps)
+    freqs = np.arange(len(amps), dtype=np.float64)
+    assert len(local_maxima(amps, 0.05)) == 0
+    f, a = dominant_peaks(freqs, amps)
+    assert f.tolist() == [float(np.argmax(amps))]
+    assert a.tolist() == [amps.max()]
+    want = scipy_dominant_peaks(freqs, amps)
+    assert np.array_equal(f, want[0]) and np.array_equal(a, want[1])
+
+
+def test_dominant_peaks_on_revival_spectrum():
+    spec = spectrum_for(12)
+    freqs, amps = fta(fidelity_series(spec, pinnacle_state(12), 1024))
+    for count in (2, 5):
+        got = dominant_peaks(freqs, amps, count)
+        want = scipy_dominant_peaks(freqs, amps, count)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 def test_spta_fidelity_series():

@@ -7,14 +7,16 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from scarkit.errors import DomainError
 from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.hamiltonian import build_effective_resonant
-from scarkit.observables import (StateVector, coe_ie_reference,
+from scarkit.observables import (SCHMIDT_FLOOR, StateVector, coe_ie_reference,
                                  ee_outlier_flags, entanglement_entropy,
                                  entropy_profile, fock_vector, overlap_table,
-                                 page_entropy, scar_state, schmidt_spectrum,
+                                 page_entropy, plogp, scar_state,
+                                 schmidt_entropies, schmidt_spectrum,
                                  shannon_entropy, zero_projection)
 from scarkit.resonance import resonant_family
 from scarkit.spectral import diagonalize
@@ -175,3 +177,66 @@ def test_projection_bounded(N):
     spec = diagonalize(build_effective_resonant(basis, PARAMS, 0, 0, "+"))
     p = zero_projection(basis.state(basis.size // 2), spec)
     assert -1e-12 <= p <= 1.0 + 1e-12
+
+
+# plogp replaced scipy.special.xlogy(p, p); xlogy stays the oracle.  The two
+# may differ in the last ulp of a term (different log implementations).
+PLOGP_ATOL = 1e-15
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_plogp_matches_xlogy_with_exact_zeros(values):
+    p = np.asarray(values, dtype=np.float64)
+    got = plogp(p)
+    assert got.shape == p.shape
+    np.testing.assert_allclose(got, xlogy(p, p), rtol=0, atol=PLOGP_ATOL)
+    assert np.array_equal(got[p == 0], np.zeros(int((p == 0).sum())))
+    assert not np.signbit(got[p == 0]).any()
+
+
+def test_plogp_at_the_schmidt_floor():
+    below = np.nextafter(SCHMIDT_FLOOR, 0.0)
+    above = np.nextafter(SCHMIDT_FLOOR, 1.0)
+    p = np.array([0.0, below, SCHMIDT_FLOOR, above, 1.0])
+    np.testing.assert_allclose(plogp(p), xlogy(p, p), rtol=0, atol=PLOGP_ATOL)
+    assert plogp(p)[-1] == 0.0
+
+
+def xlogy_entropies(columns, basis, cut):
+    """The xlogy formula `schmidt_entropies` used before plogp."""
+    out = []
+    for lam in schmidt_spectrum(columns, basis, cut):
+        lam = lam[lam >= SCHMIDT_FLOOR]
+        out.append(-xlogy(lam, lam).sum())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+def test_schmidt_entropies_match_xlogy_formula(L):
+    basis = SectorBasis(L, L // 2)
+    spec = diagonalize(build_effective_resonant(basis, PARAMS, 0, 0, "+"))
+    rng = np.random.default_rng(L)
+    picks = np.concatenate([spec.zero_indices[:8],
+                            rng.choice(spec.size, size=24, replace=False)])
+    random = rng.normal(size=(basis.size, 4)) + 1j * rng.normal(size=(basis.size, 4))
+    random /= np.linalg.norm(random, axis=0)
+    for cols in (spec.vectors.columns(picks), random,
+                 np.eye(basis.size)[:, :6]):
+        for cut in (1, L // 2):
+            np.testing.assert_allclose(schmidt_entropies(cols, basis, cut),
+                                       xlogy_entropies(cols, basis, cut),
+                                       rtol=0, atol=PLOGP_ATOL)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+def test_shannon_entropy_matches_xlogy_formula(L):
+    basis = SectorBasis(L, L // 2)
+    spec = diagonalize(build_effective_resonant(basis, PARAMS, 0, 0, "+"))
+    states = [fock_vector(basis, pinnacle_state(L))]
+    states += [StateVector(c, basis) for c in
+               spec.vectors.columns(np.arange(0, spec.size, 7)).T]
+    for sv in states:
+        p = np.abs(sv.amplitudes) ** 2
+        assert shannon_entropy(sv) == pytest.approx(-xlogy(p, p).sum(),
+                                                    rel=0, abs=PLOGP_ATOL)

@@ -1,6 +1,7 @@
 """Resonance families and amplitude-to-barrier ratio maps."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resonance_oracles as oracle
 from scarkit.errors import DomainError
+from scarkit.hamiltonian import ModelParams
 from scarkit.resonance import (amplitude_ratio, is_resonant, resonant_family,
                                scan_ratio_grid)
 
@@ -129,3 +132,55 @@ def test_scan_is_deterministic():
     t1 = scan_ratio_grid(U, g, omega=20.0, u=0.5)
     t2 = scan_ratio_grid(U, g, omega=20.0, u=0.5)
     assert np.array_equal(t1, t2)
+
+
+@pytest.mark.parametrize("U, g, omega, u", [
+    (np.linspace(1.0, 80.0, 160), np.linspace(1.0, 80.0, 160), 20.0, 0.5),
+    (np.arange(1.0, 81.0), np.arange(1.0, 81.0), 20.0, 0.5),   # g = U, folds to 0
+    (np.linspace(1.0, 80.0, 37), np.linspace(2.0, 60.0, 23), 7.0, 0.0),
+    (np.array([33.0]), np.array([11.0]), 20.0, 1.5),
+])
+def test_scan_is_bitwise_the_per_point_loop(U, g, omega, u):
+    table = scan_ratio_grid(U, g, omega, u)
+    assert table.tobytes() == oracle.scan_ratio_grid(U, g, omega, u).tobytes()
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=8),
+       st.lists(st.integers(1, 60), min_size=1, max_size=8),
+       st.sampled_from([1.0, 3.0, 7.5, 20.0]),
+       st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([1.0, 0.3]))
+@settings(max_examples=150, deadline=None)
+def test_scan_matches_loop_on_integer_grids(U, g, omega, u, J):
+    # integer barriers hit exact resonances: divergent flags and zero folds
+    U, g = np.asarray(U, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    table = scan_ratio_grid(U, g, omega, u, J)
+    assert table.tobytes() == oracle.scan_ratio_grid(U, g, omega, u, J).tobytes()
+
+
+@pytest.mark.parametrize("g, U, omega, u, J", [
+    (20.0, 40.0, 20.0, 0.5, 1.0), (20.0, 47.0, 20.0, 0.5, 1.0),
+    (7.0, 40.0, 20.0, 0.5, 1.0), (30.0, 30.0, 20.0, 0.5, 1.0),
+    (40.0, 80.0, 20.0, 0.5, 1.0), (11.0, 33.0, 20.0, 1.5, 0.7),
+])
+def test_amplitude_ratio_is_the_scalar_oracle(g, U, omega, u, J):
+    params = ModelParams(g=g, U=U, u=u, omega=omega, J=J)
+    assert amplitude_ratio(params) == oracle.amplitude_ratio(params)
+
+
+def test_scan_of_an_empty_axis_is_empty():
+    assert scan_ratio_grid([], [1.0, 2.0], 20.0, 0.5).shape == (0, 8)
+
+
+@pytest.mark.parametrize("U, g, omega, u, J", [
+    ([10.0, -1.0], [5.0], 20.0, 0.5, 1.0),
+    ([10.0], [5.0, 0.0], 20.0, 0.5, 1.0),
+    ([0.0], [5.0], 20.0, -0.5, 1.0),       # both wrong: first point decides
+    ([10.0], [5.0], 0.0, 0.5, 1.0),
+    ([10.0], [5.0], 20.0, 0.5, 0.0),
+    ([10.0, 20.0], [5.0], 20.0, -0.5, 1.0),
+])
+def test_scan_raises_what_the_loop_raises(U, g, omega, u, J):
+    with pytest.raises(DomainError) as loop:
+        oracle.scan_ratio_grid(U, g, omega, u, J)
+    with pytest.raises(DomainError, match=re.escape(str(loop.value))):
+        scan_ratio_grid(U, g, omega, u, J)
