@@ -51,30 +51,36 @@ def _as_bool(value) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _fmt(x) -> str:
-    """CSV cell: 15 significant digits for floats, plain ints, raw strings.
+_CSV_BLOCK_ROWS = 65536
 
-    Plain Python floats and ints (as from `ndarray.tolist()`) take the first
-    two branches; numpy scalars format the same way, only more slowly.
+
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length columns as CSV, one column per header name.
+
+    A column is a 1-D numpy array or a list of str.  Float cells take 15
+    significant digits with -0.0 folded into 0, integer and bool cells are
+    decimal integers, strings pass through.  Each block of _CSV_BLOCK_ROWS
+    rows formats every distinct value of a numeric column once.
     """
-    if type(x) is float:
-        return format(x + 0.0, ".15g")  # folds -0.0 into 0
-    if type(x) is int:
-        return str(x)
     import numpy as np
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x) + 0.0, ".15g")
-    return str(x)
 
+    def cells(column) -> list[str]:
+        if isinstance(column, list):
+            return column
+        if column.dtype.kind == "f":
+            uniq, inv = np.unique(column + 0.0, return_inverse=True)
+            words = [format(v, ".15g") for v in uniq.tolist()]
+        else:   # integers and bools
+            uniq, inv = np.unique(column, return_inverse=True)
+            words = [str(int(v)) for v in uniq.tolist()]
+        return np.array(words, dtype=object)[inv].tolist()
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+    n = len(columns[0])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            block = [cells(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _json_ready(obj):
@@ -322,6 +328,7 @@ def _diagonalize(opts: dict, ham):
 # ------------------------------------------------------------- subcommands
 
 def _cmd_basis(opts: dict) -> int:
+    import numpy as np
     from .fock_basis import dim_difference_formula
     basis = _sector(opts)
     split = basis.chiral_split()
@@ -335,9 +342,9 @@ def _cmd_basis(opts: dict) -> int:
     }
     out = opts.get("out")
     if out:
-        rows = ((i, basis.state(i).to_string(), int(basis.dipoles[i]),
-                 int(basis.parities[i])) for i in range(basis.size))
-        _write_csv(out, ["index", "word", "dipole", "parity"], rows)
+        words = [format(s, f"0{basis.L}b") for s in basis.states.tolist()]
+        _write_csv(out, ["index", "word", "dipole", "parity"],
+                   [np.arange(basis.size), words, basis.dipoles, basis.parities])
     _write_manifest("basis", opts, _manifest_path(opts, out))
     _emit_json(summary)
     return 0
@@ -369,10 +376,9 @@ def _cmd_hamiltonian(opts: dict) -> int:
     if out:
         coo = sp.coo_matrix(ham.matrix)
         order = np.lexsort((coo.col, coo.row))
-        rows = ((int(coo.row[i]), int(coo.col[i]),
-                 float(coo.data[i].real), float(coo.data[i].imag))
-                for i in order)
-        _write_csv(out, ["row", "col", "real", "imag"], rows)
+        data = coo.data[order]
+        _write_csv(out, ["row", "col", "real", "imag"],
+                   [coo.row[order], coo.col[order], data.real, data.imag])
     _write_manifest("hamiltonian", opts, _manifest_path(opts, out))
     _emit_json({"kind": ham.kind, "dimension": ham.dimension,
                 "nnz": int(ham.matrix.nnz)})
@@ -396,8 +402,7 @@ def _cmd_resonance(opts: dict) -> int:
     table = scan_ratio_grid(U_values, g_values, omega, u)
     out = _require(opts, "out")
     _write_csv(out, ["U", "g", "r1", "r2", "r3", "div1", "div2", "div3"],
-               (r + d for r, d in zip(table[:, :5].tolist(),
-                                      table[:, 5:].astype(int).tolist())))
+               [*table[:, :5].T, *table[:, 5:].T.astype(int)])
     _write_manifest("resonance", opts, _manifest_path(opts, out))
     _emit_json({"rows": len(table), "omega": omega, "u": u})
     return 0
@@ -415,10 +420,10 @@ def _cmd_spectrum(opts: dict) -> int:
         is_zero = np.zeros(spec.size, dtype=bool)
         is_zero[spec.zero_indices] = True
         plus_weight = spec.vectors.sector_weight(basis.parities == 1)
-        rows = ((a, float(spec.quasienergies[a]), int(is_zero[a]),
-                 float(plus_weight[a])) for a in range(spec.size))
         _write_csv(out, ["alpha", "quasienergy", "is_zero_mode",
-                         "chiral_weight_plus"], rows)
+                         "chiral_weight_plus"],
+                   [np.arange(spec.size), spec.quasienergies, is_zero,
+                    plus_weight])
     try:
         r_mean = gap_ratio_stats(spec).mean_r
     except DomainError:
@@ -531,10 +536,10 @@ def _cmd_scar(opts: dict) -> int:
         ie = np.empty(spec.size)
         for a in range(spec.size):
             ie[a] = shannon_entropy(StateVector(spec.vectors.column(a), basis))
-        rows = ((a, float(spec.quasienergies[a]), float(ee[a]), float(ie[a]),
-                 float(w_tp[a]), int(is_zero[a])) for a in range(spec.size))
         _write_csv(per_state, ["alpha", "quasienergy", "S_EE", "S_IE",
-                               "overlap_tp", "is_zero_mode"], rows)
+                               "overlap_tp", "is_zero_mode"],
+                   [np.arange(spec.size), spec.quasienergies, ee, ie, w_tp,
+                    is_zero])
     _write_manifest("scar", opts, _manifest_path(opts, per_state))
     _emit_json(payload)
     return 0
@@ -608,14 +613,12 @@ def _cmd_dynamics(opts: dict) -> int:
     if sds:
         header += [_OBSERVABLE_COLUMNS[n] + "_sd" for n in wanted]
         columns += [sds[n].sd for n in wanted]
-    ks = np.arange(len(columns[0]))
-    _write_csv(out, header, zip(ks, *columns))
+    _write_csv(out, header, [np.arange(len(columns[0])), *columns])
 
     if opts.get("fft"):
         freqs, amps = fta(series[wanted[0]].values)
         fft_path = opts.get("fft_out") or (os.path.splitext(out)[0] + "_fft.csv")
-        _write_csv(fft_path, ["freq_rad_per_cycle", "amplitude"],
-                   zip(freqs, amps))
+        _write_csv(fft_path, ["freq_rad_per_cycle", "amplitude"], [freqs, amps])
     _write_manifest("dynamics", opts, _manifest_path(opts, out))
     _emit_json({"dimension": basis.size, "model": model,
                 "initial": init["label"], "cycles": int(cycles),
@@ -644,9 +647,8 @@ def _compare(opts: dict) -> dict:
     diff = np.abs(f_full.values - f_eff.values)
     out = opts.get("out")
     if out:
-        ks = np.arange(len(diff))
         _write_csv(out, ["k", "F_full", "F_eff", "abs_diff"],
-                   zip(ks, f_full.values, f_eff.values, diff))
+                   [np.arange(len(diff)), f_full.values, f_eff.values, diff])
     _write_manifest("compare", opts, _manifest_path(opts, out))
     return {"dimension": basis.size, "g": params.g, "cycles": int(cycles),
             "initial": init["label"], "max_abs_diff": float(diff.max())}
@@ -711,7 +713,7 @@ def _bundle_revival_spectra(opts: dict, outdir: str, scale: str) -> dict:
         _, spta_amp = fta(spta.values)
         out = os.path.join(outdir, f"fta_L{L}.csv")
         _write_csv(out, ["freq_rad_per_cycle", "F", "P_t", "F_spta"],
-                   zip(freqs, f_amp, pt_amp, spta_amp))
+                   [freqs, f_amp, pt_amp, spta_amp])
         files.append(out)
         pk_f, _ = dominant_peaks(freqs, f_amp)
         pk_s, _ = dominant_peaks(freqs, spta_amp, count=1)
@@ -751,10 +753,9 @@ def _bundle_ratio_landscape(opts: dict, outdir: str, scale: str) -> dict:
     files = []
     for i, name in enumerate(("r1", "r2", "r3")):
         out = os.path.join(outdir, f"ratio_{name}.csv")
-        values = table[:, [0, 1, 2 + i]].tolist()
-        flags = table[:, 5 + i].astype(int).tolist()
         _write_csv(out, ["U", "g", name, "div"],
-                   (r + [d] for r, d in zip(values, flags)))
+                   [table[:, 0], table[:, 1], table[:, 2 + i],
+                    table[:, 5 + i].astype(int)])
         files.append(out)
     return {"files": files, "steps": steps}
 

@@ -133,19 +133,6 @@ class SectorBasis:
             raise DomainError(f"state has {k} particles, sector holds {self.N}")
         return int(r)
 
-    def unrank(self, i: int) -> int:
-        """Inverse of rank: the i-th state word."""
-        if not 0 <= i < self.size:
-            raise DomainError(f"rank {i} outside sector of size {self.size}")
-        r, bits, p = int(i), 0, self.L - 1
-        for k in range(self.N, 0, -1):
-            while self._binom[p, k] > r:
-                p -= 1
-            r -= self._binom[p, k]
-            bits |= 1 << p
-            p -= 1
-        return bits
-
     def state(self, i: int) -> FockState:
         return FockState(int(self.states[i]), self.L)
 

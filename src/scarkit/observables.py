@@ -78,17 +78,17 @@ def _cut_layout(L: int, N: int, cut: int):
     right_words = basis.states & ((1 << right_bits) - 1)
     m_lo = max(0, N - right_bits)
     m_hi = min(cut, N)
-    block_id = np.empty(basis.size, dtype=np.intp)
+    block_id = np.bitwise_count(left_words).astype(np.intp) - m_lo
     row = np.empty(basis.size, dtype=np.intp)
     col = np.empty(basis.size, dtype=np.intp)
     shapes = []
     for b, m in enumerate(range(m_lo, m_hi + 1)):
         left_basis = SectorBasis(cut, m)
         right_basis = SectorBasis(right_bits, N - m)
-        sel = np.array([int(w).bit_count() == m for w in left_words])
-        block_id[sel] = b
-        row[sel] = [left_basis.rank(int(w)) for w in left_words[sel]]
-        col[sel] = [right_basis.rank(int(w)) for w in right_words[sel]]
+        sel = block_id == b
+        # sub-basis states ascend, so a word's rank is its sorted position
+        row[sel] = np.searchsorted(left_basis.states, left_words[sel])
+        col[sel] = np.searchsorted(right_basis.states, right_words[sel])
         shapes.append((left_basis.size, right_basis.size))
     return block_id, row, col, tuple(shapes)
 

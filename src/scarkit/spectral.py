@@ -398,10 +398,14 @@ def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
     parities = ham.basis.parities
     plus_idx = np.flatnonzero(parities == 1)
     minus_idx = np.flatnonzero(parities == -1)
-    # the real rotated frame keeps only the even-odd block
-    C = np.imag(m.tocsr()[plus_idx, :][:, minus_idx].toarray())
+    # the real rotated frame keeps only the even-odd block; taking .imag of
+    # the sparse block densifies it once, with no complex dense temporary
+    C = m.tocsr()[plus_idx, :][:, minus_idx].imag.toarray()
     if 2 * np.count_nonzero(C) != m.nnz:
         raise DomainError("matrix couples equal-parity states; not chiral")
+    # numpy's LAPACK, not scipy.linalg.svd(overwrite_a=True): scipy links a
+    # second OpenBLAS whose thread pool contends with numpy's, which slowed
+    # the pipeline more than the saved copy of C was worth
     Uf, s, Vt = np.linalg.svd(C, full_matrices=True)
     tol = ZERO_MODE_RTOL * (float(s[0]) if len(s) else 0.0)
     r = int(np.count_nonzero(s > tol))

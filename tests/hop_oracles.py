@@ -1,9 +1,10 @@
 """Per-state loop implementations of the hop enumeration, the builders, the
-hop graph and union-find components.
+hop graph, union-find components and the Schmidt-cut scatter layout.
 
 These are the original scalar routes, kept as oracles for the array routes in
-`scarkit.hamiltonian` and `scarkit.graph`: one Python iteration per state and
-bond, a binomial-table `rank` per hop, and an iterative union-find.
+`scarkit.hamiltonian`, `scarkit.graph` and `scarkit.observables`: one Python
+iteration per state and bond, a binomial-table `rank` per hop or half-word,
+and an iterative union-find.
 """
 
 import math
@@ -138,3 +139,26 @@ def components(g: HilbertGraph, allowed: set[str] | None = None) -> list[np.ndar
     for v, r in enumerate(roots):
         comps.setdefault(int(r), []).append(v)
     return [np.asarray(comps[r], dtype=np.intp) for r in sorted(comps)]
+
+
+def cut_layout(L: int, N: int, cut: int):
+    """`observables._cut_layout` with a per-state popcount and `rank`."""
+    basis = SectorBasis(L, N)
+    right_bits = L - cut
+    left_words = basis.states >> right_bits
+    right_words = basis.states & ((1 << right_bits) - 1)
+    m_lo = max(0, N - right_bits)
+    m_hi = min(cut, N)
+    block_id = np.empty(basis.size, dtype=np.intp)
+    row = np.empty(basis.size, dtype=np.intp)
+    col = np.empty(basis.size, dtype=np.intp)
+    shapes = []
+    for b, m in enumerate(range(m_lo, m_hi + 1)):
+        left_basis = SectorBasis(cut, m)
+        right_basis = SectorBasis(right_bits, N - m)
+        sel = np.array([int(w).bit_count() == m for w in left_words])
+        block_id[sel] = b
+        row[sel] = [left_basis.rank(int(w)) for w in left_words[sel]]
+        col[sel] = [right_basis.rank(int(w)) for w in right_words[sel]]
+        shapes.append((left_basis.size, right_basis.size))
+    return block_id, row, col, tuple(shapes)

@@ -1,5 +1,6 @@
 """Command-line behaviour: precedence, formats, exit codes, manifests."""
 
+import hashlib
 import json
 import math
 import os
@@ -8,8 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import csv_oracles
 from scarkit import cli
+from scarkit.fock_basis import SectorBasis
 
 
 def run(capsys, *argv):
@@ -300,11 +305,102 @@ def test_csv_writer_matches_numpy_row_formatting(tmp_path, capsys):
 
     table[0, 2:5] = (-0.0, np.inf, -np.inf)
     table[1, 0] = -0.0
-    cli._write_csv(str(path), ["h"], (r + d for r, d in zip(
-        table[:, :5].tolist(), table[:, 5:].astype(int).tolist())))
+    cli._write_csv(str(path), ["h"], [*table[:, :5].T,
+                                      *table[:, 5:].T.astype(int)])
     body = path.read_text().split("\n", 1)[1]
     assert body == _seed_csv_body(table)
     assert body.startswith("1,1,0,inf,-inf,") and "\n0," in body
+
+
+special_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                   5e-324, -2.2250738585072014e-308, 1e-300,
+                                   1.7976931348623157e308, -1e300, 1e15,
+                                   123456789012345.67, 0.1, 1 / 3])
+any_floats = st.floats() | special_floats
+float32s = st.floats(width=32) | st.sampled_from([-0.0, math.inf, math.nan])
+
+
+@st.composite
+def csv_columns(draw):
+    """Equal-length columns of every kind the writer takes, with repeats."""
+    n = draw(st.integers(1, 30))
+
+    def with_repeats(values):
+        pool = draw(st.lists(values, min_size=1, max_size=6))
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["f8", "f4", "i8", "i4", "i1",
+                                                "u8", "bool", "str"]),
+                              min_size=1, max_size=5)):
+        if kind == "str":
+            columns.append(with_repeats(st.text("01abc-_.", max_size=8)))
+        elif kind == "bool":
+            columns.append(np.array(with_repeats(st.booleans())))
+        elif kind[0] == "f":
+            values = any_floats if kind == "f8" else float32s
+            columns.append(np.array(with_repeats(values), dtype=kind))
+        else:
+            info = np.iinfo(kind)
+            ints = st.integers(int(info.min), int(info.max))
+            columns.append(np.array(with_repeats(ints), dtype=kind))
+    return columns
+
+
+@given(csv_columns(), st.sampled_from([7, 65536]))
+@settings(max_examples=300, deadline=None)
+def test_column_writer_matches_row_oracle(tmp_path_factory, columns, block):
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CSV_BLOCK_ROWS", block)
+        cli._write_csv(str(path), header, columns)
+    text = path.read_text()
+    assert text == csv_oracles.csv_text(header, zip(*columns))
+    plain = [c if isinstance(c, list) else c.tolist() for c in columns]
+    assert text == csv_oracles.csv_text(header, zip(*plain))
+
+
+@pytest.mark.parametrize("L,N", [(1, 0), (1, 1), (6, 0), (7, 3), (8, 4),
+                                 (10, 10), (12, 6)])
+def test_basis_words_match_fock_state_strings(tmp_path, capsys, L, N):
+    path = tmp_path / "basis.csv"
+    code, _, _ = run(capsys, "basis", "--L", str(L), "--N", str(N),
+                     "--out", str(path))
+    assert code == 0
+    basis = SectorBasis(L, N)
+    words = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+    assert words == [basis.state(i).to_string() for i in range(basis.size)]
+
+
+FAMILY_L6 = ("--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5")
+
+
+# sha256 of CSVs whose cells need no LAPACK call, frozen from the row writer
+@pytest.mark.parametrize("argv,digest", [
+    (("basis", "--L", "8"),
+     "1fa57dd49dc2c1c4c23414726d941047cc254470c097bbd19b9d83377937eb80"),
+    (("hamiltonian", *FAMILY_L6, "--kind", "onsite"),
+     "b12e4eb2b8159bd7369545bd0dcca20ffda2b23f3f929f4fc249dc6a8443b478"),
+    (("hamiltonian", *FAMILY_L6, "--kind", "hop"),
+     "3c0e7ee35725970b03dce43d1a93e268e0e66c4b9a07bcbfd0f95f53ddc960fd"),
+    (("hamiltonian", *FAMILY_L6, "--kind", "half1"),
+     "b5ebbe63068fd74fa2f9b7a9bff8384a0fe4a61a7abbf5830cae6bd0477d6aaa"),
+    (("hamiltonian", *FAMILY_L6, "--kind", "half2"),
+     "7e51821e3b3ec7a55febec50fc3d4110b87d5a8cc2fdd4d937e7711838823d17"),
+    (("hamiltonian", *FAMILY_L6, "--kind", "effective"),
+     "5375ee835aaaf091a9b5af0b49b19ef2e8d497065d130a23be1bad626cdfa8ab"),
+    (("hamiltonian", *FAMILY_L6, "--kind", "resonant"),
+     "640734daba552fd9a22a1b1de59e7c1550d13b06687f85f577a67a4dea3d5194"),
+    (("resonance", "--omega", "20", "--u", "0.5", "--grid", "1:80:40,1:80:50"),
+     "6ae223e4d2eb108d9293e0f6711fbc2d33e97930cfdc9352d07975e3c634086f"),
+], ids=["basis", "onsite", "hop", "half1", "half2", "effective", "resonant",
+        "resonance-grid"])
+def test_csv_bytes_match_frozen_digests(tmp_path, capsys, argv, digest):
+    path = tmp_path / "out.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,9 @@
 
 `scipy.signal` and `scipy.special` pull in scipy.stats, interpolate, optimize
 and ndimage, which costs about a second per process; csgraph and
-sparse.linalg are imported inside the functions that need them.
+sparse.linalg are imported inside the functions that need them.  A dynamics
+run loads no `scipy.linalg` either: its LAPACK calls go through numpy, whose
+OpenBLAS thread pool would contend with the second one scipy links.
 """
 
 import json
@@ -35,7 +37,7 @@ PROBE = textwrap.dedent("""
                          "--out", os.path.join(tmp, "dyn.csv")])
     print(json.dumps({"code": code, "after_import": after_import,
                       "after_run": loaded("scipy.signal", "scipy.special",
-                                          "scipy.stats")}))
+                                          "scipy.stats", "scipy.linalg")}))
 """)
 
 

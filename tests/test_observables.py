@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
+import hop_oracles
+from scarkit import observables
 from scarkit.errors import DomainError
 from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.hamiltonian import build_effective_resonant
@@ -240,3 +242,24 @@ def test_shannon_entropy_matches_xlogy_formula(L):
         p = np.abs(sv.amplitudes) ** 2
         assert shannon_entropy(sv) == pytest.approx(-xlogy(p, p).sum(),
                                                     rel=0, abs=PLOGP_ATOL)
+
+
+@st.composite
+def sector_cuts(draw):
+    L = draw(st.integers(1, 14))
+    return L, draw(st.integers(0, L))
+
+
+@given(sector_cuts())
+@example((14, 7)).via("the largest half-filled sector")
+@example((6, 0)).via("empty chain")
+@example((6, 6)).via("full chain")
+@settings(max_examples=60, deadline=None)
+def test_cut_layout_matches_per_state_rank_oracle(LN):
+    L, N = LN
+    for cut in range(1, L):
+        *arrays, shapes = observables._cut_layout(L, N, cut)
+        *expected, expected_shapes = hop_oracles.cut_layout(L, N, cut)
+        assert shapes == expected_shapes
+        for a, b in zip(arrays, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
