@@ -22,9 +22,7 @@ _EXPORTS = {
     "build_effective_general": ".hamiltonian",
     "build_effective_resonant": ".hamiltonian", "build_half_period": ".hamiltonian",
     "build_hop": ".hamiltonian", "build_onsite": ".hamiltonian",
-    "classify_hop": ".hamiltonian", "hop_moves": ".hamiltonian",
-    "onsite_energy": ".hamiltonian",
-    "resonant_amplitudes": ".hamiltonian",
+    "hop_moves": ".hamiltonian", "resonant_amplitudes": ".hamiltonian",
     "AmplitudeRatios": ".resonance", "ResonantFamily": ".resonance",
     "amplitude_ratio": ".resonance", "is_resonant": ".resonance",
     "resonant_family": ".resonance", "scan_ratio_grid": ".resonance",

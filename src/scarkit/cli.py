@@ -546,7 +546,6 @@ def _cmd_scar(opts: dict) -> int:
 
 
 _OBSERVABLE_ORDER = ("F", "EE", "Pt")
-_OBSERVABLE_COLUMNS = {"F": "F", "EE": "S_EE", "Pt": "P_t"}
 
 
 def _parse_observables(text: str | None) -> list[str]:
@@ -603,15 +602,15 @@ def _cmd_dynamics(opts: dict) -> int:
         runs = run_all(samples)
         series, sds = {}, {}
         for name in wanted:
-            agg = ensemble_stats([r[name] for r in runs],
-                                 _OBSERVABLE_COLUMNS[name])
+            agg = ensemble_stats([r[name] for r in runs], runs[0][name].label)
             series[name], sds[name] = agg, agg
 
     out = _require(opts, "out")
-    header = ["k"] + [_OBSERVABLE_COLUMNS[n] for n in wanted]
+    labels = [series[n].label for n in wanted]
+    header = ["k"] + labels
     columns = [series[n].values for n in wanted]
     if sds:
-        header += [_OBSERVABLE_COLUMNS[n] + "_sd" for n in wanted]
+        header += [label + "_sd" for label in labels]
         columns += [sds[n].sd for n in wanted]
     _write_csv(out, header, [np.arange(len(columns[0])), *columns])
 

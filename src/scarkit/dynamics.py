@@ -54,14 +54,14 @@ def _cycle_array(cycles) -> np.ndarray:
     return ks
 
 
-def _as_vector(basis: SectorBasis, initial) -> tuple[np.ndarray, int | None]:
-    """Amplitude vector plus the basis index when the input is one Fock state."""
+def _as_vector(basis: SectorBasis, initial) -> np.ndarray:
+    """Amplitude vector of a Fock state, StateVector or array start."""
     if isinstance(initial, StateVector):
         if initial.basis.size != basis.size:
             raise DomainError("initial state lives on a different sector")
         amps = initial.amplitudes
     elif isinstance(initial, (FockState, str)):
-        return fock_vector(basis, initial).amplitudes, basis.index_of(initial)
+        return fock_vector(basis, initial).amplitudes
     else:
         amps = np.asarray(initial, dtype=np.complex128)
         if amps.shape != (basis.size,):
@@ -69,7 +69,7 @@ def _as_vector(basis: SectorBasis, initial) -> tuple[np.ndarray, int | None]:
                               f"match sector dimension {basis.size}")
     if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
         raise DomainError("initial state is not normalized")
-    return amps, None
+    return amps
 
 
 def _describe(initial) -> str:
@@ -89,7 +89,7 @@ def _guard_block(dim: int, n_states: int) -> None:
 
 def evolve_effective(spec: Spectrum, initial, cycles) -> np.ndarray:
     """State columns after whole cycles under the diagonalized effective model."""
-    psi0, _ = _as_vector(spec.basis, initial)
+    psi0 = _as_vector(spec.basis, initial)
     ks = _cycle_array(cycles)
     _guard_block(spec.size, len(ks))
     period = 2.0 * np.pi / spec.omega
@@ -100,11 +100,11 @@ def fidelity_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
                     chunk: int = 512) -> TimeSeries:
     """|<psi(0)|psi(k)>|^2 = |sum_a w_a exp(-i e_a k T)|^2, chunked over k.
 
-    The weights w_a = |<a|psi(0)>|^2 come from one pass over the eigenvectors
-    (one Fock row for a Fock start), so no state is materialized.
+    The weights w_a = |c_a|^2 come from the coefficients c_a = <a|psi(0)>, one
+    pass over the eigenvectors, so no state is materialized.
     """
-    psi0, idx = _as_vector(spec.basis, initial)
-    w = spec.weight_row(idx) if idx is not None else spec.vectors.weights(psi0)
+    c = spec.vectors.coefficients(_as_vector(spec.basis, initial))
+    w = np.abs(c) ** 2
     ks = _cycle_array(cycles)
     period = 2.0 * np.pi / spec.omega
     out = np.empty(len(ks))
@@ -122,7 +122,7 @@ def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
     it in real arithmetic and the Schmidt step takes real SVDs (the dense
     route gives the same columns either way).
     """
-    psi0, _ = _as_vector(spec.basis, initial)
+    psi0 = _as_vector(spec.basis, initial)
     if not np.any(psi0.imag):
         psi0 = psi0.real
     ks = _cycle_array(cycles)
@@ -142,28 +142,21 @@ def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None
                              chunk: int = 512) -> TimeSeries:
     """Total weight on the tower states along the evolution.
 
-    For a Fock start the tower amplitudes collapse to a row-product form,
-    avoiding full state materialization.  Both branches work in blocks of
-    `chunk` cycles.
+    P_t(k) = sum_t |sum_a V_ta c_a exp(-i e_a k T)|^2 with c_a = <a|psi(0)>,
+    from the tower rows of the eigenvectors only, in blocks of `chunk`
+    cycles; no state is materialized.
     """
-    psi0, idx = _as_vector(spec.basis, initial)
+    c = spec.vectors.coefficients(_as_vector(spec.basis, initial))
     if tower is None:
         tower = tower_states(spec.basis.L)
-    t_idx = tower.indices(spec.basis)
+    weights = spec.vectors.rows(tower.indices(spec.basis)) * c[None, :]
     ks = _cycle_array(cycles)
     period = 2.0 * np.pi / spec.omega
     out = np.empty(len(ks))
-    if idx is not None:
-        rows = spec.vectors.rows(t_idx)
-        weights = rows * np.conj(spec.vectors.row(idx))[None, :]
-        for lo in range(0, len(ks), chunk):
-            phases = np.exp(-1j * np.outer(spec.quasienergies,
-                                           ks[lo:lo + chunk] * period))
-            out[lo:lo + chunk] = (np.abs(weights @ phases) ** 2).sum(axis=0)
-    else:
-        for lo in range(0, len(ks), chunk):
-            states = spec.propagate(psi0, ks[lo:lo + chunk], period)
-            out[lo:lo + chunk] = (np.abs(states[t_idx, :]) ** 2).sum(axis=0)
+    for lo in range(0, len(ks), chunk):
+        phases = np.exp(-1j * np.outer(spec.quasienergies,
+                                       ks[lo:lo + chunk] * period))
+        out[lo:lo + chunk] = (np.abs(weights @ phases) ** 2).sum(axis=0)
     return TimeSeries("P_t", out, initial=_describe(initial))
 
 
@@ -248,38 +241,43 @@ def _drive(prop: FullPropagator, psi0: np.ndarray, last: int):
         raise NumericalError(f"unitarity drift {drift:.2e} over {last} cycles")
 
 
+def _blocks_at(prop: FullPropagator, psi0: np.ndarray, ks: np.ndarray,
+               width: int):
+    """Yield the states at the cycles `ks` in (dim, <= width) column blocks.
+
+    One `_drive` pass steps to ks[-1]; its drift check runs once the caller
+    has taken the last block and asks for the next.
+    """
+    ptr, col = 0, 0
+    for k, psi in enumerate(_drive(prop, psi0, int(ks[-1]))):
+        if k != ks[ptr]:
+            continue
+        if col == 0:
+            block = np.empty((len(psi0), min(width, len(ks) - ptr)),
+                             dtype=np.complex128)
+        block[:, col] = psi
+        ptr, col = ptr + 1, col + 1
+        if col == block.shape[1]:
+            yield block
+            col = 0
+
+
 def evolve_full(basis: SectorBasis, params: ModelParams, initial, cycles,
                 dense_max: int = FULL_DENSE_MAX) -> np.ndarray:
     """State columns at the requested cycles under the exact driven model."""
-    psi0, _ = _as_vector(basis, initial)
+    psi0 = _as_vector(basis, initial)
     ks = _cycle_array(cycles)
     _guard_block(basis.size, len(ks))
-    return _states_at(FullPropagator(basis, params, dense_max), psi0, ks)
-
-
-def _states_at(prop: FullPropagator, psi0: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    out = np.empty((len(psi0), len(ks)), dtype=np.complex128)
-    ptr = 0
-    for k, psi in enumerate(_drive(prop, psi0, int(ks[-1]))):
-        if k == ks[ptr]:
-            out[:, ptr] = psi
-            ptr += 1
-    return out
+    # unpacking asks for a second block, which runs the drift check
+    (states,) = _blocks_at(FullPropagator(basis, params, dense_max), psi0, ks,
+                           len(ks))
+    return states
 
 
 def full_fidelity_series(basis: SectorBasis, params: ModelParams, initial,
-                         cycles=DEFAULT_CYCLES,
-                         dense_max: int = FULL_DENSE_MAX) -> TimeSeries:
-    """Streaming |<psi(0)|psi(k)>|^2 under the exact drive, k = 0..K."""
-    psi0, _ = _as_vector(basis, initial)
-    ks = _cycle_array(cycles)
-    if not np.array_equal(ks, np.arange(len(ks))):
-        raise DomainError("streaming fidelity needs contiguous cycles 0..K")
-    bra = psi0.conj()
-    prop = FullPropagator(basis, params, dense_max)
-    out = np.array([abs(bra @ psi) ** 2 for psi in _drive(prop, psi0, len(ks) - 1)])
-    out[0] = 1.0
-    return TimeSeries("F", out, params=params, initial=_describe(initial))
+                         cycles=DEFAULT_CYCLES) -> TimeSeries:
+    """|<psi(0)|psi(k)>|^2 under the exact drive: the F of `full_drive_ensemble`."""
+    return full_drive_ensemble(basis, params, [initial], cycles, ("F",))[0]["F"]
 
 
 def full_drive_ensemble(basis: SectorBasis, params: ModelParams, initials,
@@ -287,31 +285,30 @@ def full_drive_ensemble(basis: SectorBasis, params: ModelParams, initials,
                         ) -> list[dict[str, TimeSeries]]:
     """F, half-chain S_EE and P_t under the exact drive, per initial state.
 
-    One FullPropagator steps every start; each start's observables come from
-    one evolution.  Keys are the requested names among "F", "EE" and "Pt".
+    One FullPropagator steps every start.  Each start's states stream in
+    blocks of EE_CHUNK cycles, and every requested series takes its values
+    from each block, so no (dim x cycles) array is held.  Keys are the
+    requested names among "F", "EE" and "Pt".
     """
-    psis = [_as_vector(basis, initial)[0] for initial in initials]
+    psis = [_as_vector(basis, initial) for initial in initials]
     ks = _cycle_array(cycles)
-    _guard_block(basis.size, len(ks))
     prop = FullPropagator(basis, params)
     t_idx = tower_states(basis.L).indices(basis) if "Pt" in observables else None
     runs = []
     for initial, psi0 in zip(initials, psis):
-        states = _states_at(prop, psi0, ks)
-        label = _describe(initial)
-        out = {}
-        if "F" in observables:
-            f = np.abs(psi0.conj() @ states) ** 2
-            out["F"] = TimeSeries("F", f, params=params, initial=label)
-        if "EE" in observables:
-            ee = np.concatenate([
-                schmidt_entropies(states[:, lo:lo + EE_CHUNK], basis, basis.L // 2)
-                for lo in range(0, states.shape[1], EE_CHUNK)])
-            out["EE"] = TimeSeries("S_EE", ee, params=params, initial=label)
-        if "Pt" in observables:
-            pt = (np.abs(states[t_idx, :]) ** 2).sum(axis=0)
-            out["Pt"] = TimeSeries("P_t", pt, params=params, initial=label)
-        runs.append(out)
+        bra, f, ee, pt = psi0.conj(), [], [], []
+        for states in _blocks_at(prop, psi0, ks, EE_CHUNK):
+            if "F" in observables:
+                f.append(np.abs(bra @ states) ** 2)
+            if "EE" in observables:
+                ee.append(schmidt_entropies(states, basis, basis.L // 2))
+            if "Pt" in observables:
+                pt.append((np.abs(states[t_idx, :]) ** 2).sum(axis=0))
+        series = {"F": ("F", f), "EE": ("S_EE", ee), "Pt": ("P_t", pt)}
+        runs.append({name: TimeSeries(label, np.concatenate(parts), params=params,
+                                      initial=_describe(initial))
+                     for name, (label, parts) in series.items()
+                     if name in observables})
     return runs
 
 

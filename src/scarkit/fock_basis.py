@@ -63,11 +63,6 @@ def chiral_parity(state: FockState) -> int:
     return -1 if dipole_moment(state) & 1 else 1
 
 
-def spatial_reverse(state: FockState) -> FockState:
-    """Mirror the chain: site j -> L+1-j."""
-    return FockState(int(state.to_string()[::-1], 2), state.L)
-
-
 @dataclass(frozen=True)
 class ChiralSplit:
     """Sizes of the two dipole-parity sectors; larger_sector is +1/-1, 0 on a tie."""
@@ -137,9 +132,14 @@ class SectorBasis:
         return FockState(int(self.states[i]), self.L)
 
     def index_of(self, state: FockState | int | str) -> int:
+        """Position of a state of this sector's chain length and filling."""
         if isinstance(state, str):
             state = FockState.from_string(state)
+        if isinstance(state, FockState) and state.L != self.L:
+            raise DomainError(f"state has {state.L} sites, sector has {self.L}")
         bits = state.bits if isinstance(state, FockState) else int(state)
+        if not 0 <= bits < (1 << self.L):
+            raise DomainError(f"bits {bits:#x} do not fit {self.L} sites")
         return self.rank(bits)
 
     def _site_columns(self) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, NumericalError
-from .fock_basis import FockState, SectorBasis, dipole_moment
+from .fock_basis import SectorBasis
 from .spectral import fold_quasienergy
 
 HOP_CLASSES = ("g-U", "g", "g+U")
@@ -59,21 +59,6 @@ class ModelParams:
         return cls(g=g, U=U_over_g * g, u=u, omega=g / g_over_omega, J=J)
 
 
-@dataclass(frozen=True)
-class HopClass:
-    """Classification of one legal hop: barrier class and signed energy change."""
-
-    kind: str              # one of HOP_CLASSES
-    barrier: float         # |g-U|, g, or g+U
-    signed_delta: float    # onsite energy after - before for this hop
-
-
-def onsite_energy(state: FockState, params: ModelParams) -> float:
-    """Static energy U * (adjacent pairs) - g * (dipole moment)."""
-    pairs = (state.bits & (state.bits >> 1)).bit_count()
-    return params.U * pairs - params.g * dipole_moment(state)
-
-
 def hop_class_code(n_left, n_right):
     """0 / 1 / 2 for barrier class g-U / g / g+U from the flanking sites.
 
@@ -82,32 +67,6 @@ def hop_class_code(n_left, n_right):
     occupied left flank g+U. Works elementwise on integer arrays.
     """
     return 1 + n_left - n_right
-
-
-def classify_hop(state: FockState, j: int, params: ModelParams) -> HopClass | None:
-    """Classify the hop across bond (j, j+1) of `state`, or None if blocked.
-
-    A hop is legal iff exactly one of the bond sites is occupied. The class
-    depends only on the occupations of sites j-1 and j+2 (virtual sites 0 and
-    L+1 count as empty); the sign of the energy change also depends on the
-    hop direction encoded in the state.
-    """
-    L = state.L
-    if not 1 <= j <= L - 1:
-        raise DomainError(f"bond {j} outside 1..{L - 1}")
-    bits = state.bits
-    nj = (bits >> (L - j)) & 1
-    nj1 = (bits >> (L - j - 1)) & 1
-    if nj == nj1:
-        return None
-    n_left = (bits >> (L - j + 1)) & 1 if j >= 2 else 0
-    n_right = (bits >> (L - j - 2)) & 1 if j + 2 <= L else 0
-    code = hop_class_code(n_left, n_right)
-    kind = HOP_CLASSES[code]
-    barrier = (abs(params.g - params.U), params.g, params.g + params.U)[code]
-    moved = FockState(bits ^ (1 << (L - j)) ^ (1 << (L - j - 1)), L)
-    delta = onsite_energy(moved, params) - onsite_energy(state, params)
-    return HopClass(kind, barrier, delta)
 
 
 def _drive_averaged_amplitude(delta: float, T: float, u: float, J: float) -> complex:

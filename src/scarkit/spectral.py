@@ -93,13 +93,13 @@ class DenseVectors:
     def sector_weight(self, mask: np.ndarray) -> np.ndarray:
         return (np.abs(self._V[mask, :]) ** 2).sum(axis=0)
 
-    def weights(self, psi0: np.ndarray) -> np.ndarray:
-        """|<a|psi0>|^2 for every eigenvector column a."""
-        return np.abs(self._V.conj().T @ psi0) ** 2
+    def coefficients(self, psi0: np.ndarray) -> np.ndarray:
+        """<a|psi0> for every eigenvector column a."""
+        return self._V.conj().T @ psi0
 
     def propagate(self, psi0: np.ndarray, kt_values: np.ndarray,
                   eigvals: np.ndarray) -> np.ndarray:
-        c = self._V.conj().T @ psi0
+        c = self.coefficients(psi0)
         phases = np.exp(-1j * np.outer(eigvals, kt_values))
         return self._V @ (c[:, None] * phases)
 
@@ -282,52 +282,36 @@ class ChiralPairVectors:
         internal[self.n_states - r:] = internal[:r][::-1]
         return internal[self._perm]
 
-    def weights(self, psi0: np.ndarray) -> np.ndarray:
-        """|<a|psi0>|^2 for every column a, from one product with each factor."""
+    def coefficients(self, psi0: np.ndarray) -> np.ndarray:
+        """<a|psi0> for every column a, from one product with each factor."""
         alpha = _real_matmul(self.Uf.T, psi0[self.plus_idx])
         beta = _real_matmul(self.Vt, psi0[self.minus_idx])
-        amp = (np.conj(self._cu) * np.where(self._has_u, alpha[self._iu], 0)
-               + np.conj(self._cv) * np.where(self._has_v, beta[self._iv], 0))
-        return np.abs(amp) ** 2
+        return (np.conj(self._cu) * np.where(self._has_u, alpha[self._iu], 0)
+                + np.conj(self._cv) * np.where(self._has_v, beta[self._iv], 0))
 
     def propagate(self, psi0: np.ndarray, kt_values: np.ndarray,
                   eigvals: np.ndarray) -> np.ndarray:
         """State columns at times kt_values; real columns for a real psi0.
 
         e^{-iHt} is real orthogonal, so a real start is evolved in real
-        arithmetic; a complex start takes the rotated complex route.
+        arithmetic, and a complex start as its real and imaginary parts.
         """
+        if np.iscomplexobj(psi0):
+            return (self.propagate(psi0.real, kt_values, eigvals)
+                    + 1j * self.propagate(psi0.imag, kt_values, eigvals))
         del eigvals  # the factored form uses the singular values directly
         r = self.rank
         skt = np.outer(self.s[:r], kt_values)
         cos_m, sin_m = np.cos(skt), np.sin(skt)
-        if not np.iscomplexobj(psi0):
-            alpha = self.Uf.T @ psi0[self.plus_idx]
-            beta = self.Vt @ psi0[self.minus_idx]
-            out = np.empty((self.n_states, len(kt_values)))
-            out[self.plus_idx] = (
-                self.Uf[:, :r] @ (cos_m * alpha[:r, None] + sin_m * beta[:r, None])
-                + (self.Uf[:, r:] @ alpha[r:])[:, None])
-            out[self.minus_idx] = (
-                self.Vt[:r, :].T @ (cos_m * beta[:r, None] - sin_m * alpha[:r, None])
-                + (self.Vt[r:, :].T @ beta[r:])[:, None])
-            return out
-        # rotate to the real frame: z_even = psi_even, z_odd = i * psi_odd
-        a = psi0[self.plus_idx]
-        b = 1j * psi0[self.minus_idx]
-        alpha = _real_matmul(self.Uf.T, a)
-        beta = _real_matmul(self.Vt, b)
-        coef_plus = cos_m * alpha[:r, None] - 1j * (sin_m * beta[:r, None])
-        coef_minus = cos_m * beta[:r, None] - 1j * (sin_m * alpha[:r, None])
-        z_plus = _real_matmul(self.Uf[:, :r], coef_plus)
-        z_minus = _real_matmul(self.Vt[:r, :].T, coef_minus)
-        if self.n_plus > r:
-            z_plus += _real_matmul(self.Uf[:, r:], alpha[r:])[:, None]
-        if self.n_minus > r:
-            z_minus += _real_matmul(self.Vt[r:, :].T, beta[r:])[:, None]
-        out = np.empty((self.n_states, len(kt_values)), dtype=np.complex128)
-        out[self.plus_idx, :] = z_plus
-        out[self.minus_idx, :] = -1j * z_minus
+        alpha = self.Uf.T @ psi0[self.plus_idx]
+        beta = self.Vt @ psi0[self.minus_idx]
+        out = np.empty((self.n_states, len(kt_values)))
+        out[self.plus_idx] = (
+            self.Uf[:, :r] @ (cos_m * alpha[:r, None] + sin_m * beta[:r, None])
+            + (self.Uf[:, r:] @ alpha[r:])[:, None])
+        out[self.minus_idx] = (
+            self.Vt[:r, :].T @ (cos_m * beta[:r, None] - sin_m * alpha[:r, None])
+            + (self.Vt[r:, :].T @ beta[r:])[:, None])
         return out
 
 

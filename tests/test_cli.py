@@ -476,6 +476,25 @@ def test_dynamics_accepts_bare_occupation_word(tmp_path, capsys):
     assert code == 2 and "11010" in err
 
 
+@pytest.mark.parametrize("command", ["dynamics", "compare"])
+def test_initial_of_another_chain_length_exits_2(tmp_path, capsys, command):
+    args = ["--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5",
+            "--cycles", "8"]
+    for initial in ("bits:0111", "bits:000000111"):
+        out_csv = tmp_path / f"{command}.csv"
+        code, out, err = run(capsys, command, *args, "--initial", initial,
+                             "--out", str(out_csv))
+        sites = len(initial) - len("bits:")
+        assert code == 2 and out == ""
+        assert err == f"config error: state has {sites} sites, sector has 6\n"
+        assert not out_csv.exists()
+    for initial in ("110100", "bits:110100", "tp", "te_p:2", "te_h:3"):
+        code, out, _ = run(capsys, command, *args, "--initial", initial,
+                           "--out", str(tmp_path / f"{command}_ok.csv"))
+        assert code == 0 and json.loads(out)["initial"] == \
+            initial.removeprefix("bits:")
+
+
 def _full_columns(L, initial, cycles):
     """F, S_EE and P_t computed directly from `evolve_full` states."""
     from scarkit import (SectorBasis, StateVector, entanglement_entropy,

@@ -10,15 +10,16 @@ from scipy.signal import find_peaks
 
 from scarkit.dynamics import (analytic_fidelity, dominant_peaks, ee_series,
                               ensemble_stats, evolve_effective, evolve_full,
-                              fidelity_series, fta, full_fidelity_series,
-                              local_maxima, random_nontower_states,
-                              spta_fidelity, tower_probability_series,
-                              TimeSeries)
+                              fidelity_series, fta, full_drive_ensemble,
+                              full_fidelity_series, local_maxima,
+                              random_nontower_states, spta_fidelity,
+                              tower_probability_series, TimeSeries)
 from scarkit.errors import DomainError
 from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.graph import tower_states
-from scarkit.hamiltonian import build_effective_resonant
-from scarkit.observables import StateVector, fock_vector
+from scarkit.hamiltonian import (ModelParams, build_effective_general,
+                                 build_effective_resonant)
+from scarkit.observables import StateVector, entanglement_entropy, fock_vector
 from scarkit.resonance import resonant_family
 from scarkit.spectral import diagonalize
 
@@ -98,7 +99,7 @@ def test_tower_probability_chunks_agree(L, cycles):
                                    chunk=cycles + 1).values
     small = tower_probability_series(spec, word, cycles=cycles, chunk=7).values
     np.testing.assert_allclose(small, one, rtol=0, atol=1e-13)
-    # a StateVector start takes the state-materializing branch
+    # a StateVector start gives the series of its Fock word
     vector = fock_vector(spec.basis, word)
     for chunk in (7, cycles + 1):
         direct = tower_probability_series(spec, vector, cycles=cycles,
@@ -124,6 +125,59 @@ def test_full_fidelity_streaming_matches_block():
     psi0 = states[:, 0]
     np.testing.assert_allclose(f.values, np.abs(psi0.conj() @ states) ** 2,
                                atol=1e-10)
+
+
+@pytest.mark.parametrize("cycles", [300, np.arange(5, 700, 3)],
+                         ids=["0..300", "non-contiguous"])
+def test_full_drive_ensemble_matches_evolve_full_states(cycles):
+    # blocks of EE_CHUNK = 128 states: edges at 128 and 256, a partial last one
+    basis = SectorBasis(8, 4)
+    t_idx = tower_states(8).indices(basis)
+    words = ["11110000", "11001010"]
+    runs = full_drive_ensemble(basis, PARAMS, words, cycles)
+    for word, run in zip(words, runs):
+        psi0 = fock_vector(basis, word).amplitudes
+        states = evolve_full(basis, PARAMS, word, cycles)
+        assert [s.label for s in run.values()] == ["F", "S_EE", "P_t"]
+        ee = [entanglement_entropy(StateVector(states[:, k], basis))
+              for k in range(states.shape[1])]
+        for name, want in (("F", np.abs(psi0.conj() @ states) ** 2),
+                           ("EE", ee),
+                           ("Pt", (np.abs(states[t_idx]) ** 2).sum(axis=0))):
+            np.testing.assert_allclose(run[name].values, want, rtol=0, atol=1e-12)
+
+
+def test_full_drive_ensemble_matches_krylov_route():
+    basis = SectorBasis(8, 4)
+    (run,) = full_drive_ensemble(basis, PARAMS, ["11110000"], 300, ("F",))
+    assert list(run) == ["F"]
+    states = evolve_full(basis, PARAMS, "11110000", 300, dense_max=0)
+    np.testing.assert_allclose(run["F"].values,
+                               np.abs(states[:, 0].conj() @ states) ** 2,
+                               rtol=0, atol=1e-8)
+
+
+def off_resonant_spectrum():
+    basis = SectorBasis(8, 4)
+    params = ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0)
+    return diagonalize(build_effective_general(basis, params))
+
+
+@pytest.mark.parametrize("route, L", [("chiral", 8), ("chiral", 12),
+                                      ("dense", 8)])
+def test_series_from_complex_start_match_evolved_states(route, L):
+    spec = spectrum_for(L) if route == "chiral" else off_resonant_spectrum()
+    rng = np.random.default_rng(L)
+    psi0 = rng.normal(size=spec.size) + 1j * rng.normal(size=spec.size)
+    psi0 /= np.linalg.norm(psi0)
+    states = evolve_effective(spec, psi0, 200)
+    t_idx = tower_states(L).indices(spec.basis)
+    np.testing.assert_allclose(fidelity_series(spec, psi0, 200).values,
+                               np.abs(psi0.conj() @ states) ** 2,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        tower_probability_series(spec, psi0, cycles=200, chunk=64).values,
+        (np.abs(states[t_idx]) ** 2).sum(axis=0), rtol=0, atol=1e-12)
 
 
 def test_effective_approximates_full_at_strong_tilt():
@@ -286,3 +340,8 @@ def test_unitarity_drift_raises_numerical_error(monkeypatch, standard_params):
         dynamics.full_fidelity_series(basis, standard_params, pinnacle_state(4), 4)
     with pytest.raises(NumericalError, match="unitarity drift .* over 4 cycles"):
         dynamics.evolve_full(basis, standard_params, pinnacle_state(4), 4)
+    # the streamed ensemble checks once its last block is taken
+    monkeypatch.setattr(dynamics, "EE_CHUNK", 2)
+    with pytest.raises(NumericalError, match="unitarity drift .* over 4 cycles"):
+        dynamics.full_drive_ensemble(basis, standard_params,
+                                     [pinnacle_state(4)], 4)

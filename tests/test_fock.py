@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scarkit.errors import DomainError
 from scarkit.fock_basis import (FockState, SectorBasis, chiral_parity,
                                 dim_difference_formula, dipole_moment,
                                 parity_dim_sums, pinnacle_in_larger_sector,
-                                pinnacle_state, spatial_reverse,
-                                subspace_dims)
+                                pinnacle_state, subspace_dims)
 
 sectors = st.integers(2, 12).flatmap(
     lambda L: st.tuples(st.just(L), st.integers(0, L)))
@@ -59,7 +59,8 @@ def test_reversal_dipole_identity(LN):
     L, N = LN
     basis = SectorBasis(L, N)
     s = basis.state(basis.size // 3)
-    total = dipole_moment(s) + dipole_moment(spatial_reverse(s))
+    mirror = FockState.from_string(s.to_string()[::-1])    # site j -> L+1-j
+    total = dipole_moment(s) + dipole_moment(mirror)
     assert total == N * (L + 1)
 
 
@@ -87,6 +88,20 @@ def test_split_formulas_match_enumeration(N):
         assert split.difference == math.comb(N, N // 2)
     else:
         assert split.difference == 0
+
+
+def test_index_of_refuses_other_chain_lengths():
+    basis = SectorBasis(6, 3)
+    for state in ("0111", FockState.from_string("000000111"),
+                  FockState(0b1000011, 7)):
+        with pytest.raises(DomainError, match="sector has 6"):
+            basis.index_of(state)
+    # 0b1000011 has three particles but seven sites; it used to rank as 20
+    for bits in (0b1000011, 1 << 6, -1):
+        with pytest.raises(DomainError, match="do not fit 6 sites"):
+            basis.index_of(bits)
+    assert basis.index_of(0b000111) == basis.index_of("000111") == 0
+    assert basis.index_of(0b111000) == basis.index_of("111000") == basis.size - 1
 
 
 def test_pinnacle_layout():

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scarkit.fock_basis import FockState, SectorBasis
+import hop_oracles
+from scarkit.fock_basis import SectorBasis
 from scarkit.hamiltonian import (HOP_CLASSES, ModelParams,
                                  amplitudes_general, build_effective_general,
                                  build_effective_resonant, build_half_period,
-                                 build_hop, build_onsite, classify_hop,
-                                 onsite_energy, resonant_amplitudes)
+                                 build_hop, build_onsite, hop_moves,
+                                 resonant_amplitudes)
 from scarkit.resonance import resonant_family
 from scarkit.spectral import fold_quasienergy
 
@@ -49,39 +50,58 @@ def fermion_hop_oracle(basis: SectorBasis, J: float) -> np.ndarray:
     return H
 
 
+def onsite_energy(word: str, params: ModelParams) -> float:
+    """The `build_onsite` diagonal entry of one occupation word."""
+    basis = SectorBasis(len(word), word.count("1"))
+    return build_onsite(basis, params).matrix.diagonal()[basis.index_of(word)]
+
+
+def hops_of(word: str, params: ModelParams = PARAMS) -> dict:
+    """Every hop of `word` from `hop_moves`, as {moved word: (class, |dE|)}.
+
+    |dE| is the change of the `build_onsite` diagonal across the hop.
+    """
+    basis = SectorBasis(len(word), word.count("1"))
+    src, dst, cls = hop_moves(basis)
+    energy = build_onsite(basis, params).matrix.diagonal()
+    a = basis.index_of(word)
+    out = {}
+    for s, d, c in zip(src.tolist(), dst.tolist(), cls.tolist()):
+        if a in (s, d):
+            b = d if s == a else s
+            out[basis.state(b).to_string()] = (HOP_CLASSES[c],
+                                               abs(energy[b] - energy[a]))
+    return out
+
+
 def test_onsite_energy_small_cases():
     p = ModelParams(g=3.0, U=5.0, u=0.5, omega=2.0)
     # |1100>: one adjacent pair, dipole 1+2=3
-    assert onsite_energy(FockState.from_string("1100"), p) == 5.0 - 9.0
+    assert onsite_energy("1100", p) == 5.0 - 9.0
     # |1010>: no pairs, dipole 1+3=4
-    assert onsite_energy(FockState.from_string("1010"), p) == -12.0
+    assert onsite_energy("1010", p) == -12.0
     # |0111>: two pairs, dipole 2+3+4=9
-    assert onsite_energy(FockState.from_string("0111"), p) == 10.0 - 27.0
+    assert onsite_energy("0111", p) == 10.0 - 27.0
 
 
 def test_hop_classification_neighbour_rules():
-    p = PARAMS
     # 0(10)1 -> barrier |g-U|
-    hc = classify_hop(FockState.from_string("0101"), 2, p)
-    assert hc.kind == "g-U" and hc.barrier == pytest.approx(4.0)
+    kind, barrier = hops_of("0101")["0011"]
+    assert kind == "g-U" and barrier == pytest.approx(4.0)
     # 0(10)0 -> bare tilt barrier g
-    hc = classify_hop(FockState.from_string("0100"), 2, p)
-    assert hc.kind == "g" and hc.barrier == pytest.approx(7.0)
+    kind, barrier = hops_of("0100")["0010"]
+    assert kind == "g" and barrier == pytest.approx(7.0)
     # 1(10)0 -> barrier g+U
-    hc = classify_hop(FockState.from_string("1100"), 2, p)
-    assert hc.kind == "g+U" and hc.barrier == pytest.approx(18.0)
-    # blocked bonds classify to None
-    assert classify_hop(FockState.from_string("1100"), 1, p) is None
-    assert classify_hop(FockState.from_string("1100"), 3, p) is None
+    kind, barrier = hops_of("1100")["1010"]
+    assert kind == "g+U" and barrier == pytest.approx(18.0)
+    # blocked bonds 1 and 3 give no hop
+    assert set(hops_of("1100")) == {"1010"}
 
 
 def test_hop_classification_open_ends_count_empty():
-    p = PARAMS
     # leftmost bond: virtual site 0 empty -> class set by site 3 only
-    hc = classify_hop(FockState.from_string("1010"), 1, p)
-    assert hc.kind == "g-U"
-    hc = classify_hop(FockState.from_string("1000"), 1, p)
-    assert hc.kind == "g"
+    assert hops_of("1010")["0110"][0] == "g-U"
+    assert hops_of("1000")["0100"][0] == "g"
 
 
 @given(st.integers(4, 7).flatmap(
@@ -91,12 +111,13 @@ def test_signed_delta_matches_barrier(LN):
     # the barrier is the magnitude of the onsite energy change of the hop
     L, N = LN
     basis = SectorBasis(L, N)
-    for i in range(basis.size):
-        s = basis.state(i)
-        for j in range(1, L):
-            hc = classify_hop(s, j, PARAMS)
-            if hc is not None:
-                assert abs(hc.signed_delta) == pytest.approx(hc.barrier)
+    src, dst, cls = hop_moves(basis)
+    energy = build_onsite(basis, PARAMS).matrix.diagonal()
+    barriers = np.array([abs(PARAMS.g - PARAMS.U), PARAMS.g,
+                         PARAMS.g + PARAMS.U])
+    assert len(src) > 0
+    np.testing.assert_allclose(np.abs(energy[dst] - energy[src]),
+                               barriers[cls], rtol=1e-12)
 
 
 @pytest.mark.parametrize("L,N", [(4, 2), (5, 2), (6, 3)])
@@ -204,8 +225,7 @@ def test_general_diagonal_folds_to_zero_at_family_point():
 def test_general_diagonal_is_folded_static_energy():
     basis = SectorBasis(4, 2)
     gen = build_effective_general(basis, PARAMS).toarray()
-    for i in range(basis.size):
-        e = onsite_energy(basis.state(i), PARAMS)
+    for i, e in enumerate(hop_oracles._static_energies(basis, PARAMS)):
         assert np.real(gen[i, i]) == pytest.approx(
             fold_quasienergy(e, PARAMS.omega), abs=1e-12)
 

@@ -4,7 +4,9 @@
 and ndimage, which costs about a second per process; csgraph and
 sparse.linalg are imported inside the functions that need them.  A dynamics
 run loads no `scipy.linalg` either: its LAPACK calls go through numpy, whose
-OpenBLAS thread pool would contend with the second one scipy links.
+OpenBLAS thread pool would contend with the second one scipy links.  An
+exact-drive run below FULL_DENSE_MAX loads neither, since `scipy.sparse.linalg`
+is imported only on the Krylov branch.
 """
 
 import json
@@ -35,9 +37,17 @@ PROBE = textwrap.dedent("""
                          "--g", "50", "--u", "0.5", "--cycles", "128",
                          "--observables", "F,EE,Pt", "--fft",
                          "--out", os.path.join(tmp, "dyn.csv")])
+    after_run = loaded("scipy.signal", "scipy.special", "scipy.stats",
+                       "scipy.linalg")
+    with tempfile.TemporaryDirectory() as tmp:
+        full_code = cli.main(["dynamics", "--L", "6", "--family", "0,0,+",
+                              "--g", "50", "--u", "0.5", "--model", "full",
+                              "--cycles", "128",
+                              "--out", os.path.join(tmp, "full.csv")])
     print(json.dumps({"code": code, "after_import": after_import,
-                      "after_run": loaded("scipy.signal", "scipy.special",
-                                          "scipy.stats", "scipy.linalg")}))
+                      "after_run": after_run, "full_code": full_code,
+                      "after_full": loaded("scipy.sparse.linalg",
+                                           "scipy.linalg")}))
 """)
 
 
@@ -49,3 +59,6 @@ def test_import_and_dynamics_run_stay_off_heavy_scipy():
     assert report["code"] == 0
     assert report["after_import"] == []
     assert report["after_run"] == []
+    # below FULL_DENSE_MAX the exact drive never reaches the Krylov import
+    assert report["full_code"] == 0
+    assert report["after_full"] == []
