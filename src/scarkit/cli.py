@@ -12,10 +12,10 @@ failed numerical invariant (non-Hermitian build, unitarity drift).
 
 Option resolution imports no numpy: the handlers import the library, so
 `--threads` can cap the BLAS pools before numpy first loads.  The library
-modules load numpy and `scipy.sparse` only; `scipy.sparse.csgraph` and
-`scipy.sparse.linalg` load inside the functions that use them (`components`,
-the Krylov branch of the exact drive), and no module imports
-`scipy.signal`, `scipy.special` or `scipy.stats`.
+modules load numpy and `scipy.sparse` only; `scipy.sparse.linalg` (and with
+it `scipy.linalg`) loads only on the Krylov branch of the exact drive, and
+no module imports `scipy.sparse.csgraph`, `scipy.signal`, `scipy.special` or
+`scipy.stats`.
 """
 
 from __future__ import annotations
@@ -517,10 +517,13 @@ def _scar_report(spec, basis):
     return payload
 
 
+_IE_BATCH = 32    # eigenvector columns per S_IE block; small blocks stay in cache
+
+
 def _cmd_scar(opts: dict) -> int:
     import numpy as np
     from .fock_basis import pinnacle_state
-    from .observables import entropy_profile, shannon_entropy, StateVector
+    from .observables import entropy_profile, shannon_entropies
     basis = _sector(opts)
     if basis.L != 2 * basis.N:
         raise ConfigError("N: the scar report is defined at half filling")
@@ -533,12 +536,14 @@ def _cmd_scar(opts: dict) -> int:
         w_tp = spec.weight_row(basis.index_of(pinnacle_state(basis.L)))
         is_zero = np.zeros(spec.size, dtype=bool)
         is_zero[spec.zero_indices] = True
+        alphas = np.arange(spec.size)
         ie = np.empty(spec.size)
-        for a in range(spec.size):
-            ie[a] = shannon_entropy(StateVector(spec.vectors.column(a), basis))
+        for lo in range(0, spec.size, _IE_BATCH):
+            batch = alphas[lo:lo + _IE_BATCH]
+            ie[batch] = shannon_entropies(spec.vectors.columns(batch))
         _write_csv(per_state, ["alpha", "quasienergy", "S_EE", "S_IE",
                                "overlap_tp", "is_zero_mode"],
-                   [np.arange(spec.size), spec.quasienergies, ee, ie, w_tp,
+                   [alphas, spec.quasienergies, ee, ie, w_tp,
                     is_zero])
     _write_manifest("scar", opts, _manifest_path(opts, per_state))
     _emit_json(payload)

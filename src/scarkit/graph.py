@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError
 from .fock_basis import FockState, SectorBasis, pinnacle_state
@@ -71,7 +70,8 @@ def build_graph(basis: SectorBasis, params=None) -> HilbertGraph:
     the operator builders but the class labels are purely geometric."""
     del params
     src, dst, cls = hop_moves(basis)      # dst < src
-    order = np.lexsort((src, dst))
+    # (dst, src) pairs are unique, so one key sorts them lexicographically
+    order = np.argsort(dst * basis.size + src, kind="stable")
     return HilbertGraph(basis, dst[order], src[order], cls[order])
 
 
@@ -86,20 +86,26 @@ def components(graph: HilbertGraph,
     """Connected components of the class-filtered subgraph.
 
     Components come back as ascending index arrays, ordered by their smallest
-    vertex, so the labeling is deterministic.
+    vertex, so the labeling is deterministic.  Hook and compress: every edge
+    joining two roots hooks the larger root onto the smaller, and pointer
+    jumping then flattens the trees, until no edge joins two roots.  Each
+    root is thus the smallest vertex of its component.
     """
-    # imported here so that importing this module does not load csgraph
-    from scipy.sparse.csgraph import connected_components
     keep = graph._edge_mask(allowed)
-    n = graph.n_vertices
-    adj = sp.csr_matrix((np.ones(int(keep.sum()), dtype=np.int8),
-                         (graph.edge_a[keep], graph.edge_b[keep])), shape=(n, n))
-    _, labels = connected_components(adj, directed=False)
-    # relabel by smallest member: np.unique's first indices are those members
-    _, first = np.unique(labels, return_index=True)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    labels = rank[labels]
+    a, b = graph.edge_a[keep], graph.edge_b[keep]
+    labels = np.arange(graph.n_vertices)
+    while True:
+        ra, rb = labels[a], labels[b]
+        join = ra != rb
+        if not join.any():
+            break
+        # an edge inside one tree stays inside it, so only joining edges go on
+        a, b, ra, rb = a[join], b[join], ra[join], rb[join]
+        np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+    _, labels = np.unique(labels, return_inverse=True)
     members = np.argsort(labels, kind="stable")
     bounds = np.cumsum(np.bincount(labels))[:-1]
     return np.split(members, bounds)

@@ -119,8 +119,10 @@ def schmidt_spectrum(amplitudes: np.ndarray, basis: SectorBasis,
 
 
 def plogp(p: np.ndarray) -> np.ndarray:
-    """p * ln p elementwise, exactly 0 where p = 0; same shape as p."""
-    return p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    """p * ln p elementwise for p >= 0, exactly 0 where p = 0; same shape."""
+    out = np.log(p + (p == 0))     # log 1 = 0 where p = 0
+    out *= p
+    return out
 
 
 def schmidt_entropies(columns: np.ndarray, basis: SectorBasis,
@@ -169,11 +171,26 @@ def entropy_profile(spec: Spectrum, indices=None, cut: int | None = None,
     return out[where]
 
 
+def shannon_entropies(columns: np.ndarray) -> np.ndarray:
+    """Spread of each amplitude column over the Fock basis, -sum p ln p in nats.
+
+    A (dim, n) block gives n entropies, a single amplitude vector a scalar.
+    Every column must be normalized to within NORM_TOL.  Each column is summed
+    as one contiguous row, so its value does not depend on the block it came
+    in.
+    """
+    p = np.abs(columns)
+    p = np.ascontiguousarray(np.square(p, out=p).T)
+    for norm_sq in np.add.reduce(p, axis=-1).reshape(-1).tolist():
+        norm = math.sqrt(norm_sq)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise DomainError(f"state norm {norm} not within {NORM_TOL} of 1")
+    return -np.add.reduce(plogp(p), axis=-1)
+
+
 def shannon_entropy(state: StateVector) -> float:
     """Spread of the state over the Fock basis, -sum p ln p in nats."""
-    amps = _require_normalized(state)
-    p = np.abs(amps) ** 2
-    return float(-plogp(p).sum())
+    return float(shannon_entropies(state.amplitudes))
 
 
 def page_entropy(L: int) -> float:

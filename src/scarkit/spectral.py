@@ -339,10 +339,17 @@ class Spectrum:
         return np.abs(self.vectors.row(n)) ** 2
 
     def propagate(self, psi0: np.ndarray, cycles, period: float) -> np.ndarray:
-        """State columns after whole numbers of driving cycles."""
+        """State columns after whole numbers of driving cycles, complex128.
+
+        A start with no imaginary part goes in real, so the chiral route
+        evolves it in real arithmetic only.
+        """
         kt = np.asarray(cycles, dtype=np.float64) * period
-        return self.vectors.propagate(np.asarray(psi0, dtype=np.complex128),
-                                      kt, self.quasienergies)
+        psi0 = np.asarray(psi0)
+        if np.iscomplexobj(psi0) and not psi0.imag.any():
+            psi0 = psi0.real
+        out = self.vectors.propagate(psi0, kt, self.quasienergies)
+        return out.astype(np.complex128, copy=False)
 
 
 def _zero_tol(values: np.ndarray) -> float:

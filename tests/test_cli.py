@@ -248,6 +248,29 @@ def test_scar_json_even_filling(tmp_path, capsys):
     assert len(lines) == 71
 
 
+@pytest.mark.parametrize("family", [(0, 0, "+"), (0, 1, "-")])
+def test_scar_per_state_ie_matches_per_column_entropy(tmp_path, capsys,
+                                                      monkeypatch, family):
+    # small blocks, so that S_IE comes from several column batches
+    from scarkit.hamiltonian import build_effective_resonant
+    from scarkit.observables import StateVector, shannon_entropy
+    from scarkit.resonance import resonant_family
+    from scarkit.spectral import diagonalize
+    monkeypatch.setattr(cli, "_IE_BATCH", 16)
+    per_state = tmp_path / "per.csv"
+    code, _, _ = run(capsys, "scar", "--L", "8",
+                     "--family", ",".join(map(str, family)),
+                     "--g", "50", "--u", "0.5", "--per-state", str(per_state))
+    assert code == 0
+    table = np.genfromtxt(per_state, delimiter=",", names=True)
+    basis = SectorBasis(8, 4)
+    spec = diagonalize(build_effective_resonant(
+        basis, resonant_family(*family).params(g=50.0, u=0.5), *family))
+    expected = [shannon_entropy(StateVector(spec.vectors.column(a), basis))
+                for a in range(spec.size)]
+    np.testing.assert_allclose(table["S_IE"], expected, rtol=1e-14, atol=0)
+
+
 def test_reproduce_rejects_unknown_bundle(capsys):
     code, _, err = run(capsys, "reproduce", "--bundle", "nope")
     assert code == 2 and "nope" in err

@@ -1,18 +1,27 @@
-"""Sector hop graph: bipartiteness, fragmentation, the tower block."""
+"""Sector hop graph: bipartiteness, fragmentation, the tower block.
 
+`scipy.sparse.csgraph.connected_components` and `np.lexsort` are the oracles
+for `components` and `build_graph`'s edge order.
+"""
+
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from scarkit.fock_basis import SectorBasis, pinnacle_state
 from scarkit.graph import (HilbertGraph, Tower, bipartite_violations,
                            build_graph, components, spta_matrix, to_dot,
                            tower_escape_edges, tower_internal_edges,
                            tower_states)
-from scarkit.hamiltonian import build_effective_resonant, resonant_amplitudes
+from scarkit.hamiltonian import (HOP_CLASSES, build_effective_resonant,
+                                 hop_moves, resonant_amplitudes)
 from scarkit.resonance import resonant_family
 
 FAMILY = resonant_family(0, 0, "+")
@@ -68,6 +77,81 @@ def test_component_determinism_and_partition():
     assert all(np.array_equal(a, b) for a, b in zip(comps, comps2))
     everything = np.sort(np.concatenate(comps))
     assert np.array_equal(everything, np.arange(basis.size))
+
+
+def csgraph_components(n, a, b):
+    """The csgraph partition, components ordered by their smallest vertex."""
+    adj = sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    _, labels = connected_components(adj, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return [np.flatnonzero(labels == labels[v]) for v in np.sort(first)]
+
+
+def assert_same_partition(got, expected):
+    assert len(got) == len(expected)
+    for c, e in zip(got, expected):
+        assert c.dtype == np.intp
+        assert np.array_equal(c, e)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, a, b, classes): random edges, or a path through shuffled labels."""
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        order = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+        a, b = order[:-1], order[1:]
+    else:
+        vertex = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        a = np.array([p[0] for p in pairs], dtype=np.intp)
+        b = np.array([p[1] for p in pairs], dtype=np.intp)
+    classes = np.array(draw(st.lists(st.integers(0, 2), min_size=len(a),
+                                     max_size=len(a))), dtype=np.int8)
+    return n, a, b, classes
+
+
+@given(edge_lists(), st.sampled_from([None, {"g"}, {"g", "g-U"}]))
+@example((1, np.empty(0, np.intp), np.empty(0, np.intp),
+          np.empty(0, np.int8)), None).via("one vertex, no edges")
+@example((300, np.empty(0, np.intp), np.empty(0, np.intp),
+          np.empty(0, np.int8)), None).via("isolated vertices only")
+@example((300, np.arange(299, 0, -1), np.arange(298, -1, -1),
+          np.ones(299, np.int8)), {"g"}).via("path hooked from the far end")
+@settings(max_examples=200, deadline=None)
+def test_components_match_csgraph_on_random_edge_lists(case, allowed):
+    n, a, b, classes = case
+    graph = HilbertGraph(SimpleNamespace(size=n), a, b, classes)
+    keep = graph._edge_mask(allowed)
+    assert_same_partition(components(graph, allowed),
+                          csgraph_components(n, a[keep], b[keep]))
+
+
+CLASS_FILTERS = [None] + [set(c) for k in (1, 2)
+                          for c in itertools.combinations(HOP_CLASSES, k)]
+
+
+@pytest.mark.parametrize("L", [4, 6, 8, 10, 12])
+def test_components_match_csgraph_on_half_filled_sectors(L):
+    graph = build_graph(SectorBasis(L, L // 2))
+    for allowed in CLASS_FILTERS:
+        keep = graph._edge_mask(allowed)
+        assert_same_partition(
+            components(graph, allowed),
+            csgraph_components(graph.n_vertices, graph.edge_a[keep],
+                               graph.edge_b[keep]))
+
+
+@pytest.mark.parametrize("L", range(1, 13))
+def test_build_graph_edge_order_matches_lexsort(L):
+    for N in range(L + 1):
+        basis = SectorBasis(L, N)
+        src, dst, cls = hop_moves(basis)
+        order = np.lexsort((src, dst))
+        graph = build_graph(basis)
+        assert np.array_equal(graph.edge_a, dst[order])
+        assert np.array_equal(graph.edge_b, src[order])
+        assert np.array_equal(graph.edge_class, cls[order])
 
 
 @pytest.mark.parametrize("L", [4, 6, 8, 10])

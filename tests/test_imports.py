@@ -1,12 +1,13 @@
 """Import budget: scarkit loads numpy and scipy.sparse, nothing heavier.
 
 `scipy.signal` and `scipy.special` pull in scipy.stats, interpolate, optimize
-and ndimage, which costs about a second per process; csgraph and
-sparse.linalg are imported inside the functions that need them.  A dynamics
-run loads no `scipy.linalg` either: its LAPACK calls go through numpy, whose
-OpenBLAS thread pool would contend with the second one scipy links.  An
-exact-drive run below FULL_DENSE_MAX loads neither, since `scipy.sparse.linalg`
-is imported only on the Krylov branch.
+and ndimage, which costs about a second per process.  No module uses
+`scipy.sparse.csgraph`: connected components are numpy code.  Only
+`scipy.sparse.linalg` is imported lazily, on the Krylov branch of the exact
+drive, and `scipy.linalg` loads only as its dependency.  So a dynamics run
+loads no `scipy.linalg`: its LAPACK calls go through numpy, whose OpenBLAS
+thread pool would contend with the second one scipy links.  Neither does an
+exact-drive run below FULL_DENSE_MAX, nor a `graph --components` run.
 """
 
 import json
@@ -20,7 +21,7 @@ import scarkit
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(scarkit.__file__)))
 
 PROBE = textwrap.dedent("""
-    import json, os, sys, tempfile
+    import contextlib, io, json, os, sys, tempfile
     import scarkit
 
     def loaded(*prefixes):
@@ -44,10 +45,14 @@ PROBE = textwrap.dedent("""
                               "--g", "50", "--u", "0.5", "--model", "full",
                               "--cycles", "128",
                               "--out", os.path.join(tmp, "full.csv")])
+    after_full = loaded("scipy.sparse.linalg", "scipy.linalg")
+    with contextlib.redirect_stdout(io.StringIO()):
+        graph_code = cli.main(["graph", "--L", "8", "--components", "g,g-U"])
     print(json.dumps({"code": code, "after_import": after_import,
                       "after_run": after_run, "full_code": full_code,
-                      "after_full": loaded("scipy.sparse.linalg",
-                                           "scipy.linalg")}))
+                      "after_full": after_full, "graph_code": graph_code,
+                      "after_graph": loaded("scipy.sparse.csgraph",
+                                            "scipy.linalg")}))
 """)
 
 
@@ -62,3 +67,6 @@ def test_import_and_dynamics_run_stay_off_heavy_scipy():
     # below FULL_DENSE_MAX the exact drive never reaches the Krylov import
     assert report["full_code"] == 0
     assert report["after_full"] == []
+    # connected components take no csgraph (and so no scipy.linalg) import
+    assert report["graph_code"] == 0
+    assert report["after_graph"] == []

@@ -19,7 +19,8 @@ from scarkit.observables import (SCHMIDT_FLOOR, StateVector, coe_ie_reference,
                                  entropy_profile, fock_vector, overlap_table,
                                  page_entropy, plogp, scar_state,
                                  schmidt_entropies, schmidt_spectrum,
-                                 shannon_entropy, zero_projection)
+                                 shannon_entropies, shannon_entropy,
+                                 zero_projection)
 from scarkit.resonance import resonant_family
 from scarkit.spectral import diagonalize
 
@@ -242,6 +243,37 @@ def test_shannon_entropy_matches_xlogy_formula(L):
         p = np.abs(sv.amplitudes) ** 2
         assert shannon_entropy(sv) == pytest.approx(-xlogy(p, p).sum(),
                                                     rel=0, abs=PLOGP_ATOL)
+
+
+@pytest.mark.parametrize("L", [8, 12, 16])
+def test_blocked_shannon_entropies_equal_per_column_values(L):
+    # the per-column StateVector loop `scar --per-state` ran before is the
+    # oracle; summing each column contiguously keeps the values bitwise.
+    # L = 16 (dim 12870) runs past numpy's 8192-element reduction buffer.
+    basis = SectorBasis(L, L // 2)
+    if L <= 12:
+        spec = diagonalize(build_effective_resonant(basis, PARAMS, 0, 0, "+"))
+        cols = spec.vectors.columns(np.arange(0, spec.size, 3))
+    else:
+        rng = np.random.default_rng(5)
+        cols = rng.normal(size=(basis.size, 24)) + 1j * rng.normal(
+            size=(basis.size, 24))
+        cols /= np.linalg.norm(cols, axis=0)
+    expected = [shannon_entropy(StateVector(c, basis)) for c in cols.T]
+    assert shannon_entropies(cols).tolist() == expected
+    assert shannon_entropies(cols[:, :1]).tolist() == expected[:1]
+    assert shannon_entropies(cols[:, 0]) == expected[0]
+
+
+def test_shannon_entropies_check_every_column_norm():
+    basis = SectorBasis(6, 3)
+    cols = np.eye(basis.size)[:, :5]
+    assert shannon_entropies(cols).tolist() == [0.0] * 5
+    cols[3, 3] = 1.0 + 1e-9
+    with pytest.raises(DomainError, match="state norm"):
+        shannon_entropies(cols)
+    with pytest.raises(DomainError, match="state norm"):
+        shannon_entropy(StateVector(cols[:, 3], basis))
 
 
 @st.composite

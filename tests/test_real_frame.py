@@ -162,6 +162,29 @@ def test_real_start_propagates_in_real_arithmetic():
     assert evolve_effective(spec, pinnacle_state(12), 3).dtype == np.complex128
 
 
+@pytest.mark.parametrize("chiral", [True, False])
+def test_spectrum_propagate_passes_a_real_start_through(chiral):
+    # a start with no imaginary part is evolved as a real one, then cast
+    if chiral:
+        spec = chiral_spectrum(10, (0, 0, "+"))
+    else:
+        basis = SectorBasis(8, 4)
+        spec = diagonalize(build_effective_general(
+            basis, ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0)))
+    psi0 = fock_vector(spec.basis, pinnacle_state(spec.basis.L)).amplitudes
+    ks = np.arange(40)
+    period = 2.0 * np.pi / spec.omega
+    real = spec.vectors.propagate(psi0.real, ks * period, spec.quasienergies)
+    for start in (psi0, psi0.real):
+        states = spec.propagate(start, ks, period)
+        assert states.dtype == np.complex128
+        assert np.array_equal(states, real)
+    # a complex start still runs its imaginary part
+    phased = 1j * psi0
+    np.testing.assert_allclose(spec.propagate(phased, ks, period), 1j * real,
+                               rtol=0, atol=1e-15)
+
+
 def test_schmidt_real_dtype_matches_complex():
     basis = SectorBasis(10, 5)
     rng = np.random.default_rng(4)
