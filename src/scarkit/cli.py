@@ -5,7 +5,10 @@ compare, reproduce.  Every option resolves as flag > SCARKIT_<NAME> env var >
 config file > built-in default; config files are `key = value` lines (or a
 previously written manifest, whose stored configuration is reused).  Each
 file-writing run drops a manifest JSON beside its primary output so the run
-can be repeated verbatim with `--config <manifest>`.
+can be repeated verbatim with `--config <manifest>`; `reproduce` drops it at
+`<outdir>/bundle.manifest.json`.  `--manifest` names another path.  Handlers
+return `(payload, primary_output)`: `main` alone writes the manifest and
+prints the payload, so bundles call handlers as plain functions.
 
 Exit codes: 0 success, 2 configuration problems, 3 capability limits or a
 failed numerical invariant (non-Hermitian build, unitarity drift).
@@ -33,9 +36,6 @@ _FALSE_WORDS = {"0", "false", "no", "off", ""}
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-BUNDLES = ("spectral-map", "quench-series", "revival-spectra",
-           "model-comparison", "ratio-landscape")
 
 
 # ---------------------------------------------------------------- plumbing
@@ -101,8 +101,10 @@ def _json_ready(obj):
     return obj
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(_json_ready(obj), indent=2, allow_nan=True))
+def _write_json(path: str, obj, sort_keys: bool = False) -> None:
+    with open(path, "w") as fh:
+        json.dump(_json_ready(obj), fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def _normalize_key(key: str) -> str:
@@ -196,10 +198,8 @@ def _write_manifest(command: str, opts: dict, path: str | None) -> None:
     from . import __version__
     config = {k: v for k, v in opts.items()
               if v is not None and k not in ("config", "manifest")}
-    payload = {"command": command, "version": __version__, "config": config}
-    with open(path, "w") as fh:
-        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"command": command, "version": __version__,
+                       "config": config}, sort_keys=True)
 
 
 def _manifest_path(opts: dict, primary_output: str | None) -> str | None:
@@ -319,15 +319,24 @@ def _build_effective(basis, params, family):
     return build_effective_general(basis, params)
 
 
-def _diagonalize(opts: dict, ham):
+def _spectrum(opts: dict, basis=None):
+    """(basis, params, Spectrum) of the effective H that `opts` names.
+
+    A handler that checks its other options against the sector first passes
+    that `basis` in, so nothing is diagonalized before a refusal.
+    """
     from .spectral import DENSE_EIG_DEFAULT, diagonalize
+    if basis is None:
+        basis = _sector(opts)
+    params, family = _resolve_params(opts)
     threshold = _positive(opts, "dense_threshold", DENSE_EIG_DEFAULT)
-    return diagonalize(ham, dense_threshold=threshold)
+    ham = _build_effective(basis, params, family)
+    return basis, params, diagonalize(ham, dense_threshold=threshold)
 
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_basis(opts: dict) -> int:
+def _cmd_basis(opts: dict) -> tuple:
     import numpy as np
     from .fock_basis import dim_difference_formula
     basis = _sector(opts)
@@ -345,12 +354,10 @@ def _cmd_basis(opts: dict) -> int:
         words = [format(s, f"0{basis.L}b") for s in basis.states.tolist()]
         _write_csv(out, ["index", "word", "dipole", "parity"],
                    [np.arange(basis.size), words, basis.dipoles, basis.parities])
-    _write_manifest("basis", opts, _manifest_path(opts, out))
-    _emit_json(summary)
-    return 0
+    return summary, out
 
 
-def _cmd_hamiltonian(opts: dict) -> int:
+def _cmd_hamiltonian(opts: dict) -> tuple:
     import numpy as np
     import scipy.sparse as sp
     from .hamiltonian import (build_half_period, build_hop, build_onsite)
@@ -379,23 +386,19 @@ def _cmd_hamiltonian(opts: dict) -> int:
         data = coo.data[order]
         _write_csv(out, ["row", "col", "real", "imag"],
                    [coo.row[order], coo.col[order], data.real, data.imag])
-    _write_manifest("hamiltonian", opts, _manifest_path(opts, out))
-    _emit_json({"kind": ham.kind, "dimension": ham.dimension,
-                "nnz": int(ham.matrix.nnz)})
-    return 0
+    return {"kind": ham.kind, "dimension": ham.dimension,
+            "nnz": int(ham.matrix.nnz)}, out
 
 
-def _cmd_resonance(opts: dict) -> int:
+def _cmd_resonance(opts: dict) -> tuple:
     from .resonance import scan_ratio_grid
     family_text = opts.get("family")
     if family_text is not None:
         fam = _parse_family(family_text)
-        _write_manifest("resonance", opts, _manifest_path(opts, None))
-        _emit_json({"k1": fam.k1, "k2": fam.k2, "branch": fam.branch,
-                    "U_over_g": float(fam.U_over_g),
-                    "U_over_g_exact": str(fam.U_over_g),
-                    "g_over_omega": fam.g_over_omega, "k3": fam.k3})
-        return 0
+        return {"k1": fam.k1, "k2": fam.k2, "branch": fam.branch,
+                "U_over_g": float(fam.U_over_g),
+                "U_over_g_exact": str(fam.U_over_g),
+                "g_over_omega": fam.g_over_omega, "k3": fam.k3}, None
     grid_text = _require(opts, "grid")
     omega, u = _require(opts, "omega", "u")
     U_values, g_values = _parse_grid(grid_text)
@@ -403,18 +406,14 @@ def _cmd_resonance(opts: dict) -> int:
     out = _require(opts, "out")
     _write_csv(out, ["U", "g", "r1", "r2", "r3", "div1", "div2", "div3"],
                [*table[:, :5].T, *table[:, 5:].T.astype(int)])
-    _write_manifest("resonance", opts, _manifest_path(opts, out))
-    _emit_json({"rows": len(table), "omega": omega, "u": u})
-    return 0
+    return {"rows": len(table), "omega": omega, "u": u}, out
 
 
-def _cmd_spectrum(opts: dict) -> int:
+def _cmd_spectrum(opts: dict) -> tuple:
     import numpy as np
     from .fock_basis import dim_difference_formula
     from .spectral import gap_ratio_stats
-    basis = _sector(opts)
-    params, family = _resolve_params(opts)
-    spec = _diagonalize(opts, _build_effective(basis, params, family))
+    basis, _, spec = _spectrum(opts)
     out = opts.get("out")
     if out:
         is_zero = np.zeros(spec.size, dtype=bool)
@@ -428,16 +427,14 @@ def _cmd_spectrum(opts: dict) -> int:
         r_mean = gap_ratio_stats(spec).mean_r
     except DomainError:
         r_mean = None
-    _write_manifest("spectrum", opts, _manifest_path(opts, out))
-    _emit_json({"dimension": spec.size,
-                "zero_mode_count": len(spec.zero_indices),
-                "kernel_bound": (dim_difference_formula(basis.N)
-                                 if basis.L == 2 * basis.N else None),
-                "r_mean": r_mean})
-    return 0
+    return {"dimension": spec.size,
+            "zero_mode_count": len(spec.zero_indices),
+            "kernel_bound": (dim_difference_formula(basis.N)
+                             if basis.L == 2 * basis.N else None),
+            "r_mean": r_mean}, out
 
 
-def _cmd_graph(opts: dict) -> int:
+def _cmd_graph(opts: dict) -> tuple:
     from .graph import (HOP_CLASSES, bipartite_violations, build_graph,
                         components, to_dot, tower_internal_edges, tower_states)
     basis = _sector(opts)
@@ -451,8 +448,7 @@ def _cmd_graph(opts: dict) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        _write_manifest("graph", opts, _manifest_path(opts, out))
-        return 0
+        return None, out
     if emit != "json":
         raise ConfigError(f"emit: expected dot or json, got {emit!r}")
     allowed = None
@@ -481,12 +477,8 @@ def _cmd_graph(opts: dict) -> int:
             "internal_edges": len(tower_internal_edges(graph, tower)),
         }
     if out:
-        with open(out, "w") as fh:
-            json.dump(_json_ready(summary), fh, indent=2)
-            fh.write("\n")
-    _write_manifest("graph", opts, _manifest_path(opts, out))
-    _emit_json(summary)
-    return 0
+        _write_json(out, summary)
+    return summary, out
 
 
 def _scar_report(spec, basis):
@@ -520,15 +512,14 @@ def _scar_report(spec, basis):
 _IE_BATCH = 32    # eigenvector columns per S_IE block; small blocks stay in cache
 
 
-def _cmd_scar(opts: dict) -> int:
+def _cmd_scar(opts: dict) -> tuple:
     import numpy as np
     from .fock_basis import pinnacle_state
     from .observables import entropy_profile, shannon_entropies
     basis = _sector(opts)
     if basis.L != 2 * basis.N:
         raise ConfigError("N: the scar report is defined at half filling")
-    params, family = _resolve_params(opts)
-    spec = _diagonalize(opts, _build_effective(basis, params, family))
+    _, _, spec = _spectrum(opts, basis)
     payload = _scar_report(spec, basis)
     per_state = opts.get("per_state")
     if per_state:
@@ -545,9 +536,7 @@ def _cmd_scar(opts: dict) -> int:
                                "overlap_tp", "is_zero_mode"],
                    [alphas, spec.quasienergies, ee, ie, w_tp,
                     is_zero])
-    _write_manifest("scar", opts, _manifest_path(opts, per_state))
-    _emit_json(payload)
-    return 0
+    return payload, per_state
 
 
 _OBSERVABLE_ORDER = ("F", "EE", "Pt")
@@ -558,94 +547,73 @@ def _parse_observables(text: str | None) -> list[str]:
         return list(_OBSERVABLE_ORDER)
     names = [n.strip() for n in str(text).split(",") if n.strip()]
     bad = [n for n in names if n not in _OBSERVABLE_ORDER]
-    if bad:
-        raise ConfigError(f"observables: unknown observable {bad[0]!r} "
+    if bad or not names:
+        what = f"unknown observable {bad[0]!r}" if bad else \
+            f"none named in {text!r}"
+        raise ConfigError(f"observables: {what} "
                           f"(choose from {', '.join(_OBSERVABLE_ORDER)})")
     return [n for n in _OBSERVABLE_ORDER if n in names]
 
 
-def _effective_series(spec, state, cycles, wanted):
-    from .dynamics import ee_series, fidelity_series, tower_probability_series
-    out = {}
-    if "F" in wanted:
-        out["F"] = fidelity_series(spec, state, cycles)
-    if "EE" in wanted:
-        out["EE"] = ee_series(spec, state, cycles)
-    if "Pt" in wanted:
-        out["Pt"] = tower_probability_series(spec, state, cycles=cycles)
-    return out
-
-
-def _cmd_dynamics(opts: dict) -> int:
+def _cmd_dynamics(opts: dict) -> tuple:
     import numpy as np
-    from .dynamics import (ensemble_stats, fta, full_drive_ensemble,
-                           random_nontower_states)
+    from .dynamics import (ee_series, ensemble_stats, fidelity_series, fta,
+                           full_drive_ensemble, random_nontower_states,
+                           tower_probability_series)
     basis = _sector(opts)
-    params, family = _resolve_params(opts)
     model = opts.get("model") or "effective"
     if model not in ("effective", "full"):
         raise ConfigError(f"model: expected effective or full, got {model!r}")
     cycles = _positive(opts, "cycles", 4096)
     wanted = _parse_observables(opts.get("observables"))
     init = _parse_initial(opts.get("initial") or "tp", basis.L)
-
-    spec = None
-    if model == "effective":
-        spec = _diagonalize(opts, _build_effective(basis, params, family))
-
-    def run_all(states):
-        if model == "effective":
-            return [_effective_series(spec, s, cycles, wanted) for s in states]
-        return full_drive_ensemble(basis, params, states, cycles, wanted)
-
-    if init["kind"] == "state":
-        series = run_all([init["state"]])[0]
-        sds = {}
-    else:
-        samples = random_nontower_states(basis, count=init["count"],
-                                         seed=init["seed"])
-        runs = run_all(samples)
-        series, sds = {}, {}
-        for name in wanted:
-            agg = ensemble_stats([r[name] for r in runs], runs[0][name].label)
-            series[name], sds[name] = agg, agg
-
     out = _require(opts, "out")
-    labels = [series[n].label for n in wanted]
-    header = ["k"] + labels
-    columns = [series[n].values for n in wanted]
-    if sds:
-        header += [label + "_sd" for label in labels]
-        columns += [sds[n].sd for n in wanted]
+    if init["kind"] == "state":
+        starts = [init["state"]]
+    else:
+        starts = random_nontower_states(basis, count=init["count"],
+                                        seed=init["seed"])
+    if model == "effective":
+        _, _, spec = _spectrum(opts, basis)
+        series_of = {"F": fidelity_series, "EE": ee_series,
+                     "Pt": tower_probability_series}
+        runs = [{n: series_of[n](spec, s, cycles=cycles) for n in wanted}
+                for s in starts]
+    else:
+        params, _ = _resolve_params(opts)
+        runs = full_drive_ensemble(basis, params, starts, cycles, wanted)
+
+    series = runs[0]
+    if init["kind"] == "random":
+        series = {n: ensemble_stats([r[n] for r in runs], series[n].label)
+                  for n in wanted}
+    picked = [series[n] for n in wanted]
+    header = ["k"] + [s.label for s in picked]
+    columns = [s.values for s in picked]
+    if init["kind"] == "random":
+        header += [s.label + "_sd" for s in picked]
+        columns += [s.sd for s in picked]
     _write_csv(out, header, [np.arange(len(columns[0])), *columns])
 
     if opts.get("fft"):
         freqs, amps = fta(series[wanted[0]].values)
         fft_path = opts.get("fft_out") or (os.path.splitext(out)[0] + "_fft.csv")
         _write_csv(fft_path, ["freq_rad_per_cycle", "amplitude"], [freqs, amps])
-    _write_manifest("dynamics", opts, _manifest_path(opts, out))
-    _emit_json({"dimension": basis.size, "model": model,
-                "initial": init["label"], "cycles": int(cycles),
-                "observables": wanted})
-    return 0
+    return {"dimension": basis.size, "model": model,
+            "initial": init["label"], "cycles": int(cycles),
+            "observables": wanted}, out
 
 
-def _cmd_compare(opts: dict) -> int:
-    _emit_json(_compare(opts))
-    return 0
-
-
-def _compare(opts: dict) -> dict:
-    """Write the `compare` CSV and manifest; return its stdout payload."""
+def _cmd_compare(opts: dict) -> tuple:
     import numpy as np
     from .dynamics import fidelity_series, full_fidelity_series
     basis = _sector(opts)
-    params, family = _resolve_params(opts)
-    cycles = _positive(opts, "cycles", int(round(50 * params.g)))
+    cycles = _positive(opts, "cycles", None)
     init = _parse_initial(opts.get("initial") or "tp", basis.L)
     if init["kind"] != "state":
         raise ConfigError("initial: compare runs a single Fock state")
-    spec = _diagonalize(opts, _build_effective(basis, params, family))
+    _, params, spec = _spectrum(opts, basis)
+    cycles = cycles or int(round(50 * params.g))
     f_eff = fidelity_series(spec, init["state"], cycles)
     f_full = full_fidelity_series(basis, params, init["state"], cycles)
     diff = np.abs(f_full.values - f_eff.values)
@@ -653,61 +621,48 @@ def _compare(opts: dict) -> dict:
     if out:
         _write_csv(out, ["k", "F_full", "F_eff", "abs_diff"],
                    [np.arange(len(diff)), f_full.values, f_eff.values, diff])
-    _write_manifest("compare", opts, _manifest_path(opts, out))
     return {"dimension": basis.size, "g": params.g, "cycles": int(cycles),
-            "initial": init["label"], "max_abs_diff": float(diff.max())}
+            "initial": init["label"], "max_abs_diff": float(diff.max())}, out
 
 
 # ------------------------------------------------------------- reproduce
 
-def _silently(handler, opts: dict) -> None:
-    """Run a subcommand for a bundle, swallowing its stdout JSON."""
-    import contextlib
-    import io
-    with contextlib.redirect_stdout(io.StringIO()):
-        handler(opts)
+# The bundles' working point: family (0,0,+) at g = 50, u = 0.5, half filling.
+_WORKING_POINT = {"N": None, "family": "0,0,+", "g": 50.0, "u": 0.5}
 
 
-def _bundle_spectral_map(opts: dict, outdir: str, scale: str) -> dict:
-    L = 16 if scale == "desk" else 18
-    run = dict(opts, L=L, N=None, family="0,0,+", g=50.0, u=0.5,
-               per_state=os.path.join(outdir, f"states_L{L}.csv"),
-               out=None, manifest=os.path.join(outdir, "manifest.json"))
-    _silently(_cmd_scar, run)
+def _bundle_spectral_map(opts: dict, outdir: str, sizes) -> dict:
+    (L,) = sizes
+    run = {**opts, **_WORKING_POINT, "L": L,
+           "per_state": os.path.join(outdir, f"states_L{L}.csv")}
+    _cmd_scar(run)
+    _write_manifest("scar", run, os.path.join(outdir, "manifest.json"))
     return {"files": [run["per_state"]]}
 
 
-def _bundle_quench_series(opts: dict, outdir: str, scale: str) -> dict:
-    sizes = (12, 14) if scale == "desk" else (16, 18)
-    cycles = _positive(opts, "cycles", 4096)
+def _bundle_quench_series(opts: dict, outdir: str, sizes) -> dict:
     seed = 7 if opts.get("seed") is None else opts["seed"]
     files = []
     for L in sizes:
         for initial in ("tp", "te_p:2", f"random:10:{seed}"):
             stem = initial.replace(":", "-")
             out = os.path.join(outdir, f"quench_L{L}_{stem}.csv")
-            run = dict(opts, L=L, N=None, family="0,0,+", g=50.0, u=0.5,
-                       model="effective", initial=initial, cycles=cycles,
-                       observables="F,EE,Pt", out=out, fft=False,
-                       manifest=os.devnull)
-            _silently(_cmd_dynamics, run)
+            _cmd_dynamics({**opts, **_WORKING_POINT, "L": L,
+                           "model": "effective", "initial": initial,
+                           "observables": "F,EE,Pt", "out": out,
+                           "fft": False})
             files.append(out)
     return {"files": files}
 
 
-def _bundle_revival_spectra(opts: dict, outdir: str, scale: str) -> dict:
+def _bundle_revival_spectra(opts: dict, outdir: str, sizes) -> dict:
     from .dynamics import (analytic_fidelity, dominant_peaks, fta,
                            spta_fidelity, tower_probability_series)
-    from .fock_basis import SectorBasis, pinnacle_state
-    from .resonance import resonant_family
-    sizes = (12, 14) if scale == "desk" else (16, 18)
+    from .fock_basis import pinnacle_state
     cycles = _positive(opts, "cycles", 4096)
-    family = resonant_family(0, 0, "+")
-    params = family.params(50.0, 0.5)
     files, peaks = [], {}
     for L in sizes:
-        basis = SectorBasis(L, L // 2)
-        spec = _diagonalize(opts, _build_effective(basis, params, family))
+        _, params, spec = _spectrum({**opts, **_WORKING_POINT, "L": L})
         tp = pinnacle_state(L)
         f_series = analytic_fidelity(spec, tp, cycles)
         pt_series = tower_probability_series(spec, tp, cycles=cycles)
@@ -723,34 +678,27 @@ def _bundle_revival_spectra(opts: dict, outdir: str, scale: str) -> dict:
         pk_s, _ = dominant_peaks(freqs, spta_amp, count=1)
         peaks[f"L{L}"] = {"F": [float(x) for x in pk_f],
                           "F_spta": [float(x) for x in pk_s]}
-    with open(os.path.join(outdir, "peaks.json"), "w") as fh:
-        json.dump(_json_ready(peaks), fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "peaks.json"), peaks)
     return {"files": files, "peaks": peaks}
 
 
-def _bundle_model_comparison(opts: dict, outdir: str, scale: str) -> dict:
-    L = 12 if scale == "desk" else 16
-    g_values = (15.0, 30.0)
+def _bundle_model_comparison(opts: dict, outdir: str, sizes) -> dict:
+    (L,) = sizes
     files, summary = [], {}
-    for g in g_values:
-        cycles = _positive(opts, "cycles", int(round(50 * g)))
+    for g in (15.0, 30.0):
         out = os.path.join(outdir, f"compare_L{L}_g{g:g}.csv")
-        run = dict(opts, L=L, N=None, family="0,0,+", g=g, u=0.5,
-                   cycles=cycles, initial="tp", out=out,
-                   manifest=os.devnull)
-        summary[f"g{g:g}"] = _compare(run)["max_abs_diff"]
+        payload, _ = _cmd_compare({**opts, **_WORKING_POINT, "L": L, "g": g,
+                                   "initial": "tp", "out": out})
+        summary[f"g{g:g}"] = payload["max_abs_diff"]
         files.append(out)
-    with open(os.path.join(outdir, "discrepancy.json"), "w") as fh:
-        json.dump(_json_ready(summary), fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "discrepancy.json"), summary)
     return {"files": files, "max_abs_diff": summary}
 
 
-def _bundle_ratio_landscape(opts: dict, outdir: str, scale: str) -> dict:
+def _bundle_ratio_landscape(opts: dict, outdir: str, sizes) -> dict:
     import numpy as np
     from .resonance import scan_ratio_grid
-    steps = 160 if scale == "desk" else 320
+    (steps,) = sizes
     U_values = np.linspace(1.0, 80.0, steps)
     g_values = np.linspace(1.0, 80.0, steps)
     table = scan_ratio_grid(U_values, g_values, omega=20.0, u=0.5)
@@ -764,30 +712,44 @@ def _bundle_ratio_landscape(opts: dict, outdir: str, scale: str) -> dict:
     return {"files": files, "steps": steps}
 
 
-_BUNDLE_HANDLERS = {
-    "spectral-map": _bundle_spectral_map,
-    "quench-series": _bundle_quench_series,
-    "revival-spectra": _bundle_revival_spectra,
-    "model-comparison": _bundle_model_comparison,
-    "ratio-landscape": _bundle_ratio_landscape,
+# bundle -> (runner, sizes per scale).  The sizes are chain lengths at half
+# filling, except ratio-landscape's, which are grid steps per axis.
+_BUNDLES = {
+    "spectral-map": (_bundle_spectral_map, {"desk": (16,), "paper": (18,)}),
+    "quench-series": (_bundle_quench_series,
+                      {"desk": (12, 14), "paper": (16, 18)}),
+    "revival-spectra": (_bundle_revival_spectra,
+                        {"desk": (12, 14), "paper": (16, 18)}),
+    "model-comparison": (_bundle_model_comparison,
+                         {"desk": (12,), "paper": (16,)}),
+    "ratio-landscape": (_bundle_ratio_landscape,
+                        {"desk": (160,), "paper": (320,)}),
 }
 
 
-def _cmd_reproduce(opts: dict) -> int:
+def _cmd_reproduce(opts: dict) -> tuple:
     bundle = _require(opts, "bundle")
-    if bundle not in _BUNDLE_HANDLERS:
+    if bundle not in _BUNDLES:
         raise ConfigError(f"bundle: unknown bundle {bundle!r} "
-                          f"(choose from {', '.join(BUNDLES)})")
+                          f"(choose from {', '.join(_BUNDLES)})")
     scale = opts.get("scale") or "desk"
     if scale not in ("desk", "paper"):
         raise ConfigError(f"scale: expected desk or paper, got {scale!r}")
+    runner, scales = _BUNDLES[bundle]
+    sizes = scales[scale]
+    if bundle != "ratio-landscape":
+        from math import comb
+        from .spectral import DENSE_EIG_DEFAULT, check_dense
+        threshold = _positive(opts, "dense_threshold", DENSE_EIG_DEFAULT)
+        for L in sizes:
+            check_dense(comb(L, L // 2), threshold,
+                        f"{bundle} --scale {scale}: the L = {L} sector")
     outdir = opts.get("outdir") or f"{bundle}-{scale}"
     os.makedirs(outdir, exist_ok=True)
-    result = _BUNDLE_HANDLERS[bundle](opts, outdir, scale)
-    _write_manifest("reproduce", opts,
-                    os.path.join(outdir, "bundle.manifest.json"))
-    _emit_json({"bundle": bundle, "scale": scale, "outdir": outdir, **result})
-    return 0
+    result = runner(opts, outdir, sizes)
+    # the default manifest path is <outdir>/bundle.manifest.json
+    return ({"bundle": bundle, "scale": scale, "outdir": outdir, **result},
+            os.path.join(outdir, "bundle"))
 
 
 # ------------------------------------------------------------------ main
@@ -869,7 +831,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, _OptionRegistry]:
 
     p = subs.add_parser("reproduce", help="canned experiment bundles")
     _add_common(reg, p, sector=False, params=False)
-    reg.add(p, "--bundle", help=" | ".join(BUNDLES))
+    reg.add(p, "--bundle", help=" | ".join(_BUNDLES))
     reg.add(p, "--scale", help="desk | paper (default desk)")
     reg.add(p, "--outdir", help="bundle output directory")
     reg.add(p, "--cycles", type=int, help="override bundle cycle counts")
@@ -902,11 +864,8 @@ def main(argv: list[str] | None = None) -> int:
             # set before any handler imports numpy; overrides inherited sizes
             n = str(max(1, opts["threads"]))
             os.environ.update(dict.fromkeys(_THREAD_VARS, n))
-        return _HANDLERS[ns.command](opts)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+        payload, primary_output = _HANDLERS[ns.command](opts)
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
@@ -915,6 +874,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    _write_manifest(ns.command, opts, _manifest_path(opts, primary_output))
+    if payload is not None:
+        print(json.dumps(_json_ready(payload), indent=2, allow_nan=True))
+    return 0
 
 
 if __name__ == "__main__":

@@ -34,8 +34,6 @@ class TimeSeries:
 
     label: str
     values: np.ndarray
-    params: ModelParams | None = None
-    initial: str = ""
     sd: np.ndarray | None = None
 
     @property
@@ -72,14 +70,6 @@ def _as_vector(basis: SectorBasis, initial) -> np.ndarray:
     return amps
 
 
-def _describe(initial) -> str:
-    if isinstance(initial, FockState):
-        return initial.to_string()
-    if isinstance(initial, str):
-        return initial
-    return "vector"
-
-
 def _guard_block(dim: int, n_states: int) -> None:
     if dim * n_states * 16 > STATE_BLOCK_BYTES:
         raise CapabilityError(
@@ -111,7 +101,7 @@ def fidelity_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
     for lo in range(0, len(ks), chunk):
         phase = np.outer(spec.quasienergies, ks[lo:lo + chunk] * period)
         out[lo:lo + chunk] = (w @ np.cos(phase)) ** 2 + (w @ np.sin(phase)) ** 2
-    return TimeSeries("F", out, initial=_describe(initial))
+    return TimeSeries("F", out)
 
 
 def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
@@ -134,7 +124,7 @@ def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
         states = spec.vectors.propagate(psi0, ks[lo:lo + chunk] * period,
                                         spec.quasienergies)
         out[lo:lo + chunk] = schmidt_entropies(states, spec.basis, cut)
-    return TimeSeries("S_EE", out, initial=_describe(initial))
+    return TimeSeries("S_EE", out)
 
 
 def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None,
@@ -157,7 +147,7 @@ def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None
         phases = np.exp(-1j * np.outer(spec.quasienergies,
                                        ks[lo:lo + chunk] * period))
         out[lo:lo + chunk] = (np.abs(weights @ phases) ** 2).sum(axis=0)
-    return TimeSeries("P_t", out, initial=_describe(initial))
+    return TimeSeries("P_t", out)
 
 
 def analytic_fidelity(spec: Spectrum, f: FockState | str,
@@ -185,7 +175,7 @@ def analytic_fidelity(spec: Spectrum, f: FockState | str,
     ks = _cycle_array(cycles)
     period = 2.0 * np.pi / spec.omega
     amplitude = p0 + 2.0 * (wbar @ np.cos(np.outer(pe, ks * period)))
-    return TimeSeries("F", amplitude ** 2, initial=_describe(f))
+    return TimeSeries("F", amplitude ** 2)
 
 
 def _expi_real_symmetric(h: np.ndarray, t: float) -> np.ndarray:
@@ -204,8 +194,6 @@ class FullPropagator:
 
     def __init__(self, basis: SectorBasis, params: ModelParams,
                  dense_max: int = FULL_DENSE_MAX):
-        self.basis = basis
-        self.params = params
         h1 = build_half_period(basis, params, 1).matrix
         h2 = build_half_period(basis, params, 2).matrix
         half = params.T / 2.0
@@ -295,7 +283,7 @@ def full_drive_ensemble(basis: SectorBasis, params: ModelParams, initials,
     prop = FullPropagator(basis, params)
     t_idx = tower_states(basis.L).indices(basis) if "Pt" in observables else None
     runs = []
-    for initial, psi0 in zip(initials, psis):
+    for psi0 in psis:
         bra, f, ee, pt = psi0.conj(), [], [], []
         for states in _blocks_at(prop, psi0, ks, EE_CHUNK):
             if "F" in observables:
@@ -305,8 +293,7 @@ def full_drive_ensemble(basis: SectorBasis, params: ModelParams, initials,
             if "Pt" in observables:
                 pt.append((np.abs(states[t_idx, :]) ** 2).sum(axis=0))
         series = {"F": ("F", f), "EE": ("S_EE", ee), "Pt": ("P_t", pt)}
-        runs.append({name: TimeSeries(label, np.concatenate(parts), params=params,
-                                      initial=_describe(initial))
+        runs.append({name: TimeSeries(label, np.concatenate(parts))
                      for name, (label, parts) in series.items()
                      if name in observables})
     return runs
@@ -377,12 +364,14 @@ def spta_fidelity(params: ModelParams, L: int, cycles=DEFAULT_CYCLES,
     ks = _cycle_array(cycles)
     phases = np.exp(-1j * np.outer(vals, ks * params.T))
     out = np.abs(weights @ phases) ** 2
-    return TimeSeries("F_spta", out, params=params, initial="pinnacle")
+    return TimeSeries("F_spta", out)
 
 
 def random_nontower_states(basis: SectorBasis, tower: Tower | None = None,
                            count: int = 10, seed: int = 7) -> list[FockState]:
     """Uniform sample of Fock states outside the tower, fixed by the seed."""
+    if count < 1:
+        raise DomainError(f"ensemble size must be at least 1, got {count}")
     if tower is None:
         tower = tower_states(basis.L)
     pool = np.setdiff1d(np.arange(basis.size), tower.indices(basis))

@@ -65,10 +65,8 @@ class HilbertGraph:
         return np.isin(self.edge_class, codes)
 
 
-def build_graph(basis: SectorBasis, params=None) -> HilbertGraph:
-    """Enumerate every legal hop once; `params` is accepted for symmetry with
-    the operator builders but the class labels are purely geometric."""
-    del params
+def build_graph(basis: SectorBasis) -> HilbertGraph:
+    """Enumerate every legal hop once; the class labels are purely geometric."""
     src, dst, cls = hop_moves(basis)      # dst < src
     # (dst, src) pairs are unique, so one key sorts them lexicographically
     order = np.argsort(dst * basis.size + src, kind="stable")

@@ -140,7 +140,6 @@ class HamiltonianMatrix:
     kind: str
     params: ModelParams
     matrix: sp.csr_matrix
-    family: tuple[int, int, str] | None = None
 
     @property
     def dimension(self) -> int:
@@ -255,5 +254,4 @@ def build_effective_resonant(basis: SectorBasis, params: ModelParams,
     data = np.concatenate((1j * ac, -1j * ac))
     m = sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
     _assert_hermitian(m)
-    return HamiltonianMatrix(basis, "effective_resonant", params, m,
-                             family=(k1, k2, branch))
+    return HamiltonianMatrix(basis, "effective_resonant", params, m)

@@ -320,7 +320,6 @@ class Spectrum:
     """Folded eigensystem of one sector Hamiltonian."""
 
     quasienergies: np.ndarray      # folded into [-omega/2, omega/2), ascending
-    raw_energies: np.ndarray       # unfolded eigenvalues, same column order
     vectors: DenseVectors | ChiralPairVectors
     zero_indices: np.ndarray       # columns with |quasienergy| below tolerance
     basis: object
@@ -357,6 +356,13 @@ def _zero_tol(values: np.ndarray) -> float:
     return ZERO_MODE_RTOL * radius
 
 
+def check_dense(dimension: int, threshold: int, what: str = "sector") -> None:
+    """Refuse a dense eigensolve of a `dimension` above `threshold`."""
+    if dimension > threshold:
+        raise CapabilityError(f"{what} dimension {dimension} exceeds dense "
+                              f"threshold {threshold}")
+
+
 def diagonalize(ham: "HamiltonianMatrix",
                 dense_threshold: int = DENSE_EIG_DEFAULT) -> Spectrum:
     """Full eigensystem of a sector Hamiltonian, quasienergies folded.
@@ -364,21 +370,18 @@ def diagonalize(ham: "HamiltonianMatrix",
     Resonant stroboscopic Hamiltonians take the chiral SVD route; everything
     else is dense-diagonalized. Sectors above `dense_threshold` are refused.
     """
-    d = ham.dimension
-    if d > dense_threshold:
-        raise CapabilityError(
-            f"sector dimension {d} exceeds dense threshold {dense_threshold}")
+    check_dense(ham.dimension, dense_threshold)
     if ham.kind == "effective_resonant":
         return _diagonalize_chiral(ham)
     A = ham.toarray()
     vals, V = np.linalg.eigh(A)
     folded = fold_quasienergy(vals, ham.params.omega)
     perm = np.argsort(folded, kind="stable")
-    folded, vals, V = folded[perm], vals[perm], V[:, perm]
+    folded, V = folded[perm], V[:, perm]
     V = _phase_fix(V)
     tol = _zero_tol(folded)
     zero_idx = np.flatnonzero(np.abs(folded) < tol)
-    return Spectrum(folded, vals, DenseVectors(V), zero_idx,
+    return Spectrum(folded, DenseVectors(V), zero_idx,
                     ham.basis, ham.params.omega, ham.kind)
 
 
@@ -408,7 +411,7 @@ def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
                             ham.basis.dipoles)
     folded = folded[perm]
     zero_idx = np.flatnonzero(folded == 0.0)
-    return Spectrum(folded, internal[perm], vec, zero_idx,
+    return Spectrum(folded, vec, zero_idx,
                     ham.basis, ham.params.omega, ham.kind)
 
 

@@ -104,6 +104,13 @@ def test_unknown_observable_exits_2(tmp_path, capsys):
                        "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "QQ" in err
+    for model in ("effective", "full"):   # a list that names nothing
+        code, out, err = run(capsys, "dynamics", "--L", "6", "--family",
+                             "0,0,+", "--g", "50", "--u", "0.5", "--model",
+                             model, "--observables", ",",
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == "" and "observables" in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_capability_limit_exits_3(capsys):
@@ -208,6 +215,14 @@ def test_dynamics_rejects_bad_initial(tmp_path, capsys):
                        "--g", "50", "--u", "0.5", "--initial", "te_p:9",
                        "--out", str(tmp_path / "x.csv"))
     assert code == 2 and "9" in err
+    for model in ("effective", "full"):   # an ensemble needs a member
+        for initial in ("random:0:7", "random:-1:7"):
+            code, out, err = run(capsys, "dynamics", "--L", "6", "--family",
+                                 "0,0,+", "--g", "50", "--u", "0.5", "--model",
+                                 model, "--initial", initial,
+                                 "--out", str(tmp_path / "x.csv"))
+            assert code == 2 and out == "" and "at least 1" in err
+            assert not (tmp_path / "x.csv").exists()
 
 
 def test_compare_outputs(tmp_path, capsys):
@@ -641,9 +656,11 @@ def test_full_model_ensemble_steps_every_member_through_one_propagator(
 
 def test_model_comparison_discrepancy_is_compare_max(tmp_path, capsys):
     outdir = tmp_path / "bundle"
-    code, _, _ = run(capsys, "reproduce", "--bundle", "model-comparison",
-                     "--outdir", str(outdir), "--cycles", "30")
+    code, out, _ = run(capsys, "reproduce", "--bundle", "model-comparison",
+                       "--outdir", str(outdir), "--cycles", "30")
     assert code == 0
+    # one JSON document: the bundle's, none from the compare runs inside it
+    assert json.loads(out)["bundle"] == "model-comparison"
     summary = json.loads((outdir / "discrepancy.json").read_text())
     for g in ("15", "30"):
         code, out, _ = run(capsys, "compare", "--L", "12", "--family", "0,0,+",
@@ -655,3 +672,40 @@ def test_model_comparison_discrepancy_is_compare_max(tmp_path, capsys):
         column = max(float(l.split(",")[3]) for l in lines)
         # JSON and CSV both round to 15 digits, and rounding commutes with max
         assert summary[f"g{g}"] == column
+
+
+@pytest.mark.parametrize("bundle,extra,L,threshold", [
+    ("spectral-map", (), 18, 20000),
+    ("quench-series", (), 18, 20000),
+    ("revival-spectra", (), 18, 20000),
+    ("model-comparison", ("--dense-threshold", "12869"), 16, 12869),
+])
+def test_paper_scale_refuses_before_any_work(tmp_path, capsys, monkeypatch,
+                                             bundle, extra, L, threshold):
+    from scarkit import spectral
+
+    def no_solve(*args, **kw):
+        raise AssertionError("diagonalize called before the size check")
+
+    monkeypatch.setattr(spectral, "diagonalize", no_solve)
+    outdir = tmp_path / "paper"
+    code, out, err = run(capsys, "reproduce", "--bundle", bundle,
+                         "--scale", "paper", "--outdir", str(outdir), *extra)
+    assert code == 3 and out == ""
+    assert f"L = {L}" in err and f"dense threshold {threshold}" in err
+    assert not outdir.exists()
+
+
+def test_reproduce_manifest_goes_where_asked(tmp_path, capsys):
+    outdir, manifest = tmp_path / "rl", tmp_path / "m.json"
+    code, _, _ = run(capsys, "reproduce", "--bundle", "ratio-landscape",
+                     "--outdir", str(outdir), "--manifest", str(manifest))
+    assert code == 0
+    assert json.loads(manifest.read_text())["command"] == "reproduce"
+    assert not (outdir / "bundle.manifest.json").exists()
+    code, _, _ = run(capsys, "reproduce", "--config", str(manifest),
+                     "--outdir", str(tmp_path / "rl2"))
+    assert code == 0
+    default = tmp_path / "rl2" / "bundle.manifest.json"
+    assert json.loads(default.read_text())["config"]["bundle"] == \
+        "ratio-landscape"

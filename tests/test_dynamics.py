@@ -313,6 +313,9 @@ def test_random_nontower_sampling():
         assert not mask[basis.index_of(s)]
     with pytest.raises(DomainError):
         random_nontower_states(basis, count=100)
+    for count in (0, -1):
+        with pytest.raises(DomainError, match="at least 1"):
+            random_nontower_states(basis, count=count)
 
 
 def test_ensemble_statistics():
