@@ -41,6 +41,9 @@ COMMANDS = [
      "--out", "ratio_grid.csv"),
     # spectra, graph and scar reports
     ("spectrum", "--L", "10", *_RES, "--out", "spectrum_L10.csv"),
+    # omega/2 = 0.5 < s_max: the levels wrap when folded
+    ("spectrum", "--L", "10", "--family", "0,0,+", "--g", "1", "--u", "0.5",
+     "--out", "spectrum_L10_g1.csv"),
     ("spectrum", "--L", "8", "--family", "0,1,-", "--g", "21", "--u", "0.5",
      "--out", "spectrum_L8_01m.csv"),
     ("spectrum", "--L", "8", *_RAW, "--out", "spectrum_L8_raw.csv"),

@@ -142,16 +142,15 @@ class _OptionRegistry:
         self.types: dict[str, object] = {}
         self.defaults: dict[str, object] = {}
 
-    def add(self, parser, *flags, type=str, default=None, flag=False, **kw):
+    def add(self, parser, *flags, type=str, flag=False, **kw):
         if flag:
-            action = parser.add_argument(*flags, action="store_const",
-                                         const=True, default=None, **kw)
-            self.types[action.dest] = _as_bool
-            self.defaults[action.dest] = False
+            kw.update(action="store_const", const=True)
+            type = _as_bool
         else:
-            action = parser.add_argument(*flags, type=type, default=None, **kw)
-            self.types[action.dest] = type
-            self.defaults[action.dest] = default
+            kw["type"] = type
+        action = parser.add_argument(*flags, default=None, **kw)
+        self.types[action.dest] = type
+        self.defaults[action.dest] = False if flag else None
 
 
 def _resolve_options(ns: argparse.Namespace, registry: _OptionRegistry) -> dict:
@@ -320,7 +319,7 @@ def _build_effective(basis, params, family):
 
 
 def _spectrum(opts: dict, basis=None):
-    """(basis, params, Spectrum) of the effective H that `opts` names.
+    """The Spectrum of the effective H that `opts` names; it carries the H.
 
     A handler that checks its other options against the sector first passes
     that `basis` in, so nothing is diagonalized before a refusal.
@@ -331,7 +330,7 @@ def _spectrum(opts: dict, basis=None):
     params, family = _resolve_params(opts)
     threshold = _positive(opts, "dense_threshold", DENSE_EIG_DEFAULT)
     ham = _build_effective(basis, params, family)
-    return basis, params, diagonalize(ham, dense_threshold=threshold)
+    return diagonalize(ham, dense_threshold=threshold)
 
 
 # ------------------------------------------------------------- subcommands
@@ -413,7 +412,8 @@ def _cmd_spectrum(opts: dict) -> tuple:
     import numpy as np
     from .fock_basis import dim_difference_formula
     from .spectral import gap_ratio_stats
-    basis, _, spec = _spectrum(opts)
+    spec = _spectrum(opts)
+    basis = spec.basis
     out = opts.get("out")
     if out:
         is_zero = np.zeros(spec.size, dtype=bool)
@@ -519,7 +519,7 @@ def _cmd_scar(opts: dict) -> tuple:
     basis = _sector(opts)
     if basis.L != 2 * basis.N:
         raise ConfigError("N: the scar report is defined at half filling")
-    _, _, spec = _spectrum(opts, basis)
+    spec = _spectrum(opts, basis)
     payload = _scar_report(spec, basis)
     per_state = opts.get("per_state")
     if per_state:
@@ -555,12 +555,13 @@ def _parse_observables(text: str | None) -> list[str]:
     return [n for n in _OBSERVABLE_ORDER if n in names]
 
 
-def _cmd_dynamics(opts: dict) -> tuple:
+def _cmd_dynamics(opts: dict, spec=None) -> tuple:
+    """`spec`, if given, is the effective spectrum `opts` names (one solve)."""
     import numpy as np
     from .dynamics import (ee_series, ensemble_stats, fidelity_series, fta,
                            full_drive_ensemble, random_nontower_states,
                            tower_probability_series)
-    basis = _sector(opts)
+    basis = _sector(opts) if spec is None else spec.basis
     model = opts.get("model") or "effective"
     if model not in ("effective", "full"):
         raise ConfigError(f"model: expected effective or full, got {model!r}")
@@ -574,7 +575,8 @@ def _cmd_dynamics(opts: dict) -> tuple:
         starts = random_nontower_states(basis, count=init["count"],
                                         seed=init["seed"])
     if model == "effective":
-        _, _, spec = _spectrum(opts, basis)
+        if spec is None:
+            spec = _spectrum(opts, basis)
         series_of = {"F": fidelity_series, "EE": ee_series,
                      "Pt": tower_probability_series}
         runs = [{n: series_of[n](spec, s, cycles=cycles) for n in wanted}
@@ -612,7 +614,8 @@ def _cmd_compare(opts: dict) -> tuple:
     init = _parse_initial(opts.get("initial") or "tp", basis.L)
     if init["kind"] != "state":
         raise ConfigError("initial: compare runs a single Fock state")
-    _, params, spec = _spectrum(opts, basis)
+    spec = _spectrum(opts, basis)
+    params = spec.ham.params
     cycles = cycles or int(round(50 * params.g))
     f_eff = fidelity_series(spec, init["state"], cycles)
     f_full = full_fidelity_series(basis, params, init["state"], cycles)
@@ -642,15 +645,17 @@ def _bundle_spectral_map(opts: dict, outdir: str, sizes) -> dict:
 
 def _bundle_quench_series(opts: dict, outdir: str, sizes) -> dict:
     seed = 7 if opts.get("seed") is None else opts["seed"]
+    cycles = _positive(opts, "cycles", 4096)    # refused before any solve
     files = []
     for L in sizes:
+        sector = {**opts, **_WORKING_POINT, "L": L, "cycles": cycles}
+        spec = _spectrum(sector)
         for initial in ("tp", "te_p:2", f"random:10:{seed}"):
             stem = initial.replace(":", "-")
             out = os.path.join(outdir, f"quench_L{L}_{stem}.csv")
-            _cmd_dynamics({**opts, **_WORKING_POINT, "L": L,
-                           "model": "effective", "initial": initial,
+            _cmd_dynamics({**sector, "model": "effective", "initial": initial,
                            "observables": "F,EE,Pt", "out": out,
-                           "fft": False})
+                           "fft": False}, spec)
             files.append(out)
     return {"files": files}
 
@@ -662,13 +667,13 @@ def _bundle_revival_spectra(opts: dict, outdir: str, sizes) -> dict:
     cycles = _positive(opts, "cycles", 4096)
     files, peaks = [], {}
     for L in sizes:
-        _, params, spec = _spectrum({**opts, **_WORKING_POINT, "L": L})
+        spec = _spectrum({**opts, **_WORKING_POINT, "L": L})
         tp = pinnacle_state(L)
         f_series = analytic_fidelity(spec, tp, cycles)
         pt_series = tower_probability_series(spec, tp, cycles=cycles)
         freqs, f_amp = fta(f_series.values)
         _, pt_amp = fta(pt_series.values)
-        spta = spta_fidelity(params, L, cycles)
+        spta = spta_fidelity(spec.ham, cycles)
         _, spta_amp = fta(spta.values)
         out = os.path.join(outdir, f"fta_L{L}.csv")
         _write_csv(out, ["freq_rad_per_cycle", "F", "P_t", "F_spta"],

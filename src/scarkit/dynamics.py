@@ -15,8 +15,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError, NumericalError
 from .fock_basis import FockState, SectorBasis
 from .graph import Tower, spta_matrix, tower_states
-from .hamiltonian import (ModelParams, build_effective_resonant,
-                          build_half_period)
+from .hamiltonian import HamiltonianMatrix, ModelParams, build_half_period
 from .observables import (StateVector, cluster_levels, fock_vector,
                           schmidt_entropies)
 from .spectral import Spectrum
@@ -26,6 +25,7 @@ DEFAULT_CYCLES = 4096
 UNITARITY_TOL = 1e-8
 STATE_BLOCK_BYTES = 2_000_000_000
 EE_CHUNK = 128              # states per stacked Schmidt SVD block
+PHASE_CHUNK = 512           # cycles per phase block of the F and P_t series
 
 
 @dataclass
@@ -82,12 +82,11 @@ def evolve_effective(spec: Spectrum, initial, cycles) -> np.ndarray:
     psi0 = _as_vector(spec.basis, initial)
     ks = _cycle_array(cycles)
     _guard_block(spec.size, len(ks))
-    period = 2.0 * np.pi / spec.omega
-    return spec.propagate(psi0, ks, period)
+    return spec.propagate(psi0, ks)
 
 
-def fidelity_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
-                    chunk: int = 512) -> TimeSeries:
+def fidelity_series(spec: Spectrum, initial,
+                    cycles=DEFAULT_CYCLES) -> TimeSeries:
     """|<psi(0)|psi(k)>|^2 = |sum_a w_a exp(-i e_a k T)|^2, chunked over k.
 
     The weights w_a = |c_a|^2 come from the coefficients c_a = <a|psi(0)>, one
@@ -96,16 +95,17 @@ def fidelity_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
     c = spec.vectors.coefficients(_as_vector(spec.basis, initial))
     w = np.abs(c) ** 2
     ks = _cycle_array(cycles)
-    period = 2.0 * np.pi / spec.omega
     out = np.empty(len(ks))
-    for lo in range(0, len(ks), chunk):
-        phase = np.outer(spec.quasienergies, ks[lo:lo + chunk] * period)
-        out[lo:lo + chunk] = (w @ np.cos(phase)) ** 2 + (w @ np.sin(phase)) ** 2
+    for lo in range(0, len(ks), PHASE_CHUNK):
+        phase = np.outer(spec.quasienergies,
+                         ks[lo:lo + PHASE_CHUNK] * spec.period)
+        out[lo:lo + PHASE_CHUNK] = ((w @ np.cos(phase)) ** 2
+                                    + (w @ np.sin(phase)) ** 2)
     return TimeSeries("F", out)
 
 
 def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
-              cut: int | None = None, chunk: int = EE_CHUNK) -> TimeSeries:
+              cut: int | None = None) -> TimeSeries:
     """Half-chain entanglement entropy along the evolution.
 
     A real start is passed on as a real array: the chiral route then evolves
@@ -118,22 +118,20 @@ def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
     ks = _cycle_array(cycles)
     if cut is None:
         cut = spec.basis.L // 2
-    period = 2.0 * np.pi / spec.omega
     out = np.empty(len(ks))
-    for lo in range(0, len(ks), chunk):
-        states = spec.vectors.propagate(psi0, ks[lo:lo + chunk] * period,
-                                        spec.quasienergies)
-        out[lo:lo + chunk] = schmidt_entropies(states, spec.basis, cut)
+    for lo in range(0, len(ks), EE_CHUNK):
+        kt = ks[lo:lo + EE_CHUNK] * spec.period
+        states = spec.vectors.propagate(psi0, kt, spec.quasienergies)
+        out[lo:lo + EE_CHUNK] = schmidt_entropies(states, spec.basis, cut)
     return TimeSeries("S_EE", out)
 
 
 def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None,
-                             cycles=DEFAULT_CYCLES,
-                             chunk: int = 512) -> TimeSeries:
+                             cycles=DEFAULT_CYCLES) -> TimeSeries:
     """Total weight on the tower states along the evolution.
 
     P_t(k) = sum_t |sum_a V_ta c_a exp(-i e_a k T)|^2 with c_a = <a|psi(0)>,
-    from the tower rows of the eigenvectors only, in blocks of `chunk`
+    from the tower rows of the eigenvectors only, in blocks of PHASE_CHUNK
     cycles; no state is materialized.
     """
     c = spec.vectors.coefficients(_as_vector(spec.basis, initial))
@@ -141,12 +139,11 @@ def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None
         tower = tower_states(spec.basis.L)
     weights = spec.vectors.rows(tower.indices(spec.basis)) * c[None, :]
     ks = _cycle_array(cycles)
-    period = 2.0 * np.pi / spec.omega
     out = np.empty(len(ks))
-    for lo in range(0, len(ks), chunk):
+    for lo in range(0, len(ks), PHASE_CHUNK):
         phases = np.exp(-1j * np.outer(spec.quasienergies,
-                                       ks[lo:lo + chunk] * period))
-        out[lo:lo + chunk] = (np.abs(weights @ phases) ** 2).sum(axis=0)
+                                       ks[lo:lo + PHASE_CHUNK] * spec.period))
+        out[lo:lo + PHASE_CHUNK] = (np.abs(weights @ phases) ** 2).sum(axis=0)
     return TimeSeries("P_t", out)
 
 
@@ -173,8 +170,7 @@ def analytic_fidelity(spec: Spectrum, f: FockState | str,
                           "cosine form does not apply")
     wbar = 0.5 * (pw + nw)
     ks = _cycle_array(cycles)
-    period = 2.0 * np.pi / spec.omega
-    amplitude = p0 + 2.0 * (wbar @ np.cos(np.outer(pe, ks * period)))
+    amplitude = p0 + 2.0 * (wbar @ np.cos(np.outer(pe, ks * spec.period)))
     return TimeSeries("F", amplitude ** 2)
 
 
@@ -348,33 +344,28 @@ def dominant_peaks(freqs: np.ndarray, amps: np.ndarray, count: int = 2,
     return freqs[idx[order]], amps[idx[order]]
 
 
-def spta_fidelity(params: ModelParams, L: int, cycles=DEFAULT_CYCLES,
-                  k1: int = 0, k2: int = 0, branch: str = "+") -> TimeSeries:
-    """Fidelity of the pinnacle under the tower-restricted effective model.
+def spta_fidelity(ham: HamiltonianMatrix, cycles=DEFAULT_CYCLES) -> TimeSeries:
+    """Fidelity of the pinnacle under the tower-restricted model of `ham`.
 
-    The restriction is taken from the genuine sector operator, so any change
-    to the builder propagates here; the L x L block then evolves in closed
+    The L x L tower block is cut from the built sector operator, so nothing
+    is diagonalized at the sector dimension; the block evolves in closed
     form.
     """
-    basis = SectorBasis(L, L // 2)
-    ham = build_effective_resonant(basis, params, k1, k2, branch)
-    block = spta_matrix(ham, tower_states(L))
-    vals, vecs = np.linalg.eigh(block)
+    vals, vecs = np.linalg.eigh(spta_matrix(ham))
     weights = np.abs(vecs[-1, :]) ** 2       # pinnacle sits in the last row
     ks = _cycle_array(cycles)
-    phases = np.exp(-1j * np.outer(vals, ks * params.T))
+    phases = np.exp(-1j * np.outer(vals, ks * ham.params.T))
     out = np.abs(weights @ phases) ** 2
     return TimeSeries("F_spta", out)
 
 
-def random_nontower_states(basis: SectorBasis, tower: Tower | None = None,
-                           count: int = 10, seed: int = 7) -> list[FockState]:
+def random_nontower_states(basis: SectorBasis, count: int = 10,
+                           seed: int = 7) -> list[FockState]:
     """Uniform sample of Fock states outside the tower, fixed by the seed."""
     if count < 1:
         raise DomainError(f"ensemble size must be at least 1, got {count}")
-    if tower is None:
-        tower = tower_states(basis.L)
-    pool = np.setdiff1d(np.arange(basis.size), tower.indices(basis))
+    pool = np.setdiff1d(np.arange(basis.size),
+                        tower_states(basis.L).indices(basis))
     if count > len(pool):
         raise DomainError(f"asked for {count} states, only {len(pool)} outside "
                           "the tower")

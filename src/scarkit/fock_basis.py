@@ -41,12 +41,6 @@ class FockState:
     def to_string(self) -> str:
         return format(self.bits, f"0{self.L}b")
 
-    def occupation(self, j: int) -> int:
-        """Occupation n_j of site j (1-based)."""
-        if not 1 <= j <= self.L:
-            raise DomainError(f"site {j} outside 1..{self.L}")
-        return (self.bits >> (self.L - j)) & 1
-
 
 def dipole_moment(state: FockState) -> int:
     """D = sum_j j * n_j with 1-based site indices."""
@@ -132,7 +126,10 @@ class SectorBasis:
         return FockState(int(self.states[i]), self.L)
 
     def index_of(self, state: FockState | int | str) -> int:
-        """Position of a state of this sector's chain length and filling."""
+        """Position of a state of this sector's chain length and filling.
+
+        An int names the state by its bit word, not by a basis position.
+        """
         if isinstance(state, str):
             state = FockState.from_string(state)
         if isinstance(state, FockState) and state.L != self.L:

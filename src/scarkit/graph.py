@@ -186,17 +186,14 @@ def tower_escape_edges(graph: HilbertGraph, tower: Tower) -> dict[int, list[tupl
     return out
 
 
-def spta_matrix(ham: HamiltonianMatrix, tower: Tower | None = None) -> np.ndarray:
+def spta_matrix(ham: HamiltonianMatrix) -> np.ndarray:
     """Restriction of the operator to the tower: an L x L dense Hermitian block.
 
     Row order is the tower's path order with the pinnacle last; every coupling
     to the rest of the sector is dropped.
     """
-    if tower is None:
-        tower = tower_states(ham.basis.L)
-    idx = tower.indices(ham.basis)
-    sub = ham.matrix[idx][:, idx].toarray()
-    return np.asarray(sub)
+    idx = tower_states(ham.basis.L).indices(ham.basis)
+    return ham.matrix[idx][:, idx].toarray()
 
 
 def to_dot(graph: HilbertGraph, name: str = "sector") -> str:

@@ -98,24 +98,6 @@ def amplitudes_general(params: ModelParams) -> tuple[complex, complex, complex]:
     )
 
 
-def _check_resonance(params: ModelParams, k1: int, k2: int, branch: str) -> None:
-    if branch not in ("+", "-"):
-        raise DomainError(f"branch must be '+' or '-', got {branch!r}")
-    if k1 < 0 or k2 < 0:
-        raise DomainError("resonance indices must be non-negative")
-    if branch == "-" and k2 <= k1:
-        raise DomainError("'-' branch needs k2 > k1")
-    q = 2 * k2 + 1
-    ratio = 1.0 + (2 * k1 + 1) / q if branch == "+" else 1.0 - (2 * k1 + 1) / q
-    if not math.isclose(params.U / params.g, ratio, rel_tol=1e-12):
-        raise DomainError(
-            f"U/g = {params.U / params.g!r} is not the ({k1},{k2},{branch}) "
-            f"resonance ratio {ratio!r}")
-    if not math.isclose(params.g / params.omega, q, rel_tol=1e-12):
-        raise DomainError(
-            f"g/omega = {params.g / params.omega!r} must equal {q} for k2 = {k2}")
-
-
 def resonant_amplitudes(params: ModelParams, k1: int, k2: int,
                         branch: str) -> tuple[float, float, float]:
     """Real prefactors (A1, A2, A3) of the resonant stroboscopic Hamiltonian.
@@ -123,11 +105,19 @@ def resonant_amplitudes(params: ModelParams, k1: int, k2: int,
     At the (k1, k2, branch) drive resonance every barrier is an odd multiple
     of omega and the class-c hop j -> j+1 carries amplitude +i*Ac with
     Ac = 2*u*J / ((1 -+ U/g) * (2*k2+1) * pi); the general drive average
-    reduces to exactly these values.
+    reduces to exactly these values.  Parameters off that family member
+    are refused.
     """
-    _check_resonance(params, k1, k2, branch)
+    from .resonance import resonant_family    # resonance imports this module
+    family = resonant_family(k1, k2, branch)
+    ratio, q = float(family.U_over_g), family.g_over_omega
     a = params.U / params.g
-    q = 2 * k2 + 1
+    if not math.isclose(a, ratio, rel_tol=1e-12):
+        raise DomainError(f"U/g = {a!r} is not the ({k1},{k2},{branch}) "
+                          f"resonance ratio {ratio!r}")
+    if not math.isclose(params.g / params.omega, q, rel_tol=1e-12):
+        raise DomainError(
+            f"g/omega = {params.g / params.omega!r} must equal {q} for k2 = {k2}")
     base = 2.0 * params.u * params.J / (q * math.pi)
     return base / (1.0 - a), base, base / (1.0 + a)
 
@@ -246,9 +236,9 @@ def build_effective_resonant(basis: SectorBasis, params: ModelParams,
     Purely imaginary, zero diagonal: the class-c hop j -> j+1 has amplitude
     +i*Ac. Wrong-resonance parameters are rejected rather than silently built.
     """
-    _check_resonance(params, k1, k2, branch)
+    amps = np.array(resonant_amplitudes(params, k1, k2, branch))
     src, dst, cls = hop_moves(basis)
-    ac = np.array(resonant_amplitudes(params, k1, k2, branch))[cls]
+    ac = amps[cls]
     rows = np.concatenate((dst, src))
     cols = np.concatenate((src, dst))
     data = np.concatenate((1j * ac, -1j * ac))

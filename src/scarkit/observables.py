@@ -32,6 +32,8 @@ PAGE_OFFSET = 0.5
 COE_SPREAD_FRACTION = 0.48  # effective fraction of the basis a chaotic state covers
 PROJECTION_FLOOR = 1e-12
 CLUSTER_WIDTH = 1e-9        # quasienergy width treated as one degenerate level
+PROFILE_BATCH = 256         # eigenstate columns per `entropy_profile` block
+OUTLIER_MADS = 3.0          # median absolute deviations below the band to flag
 
 
 @dataclass
@@ -146,8 +148,8 @@ def entanglement_entropy(state: StateVector, cut: int | None = None) -> float:
     return float(schmidt_entropies(amps[:, None], state.basis, cut)[0])
 
 
-def entropy_profile(spec: Spectrum, indices=None, cut: int | None = None,
-                    batch: int = 256) -> np.ndarray:
+def entropy_profile(spec: Spectrum, indices=None,
+                    cut: int | None = None) -> np.ndarray:
     """Entanglement entropy of eigenstate columns, materialized in batches.
 
     On a chiral spectrum each batch holds real columns, one per +-s pair or
@@ -165,9 +167,9 @@ def entropy_profile(spec: Spectrum, indices=None, cut: int | None = None,
     else:
         keys, where, columns = indices, slice(None), vec.columns
     out = np.empty(len(keys))
-    for lo in range(0, len(keys), batch):
-        out[lo:lo + batch] = schmidt_entropies(columns(keys[lo:lo + batch]),
-                                               spec.basis, cut)
+    for lo in range(0, len(keys), PROFILE_BATCH):
+        out[lo:lo + PROFILE_BATCH] = schmidt_entropies(
+            columns(keys[lo:lo + PROFILE_BATCH]), spec.basis, cut)
     return out[where]
 
 
@@ -212,9 +214,9 @@ def zero_projection(f: FockState | int | str, spec: Spectrum) -> float:
     any orthonormal kernel basis returned by the eigensolver gives the same
     number.
     """
+    idx = spec.basis.index_of(f)
     if len(spec.zero_indices) == 0:
         return 0.0
-    idx = spec.basis.index_of(f) if not isinstance(f, (int, np.integer)) else int(f)
     return float(spec.weight_row(idx)[spec.zero_indices].sum())
 
 
@@ -224,7 +226,7 @@ def scar_state(spec: Spectrum, f: FockState | int | str) -> StateVector:
     The overlap of the result with |f> is the square root of the projection
     weight, real and positive by construction.
     """
-    idx = spec.basis.index_of(f) if not isinstance(f, (int, np.integer)) else int(f)
+    idx = spec.basis.index_of(f)
     kernel = spec.kernel_matrix()
     coeffs = kernel[idx, :].conj()
     weight = float((np.abs(coeffs) ** 2).sum())
@@ -235,16 +237,16 @@ def scar_state(spec: Spectrum, f: FockState | int | str) -> StateVector:
     return StateVector(amps, spec.basis)
 
 
-def cluster_levels(eps: np.ndarray, w: np.ndarray,
-                   width: float = CLUSTER_WIDTH) -> tuple[np.ndarray, np.ndarray]:
-    """Merge ascending quasienergies closer than `width` into one level.
+def cluster_levels(eps: np.ndarray,
+                   w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge ascending quasienergies closer than CLUSTER_WIDTH into one level.
 
     Returns each level's mean quasienergy and summed weight.
     """
     means, sums = [], []
     start = 0
     for i in range(1, len(eps) + 1):
-        if i == len(eps) or eps[i] - eps[i - 1] > width:
+        if i == len(eps) or eps[i] - eps[i - 1] > CLUSTER_WIDTH:
             means.append(eps[start:i].mean())
             sums.append(w[start:i].sum())
             start = i
@@ -252,28 +254,26 @@ def cluster_levels(eps: np.ndarray, w: np.ndarray,
 
 
 def overlap_table(spec: Spectrum, f: FockState | int | str,
-                  aggregate: bool = True,
-                  width: float = CLUSTER_WIDTH) -> np.ndarray:
+                  aggregate: bool = True) -> np.ndarray:
     """Rows (quasienergy, overlap weight) of a Fock state against eigenstates.
 
-    With aggregation, quasienergies closer than `width` are merged into one
-    row carrying the summed weight, so the degenerate kernel shows up as a
-    single entry.
+    With aggregation, quasienergies closer than CLUSTER_WIDTH are merged into
+    one row carrying the summed weight, so the degenerate kernel shows up as
+    a single entry.
     """
-    idx = spec.basis.index_of(f) if not isinstance(f, (int, np.integer)) else int(f)
-    w = spec.weight_row(idx)
+    w = spec.weight_row(spec.basis.index_of(f))
     eps = spec.quasienergies
     if not aggregate:
         return np.column_stack([eps, w])
-    return np.column_stack(cluster_levels(eps, w, width))
+    return np.column_stack(cluster_levels(eps, w))
 
 
-def ee_outlier_flags(entropies: np.ndarray, n_mad: float = 3.0) -> np.ndarray:
-    """Flag entropies sitting below the band by more than n_mad median
+def ee_outlier_flags(entropies: np.ndarray) -> np.ndarray:
+    """Flag entropies sitting below the band by more than OUTLIER_MADS median
     absolute deviations; mechanical, no interpretation attached."""
     s = np.asarray(entropies, dtype=np.float64)
     med = np.median(s)
     mad = np.median(np.abs(s - med))
     if mad == 0.0:
         return np.zeros(len(s), dtype=bool)
-    return s < med - n_mad * mad
+    return s < med - OUTLIER_MADS * mad

@@ -23,6 +23,12 @@ across every cut unchanged; so a +-s pair has one entanglement entropy, which
 Eigenvector phase convention: whenever a column is materialized, its
 largest-magnitude component is made real positive (ties: lowest basis index;
 equal maxima in both parity blocks: the even-parity block wins).
+
+Kernel tolerance.  `diagonalize` decides the kernel once and records it on
+the `Spectrum`: `zero_tol` is ZERO_MODE_RTOL times the spectral radius (the
+largest |folded level| on the dense route, the largest singular value on the
+chiral route, where it is the rank cut), and `zero_indices` are the columns
+it put in the kernel.  `zero_modes` and `gap_ratio_stats` read both back.
 """
 
 from __future__ import annotations
@@ -42,9 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DENSE_EIG_DEFAULT = 20000       # refuse eigh / SVD above this sector dimension
 DENSE_VECTORS_MAX = 6000        # refuse materializing a full D x D eigenvector matrix
 ZERO_MODE_RTOL = 1e-9           # kernel tolerance relative to the spectral radius
-
-COE_MEAN_R = 0.53
-POISSON_MEAN_R = 0.386
+DEGENERATE_GAP = 1e-12          # level gaps below this are exact degeneracies
 
 
 def fold_quasienergy(energy, omega: float):
@@ -75,14 +79,8 @@ class DenseVectors:
     def n_states(self) -> int:
         return self._V.shape[0]
 
-    def column(self, a: int) -> np.ndarray:
-        return self._V[:, a]
-
     def columns(self, indices) -> np.ndarray:
         return self._V[:, np.asarray(indices, dtype=np.intp)]
-
-    def row(self, n: int) -> np.ndarray:
-        return self._V[n, :]
 
     def rows(self, indices) -> np.ndarray:
         return self._V[np.asarray(indices, dtype=np.intp), :]
@@ -218,9 +216,6 @@ class ChiralPairVectors:
             self._cu[m] = self._ph[bu][pair[m]] * w
             self._cv[m] = self._ph[bv][pair[m]] * w
 
-    def column(self, a: int) -> np.ndarray:
-        return self.columns([a])[:, 0]
-
     def columns(self, indices) -> np.ndarray:
         a = np.asarray(indices, dtype=np.intp)
         out = np.empty((self.n_states, len(a)), dtype=np.complex128)
@@ -229,9 +224,6 @@ class ChiralPairVectors:
         out[self.minus_idx] = _scaled(self.Vt[self._iv[a], :].T, self._cv[a],
                                       self._has_v[a])
         return out
-
-    def row(self, n: int) -> np.ndarray:
-        return self.rows([n])[0]
 
     def rows(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.intp)
@@ -317,14 +309,22 @@ class ChiralPairVectors:
 
 @dataclass
 class Spectrum:
-    """Folded eigensystem of one sector Hamiltonian."""
+    """Folded eigensystem of one sector Hamiltonian, and that Hamiltonian."""
 
     quasienergies: np.ndarray      # folded into [-omega/2, omega/2), ascending
     vectors: DenseVectors | ChiralPairVectors
-    zero_indices: np.ndarray       # columns with |quasienergy| below tolerance
-    basis: object
-    omega: float
-    kind: str
+    zero_indices: np.ndarray       # the kernel columns `diagonalize` chose
+    zero_tol: float                # the kernel tolerance it applied
+    ham: "HamiltonianMatrix"
+
+    @property
+    def basis(self):
+        return self.ham.basis
+
+    @property
+    def period(self) -> float:
+        """Driving period T = 2 pi / omega."""
+        return self.ham.params.T
 
     @property
     def size(self) -> int:
@@ -335,25 +335,20 @@ class Spectrum:
 
     def weight_row(self, n: int) -> np.ndarray:
         """|<n|psi_a>|^2 against every eigenstate, for one Fock basis index n."""
-        return np.abs(self.vectors.row(n)) ** 2
+        return np.abs(self.vectors.rows([n])[0]) ** 2
 
-    def propagate(self, psi0: np.ndarray, cycles, period: float) -> np.ndarray:
+    def propagate(self, psi0: np.ndarray, cycles) -> np.ndarray:
         """State columns after whole numbers of driving cycles, complex128.
 
         A start with no imaginary part goes in real, so the chiral route
         evolves it in real arithmetic only.
         """
-        kt = np.asarray(cycles, dtype=np.float64) * period
+        kt = np.asarray(cycles, dtype=np.float64) * self.period
         psi0 = np.asarray(psi0)
         if np.iscomplexobj(psi0) and not psi0.imag.any():
             psi0 = psi0.real
         out = self.vectors.propagate(psi0, kt, self.quasienergies)
         return out.astype(np.complex128, copy=False)
-
-
-def _zero_tol(values: np.ndarray) -> float:
-    radius = float(np.max(np.abs(values))) if len(values) else 0.0
-    return ZERO_MODE_RTOL * radius
 
 
 def check_dense(dimension: int, threshold: int, what: str = "sector") -> None:
@@ -379,10 +374,9 @@ def diagonalize(ham: "HamiltonianMatrix",
     perm = np.argsort(folded, kind="stable")
     folded, V = folded[perm], V[:, perm]
     V = _phase_fix(V)
-    tol = _zero_tol(folded)
+    tol = ZERO_MODE_RTOL * float(np.max(np.abs(folded), initial=0.0))
     zero_idx = np.flatnonzero(np.abs(folded) < tol)
-    return Spectrum(folded, DenseVectors(V), zero_idx,
-                    ham.basis, ham.params.omega, ham.kind)
+    return Spectrum(folded, DenseVectors(V), zero_idx, tol, ham)
 
 
 def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
@@ -411,21 +405,17 @@ def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
                             ham.basis.dipoles)
     folded = folded[perm]
     zero_idx = np.flatnonzero(folded == 0.0)
-    return Spectrum(folded, vec, zero_idx,
-                    ham.basis, ham.params.omega, ham.kind)
+    return Spectrum(folded, vec, zero_idx, tol, ham)
 
 
-def zero_modes(spec: Spectrum, tol: float | None = None) -> np.ndarray:
-    """Indices of kernel eigenstates; default tolerance is relative to the radius."""
-    if tol is None:
-        tol = _zero_tol(spec.quasienergies)
-    idx = np.flatnonzero(np.abs(spec.quasienergies) < tol)
-    outside = np.abs(spec.quasienergies[np.abs(spec.quasienergies) >= tol])
-    if len(outside) and outside.min() < 10 * tol:
+def zero_modes(spec: Spectrum) -> np.ndarray:
+    """The kernel columns; warns if a kept level sits within 10x zero_tol."""
+    kept = np.abs(np.delete(spec.quasienergies, spec.zero_indices))
+    if len(kept) and kept.min() < 10 * spec.zero_tol:
         warnings.warn(
             f"zero-mode count is tolerance-sensitive: nearest level at "
-            f"{outside.min():.3e} vs tol {tol:.3e}", stacklevel=2)
-    return idx
+            f"{kept.min():.3e} vs tol {spec.zero_tol:.3e}", stacklevel=2)
+    return spec.zero_indices
 
 
 def mirror_asymmetry(spec: Spectrum) -> float:
@@ -439,25 +429,22 @@ class GapRatioStats:
     """Consecutive-gap ratio statistics over the strictly positive levels."""
 
     mean_r: float
-    n_levels: int
     n_ratios: int
-    coe_reference: float = COE_MEAN_R
-    poisson_reference: float = POISSON_MEAN_R
 
 
-def gap_ratio_stats(spec: Spectrum, degenerate_cut: float = 1e-12) -> GapRatioStats:
+def gap_ratio_stats(spec: Spectrum) -> GapRatioStats:
     """Mean r = min(d1, d2)/max(d1, d2) over consecutive positive-level gaps.
 
-    Kernel and negative levels are excluded; gaps below `degenerate_cut` are
+    Kernel and negative levels are excluded; gaps below DEGENERATE_GAP are
     dropped as exact degeneracies.
     """
-    tol = _zero_tol(spec.quasienergies)
-    pos = np.sort(spec.quasienergies[spec.quasienergies > tol])
+    eps = np.delete(spec.quasienergies, spec.zero_indices)
+    pos = eps[eps > 0]                     # quasienergies ascend
     if len(pos) < 3:
         raise DomainError("need at least three positive levels for gap ratios")
     gaps = np.diff(pos)
-    gaps = gaps[gaps > degenerate_cut]
+    gaps = gaps[gaps > DEGENERATE_GAP]
     if len(gaps) < 2:
         raise DomainError("not enough non-degenerate gaps for ratios")
     r = np.minimum(gaps[:-1], gaps[1:]) / np.maximum(gaps[:-1], gaps[1:])
-    return GapRatioStats(float(r.mean()), len(pos), len(r))
+    return GapRatioStats(float(r.mean()), len(r))

@@ -143,11 +143,11 @@ def test_criterion_06_closed_form_vs_direct(spectrum_cache):
         basis = SectorBasis(L, L // 2)
         tower = tower_states(L)
         initials = [pinnacle_state(L), tower.eaves[L // 2],
-                    random_nontower_states(basis, tower, count=1, seed=7)[0]]
+                    random_nontower_states(basis, count=1, seed=7)[0]]
         for state in initials:
             # direct: |<psi0|psi(k)>|^2 from explicitly propagated states
             psi0 = fock_vector(basis, state).amplitudes
-            states = spec.propagate(psi0, np.arange(257), 2 * np.pi / spec.omega)
+            states = spec.propagate(psi0, np.arange(257))
             direct = np.abs(psi0.conj() @ states) ** 2
             closed = analytic_fidelity(spec, state, 256).values
             dev = np.max(np.abs(direct - closed))
@@ -191,7 +191,7 @@ def test_criterion_07_plateau_extended(spectrum_cache):
 
 # ---------------------------------------------------------------- criterion 8
 
-def test_criterion_08_fft_peaks(spectrum_cache, standard_params):
+def test_criterion_08_fft_peaks(spectrum_cache):
     # odd N: the dominant revival line sits at 2|eps~ T| because the kernel
     # weight vanishes and the leading cosine only enters squared.
     spec14 = spectrum_cache(14)
@@ -200,7 +200,7 @@ def test_criterion_08_fft_peaks(spectrum_cache, standard_params):
     bin_width = freqs[0]
     peak = dominant_peaks(freqs, amps, count=1)[0][0]
     eps_top = _top_clusters(spec14, PINNACLE[14], 1)[0, 0]
-    predicted = 2.0 * abs(eps_top) * (2.0 * np.pi / spec14.omega)
+    predicted = 2.0 * abs(eps_top) * spec14.period
     assert abs(peak - predicted) <= bin_width    # frozen: 0.03 bins apart
 
     # tower restriction vs the sector model, desk scale: the dominant SPTA
@@ -210,18 +210,18 @@ def test_criterion_08_fft_peaks(spectrum_cache, standard_params):
     freqs, amps = fta(analytic_fidelity(spec12, PINNACLE[12], 4096))
     pf, _ = dominant_peaks(freqs, amps, count=2)
     high = pf.max()
-    sf, sa = fta(spta_fidelity(standard_params, 12, 4096))
+    sf, sa = fta(spta_fidelity(spec12.ham, 4096))
     spta_peak = dominant_peaks(sf, sa, count=1)[0][0]
     assert abs(spta_peak - high) / high < 0.15   # frozen: 0.125
 
 
 @extended
-def test_criterion_08_fft_peaks_extended(spectrum_cache, standard_params):
+def test_criterion_08_fft_peaks_extended(spectrum_cache):
     spec = spectrum_cache(16)
     series = analytic_fidelity(spec, PINNACLE[16], 4096)
     freqs, amps = fta(series)
     bin_width = freqs[0]
-    period = 2.0 * np.pi / spec.omega
+    period = spec.period
     clusters = _top_clusters(spec, PINNACLE[16], 2)
     eps1, eps2 = sorted(float(abs(e)) for e in clusters[:, 0])
     assert abs(eps1 - 0.064) <= 0.1 * 0.064      # frozen: 0.0665770453
@@ -230,7 +230,7 @@ def test_criterion_08_fft_peaks_extended(spectrum_cache, standard_params):
     for target in (eps1 * period, eps2 * period):
         assert np.min(np.abs(pf - target)) <= bin_width
 
-    sf, sa = fta(spta_fidelity(standard_params, 16, 4096))
+    sf, sa = fta(spta_fidelity(spec.ham, 4096))
     spta_peak = dominant_peaks(sf, sa, count=1)[0][0]
     high = pf.max()
     assert abs(spta_peak - high) <= bin_width * (1 + 1e-9)  # adjacent bins

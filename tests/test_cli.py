@@ -281,7 +281,8 @@ def test_scar_per_state_ie_matches_per_column_entropy(tmp_path, capsys,
     basis = SectorBasis(8, 4)
     spec = diagonalize(build_effective_resonant(
         basis, resonant_family(*family).params(g=50.0, u=0.5), *family))
-    expected = [shannon_entropy(StateVector(spec.vectors.column(a), basis))
+    expected = [shannon_entropy(StateVector(spec.vectors.columns([a])[:, 0],
+                                            basis))
                 for a in range(spec.size)]
     np.testing.assert_allclose(table["S_IE"], expected, rtol=1e-14, atol=0)
 
@@ -652,6 +653,34 @@ def test_full_model_ensemble_steps_every_member_through_one_propagator(
     table = np.array([[float(c) for c in l.split(",")]
                       for l in out_csv.read_text().splitlines()[1:]])
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+
+
+def test_quench_series_diagonalizes_once_per_chain_length(tmp_path, capsys,
+                                                         monkeypatch):
+    from scarkit import spectral
+    solved = []
+
+    def counting(ham, *args, **kw):
+        solved.append(ham.basis.L)
+        return real_diagonalize(ham, *args, **kw)
+
+    real_diagonalize = spectral.diagonalize
+    monkeypatch.setattr(spectral, "diagonalize", counting)
+    runner, _ = cli._BUNDLES["quench-series"]
+    result = runner({"cycles": 64}, str(tmp_path), (6, 8))
+    assert solved == [6, 8]
+    # each start's CSV is the one a separate `dynamics` run writes
+    assert len(result["files"]) == 6
+    for path in result["files"][:3]:
+        stem = os.path.basename(path)[len("quench_L6_"):-len(".csv")]
+        initial = stem.replace("-", ":")
+        alone = tmp_path / "alone.csv"
+        code, _, _ = run(capsys, "dynamics", "--L", "6", "--family", "0,0,+",
+                         "--g", "50", "--u", "0.5", "--cycles", "64",
+                         "--initial", initial, "--out", str(alone),
+                         "--manifest", os.devnull)
+        assert code == 0
+        assert alone.read_bytes() == open(path, "rb").read()
 
 
 def test_model_comparison_discrepancy_is_compare_max(tmp_path, capsys):

@@ -92,18 +92,20 @@ def test_tower_probability_shortcut_matches_projection():
 
 
 @pytest.mark.parametrize("L, cycles", [(8, 64), (12, 200)])
-def test_tower_probability_chunks_agree(L, cycles):
+def test_tower_probability_chunks_agree(L, cycles, monkeypatch):
+    from scarkit import dynamics
     spec = spectrum_for(L)
     word = "1" * (L // 2) + "0" * (L // 2)
-    one = tower_probability_series(spec, word, cycles=cycles,
-                                   chunk=cycles + 1).values
-    small = tower_probability_series(spec, word, cycles=cycles, chunk=7).values
+    monkeypatch.setattr(dynamics, "PHASE_CHUNK", cycles + 1)
+    one = tower_probability_series(spec, word, cycles=cycles).values
+    monkeypatch.setattr(dynamics, "PHASE_CHUNK", 7)
+    small = tower_probability_series(spec, word, cycles=cycles).values
     np.testing.assert_allclose(small, one, rtol=0, atol=1e-13)
     # a StateVector start gives the series of its Fock word
     vector = fock_vector(spec.basis, word)
     for chunk in (7, cycles + 1):
-        direct = tower_probability_series(spec, vector, cycles=cycles,
-                                          chunk=chunk).values
+        monkeypatch.setattr(dynamics, "PHASE_CHUNK", chunk)
+        direct = tower_probability_series(spec, vector, cycles=cycles).values
         np.testing.assert_allclose(one, direct, rtol=0, atol=1e-12)
 
 
@@ -165,7 +167,9 @@ def off_resonant_spectrum():
 
 @pytest.mark.parametrize("route, L", [("chiral", 8), ("chiral", 12),
                                       ("dense", 8)])
-def test_series_from_complex_start_match_evolved_states(route, L):
+def test_series_from_complex_start_match_evolved_states(route, L,
+                                                       monkeypatch):
+    from scarkit import dynamics
     spec = spectrum_for(L) if route == "chiral" else off_resonant_spectrum()
     rng = np.random.default_rng(L)
     psi0 = rng.normal(size=spec.size) + 1j * rng.normal(size=spec.size)
@@ -175,8 +179,9 @@ def test_series_from_complex_start_match_evolved_states(route, L):
     np.testing.assert_allclose(fidelity_series(spec, psi0, 200).values,
                                np.abs(psi0.conj() @ states) ** 2,
                                rtol=0, atol=1e-12)
+    monkeypatch.setattr(dynamics, "PHASE_CHUNK", 64)
     np.testing.assert_allclose(
-        tower_probability_series(spec, psi0, cycles=200, chunk=64).values,
+        tower_probability_series(spec, psi0, cycles=200).values,
         (np.abs(states[t_idx]) ** 2).sum(axis=0), rtol=0, atol=1e-12)
 
 
@@ -292,11 +297,30 @@ def test_dominant_peaks_on_revival_spectrum():
 
 
 def test_spta_fidelity_series():
-    f = spta_fidelity(PARAMS, 12, cycles=128)
+    basis = SectorBasis(12, 6)
+    f = spta_fidelity(build_effective_resonant(basis, PARAMS, 0, 0, "+"),
+                      cycles=128)
     assert f.values[0] == pytest.approx(1.0, abs=1e-12)
     assert (f.values <= 1.0 + 1e-10).all()
     # the restriction is L-dimensional, so revivals are strong
     assert f.values.max() > 0.5
+
+
+def test_spta_fidelity_needs_no_sector_eigensystem(monkeypatch):
+    # dim 48620 lies above the dense threshold: only the L x L block is solved
+    from scarkit import spectral
+
+    def no_solve(*args, **kw):
+        raise AssertionError("spta_fidelity diagonalized the sector")
+
+    monkeypatch.setattr(spectral, "diagonalize", no_solve)
+    basis = SectorBasis(18, 9)
+    assert basis.size > spectral.DENSE_EIG_DEFAULT
+    ham = build_effective_resonant(basis, PARAMS, 0, 0, "+")
+    f = spta_fidelity(ham, cycles=64)
+    assert len(f.values) == 65
+    assert f.values[0] == pytest.approx(1.0, abs=1e-12)
+    assert (f.values <= 1.0 + 1e-10).all()
 
 
 def test_random_nontower_sampling():

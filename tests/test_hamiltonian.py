@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hop_oracles
+from scarkit import resonance
+from scarkit.errors import DomainError
 from scarkit.fock_basis import SectorBasis
 from scarkit.hamiltonian import (HOP_CLASSES, ModelParams,
                                  amplitudes_general, build_effective_general,
@@ -191,6 +193,33 @@ def test_resonant_builder_rejects_wrong_parameters():
     basis = SectorBasis(4, 2)
     with pytest.raises(Exception):
         build_effective_resonant(basis, PARAMS, 0, 0, "+")
+
+
+@pytest.mark.parametrize("family, match", [
+    ((0, 0, "x"), "branch must be"), ((-1, 0, "+"), "non-negative"),
+    ((1, 1, "-"), "needs k2 > k1"), ((1, 0, "+"), "resonance ratio"),
+    ((0, 1, "+"), "resonance ratio")])
+def test_resonant_amplitudes_refuse_other_family_members(family, match):
+    p = resonant_family(0, 0, "+").params(g=50.0, u=0.5)
+    with pytest.raises(DomainError, match=match):
+        resonant_amplitudes(p, *family)
+    # right U/g, wrong drive frequency
+    off = ModelParams(g=p.g, U=p.U, u=p.u, omega=2.0 * p.omega)
+    with pytest.raises(DomainError, match="g/omega"):
+        resonant_amplitudes(off, 0, 0, "+")
+
+
+def test_resonant_build_validates_the_family_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return resonant_family(*args)
+
+    monkeypatch.setattr(resonance, "resonant_family", counting)
+    p = resonant_family(0, 1, "-").params(g=21.0, u=0.5)
+    build_effective_resonant(SectorBasis(6, 3), p, 0, 1, "-")
+    assert calls == [(0, 1, "-")]
 
 
 @pytest.mark.parametrize("L", [4, 6, 8])

@@ -86,12 +86,13 @@ def test_uniform_state_maximizes_information_entropy():
         math.log(basis.size), abs=1e-12)
 
 
-def test_entropy_profile_matches_columns():
+def test_entropy_profile_matches_columns(monkeypatch):
     basis = SectorBasis(6, 3)
     spec = diagonalize(build_effective_resonant(basis, PARAMS, 0, 0, "+"))
-    prof = entropy_profile(spec, batch=7)
+    monkeypatch.setattr(observables, "PROFILE_BATCH", 7)
+    prof = entropy_profile(spec)
     for a in (0, 5, 13, 19):
-        sv = StateVector(spec.vectors.column(a), basis)
+        sv = StateVector(spec.vectors.columns([a])[:, 0], basis)
         assert prof[a] == pytest.approx(entanglement_entropy(sv), abs=1e-10)
 
 
@@ -154,6 +155,25 @@ def test_overlap_table_weights():
                                atol=1e-9)
     np.testing.assert_allclose(w[pos][np.argsort(eps[pos])],
                                w[neg][np.argsort(-eps[neg])], atol=1e-10)
+
+
+def test_int_state_is_a_bit_word_everywhere():
+    # 0b11110000 = 240 lies past the last basis index (dim 70): an int read as
+    # a basis position would raise or pick another state
+    basis = SectorBasis(8, 4)
+    spec = diagonalize(build_effective_resonant(basis, PARAMS, 0, 0, "+"))
+    tp = pinnacle_state(8)
+    assert tp.bits == 240 and basis.size == 70
+    assert zero_projection(tp.bits, spec) == zero_projection(tp, spec)
+    assert np.array_equal(scar_state(spec, tp.bits).amplitudes,
+                          scar_state(spec, tp).amplitudes)
+    assert np.array_equal(overlap_table(spec, tp.bits),
+                          overlap_table(spec, tp))
+    assert np.array_equal(fock_vector(basis, tp.bits).amplitudes,
+                          fock_vector(basis, tp).amplitudes)
+    # a small word is not taken as the position of the same number
+    word = int(basis.states[3])
+    assert zero_projection(word, spec) == zero_projection(basis.state(3), spec)
 
 
 def test_overlap_table_aggregation_reduces_rows():

@@ -1,5 +1,8 @@
 """Diagonalization routes, folding, kernel extraction, level statistics."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,8 @@ from scarkit.errors import CapabilityError, DomainError
 from scarkit.fock_basis import SectorBasis
 from scarkit.hamiltonian import build_effective_general, build_effective_resonant
 from scarkit.resonance import resonant_family
-from scarkit.spectral import (diagonalize, fold_quasienergy, gap_ratio_stats,
-                              mirror_asymmetry, zero_modes)
+from scarkit.spectral import (ZERO_MODE_RTOL, diagonalize, fold_quasienergy,
+                              gap_ratio_stats, mirror_asymmetry, zero_modes)
 
 FAMILY = resonant_family(0, 0, "+")
 PARAMS = FAMILY.params(g=50.0, u=0.5)
@@ -64,8 +67,8 @@ def test_eigenpairs_reconstruct(L):
 def test_vector_views_agree():
     spec = resonant_spectrum(6)
     V = spec.vectors.dense()
-    assert np.allclose(spec.vectors.column(3), V[:, 3], atol=0)
-    assert np.allclose(spec.vectors.row(5), V[5, :], atol=0)
+    assert np.allclose(spec.vectors.columns([3])[:, 0], V[:, 3], atol=0)
+    assert np.allclose(spec.vectors.rows([5])[0], V[5, :], atol=0)
     assert np.allclose(spec.vectors.columns([1, 4, 7]), V[:, [1, 4, 7]], atol=0)
 
 
@@ -78,7 +81,7 @@ def test_propagate_matches_direct_exponential():
     psi0 /= np.linalg.norm(psi0)
     T = PARAMS.T
     ks = np.array([0, 1, 7, 40])
-    out = spec.propagate(psi0, ks, T)
+    out = spec.propagate(psi0, ks)
     vals, V = np.linalg.eigh(A)
     for i, k in enumerate(ks):
         direct = (V * np.exp(-1j * vals * k * T)) @ (V.conj().T @ psi0)
@@ -89,7 +92,7 @@ def test_propagation_is_unitary_and_periodic_at_zero():
     spec = resonant_spectrum(8)
     psi0 = np.zeros(spec.size, dtype=np.complex128)
     psi0[0] = 1.0
-    out = spec.propagate(psi0, [0, 13, 200], PARAMS.T)
+    out = spec.propagate(psi0, [0, 13, 200])
     norms = np.linalg.norm(out, axis=0)
     assert np.allclose(norms, 1.0, atol=1e-10)
     assert np.allclose(out[:, 0], psi0, atol=1e-12)
@@ -100,6 +103,35 @@ def test_zero_mode_counts(L, count):
     spec = resonant_spectrum(L)
     assert len(spec.zero_indices) == count
     assert len(zero_modes(spec)) == count
+
+
+def test_spectrum_carries_its_hamiltonian_period_and_tolerance():
+    basis = SectorBasis(8, 4)
+    ham = build_effective_resonant(basis, PARAMS, 0, 0, "+")
+    spec = diagonalize(ham)
+    assert spec.ham is ham and spec.basis is basis
+    assert spec.period == 2.0 * np.pi / PARAMS.omega     # bitwise
+    # chiral route: the rank cut on the singular values, s_max = max |level|
+    s_max = float(np.max(np.abs(np.linalg.eigvalsh(ham.toarray()))))
+    assert spec.zero_tol == pytest.approx(ZERO_MODE_RTOL * s_max, rel=1e-12)
+    general = diagonalize(build_effective_general(basis, PARAMS))
+    assert general.zero_tol == \
+        ZERO_MODE_RTOL * float(np.max(np.abs(general.quasienergies)))
+
+
+def test_zero_modes_warns_when_a_kept_level_is_near_the_tolerance():
+    spec = resonant_spectrum(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zero_modes(spec) is spec.zero_indices
+    kept = np.abs(np.delete(spec.quasienergies, spec.zero_indices)).min()
+    close = dataclasses.replace(spec, zero_tol=kept / 5)
+    with pytest.warns(UserWarning, match="tolerance-sensitive"):
+        assert np.array_equal(zero_modes(close), spec.zero_indices)
+    far = dataclasses.replace(spec, zero_tol=kept / 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero_modes(far)
 
 
 @pytest.mark.parametrize("L", [4, 6, 8])
@@ -159,7 +191,7 @@ def test_general_route_produces_dense_vectors():
     basis = SectorBasis(6, 3)
     p = resonant_family(0, 0, "+").params(g=50.0, u=0.5)
     spec = diagonalize(build_effective_general(basis, p))
-    assert spec.kind == "effective_general"
+    assert spec.ham.kind == "effective_general"
     A = build_effective_general(basis, p).toarray()
     V = spec.vectors.dense()
     resid = A @ V - V * spec.quasienergies[None, :]
