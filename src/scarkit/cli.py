@@ -11,7 +11,9 @@ return `(payload, primary_output)`: `main` alone writes the manifest and
 prints the payload, so bundles call handlers as plain functions.
 
 Exit codes: 0 success, 2 configuration problems, 3 capability limits or a
-failed numerical invariant (non-Hermitian build, unitarity drift).
+failed numerical invariant (non-Hermitian build, unitarity drift).  A
+non-finite drive parameter, a negative seed, or an output path in a missing
+or unwritable directory exits 2 before anything is built.
 
 Option resolution imports no numpy: the handlers import the library, so
 `--threads` can cap the BLAS pools before numpy first loads.  The library
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -182,6 +185,46 @@ def _resolve_options(ns: argparse.Namespace, registry: _OptionRegistry) -> dict:
     return resolved
 
 
+_FINITE_KEYS = ("g", "u", "omega", "u_over_g")
+_OUTPUT_FILES = ("out", "per_state", "fft_out", "manifest")
+
+
+def _check_writable_dir(key: str, path: str, directory: str) -> None:
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{key}: directory {directory!r} of {path!r} "
+                          "does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ConfigError(f"{key}: directory {directory!r} of {path!r} "
+                          "is not writable")
+
+
+def _check_options(opts: dict) -> None:
+    """Refuse, before anything is built, values that no handler can use.
+
+    Non-finite drive parameters, a negative seed, and an output path whose
+    directory is missing or unwritable (`outdir` itself may be missing, its
+    parent not).
+    """
+    for key in _FINITE_KEYS:
+        value = opts.get(key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
+    if opts.get("seed") is not None and opts["seed"] < 0:
+        raise ConfigError(f"seed: must be >= 0, got {opts['seed']}")
+    for key in _OUTPUT_FILES:
+        path = opts.get(key)
+        if path:
+            if os.path.isdir(path):
+                raise ConfigError(f"{key}: {path!r} is a directory")
+            _check_writable_dir(key, path, os.path.dirname(path) or ".")
+    outdir = opts.get("outdir")
+    if outdir:
+        if os.path.exists(outdir) and not os.path.isdir(outdir):
+            raise ConfigError(f"outdir: {outdir!r} is not a directory")
+        _check_writable_dir("outdir", outdir, outdir if os.path.isdir(outdir)
+                            else os.path.dirname(outdir) or ".")
+
+
 def _require(opts: dict, *keys):
     values = []
     for key in keys:
@@ -290,10 +333,12 @@ def _parse_initial(text: str, L: int):
         if len(parts) != 3:
             raise ConfigError("initial: random takes random:<count>:<seed>")
         try:
-            return {"kind": "random", "count": int(parts[1]),
-                    "seed": int(parts[2]), "label": text}
+            count, seed = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"initial: {exc}") from exc
+        if seed < 0:
+            raise ConfigError(f"initial: random seed must be >= 0, got {seed}")
+        return {"kind": "random", "count": count, "seed": seed, "label": text}
     raise ConfigError(f"initial: unrecognized form {text!r}")
 
 
@@ -743,11 +788,10 @@ def _cmd_reproduce(opts: dict) -> tuple:
     runner, scales = _BUNDLES[bundle]
     sizes = scales[scale]
     if bundle != "ratio-landscape":
-        from math import comb
         from .spectral import DENSE_EIG_DEFAULT, check_dense
         threshold = _positive(opts, "dense_threshold", DENSE_EIG_DEFAULT)
         for L in sizes:
-            check_dense(comb(L, L // 2), threshold,
+            check_dense(math.comb(L, L // 2), threshold,
                         f"{bundle} --scale {scale}: the L = {L} sector")
     outdir = opts.get("outdir") or f"{bundle}-{scale}"
     os.makedirs(outdir, exist_ok=True)
@@ -865,6 +909,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(sys.argv[1:] if argv is None else argv)
     try:
         opts = _resolve_options(ns, registry)
+        _check_options(opts)
         if opts.get("threads") is not None:
             # set before any handler imports numpy; overrides inherited sizes
             n = str(max(1, opts["threads"]))

@@ -1,13 +1,17 @@
 """Stroboscopic dynamics of the driven chain and its effective descriptions.
 
-Two evolution routes: eigenbasis rotation of an effective Hamiltonian's
-spectrum, and the exact piecewise-constant drive applied as a pair of
-half-period propagators per cycle.  The drive is square, so the full route
-has no time-step error; a cycle is one matrix application.
+Every series is an eigenbasis rotation of a `Spectrum`: an effective
+Hamiltonian's, or, for the exact piecewise-constant drive up to
+FULL_DENSE_MAX states, the Floquet spectrum of its one-cycle map, built once
+from the two half-period Hamiltonians (`floquet_spectrum`).  The drive is
+square, so that route has no time-step error and steps nothing; its
+eigen-residual bounds the error per cycle.  Above FULL_DENSE_MAX the drive is
+stepped, each cycle a pair of sparse Krylov half-period exponentials.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +22,10 @@ from .graph import Tower, spta_matrix, tower_states
 from .hamiltonian import HamiltonianMatrix, ModelParams, build_half_period
 from .observables import (StateVector, cluster_levels, fock_vector,
                           schmidt_entropies)
-from .spectral import Spectrum
+from .spectral import Spectrum, dense_spectrum
 
-FULL_DENSE_MAX = 4096       # dense half-period propagators up to this dimension
+FULL_DENSE_MAX = 4096       # exact drive as a Floquet spectrum up to this dimension
+FLOQUET_MIX_ANGLE = 0.5 * (math.sqrt(5.0) - 1.0)   # generic angle: splits Re/Im of the cycle
 DEFAULT_CYCLES = 4096
 UNITARITY_TOL = 1e-8
 STATE_BLOCK_BYTES = 2_000_000_000
@@ -174,43 +179,103 @@ def analytic_fidelity(spec: Spectrum, f: FockState | str,
     return TimeSeries("F", amplitude ** 2)
 
 
-def _expi_real_symmetric(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t h) for real symmetric h via its eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * t * vals)) @ vecs.T
+def _congruence(W: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W^T diag(w) W for real W and w, as two symmetric rank-k products."""
+    pos = w >= 0
+    a = np.sqrt(w[pos])[:, None] * W[pos]
+    b = np.sqrt(-w[~pos])[:, None] * W[~pos]
+    return a.T @ a - b.T @ b
+
+
+def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix
+                     ) -> tuple[Spectrum, float]:
+    """Floquet spectrum of the cycle u2 u1 (u_i = exp(-i h_i T/2)), and its residual.
+
+    With h_i = V_i diag(e_i) V_i^T and d = exp(-i tau e1 / 2), tau = T/2,
+    the symmetrized cycle u1^(1/2) u2 u1^(1/2) reads, in the eigenframe of h1,
+    M = d o (W^T diag(exp(-i tau e2)) W) o d with W = V2^T V1.  M is complex
+    symmetric and unitary, so its real and imaginary parts are commuting
+    real symmetric matrices, and so are those of exp(-i phi) M = C + i B
+    (phi = FLOQUET_MIX_ANGLE, folded into d).  One real `eigh` of C gives
+    their common orthogonal eigenbasis Q and mu = diag(Q^T C Q); one product
+    B Q gives sigma = diag(Q^T B Q), so lambda = diag(Q^T M Q) =
+    exp(i phi) (mu + i sigma), and the residual max|B Q - Q sigma|, which is
+    max|M Q - Q lambda| up to the `eigh` backward error.  The cycle's
+    eigenvectors are V1 (conj(d) o Q), with quasienergies -arg(lambda) / T.
+    Every product is real.  The spectrum's `ham` is h1 (basis and period).
+    """
+    tau, phi = h1.params.T / 2.0, FLOQUET_MIX_ANGLE
+    e1, V1 = np.linalg.eigh(h1.toarray())
+    e2, V2 = np.linalg.eigh(h2.toarray())
+    W = V2.T @ V1
+    del V2
+    x_re = _congruence(W, np.cos(tau * e2))
+    x_im = _congruence(W, np.sin(tau * e2))     # W^T e^{-i tau e2} W = x_re - i x_im
+    del W
+    c, s = np.cos(tau * e1 / 2.0 + phi / 2.0), np.sin(tau * e1 / 2.0 + phi / 2.0)
+    g_re = np.outer(c, c) - np.outer(s, s)      # e^{-i phi} d_i d_j = g_re - i g_im
+    g_im = np.outer(s, c) + np.outer(c, s)
+    C = g_re * x_re - g_im * x_im
+    B = -(g_re * x_im + g_im * x_re)
+    del g_re, g_im, x_re, x_im
+    mu, Q = np.linalg.eigh(C)
+    del C
+    bq = B @ Q
+    del B
+    sigma = np.einsum("ij,ij->j", Q, bq)
+    bq -= Q * sigma
+    residual = float(np.abs(bq).max(initial=0.0))
+    del bq
+    c, s = np.cos(tau * e1 / 2.0), np.sin(tau * e1 / 2.0)   # conj(d) = c + i s
+    P = np.empty(V1.shape, dtype=np.complex128)
+    P.real, P.imag = V1 @ (c[:, None] * Q), V1 @ (s[:, None] * Q)
+    energies = -(phi + np.angle(mu + 1j * sigma)) / h1.params.T
+    return dense_spectrum(energies, P, h1), residual
 
 
 class FullPropagator:
-    """One-cycle map of the square-wave drive: two half-period exponentials.
+    """The square-wave drive's one-cycle map, on the route its size allows.
 
-    Below `dense_max` both halves are composed into a single dense cycle
-    matrix; above it each application falls back to sparse Krylov
-    exponentials, trading speed for memory.
+    Below `dense_max` the cycle is diagonalized once (`floquet_spectrum`):
+    `spectrum` holds its quasienergies and eigenvectors, so every series is
+    read off it like an effective model's, with no stepping, and `residual`
+    holds the eigen-residual max|M Q - Q lambda| of that solve, the per-cycle
+    error that `check_residual` bounds.  Above it, `step` applies the two
+    half-period exponentials by sparse Krylov (`expm_multiply`), trading
+    speed for memory, and `spectrum` and `residual` are None.
     """
 
     def __init__(self, basis: SectorBasis, params: ModelParams,
                  dense_max: int = FULL_DENSE_MAX):
-        h1 = build_half_period(basis, params, 1).matrix
-        h2 = build_half_period(basis, params, 2).matrix
-        half = params.T / 2.0
+        h1 = build_half_period(basis, params, 1)
+        h2 = build_half_period(basis, params, 2)
+        self.spectrum, self.residual, self._halves = None, None, None
         if basis.size <= dense_max:
-            u1 = _expi_real_symmetric(h1.toarray().real, half)
-            u2 = _expi_real_symmetric(h2.toarray().real, half)
-            self._cycle = u2 @ u1
-            self._halves = None
+            self.spectrum, self.residual = floquet_spectrum(h1, h2)
         else:
-            self._cycle = None
-            self._halves = (h1.tocsc() * (-1j * half), h2.tocsc() * (-1j * half))
+            half = params.T / 2.0
+            self._halves = (h1.matrix.tocsc() * (-1j * half),
+                            h2.matrix.tocsc() * (-1j * half))
+
+    def check_residual(self, cycles: int) -> None:
+        """Refuse `cycles` cycles if residual * cycles exceeds the drift bound.
+
+        Each cycle read off the spectrum can err by up to the residual, the
+        role the norm drift plays for stepping; UNITARITY_TOL per cycle is
+        the same bound `_drive` applies.
+        """
+        bound = self.residual * cycles
+        if bound > UNITARITY_TOL * max(cycles, 1):
+            raise NumericalError(f"unitarity drift bound {bound:.2e} "
+                                 f"over {cycles} cycles")
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        if self._cycle is not None:
-            return self._cycle @ psi
         from scipy.sparse.linalg import expm_multiply
         return expm_multiply(self._halves[1], expm_multiply(self._halves[0], psi))
 
 
 def _drive(prop: FullPropagator, psi0: np.ndarray, last: int):
-    """Yield the state after each cycle k = 0..last of the exact drive.
+    """Yield the state after each Krylov-stepped cycle k = 0..last.
 
     Once the last state is consumed the norm is checked: a drift above
     UNITARITY_TOL per cycle stepped raises NumericalError.
@@ -252,9 +317,12 @@ def evolve_full(basis: SectorBasis, params: ModelParams, initial, cycles,
     psi0 = _as_vector(basis, initial)
     ks = _cycle_array(cycles)
     _guard_block(basis.size, len(ks))
+    prop = FullPropagator(basis, params, dense_max)
+    if prop.spectrum is not None:
+        prop.check_residual(int(ks[-1]))
+        return prop.spectrum.propagate(psi0, ks)
     # unpacking asks for a second block, which runs the drift check
-    (states,) = _blocks_at(FullPropagator(basis, params, dense_max), psi0, ks,
-                           len(ks))
+    (states,) = _blocks_at(prop, psi0, ks, len(ks))
     return states
 
 
@@ -269,14 +337,23 @@ def full_drive_ensemble(basis: SectorBasis, params: ModelParams, initials,
                         ) -> list[dict[str, TimeSeries]]:
     """F, half-chain S_EE and P_t under the exact drive, per initial state.
 
-    One FullPropagator steps every start.  Each start's states stream in
-    blocks of EE_CHUNK cycles, and every requested series takes its values
-    from each block, so no (dim x cycles) array is held.  Keys are the
-    requested names among "F", "EE" and "Pt".
+    One FullPropagator serves every start.  Below its dense bound the series
+    come from its Floquet spectrum through `fidelity_series`, `ee_series`
+    and `tower_probability_series`.  Above it each start's states are
+    stepped and stream in blocks of EE_CHUNK cycles, every requested series
+    taking its values from each block, so no (dim x cycles) array is held.
+    Keys are the requested names among "F", "EE" and "Pt", in that order.
     """
     psis = [_as_vector(basis, initial) for initial in initials]
     ks = _cycle_array(cycles)
     prop = FullPropagator(basis, params)
+    if prop.spectrum is not None:
+        prop.check_residual(int(ks[-1]))
+        series_of = {"F": fidelity_series, "EE": ee_series,
+                     "Pt": tower_probability_series}
+        return [{name: series(prop.spectrum, psi0, cycles=ks)
+                 for name, series in series_of.items() if name in observables}
+                for psi0 in psis]
     t_idx = tower_states(basis.L).indices(basis) if "Pt" in observables else None
     runs = []
     for psi0 in psis:

@@ -92,8 +92,12 @@ class DenseVectors:
         return (np.abs(self._V[mask, :]) ** 2).sum(axis=0)
 
     def coefficients(self, psi0: np.ndarray) -> np.ndarray:
-        """<a|psi0> for every eigenvector column a."""
-        return self._V.conj().T @ psi0
+        """<a|psi0> for every eigenvector column a.
+
+        Taken as conj(psi0^H V), which copies no conjugated V and equals
+        V^H psi0 bit for bit.
+        """
+        return np.conj(psi0.conj() @ self._V)
 
     def propagate(self, psi0: np.ndarray, kt_values: np.ndarray,
                   eigvals: np.ndarray) -> np.ndarray:
@@ -309,7 +313,11 @@ class ChiralPairVectors:
 
 @dataclass
 class Spectrum:
-    """Folded eigensystem of one sector Hamiltonian, and that Hamiltonian."""
+    """Folded eigensystem of one sector Hamiltonian, and that Hamiltonian.
+
+    A Floquet spectrum of the exact drive carries its first half-period
+    Hamiltonian, which holds the same basis and period.
+    """
 
     quasienergies: np.ndarray      # folded into [-omega/2, omega/2), ascending
     vectors: DenseVectors | ChiralPairVectors
@@ -368,9 +376,18 @@ def diagonalize(ham: "HamiltonianMatrix",
     check_dense(ham.dimension, dense_threshold)
     if ham.kind == "effective_resonant":
         return _diagonalize_chiral(ham)
-    A = ham.toarray()
-    vals, V = np.linalg.eigh(A)
-    folded = fold_quasienergy(vals, ham.params.omega)
+    vals, V = np.linalg.eigh(ham.toarray())
+    return dense_spectrum(vals, V, ham)
+
+
+def dense_spectrum(energies: np.ndarray, V: np.ndarray,
+                   ham: "HamiltonianMatrix") -> Spectrum:
+    """Spectrum of dense eigenpairs: folded, sorted, phase-fixed, kernel chosen.
+
+    `V` holds one eigenvector column per energy; `ham` supplies the basis
+    and the drive frequency the energies fold with.
+    """
+    folded = fold_quasienergy(energies, ham.params.omega)
     perm = np.argsort(folded, kind="stable")
     folded, V = folded[perm], V[:, perm]
     V = _phase_fix(V)

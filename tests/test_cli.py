@@ -225,6 +225,93 @@ def test_dynamics_rejects_bad_initial(tmp_path, capsys):
             assert not (tmp_path / "x.csv").exists()
 
 
+_RES = ("--family", "0,0,+", "--g", "50", "--u", "0.5")
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if anything is diagonalized or driven."""
+    from scarkit import dynamics, spectral
+
+    def refuse(*args, **kw):
+        raise AssertionError("a refused run reached a solve")
+    monkeypatch.setattr(spectral, "diagonalize", refuse)
+    monkeypatch.setattr(dynamics, "FullPropagator", refuse)
+
+
+@pytest.mark.parametrize("model", ["effective", "full"])
+def test_dynamics_refuses_negative_random_seed(tmp_path, capsys, no_solve,
+                                               model):
+    code, out, err = run(capsys, "dynamics", "--L", "6", *_RES, "--model",
+                         model, "--initial", "random:3:-1",
+                         "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err == "config error: initial: random seed must be >= 0, got -1\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_reproduce_refuses_negative_seed(tmp_path, capsys, no_solve):
+    outdir = tmp_path / "qs"
+    code, out, err = run(capsys, "reproduce", "--bundle", "quench-series",
+                         "--seed", "-1", "--outdir", str(outdir))
+    assert (code, out) == (2, "")
+    assert err == "config error: seed: must be >= 0, got -1\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("g", ("spectrum", "--L", "6", "--family", "0,0,+", "--g", "inf",
+           "--u", "0.5", "--out", "{tmp}/x.csv")),
+    ("u", ("dynamics", "--L", "6", "--family", "0,0,+", "--g", "50",
+           "--u", "nan", "--out", "{tmp}/x.csv")),
+    ("omega", ("dynamics", "--L", "6", "--g", "50", "--u", "0.5",
+               "--u-over-g", "0.7", "--model", "full", "--omega=-inf",
+               "--out", "{tmp}/x.csv")),
+    ("omega", ("scar", "--L", "6", "--g", "50", "--u", "0.5", "--omega",
+               "nan", "--u-over-g", "0.7", "--per-state", "{tmp}/x.csv")),
+    ("g", ("compare", "--L", "6", "--family", "0,0,+", "--g=-inf", "--u",
+           "0.5", "--out", "{tmp}/x.csv")),
+    ("omega", ("resonance", "--grid", "1:80:5,1:80:5", "--omega", "inf",
+               "--u", "0.5", "--out", "{tmp}/x.csv")),
+], ids=["spectrum-g-inf", "dynamics-u-nan", "full-omega-minus-inf",
+        "scar-omega-nan", "compare-g-minus-inf", "resonance-omega-inf"])
+def test_non_finite_drive_parameters_are_refused_by_name(tmp_path, capsys,
+                                                         no_solve, name, argv):
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {name}: must be finite, got ")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("basis", "--L", "6", "--out", "{missing}/x.csv"), "out"),
+    (("scar", "--L", "6", *_RES, "--per-state", "{missing}/s.csv"),
+     "per_state"),
+    (("dynamics", "--L", "6", *_RES, "--out", "{tmp}/d.csv", "--fft",
+      "--fft-out", "{missing}/f.csv"), "fft_out"),
+    (("compare", "--L", "6", *_RES, "--cycles", "8",
+      "--manifest", "{missing}/m.json"), "manifest"),
+    (("reproduce", "--bundle", "ratio-landscape",
+      "--outdir", "{missing}/deeper"), "outdir"),
+], ids=["basis-out", "scar-per-state", "dynamics-fft-out", "manifest",
+        "reproduce-outdir"])
+def test_missing_output_directory_is_refused(tmp_path, capsys, no_solve,
+                                             argv, key):
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {key}: directory '{missing}' of ")
+    assert err.endswith(" does not exist\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_path_that_is_a_directory_is_refused(tmp_path, capsys):
+    code, out, err = run(capsys, "basis", "--L", "6", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"config error: out: '{tmp_path}' is a directory\n"
+
+
 def test_compare_outputs(tmp_path, capsys):
     out_csv = tmp_path / "cmp.csv"
     code, out, _ = run(capsys, "compare", "--L", "6", "--family", "0,0,+",

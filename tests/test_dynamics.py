@@ -1,5 +1,6 @@
 """Stroboscopic evolution: effective and exact routes, spectra, ensembles."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+import drive_oracles
+from conftest import extended
+from scarkit import dynamics
 from scarkit.dynamics import (analytic_fidelity, dominant_peaks, ee_series,
                               ensemble_stats, evolve_effective, evolve_full,
                               fidelity_series, fta, full_drive_ensemble,
                               full_fidelity_series, local_maxima,
                               random_nontower_states, spta_fidelity,
                               tower_probability_series, TimeSeries)
-from scarkit.errors import DomainError
+from scarkit.errors import DomainError, NumericalError
 from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.graph import tower_states
 from scarkit.hamiltonian import (ModelParams, build_effective_general,
@@ -157,6 +161,83 @@ def test_full_drive_ensemble_matches_krylov_route():
     np.testing.assert_allclose(run["F"].values,
                                np.abs(states[:, 0].conj() @ states) ** 2,
                                rtol=0, atol=1e-8)
+
+
+def _floquet_vs_stepping(L, g, starts, cycles, observables):
+    """Largest |Floquet - stepped| of each series over the start columns."""
+    basis = SectorBasis(L, L // 2)
+    params = resonant_family(0, 0, "+").params(g=g, u=0.5)
+    runs = full_drive_ensemble(basis, params, list(starts.T), cycles,
+                               observables)
+    want = drive_oracles.stepped_series(basis, params, starts, cycles)
+    return {name: max(np.max(np.abs(run[name].values - want[name][n]))
+                      for n, run in enumerate(runs))
+            for name in observables}
+
+
+def _drive_starts(L):
+    """tp, te_p:2, a complex random vector and a random: ensemble of three."""
+    basis = SectorBasis(L, L // 2)
+    rng = np.random.default_rng(L)
+    z = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    words = [pinnacle_state(L), tower_states(L).eaves[L // 2],
+             *random_nontower_states(basis, count=3, seed=7)]
+    return np.column_stack([fock_vector(basis, w).amplitudes for w in words]
+                           + [z / np.linalg.norm(z)])
+
+
+@pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("g", [15.0, 30.0])
+def test_floquet_route_matches_stepping_oracle(L, g):
+    cycles = int(round(50 * g))
+    diff = _floquet_vs_stepping(L, g, _drive_starts(L), cycles,
+                                ("F", "EE", "Pt"))
+    assert max(diff.values()) < 1e-10, diff
+
+
+@extended
+def test_floquet_route_matches_stepping_oracle_L14_extended():
+    basis = SectorBasis(14, 7)
+    tp = fock_vector(basis, pinnacle_state(14)).amplitudes[:, None]
+    diff = _floquet_vs_stepping(14, 15.0, tp, 750, ("F", "Pt"))
+    assert max(diff.values()) < 1e-10, diff
+
+
+def test_krylov_stream_matches_floquet_route(monkeypatch):
+    # above the dense bound each start streams Krylov-stepped blocks
+    basis = SectorBasis(6, 3)
+    words = ["111000", "110010"]
+    cycles = np.arange(2, 41, 3)
+    want = full_drive_ensemble(basis, PARAMS, words, cycles)
+    monkeypatch.setattr(dynamics, "FullPropagator",
+                        functools.partial(dynamics.FullPropagator, dense_max=0))
+    monkeypatch.setattr(dynamics, "EE_CHUNK", 4)
+    got = full_drive_ensemble(basis, PARAMS, words, cycles)
+    for run, ref in zip(got, want):
+        assert list(run) == ["F", "EE", "Pt"]
+        for name in run:
+            np.testing.assert_allclose(run[name].values, ref[name].values,
+                                       rtol=0, atol=1e-8)
+
+
+def test_floquet_residual_is_read_and_checked(monkeypatch):
+    basis = SectorBasis(6, 3)
+    prop = dynamics.FullPropagator(basis, PARAMS)
+    assert 0.0 <= prop.residual < 1e-12
+    # an angle that merges the lowest and highest Floquet phases in the real
+    # combination leaves their eigenvectors mixed: the residual shows it
+    theta = -prop.spectrum.quasienergies * PARAMS.T
+    monkeypatch.setattr(dynamics, "FLOQUET_MIX_ANGLE",
+                        0.5 * (theta[0] + theta[-1]))
+    merged = dynamics.FullPropagator(basis, PARAMS)
+    assert merged.residual > 1e-3
+    merged.check_residual(0)      # no cycle read off it, nothing to bound
+    for run in (lambda: full_fidelity_series(basis, PARAMS, "111000", 5),
+                lambda: evolve_full(basis, PARAMS, "111000", 5),
+                lambda: full_drive_ensemble(basis, PARAMS, ["111000"], 5)):
+        with pytest.raises(NumericalError,
+                           match="unitarity drift bound .* over 5 cycles"):
+            run()
 
 
 def off_resonant_spectrum():
