@@ -17,6 +17,7 @@ _EXPORTS = {
     "dipole_moment": ".fock_basis",
     "parity_dim_sums": ".fock_basis", "pinnacle_state": ".fock_basis",
     "pinnacle_in_larger_sector": ".fock_basis", "subspace_dims": ".fock_basis",
+    "CSRMatrix": ".hamiltonian",
     "HOP_CLASSES": ".hamiltonian", "HamiltonianMatrix": ".hamiltonian",
     "ModelParams": ".hamiltonian", "amplitudes_general": ".hamiltonian",
     "build_effective_general": ".hamiltonian",

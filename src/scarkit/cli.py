@@ -16,11 +16,11 @@ non-finite drive parameter, a negative seed, or an output path in a missing
 or unwritable directory exits 2 before anything is built.
 
 Option resolution imports no numpy: the handlers import the library, so
-`--threads` can cap the BLAS pools before numpy first loads.  The library
-modules load numpy and `scipy.sparse` only; `scipy.sparse.linalg` (and with
-it `scipy.linalg`) loads only on the Krylov branch of the exact drive, and
-no module imports `scipy.sparse.csgraph`, `scipy.signal`, `scipy.special` or
-`scipy.stats`.
+`--threads` can cap the BLAS pools before numpy first loads.  Importing the
+library loads numpy only, no scipy module: every Hamiltonian is scarkit's
+own numpy `CSRMatrix`.  `scipy.sparse` and `scipy.sparse.linalg` (and with
+it `scipy.linalg`) load only on the Krylov branch of the exact drive, above
+FULL_DENSE_MAX states.
 """
 
 from __future__ import annotations
@@ -402,8 +402,6 @@ def _cmd_basis(opts: dict) -> tuple:
 
 
 def _cmd_hamiltonian(opts: dict) -> tuple:
-    import numpy as np
-    import scipy.sparse as sp
     from .hamiltonian import (build_half_period, build_hop, build_onsite)
     basis = _sector(opts)
     params, family = _resolve_params(opts)
@@ -425,11 +423,9 @@ def _cmd_hamiltonian(opts: dict) -> tuple:
         raise ConfigError(f"kind: unknown Hamiltonian kind {kind!r}")
     out = opts.get("out")
     if out:
-        coo = sp.coo_matrix(ham.matrix)
-        order = np.lexsort((coo.col, coo.row))
-        data = coo.data[order]
+        m = ham.matrix          # canonical: stored in (row, col) order
         _write_csv(out, ["row", "col", "real", "imag"],
-                   [coo.row[order], coo.col[order], data.real, data.imag])
+                   [m.row_indices(), m.indices, m.data.real, m.data.imag])
     return {"kind": ham.kind, "dimension": ham.dimension,
             "nnz": int(ham.matrix.nnz)}, out
 
@@ -793,6 +789,7 @@ def _cmd_reproduce(opts: dict) -> tuple:
         for L in sizes:
             check_dense(math.comb(L, L // 2), threshold,
                         f"{bundle} --scale {scale}: the L = {L} sector")
+    _positive(opts, "cycles", None)     # refused before outdir is made
     outdir = opts.get("outdir") or f"{bundle}-{scale}"
     os.makedirs(outdir, exist_ok=True)
     result = runner(opts, outdir, sizes)

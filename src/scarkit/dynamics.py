@@ -254,8 +254,8 @@ class FullPropagator:
             self.spectrum, self.residual = floquet_spectrum(h1, h2)
         else:
             half = params.T / 2.0
-            self._halves = (h1.matrix.tocsc() * (-1j * half),
-                            h2.matrix.tocsc() * (-1j * half))
+            self._halves = (h1.matrix.to_scipy().tocsc() * (-1j * half),
+                            h2.matrix.to_scipy().tocsc() * (-1j * half))
 
     def check_residual(self, cycles: int) -> None:
         """Refuse `cycles` cycles if residual * cycles exceeds the drift bound.

@@ -17,6 +17,7 @@ from .errors import CapabilityError, DomainError
 
 # word size bound: states live in a single Python int but sector arrays use int64
 MAX_SITES = 63
+SECTOR_MAX = 1 << 24      # refuse sectors above this many states (C(26, 13) fits)
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,9 @@ class SectorBasis:
         self.L = L
         self.N = N
         self.size = math.comb(L, N)
+        if self.size > SECTOR_MAX:
+            raise CapabilityError(f"sector L = {L}, N = {N} holds {self.size} "
+                                  f"states, above the bound {SECTOR_MAX}")
         # C(p, k) for p <= L, k <= N; fits int64 for L <= 63
         self._binom = np.zeros((L + 1, N + 1), dtype=np.int64)
         for p in range(L + 1):

@@ -193,7 +193,7 @@ def spta_matrix(ham: HamiltonianMatrix) -> np.ndarray:
     to the rest of the sector is dropped.
     """
     idx = tower_states(ham.basis.L).indices(ham.basis)
-    return ham.matrix[idx][:, idx].toarray()
+    return ham.matrix.block(idx, idx)
 
 
 def to_dot(graph: HilbertGraph, name: str = "sector") -> str:

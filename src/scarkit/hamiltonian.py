@@ -15,6 +15,11 @@ Adjacent hops in a site-ordered fermion basis carry no Jordan-Wigner string
 sign (no occupied site can sit between the two bond sites), so the builders
 insert bare amplitudes; the sign-free property is asserted against a
 string-carrying oracle in the tests rather than handled here.
+
+Every builder returns its matrix as a `CSRMatrix`, a numpy compressed-row
+store whose arrays equal, bit for bit, those scipy.sparse builds for the
+same matrix; `CSRMatrix.to_scipy` hands one to scipy, which this module never
+imports at load time.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, NumericalError
 from .fock_basis import SectorBasis
@@ -122,6 +126,99 @@ def resonant_amplitudes(params: ModelParams, k1: int, k2: int,
     return base / (1.0 - a), base, base / (1.0 + a)
 
 
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """A sparse matrix in canonical compressed-row form, held in numpy arrays.
+
+    Row i stores its entries at `indptr[i]:indptr[i+1]` of `indices` (the
+    columns, ascending, each once) and `data`.  Build one with
+    `canonical_csr`; the index arrays are int32 whenever they fit.  The
+    dense views write each stored value as 0 + x, as scipy's do, so a
+    stored -0.0 reads +0.0 there.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def row_indices(self) -> np.ndarray:
+        """The row of every stored entry, in storage order."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
+                         np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        return self.block(np.arange(self.shape[0]), np.arange(self.shape[1]))
+
+    def diagonal(self) -> np.ndarray:
+        rows = self.row_indices()
+        on = rows == self.indices
+        out = np.zeros(min(self.shape), dtype=self.data.dtype)
+        out[rows[on]] = self.data[on] + 0.0
+        return out
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The dense submatrix M[rows][:, cols]; `rows` and `cols` hold
+        distinct indices, in the order the block's rows and columns take."""
+        row_pos = np.full(self.shape[0], -1, dtype=np.intp)
+        col_pos = np.full(self.shape[1], -1, dtype=np.intp)
+        row_pos[rows] = np.arange(len(rows))
+        col_pos[cols] = np.arange(len(cols))
+        r, c = row_pos[self.row_indices()], col_pos[self.indices]
+        keep = (r >= 0) & (c >= 0)
+        out = np.zeros((len(rows), len(cols)), dtype=self.data.dtype)
+        out[r[keep], c[keep]] = self.data[keep] + 0.0
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        """M @ x for a vector or a (shape[1], k) block, summed row by row in
+        storage order."""
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by an "
+                             f"array of shape {x.shape}")
+        terms = (self.data if x.ndim == 1 else self.data[:, None]) * x[self.indices]
+        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
+        starts = self.indptr[:-1]
+        filled = starts < self.indptr[1:]
+        if self.nnz:
+            out[filled] = np.add.reduceat(terms, starts[filled], axis=0)
+        return out
+
+    def to_scipy(self):
+        """The same arrays as a `scipy.sparse.csr_matrix` (imports scipy)."""
+        import scipy.sparse as sp
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=self.shape)
+
+
+def canonical_csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                  n: int, drop_zeros: bool) -> CSRMatrix:
+    """The n x n `CSRMatrix` holding distinct entries (rows[e], cols[e], data[e]).
+
+    Its arrays are those scipy.sparse stores for the same entries: as its
+    COO -> CSR conversion leaves them (values untouched, explicit zeros
+    kept), or with `drop_zeros` as its `diags` and `+` leave them, where every
+    value x is stored as x + 0 (a -0.0 part reads +0.0) and zeros are dropped.
+    """
+    if drop_zeros:
+        keep = data != 0
+        rows, cols, data = rows[keep], cols[keep], data[keep] + 0.0
+    index = np.int32 if max(len(data), n) <= np.iinfo(np.int32).max else np.int64
+    key = np.asarray(rows, dtype=np.int64) * n
+    key += cols
+    # the (row, col) keys are distinct; a stable sort is the fastest here,
+    # as the builders' entries arrive in long ascending runs
+    order = np.argsort(key, kind="stable")
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CSRMatrix(data[order], cols[order].astype(index), indptr, (n, n))
+
+
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """A sector Hamiltonian: sparse matrix plus the context that built it."""
@@ -129,7 +226,7 @@ class HamiltonianMatrix:
     basis: SectorBasis
     kind: str
     params: ModelParams
-    matrix: sp.csr_matrix
+    matrix: CSRMatrix
 
     @property
     def dimension(self) -> int:
@@ -139,9 +236,20 @@ class HamiltonianMatrix:
         return self.matrix.toarray()
 
 
-def _assert_hermitian(m: sp.csr_matrix) -> None:
-    diff = (m - m.conjugate().T).tocsr()
-    if diff.nnz and np.max(np.abs(diff.data)) != 0.0:
+def _assert_hermitian(m: CSRMatrix) -> None:
+    """Raise unless `m` stores exactly its conjugate transpose."""
+    rows = m.row_indices()
+    # the transpose stores the entries ordered by column, rows ascending: a
+    # stable sort of the columns, here as a radix sort over 16-bit digits
+    # (numpy radix-sorts uint16 keys; two digits cover every sector size)
+    order = np.argsort(m.indices.astype(np.uint16), kind="stable")
+    if m.shape[1] > 1 << 16:
+        high = (m.indices[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    mirrored = m.data[order]
+    np.conjugate(mirrored, out=mirrored)
+    if not (np.array_equal(rows[order], m.indices)
+            and np.array_equal(mirrored, m.data)):
         raise NumericalError("constructed matrix is not exactly Hermitian")
 
 
@@ -179,9 +287,18 @@ def _static_energies(basis: SectorBasis, params: ModelParams) -> np.ndarray:
     return params.U * pairs - params.g * basis.dipoles.astype(np.float64)
 
 
+def _with_diagonal(rows, cols, data, diag):
+    """The entries plus `diag` on the diagonal, in one set of arrays."""
+    at = np.arange(len(diag))
+    return (np.concatenate((rows, at)), np.concatenate((cols, at)),
+            np.concatenate((data, diag)))
+
+
 def build_onsite(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
     """Diagonal static Hamiltonian (interaction plus tilt)."""
-    m = sp.diags(_static_energies(basis, params), format="csr")
+    at = np.arange(basis.size)
+    m = canonical_csr(at, at, _static_energies(basis, params), basis.size,
+                      drop_zeros=True)
     return HamiltonianMatrix(basis, "onsite", params, m)
 
 
@@ -191,7 +308,7 @@ def build_hop(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
     rows = np.concatenate((src, dst))
     cols = np.concatenate((dst, src))
     data = np.full(len(rows), params.J)
-    m = sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
+    m = canonical_csr(rows, cols, data, basis.size, drop_zeros=False)
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, "hop", params, m)
 
@@ -202,8 +319,13 @@ def build_half_period(basis: SectorBasis, params: ModelParams,
     if half not in (1, 2):
         raise DomainError(f"half must be 1 or 2, got {half}")
     factor = (1.0 - params.u) if half == 1 else (1.0 + params.u)
-    m = (build_onsite(basis, params).matrix
-         + factor * build_hop(basis, params).matrix).tocsr()
+    src, dst, _ = hop_moves(basis)
+    rows = np.concatenate((src, dst))
+    cols = np.concatenate((dst, src))
+    data = np.full(len(rows), factor * params.J)
+    m = canonical_csr(*_with_diagonal(rows, cols, data,
+                                      _static_energies(basis, params)),
+                      basis.size, drop_zeros=True)
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, f"half_period_{half}", params, m)
 
@@ -223,8 +345,9 @@ def build_effective_general(basis: SectorBasis,
     cols = np.concatenate((dst, src))
     data = np.concatenate((jc, jc.conj()))
     diag = fold_quasienergy(_static_energies(basis, params), params.omega)
-    m = (sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
-         + sp.diags(diag.astype(np.complex128))).tocsr()
+    m = canonical_csr(*_with_diagonal(rows, cols, data,
+                                      diag.astype(np.complex128)),
+                      basis.size, drop_zeros=True)
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, "effective_general", params, m)
 
@@ -242,6 +365,6 @@ def build_effective_resonant(basis: SectorBasis, params: ModelParams,
     rows = np.concatenate((dst, src))
     cols = np.concatenate((src, dst))
     data = np.concatenate((1j * ac, -1j * ac))
-    m = sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
+    m = canonical_csr(rows, cols, data, basis.size, drop_zeros=False)
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, "effective_resonant", params, m)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -403,9 +403,9 @@ def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
     parities = ham.basis.parities
     plus_idx = np.flatnonzero(parities == 1)
     minus_idx = np.flatnonzero(parities == -1)
-    # the real rotated frame keeps only the even-odd block; taking .imag of
-    # the sparse block densifies it once, with no complex dense temporary
-    C = m.tocsr()[plus_idx, :][:, minus_idx].imag.toarray()
+    # the real rotated frame keeps only the even-odd block; its imaginary
+    # parts scatter straight into the real C, with no complex dense temporary
+    C = replace(m, data=m.data.imag).block(plus_idx, minus_idx)
     if 2 * np.count_nonzero(C) != m.nnz:
         raise DomainError("matrix couples equal-parity states; not chiral")
     # numpy's LAPACK, not scipy.linalg.svd(overwrite_a=True): scipy links a

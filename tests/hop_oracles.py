@@ -4,7 +4,8 @@ hop graph, union-find components and the Schmidt-cut scatter layout.
 These are the original scalar routes, kept as oracles for the array routes in
 `scarkit.hamiltonian`, `scarkit.graph` and `scarkit.observables`: one Python
 iteration per state and bond, a binomial-table `rank` per hop or half-word,
-and an iterative union-find.
+and an iterative union-find.  The builders here assemble scipy.sparse
+matrices: the oracles for the arrays of scarkit's own `CSRMatrix`.
 """
 
 import math
@@ -66,6 +67,12 @@ def hop(basis: SectorBasis, params: ModelParams) -> sp.csr_matrix:
         cols += [b, a]
     data = np.full(len(rows), params.J)
     return sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
+
+
+def half_period(basis: SectorBasis, params: ModelParams,
+                half: int) -> sp.csr_matrix:
+    factor = (1.0 - params.u) if half == 1 else (1.0 + params.u)
+    return (onsite(basis, params) + factor * hop(basis, params)).tocsr()
 
 
 def effective_general(basis: SectorBasis, params: ModelParams) -> sp.csr_matrix:

@@ -1,14 +1,15 @@
 """Sector enumeration, ranking, dipole/parity bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scarkit.errors import DomainError
-from scarkit.fock_basis import (FockState, SectorBasis, chiral_parity,
+from scarkit.errors import CapabilityError, DomainError
+from scarkit.fock_basis import (SECTOR_MAX, FockState, SectorBasis, chiral_parity,
                                 dim_difference_formula, dipole_moment,
                                 parity_dim_sums, pinnacle_in_larger_sector,
                                 pinnacle_state, subspace_dims)
@@ -126,3 +127,16 @@ def test_bad_sectors_rejected():
         SectorBasis(4, 5)
     with pytest.raises(Exception):
         FockState.from_string("10a1")
+
+
+def test_sector_size_bound_refuses_before_allocating():
+    # C(40, 20) states would ask numpy for a 1 TiB word array
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="above the bound"):
+            SectorBasis(40, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert math.comb(26, 13) <= SECTOR_MAX < math.comb(28, 14)

@@ -1,4 +1,9 @@
-"""The array hop enumerator and its consumers against the per-state oracles."""
+"""The array hop enumerator and its consumers against the per-state oracles.
+
+The builders' `CSRMatrix` arrays are compared bitwise with the scipy.sparse
+matrices the oracles assemble, and its block, dense and product views with
+scipy's slicing, `toarray` and matvec.
+"""
 
 import numpy as np
 import pytest
@@ -6,11 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hop_oracles as oracle
+from scarkit import spectral
+from scarkit.errors import NumericalError
 from scarkit.fock_basis import SectorBasis
-from scarkit.graph import HOP_CLASSES, build_graph, components
-from scarkit.hamiltonian import (ModelParams, build_effective_general,
-                                 build_effective_resonant, build_hop,
-                                 build_onsite, hop_moves)
+from scarkit.graph import (HOP_CLASSES, build_graph, components, spta_matrix,
+                           tower_states)
+from scarkit.hamiltonian import (CSRMatrix, ModelParams, _assert_hermitian,
+                                 build_effective_general,
+                                 build_effective_resonant, build_half_period,
+                                 build_hop, build_onsite, canonical_csr,
+                                 hop_moves)
 from scarkit.resonance import resonant_family
 
 
@@ -33,10 +43,14 @@ families = st.sampled_from([(0, 0, "+"), (0, 1, "-"), (1, 0, "+"), (0, 2, "-")])
 
 def assert_same_csr(new, old):
     assert new.shape == old.shape
+    assert new.nnz == old.nnz
     for name in ("data", "indices", "indptr"):
         a, b = getattr(new, name), getattr(old, name)
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name   # bitwise: signed zeros too
+    for view in ("toarray", "diagonal"):
+        a, b = getattr(new, view)(), getattr(old, view)()
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), view
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,6 +78,41 @@ def test_static_builders_equal_oracle(basis, params):
     assert_same_csr(build_hop(basis, params).matrix, oracle.hop(basis, params))
     assert_same_csr(build_effective_general(basis, params).matrix,
                     oracle.effective_general(basis, params))
+    for half in (1, 2):
+        assert_same_csr(build_half_period(basis, params, half).matrix,
+                        oracle.half_period(basis, params, half))
+
+
+# Entries scipy's `diags` and `+` drop or re-sign.  (6, 3) at U = g = omega,
+# u = 1: the first-half hop factor 1 - u is 0, every static energy is a
+# multiple of omega (a folded diagonal of zeros), and the g-U class amplitude
+# is exactly J, so its conjugate carries a -0.0 imaginary part.  (6, 2) at
+# U = 3g: the state 110000 has onsite energy exactly 0.  (5, 0): the one
+# state of the empty sector, energy 0 and no hops.
+ZERO_CASES = [(6, 3, ModelParams(g=2.0, U=2.0, u=1.0, omega=2.0)),
+              (6, 2, ModelParams(g=1.0, U=3.0, u=1.0, omega=7.0)),
+              (5, 0, ModelParams(g=1.0, U=3.0, u=0.5, omega=7.0))]
+
+
+@pytest.mark.parametrize("L,N,params", ZERO_CASES)
+def test_builders_drop_and_keep_zeros_as_scipy_does(L, N, params):
+    basis = SectorBasis(L, N)
+    energies = oracle._static_energies(basis, params)
+    folded = energies - params.omega * np.floor(energies / params.omega + 0.5)
+    assert not (energies.all() and folded.all())       # a zero on the diagonal
+    assert_same_csr(build_onsite(basis, params).matrix, oracle.onsite(basis, params))
+    assert_same_csr(build_hop(basis, params).matrix, oracle.hop(basis, params))
+    assert_same_csr(build_effective_general(basis, params).matrix,
+                    oracle.effective_general(basis, params))
+    for half in (1, 2):
+        assert_same_csr(build_half_period(basis, params, half).matrix,
+                        oracle.half_period(basis, params, half))
+    family = (0, 0, "+")
+    res = resonant_family(*family).params(1.0, 0.0)     # u = 0: all zeros, kept
+    got = build_effective_resonant(basis, res, *family).matrix
+    assert_same_csr(got, oracle.effective_resonant(basis, res, *family))
+    assert got.nnz == 2 * len(hop_moves(basis)[0])
+    assert_same_csr(got.to_scipy(), oracle.effective_resonant(basis, res, *family))
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,6 +121,77 @@ def test_resonant_builder_equals_oracle(basis, family, g, u):
     params = resonant_family(*family).params(g, u)
     assert_same_csr(build_effective_resonant(basis, params, *family).matrix,
                     oracle.effective_resonant(basis, params, *family))
+
+
+def test_chiral_and_tower_blocks_equal_scipy_slicing(monkeypatch):
+    basis = SectorBasis(10, 5)
+    family = (0, 1, "-")
+    params = resonant_family(*family).params(30.0, 0.7)
+    ham = build_effective_resonant(basis, params, *family)
+    m = oracle.effective_resonant(basis, params, *family)
+    blocks = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(spectral.np.linalg, "svd",
+                        lambda a, **kw: blocks.append(a.copy()) or svd(a, **kw))
+    spectral.diagonalize(ham)
+    (C,) = blocks
+    plus = np.flatnonzero(basis.parities == 1)
+    minus = np.flatnonzero(basis.parities == -1)
+    want = m[plus][:, minus].imag.toarray()
+    assert C.dtype == want.dtype and C.tobytes() == want.tobytes()
+    idx = tower_states(basis.L).indices(basis)
+    got, want = spta_matrix(ham), m[idx][:, idx].toarray()
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["resonant", "half", "onsite", "empty"])
+@pytest.mark.parametrize("width", [None, 1, 3])
+def test_product_matches_scipy_matvec(kind, width):
+    basis = SectorBasis(*((5, 0) if kind == "empty" else (10, 5)))
+    if kind == "resonant":
+        ham = build_effective_resonant(basis, resonant_family(0, 0, "+").params(
+            50.0, 0.5), 0, 0, "+")
+    elif kind == "onsite":          # the zero energy of 1100000000 leaves an empty row
+        ham = build_onsite(SectorBasis(10, 2), ModelParams(1.0, 3.0, 0.5, 7.0))
+    else:
+        ham = build_half_period(basis, ModelParams(1.0, 3.0, 0.5, 7.0), 2)
+    m = ham.matrix
+    rng = np.random.default_rng(3)
+    shape = (m.shape[1],) if width is None else (m.shape[1], width)
+    for x in (rng.normal(size=shape),
+              rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+        got, want = m @ x, m.to_scipy() @ x
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * max(
+            1.0, np.max(np.abs(want), initial=0.0))
+    with pytest.raises(ValueError):
+        m @ np.ones(m.shape[1] + 1)
+
+
+def test_hermitian_check_reads_the_final_arrays():
+    # a 2^17-state matrix, so the transpose order takes both 16-bit digits
+    n = 1 << 17
+    rng = np.random.default_rng(5)
+    a = rng.choice(n, 4000, replace=False)
+    b = rng.choice(n, 4000, replace=False)
+    pairs = a != b
+    a, b = a[pairs], b[pairs]
+    v = rng.normal(size=len(a)) + 1j * rng.normal(size=len(a))
+    rows, cols = np.concatenate((a, b)), np.concatenate((b, a))
+    m = canonical_csr(rows, cols, np.concatenate((v, v.conj())), n,
+                      drop_zeros=False)
+    _assert_hermitian(m)
+    for bad in (np.concatenate((v, v)),                  # not conjugated
+                np.concatenate((v, v.conj() * (1 + 1e-16j)))):
+        with pytest.raises(NumericalError):
+            _assert_hermitian(canonical_csr(rows, cols, bad, n, drop_zeros=False))
+    with pytest.raises(NumericalError):                  # one mirror missing
+        _assert_hermitian(canonical_csr(rows[1:], cols[1:],
+                                        np.concatenate((v, v.conj()))[1:], n,
+                                        drop_zeros=False))
+    shifted = CSRMatrix(m.data, (m.indices + 1) % n, m.indptr, m.shape)
+    with pytest.raises(NumericalError):                  # mirror in the wrong slot
+        _assert_hermitian(shifted)
 
 
 @settings(max_examples=60, deadline=None)

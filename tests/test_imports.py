@@ -1,13 +1,15 @@
-"""Import budget: scarkit loads numpy and scipy.sparse, nothing heavier.
+"""Import budget: importing scarkit loads numpy and no scipy module at all.
 
-`scipy.signal` and `scipy.special` pull in scipy.stats, interpolate, optimize
-and ndimage, which costs about a second per process.  No module uses
-`scipy.sparse.csgraph`: connected components are numpy code.  Only
-`scipy.sparse.linalg` is imported lazily, on the Krylov branch of the exact
-drive, and `scipy.linalg` loads only as its dependency.  So a dynamics run
-loads no `scipy.linalg`: its LAPACK calls go through numpy, whose OpenBLAS
-thread pool would contend with the second one scipy links.  Neither does an
-exact-drive run below FULL_DENSE_MAX, nor a `graph --components` run.
+Every sector Hamiltonian is a `scarkit.hamiltonian.CSRMatrix`, a numpy
+compressed-row store, so building, diagonalizing and evolving one needs no
+`scipy.sparse`, whose import alone costs about a third of a second per
+process.  Connected components are numpy code (no `scipy.sparse.csgraph`),
+the peak finder and p ln p are numpy code (no `scipy.signal` or
+`scipy.special`), and every LAPACK call goes through numpy (no
+`scipy.linalg`, whose second OpenBLAS thread pool would contend with
+numpy's).  `scipy.sparse` and `scipy.sparse.linalg` load only on the Krylov
+branch of the exact drive, above FULL_DENSE_MAX, where `CSRMatrix.to_scipy`
+hands the half-period Hamiltonians to `expm_multiply`.
 """
 
 import json
@@ -24,49 +26,56 @@ PROBE = textwrap.dedent("""
     import contextlib, io, json, os, sys, tempfile
     import scarkit
 
-    def loaded(*prefixes):
+    def scipy_loaded():
         return sorted(m for m in sys.modules
-                      if any(m == p or m.startswith(p + ".") for p in prefixes))
+                      if m == "scipy" or m.startswith("scipy."))
 
+    report = {"after_import": scipy_loaded()}
     for name in sorted(scarkit._SUBMODULES):
         getattr(scarkit, name)
-    after_import = loaded("scipy.sparse.csgraph", "scipy.sparse.linalg",
-                          "scipy.signal", "scipy.special", "scipy.stats")
+    for name in scarkit.__all__:
+        getattr(scarkit, name)
+    report["after_exports"] = scipy_loaded()
+
     from scarkit import cli
-    with tempfile.TemporaryDirectory() as tmp:
-        code = cli.main(["dynamics", "--L", "6", "--family", "0,0,+",
-                         "--g", "50", "--u", "0.5", "--cycles", "128",
-                         "--observables", "F,EE,Pt", "--fft",
-                         "--out", os.path.join(tmp, "dyn.csv")])
-    after_run = loaded("scipy.signal", "scipy.special", "scipy.stats",
-                       "scipy.linalg")
-    with tempfile.TemporaryDirectory() as tmp:
-        full_code = cli.main(["dynamics", "--L", "6", "--family", "0,0,+",
-                              "--g", "50", "--u", "0.5", "--model", "full",
-                              "--cycles", "128",
-                              "--out", os.path.join(tmp, "full.csv")])
-    after_full = loaded("scipy.sparse.linalg", "scipy.linalg")
-    with contextlib.redirect_stdout(io.StringIO()):
-        graph_code = cli.main(["graph", "--L", "8", "--components", "g,g-U"])
-    print(json.dumps({"code": code, "after_import": after_import,
-                      "after_run": after_run, "full_code": full_code,
-                      "after_full": after_full, "graph_code": graph_code,
-                      "after_graph": loaded("scipy.sparse.csgraph",
-                                            "scipy.linalg")}))
+    res = ["--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5"]
+    runs = {
+        "hamiltonian": ["hamiltonian", *res, "--out", "{tmp}/h.csv"],
+        "spectrum": ["spectrum", *res, "--out", "{tmp}/spec.csv"],
+        "scar": ["scar", *res, "--per-state", "{tmp}/states.csv"],
+        "dynamics": ["dynamics", *res, "--cycles", "128", "--observables",
+                     "F,EE,Pt", "--fft", "--out", "{tmp}/dyn.csv"],
+        "dynamics_full": ["dynamics", *res, "--model", "full", "--cycles",
+                          "128", "--out", "{tmp}/full.csv"],
+        "graph": ["graph", "--L", "8", "--components", "g,g-U"],
+    }
+    for name, argv in runs.items():
+        with tempfile.TemporaryDirectory() as tmp, \\
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([a.format(tmp=tmp) for a in argv])
+        report[name] = [code, scipy_loaded()]
+
+    from scarkit import SectorBasis, evolve_full, resonant_family
+    params = resonant_family(0, 0, "+").params(50.0, 0.5)
+    states = evolve_full(SectorBasis(6, 3), params, "111000", 4, dense_max=0)
+    report["krylov"] = [list(states.shape),
+                        float(abs(states[:, -1]).max()),
+                        scipy_loaded()]
+    print(json.dumps(report))
 """)
 
 
-def test_import_and_dynamics_run_stay_off_heavy_scipy():
+def test_no_scipy_until_the_krylov_branch():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
                           text=True, env=env, check=True)
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["code"] == 0
-    assert report["after_import"] == []
-    assert report["after_run"] == []
-    # below FULL_DENSE_MAX the exact drive never reaches the Krylov import
-    assert report["full_code"] == 0
-    assert report["after_full"] == []
-    # connected components take no csgraph (and so no scipy.linalg) import
-    assert report["graph_code"] == 0
-    assert report["after_graph"] == []
+    assert report.pop("after_import") == []
+    assert report.pop("after_exports") == []
+    shape, peak, krylov_loaded = report.pop("krylov")
+    for name, (code, loaded) in report.items():
+        assert (name, code, loaded) == (name, 0, [])
+    # the Krylov route runs, and it is what brings in scipy.sparse
+    assert shape == [20, 5] and 0.0 < peak <= 1.0
+    assert "scipy.sparse" in krylov_loaded
+    assert "scipy.sparse.linalg" in krylov_loaded
