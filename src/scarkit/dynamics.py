@@ -115,7 +115,9 @@ def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
 
     A real start is passed on as a real array: the chiral route then evolves
     it in real arithmetic and the Schmidt step takes real SVDs (the dense
-    route gives the same columns either way).
+    route gives the same columns either way).  The start is expanded in the
+    eigenvectors once (`vectors.expand`), then evolved in blocks of EE_CHUNK
+    cycles.
     """
     psi0 = _as_vector(spec.basis, initial)
     if not np.any(psi0.imag):
@@ -123,10 +125,11 @@ def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
     ks = _cycle_array(cycles)
     if cut is None:
         cut = spec.basis.L // 2
+    start = spec.vectors.expand(psi0)
     out = np.empty(len(ks))
     for lo in range(0, len(ks), EE_CHUNK):
         kt = ks[lo:lo + EE_CHUNK] * spec.period
-        states = spec.vectors.propagate(psi0, kt, spec.quasienergies)
+        states = spec.vectors.propagate(start, kt, spec.quasienergies)
         out[lo:lo + EE_CHUNK] = schmidt_entropies(states, spec.basis, cut)
     return TimeSeries("S_EE", out)
 

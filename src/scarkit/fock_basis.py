@@ -100,19 +100,22 @@ class SectorBasis:
         self._dipoles: np.ndarray | None = None
 
     def _enumerate(self) -> np.ndarray:
-        if self.N == 0:
-            return np.zeros(1, dtype=np.int64)
-        out = np.empty(self.size, dtype=np.int64)
-        v = (1 << self.N) - 1
-        last = v << (self.L - self.N)
-        for i in range(self.size):
-            out[i] = v
-            if v == last:
-                break
-            # Gosper's hack: next word with the same popcount
-            t = (v | (v - 1)) + 1
-            v = t | ((((t & -t) // (v & -v)) >> 1) - 1)
-        return out
+        """The sector's words ascending, built by their top bit.
+
+        S(l, n), the l-bit words with n set bits, is S(l-1, n) followed by
+        2^(l-1) + S(l-1, n-1); every word of the first part is below 2^(l-1),
+        so each concatenation stays ascending.  Only the fillings that can
+        still reach N are kept at each length.
+        """
+        L, N = self.L, self.N
+        empty = np.zeros(0, dtype=np.int64)
+        level = {0: np.zeros(1, dtype=np.int64)}       # S(0, 0) = {0}
+        for bits in range(1, L + 1):
+            top = 1 << (bits - 1)
+            level = {n: np.concatenate((level.get(n, empty),
+                                        level.get(n - 1, empty) + top))
+                     for n in range(max(0, N - L + bits), min(bits, N) + 1)}
+        return level[N]
 
     def rank(self, bits: int) -> int:
         """Position of `bits` in the ascending state list."""
@@ -143,19 +146,18 @@ class SectorBasis:
             raise DomainError(f"bits {bits:#x} do not fit {self.L} sites")
         return self.rank(bits)
 
-    def _site_columns(self) -> np.ndarray:
-        """(L, size) array of occupations, row j-1 holding n_j for every state."""
-        cols = np.empty((self.L, self.size), dtype=np.int8)
-        for j in range(1, self.L + 1):
-            cols[j - 1] = (self.states >> (self.L - j)) & 1
-        return cols
-
     @property
     def dipoles(self) -> np.ndarray:
+        """D = sum_j j * n_j per state, accumulated site by site (int64)."""
         if self._dipoles is None:
-            occ = self._site_columns()
-            sites = np.arange(1, self.L + 1, dtype=np.int64)
-            self._dipoles = sites @ occ.astype(np.int64)
+            dipoles = np.zeros(self.size, dtype=np.int64)
+            term = np.empty_like(dipoles)
+            for j in range(1, self.L + 1):
+                np.right_shift(self.states, self.L - j, out=term)
+                term &= 1
+                term *= j
+                dipoles += term
+            self._dipoles = dipoles
         return self._dipoles
 
     @property

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fock_basis import FockState, SectorBasis, pinnacle_state
-from .hamiltonian import HOP_CLASSES, HamiltonianMatrix, hop_moves
+from .hamiltonian import HOP_CLASSES, HamiltonianMatrix, _hop_csr
 
 # DOT styling per barrier class, in HOP_CLASSES order
 _EDGE_STYLE = ("dashed", "solid", "dotted")
@@ -66,11 +66,14 @@ class HilbertGraph:
 
 
 def build_graph(basis: SectorBasis) -> HilbertGraph:
-    """Enumerate every legal hop once; the class labels are purely geometric."""
-    src, dst, cls = hop_moves(basis)      # dst < src
-    # (dst, src) pairs are unique, so one key sorts them lexicographically
-    order = np.argsort(dst * basis.size + src, kind="stable")
-    return HilbertGraph(basis, dst[order], src[order], cls[order])
+    """Enumerate every legal hop once; the class labels are purely geometric.
+
+    The edges come in (a, b) order: they are the upper triangle of the hop
+    matrix, class codes as values, in its canonical layout.
+    """
+    upper = _hop_csr(basis, None, np.arange(len(HOP_CLASSES), dtype=np.int8))
+    a = np.repeat(np.arange(basis.size, dtype=np.intp), np.diff(upper.indptr))
+    return HilbertGraph(basis, a, upper.indices.astype(np.intp), upper.data)
 
 
 def bipartite_violations(graph: HilbertGraph) -> int:

@@ -19,7 +19,10 @@ string-carrying oracle in the tests rather than handled here.
 Every builder returns its matrix as a `CSRMatrix`, a numpy compressed-row
 store whose arrays equal, bit for bit, those scipy.sparse builds for the
 same matrix; `CSRMatrix.to_scipy` hands one to scipy, which this module never
-imports at load time.
+imports at load time.  No builder sorts: a row's neighbours already ascend
+in bond order (right moves over j = 1 ... L-1, the diagonal, left moves over
+j = L-1 ... 1), so `_hop_csr` writes every entry straight into its canonical
+slot, and the hop graph takes its edges from the same layout.
 """
 
 from __future__ import annotations
@@ -131,10 +134,10 @@ class CSRMatrix:
     """A sparse matrix in canonical compressed-row form, held in numpy arrays.
 
     Row i stores its entries at `indptr[i]:indptr[i+1]` of `indices` (the
-    columns, ascending, each once) and `data`.  Build one with
-    `canonical_csr`; the index arrays are int32 whenever they fit.  The
-    dense views write each stored value as 0 + x, as scipy's do, so a
-    stored -0.0 reads +0.0 there.
+    columns, ascending, each once) and `data`.  The builders assemble it in
+    that canonical order by construction (`_hop_csr`), with no sort; the
+    index arrays are int32 whenever they fit.  The dense views write each
+    stored value as 0 + x, as scipy's do, so a stored -0.0 reads +0.0 there.
     """
 
     data: np.ndarray
@@ -196,29 +199,6 @@ class CSRMatrix:
                              shape=self.shape)
 
 
-def canonical_csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
-                  n: int, drop_zeros: bool) -> CSRMatrix:
-    """The n x n `CSRMatrix` holding distinct entries (rows[e], cols[e], data[e]).
-
-    Its arrays are those scipy.sparse stores for the same entries: as its
-    COO -> CSR conversion leaves them (values untouched, explicit zeros
-    kept), or with `drop_zeros` as its `diags` and `+` leave them, where every
-    value x is stored as x + 0 (a -0.0 part reads +0.0) and zeros are dropped.
-    """
-    if drop_zeros:
-        keep = data != 0
-        rows, cols, data = rows[keep], cols[keep], data[keep] + 0.0
-    index = np.int32 if max(len(data), n) <= np.iinfo(np.int32).max else np.int64
-    key = np.asarray(rows, dtype=np.int64) * n
-    key += cols
-    # the (row, col) keys are distinct; a stable sort is the fastest here,
-    # as the builders' entries arrive in long ascending runs
-    order = np.argsort(key, kind="stable")
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CSRMatrix(data[order], cols[order].astype(index), indptr, (n, n))
-
-
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """A sector Hamiltonian: sparse matrix plus the context that built it."""
@@ -236,9 +216,16 @@ class HamiltonianMatrix:
         return self.matrix.toarray()
 
 
+HERMITIAN_CHUNK = 1 << 16    # entries compared with their mirrors at a time
+
+
 def _assert_hermitian(m: CSRMatrix) -> None:
-    """Raise unless `m` stores exactly its conjugate transpose."""
-    rows = m.row_indices()
+    """Raise unless `m` stores exactly its conjugate transpose.
+
+    Every stored entry is compared with the entry in its transpose slot, a
+    chunk of HERMITIAN_CHUNK entries at a time, so no matrix-sized mirrored
+    copy is made.
+    """
     # the transpose stores the entries ordered by column, rows ascending: a
     # stable sort of the columns, here as a radix sort over 16-bit digits
     # (numpy radix-sorts uint16 keys; two digits cover every sector size)
@@ -246,24 +233,26 @@ def _assert_hermitian(m: CSRMatrix) -> None:
     if m.shape[1] > 1 << 16:
         high = (m.indices[order] >> 16).astype(np.uint16)
         order = order[np.argsort(high, kind="stable")]
-    mirrored = m.data[order]
-    np.conjugate(mirrored, out=mirrored)
-    if not (np.array_equal(rows[order], m.indices)
-            and np.array_equal(mirrored, m.data)):
-        raise NumericalError("constructed matrix is not exactly Hermitian")
+    rows = m.row_indices()
+    for lo in range(0, m.nnz, HERMITIAN_CHUNK):
+        at = order[lo:lo + HERMITIAN_CHUNK]
+        if not (np.array_equal(rows[at], m.indices[lo:lo + HERMITIAN_CHUNK])
+                and np.array_equal(np.conjugate(m.data[at]),
+                                   m.data[lo:lo + HERMITIAN_CHUNK])):
+            raise NumericalError("constructed matrix is not exactly Hermitian")
 
 
-def hop_moves(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every hop pair of the sector once, as (src, dst, cls) index arrays.
+def _bond_moves(basis: SectorBasis):
+    """For each bond j = 1 ... L-1 in turn, its hops as (src, dst, cls) arrays.
 
-    `src` holds the states with site j occupied and site j+1 empty, `dst` the
-    state with that particle moved j -> j+1, and `cls` the int8 barrier class
-    of the hop. Moving a particle right lowers the word, so dst < src. One
-    numpy pass per bond; `dst` is found by `searchsorted` because the sector
-    states are ascending.
+    `src` holds the states with site j occupied and site j+1 empty, ascending,
+    `dst` the state with that particle moved j -> j+1, and `cls` the int8
+    barrier class of the hop.  `dst` is src's rank less C(lo, c), where the
+    particle moves from bit lo+1 to bit lo and c particles sit below bit lo:
+    of the binomials that make up a rank (module `fock_basis`), only the
+    moved particle's changes, from C(lo+1, c+1) to C(lo, c+1).
     """
     L, states = basis.L, basis.states
-    srcs, dsts, classes = [], [], []
     for j in range(1, L):
         lo = L - j - 1                     # bit of site j+1; site j sits at lo+1
         src = np.flatnonzero(((states >> lo) & 3) == 2)
@@ -271,44 +260,111 @@ def hop_moves(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         empty = np.zeros_like(words)       # virtual sites 0 and L+1
         n_left = (words >> (lo + 2)) & 1 if j >= 2 else empty
         n_right = (words >> (lo - 1)) & 1 if j + 2 <= L else empty
-        srcs.append(src)
-        dsts.append(np.searchsorted(states, words ^ (3 << lo)))
-        classes.append(hop_class_code(n_left, n_right).astype(np.int8))
-    if not srcs:
+        below = np.bitwise_count(words & ((1 << lo) - 1))
+        yield (src, src - basis._binom[lo].take(below),
+               hop_class_code(n_left, n_right).astype(np.int8))
+
+
+def hop_moves(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every hop pair of the sector once: the (src, dst, cls) arrays of
+    `_bond_moves`, bond after bond.  Moving a particle right lowers the
+    word, so dst < src."""
+    moves = list(_bond_moves(basis))
+    if not moves:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty.copy(), np.empty(0, dtype=np.int8)
-    return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(classes)
+    return tuple(np.concatenate(parts) for parts in zip(*moves))
+
+
+def _hop_csr(basis: SectorBasis, lower, upper, diag=None,
+             drop_zeros: bool = False) -> CSRMatrix:
+    """The sector matrix of the hops, assembled in canonical order.
+
+    A class-c hop src -> dst (dst < src) stores lower[c] at (src, dst) and
+    upper[c] at (dst, src); a table left None leaves its triangle empty, and
+    `diag` fills the diagonal.  A row's columns ascend with no sort: its
+    right moves over bonds j = 1 ... L-1 (each lowers the word by
+    2^(L-j-1)), its diagonal entry, then its left moves over j = L-1 ... 1.
+    So `indptr` comes from the per-row move counts, and each bond writes its
+    right moves at a front cursor of their rows, its left moves at a back
+    cursor.  The arrays are those scipy.sparse stores: zeros kept, as its
+    COO -> CSR conversion keeps them, or with `drop_zeros` dropped and each
+    value stored as x + 0 (a -0.0 part reads +0.0), as its `diags` and `+`
+    leave them.
+    """
+    n, states = basis.size, basis.states
+    dtype = np.result_type(*(t for t in (lower, upper, diag) if t is not None))
+    if drop_zeros:
+        lower, upper, diag = (None if t is None else t + 0.0
+                              for t in (lower, upper, diag))
+    counts = np.zeros(n, dtype=np.intp)
+    flips = (states >> 1) ^ states            # bits b whose b+1 differs
+    flips &= (1 << (basis.L - 1)) - 1
+    if lower is not None:                     # one right move per "10" pair
+        counts += np.bitwise_count(flips & (states >> 1))
+    if upper is not None:                     # one left move per "01" pair
+        counts += np.bitwise_count(flips & states)
+    del flips
+    if diag is not None:
+        counts += 1
+    nnz = int(counts.sum())
+    # the count before zeros are dropped; a sector (SECTOR_MAX) has far
+    # fewer than 2^31 entries either way
+    index = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    del counts
+    # each hop slot first gets a code, its class plus 3 on the upper
+    # triangle, and one `take` turns the codes into values
+    codes = np.zeros(nnz, dtype=np.int8)
+    indices = np.empty(nnz, dtype=index)
+    front, back = indptr[:-1].copy(), indptr[1:].copy()
+    hops = lower is not None or upper is not None
+    for src, dst, cls in (_bond_moves(basis) if hops else ()):
+        if lower is not None:                 # ascending from the row's front
+            at = front[src]
+            front[src] = at + 1
+            indices[at] = dst
+            codes[at] = cls
+        if upper is not None:                 # descending from the row's back
+            at = back[dst] - 1
+            back[dst] = at
+            indices[at] = src
+            codes[at] = cls + 3
+    values = np.zeros(2 * len(HOP_CLASSES), dtype=dtype)
+    for table, lo in ((lower, 0), (upper, len(HOP_CLASSES))):
+        if table is not None:
+            values[lo:lo + len(HOP_CLASSES)] = table
+    data = values.take(codes)
+    del codes
+    if diag is not None:                      # the slot the two cursors left
+        indices[front] = np.arange(n)
+        data[front] = diag
+    if drop_zeros and not data.all():
+        keep = data != 0
+        kept = np.zeros(len(data) + 1, dtype=index)
+        np.cumsum(keep, out=kept[1:])
+        data, indices, indptr = data[keep], indices[keep], kept[indptr]
+    return CSRMatrix(data, indices, indptr, (n, n))
 
 
 def _static_energies(basis: SectorBasis, params: ModelParams) -> np.ndarray:
     """U * (adjacent pairs) - g * (dipole moment) for every sector state."""
-    occ = basis._site_columns()
-    pairs = (occ[:-1] & occ[1:]).sum(axis=0, dtype=np.int64)
+    pairs = np.bitwise_count(basis.states & (basis.states >> 1))
     return params.U * pairs - params.g * basis.dipoles.astype(np.float64)
-
-
-def _with_diagonal(rows, cols, data, diag):
-    """The entries plus `diag` on the diagonal, in one set of arrays."""
-    at = np.arange(len(diag))
-    return (np.concatenate((rows, at)), np.concatenate((cols, at)),
-            np.concatenate((data, diag)))
 
 
 def build_onsite(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
     """Diagonal static Hamiltonian (interaction plus tilt)."""
-    at = np.arange(basis.size)
-    m = canonical_csr(at, at, _static_energies(basis, params), basis.size,
-                      drop_zeros=True)
+    m = _hop_csr(basis, None, None, _static_energies(basis, params),
+                 drop_zeros=True)
     return HamiltonianMatrix(basis, "onsite", params, m)
 
 
 def build_hop(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
     """Bare nearest-neighbour tunneling, all matrix elements J."""
-    src, dst, _ = hop_moves(basis)
-    rows = np.concatenate((src, dst))
-    cols = np.concatenate((dst, src))
-    data = np.full(len(rows), params.J)
-    m = canonical_csr(rows, cols, data, basis.size, drop_zeros=False)
+    amps = np.full(len(HOP_CLASSES), params.J)
+    m = _hop_csr(basis, amps, amps)
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, "hop", params, m)
 
@@ -319,13 +375,9 @@ def build_half_period(basis: SectorBasis, params: ModelParams,
     if half not in (1, 2):
         raise DomainError(f"half must be 1 or 2, got {half}")
     factor = (1.0 - params.u) if half == 1 else (1.0 + params.u)
-    src, dst, _ = hop_moves(basis)
-    rows = np.concatenate((src, dst))
-    cols = np.concatenate((dst, src))
-    data = np.full(len(rows), factor * params.J)
-    m = canonical_csr(*_with_diagonal(rows, cols, data,
-                                      _static_energies(basis, params)),
-                      basis.size, drop_zeros=True)
+    amps = np.full(len(HOP_CLASSES), factor * params.J)
+    m = _hop_csr(basis, amps, amps, _static_energies(basis, params),
+                 drop_zeros=True)
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, f"half_period_{half}", params, m)
 
@@ -338,16 +390,11 @@ def build_effective_general(basis: SectorBasis,
     the class amplitude J_c on the energy-raising hop direction, conjugate on
     the reverse.
     """
-    src, dst, cls = hop_moves(basis)
-    jc = np.array(amplitudes_general(params), dtype=np.complex128)[cls]
+    jc = np.array(amplitudes_general(params), dtype=np.complex128)
     # moving j -> j+1 lowers the tilt energy; the raising direction is dst -> src
-    rows = np.concatenate((src, dst))
-    cols = np.concatenate((dst, src))
-    data = np.concatenate((jc, jc.conj()))
     diag = fold_quasienergy(_static_energies(basis, params), params.omega)
-    m = canonical_csr(*_with_diagonal(rows, cols, data,
-                                      diag.astype(np.complex128)),
-                      basis.size, drop_zeros=True)
+    m = _hop_csr(basis, jc, jc.conj(), diag.astype(np.complex128),
+                 drop_zeros=True)
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, "effective_general", params, m)
 
@@ -360,11 +407,6 @@ def build_effective_resonant(basis: SectorBasis, params: ModelParams,
     +i*Ac. Wrong-resonance parameters are rejected rather than silently built.
     """
     amps = np.array(resonant_amplitudes(params, k1, k2, branch))
-    src, dst, cls = hop_moves(basis)
-    ac = amps[cls]
-    rows = np.concatenate((dst, src))
-    cols = np.concatenate((src, dst))
-    data = np.concatenate((1j * ac, -1j * ac))
-    m = canonical_csr(rows, cols, data, basis.size, drop_zeros=False)
+    m = _hop_csr(basis, -1j * amps, 1j * amps)
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, "effective_resonant", params, m)

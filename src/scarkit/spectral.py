@@ -99,11 +99,15 @@ class DenseVectors:
         """
         return np.conj(psi0.conj() @ self._V)
 
-    def propagate(self, psi0: np.ndarray, kt_values: np.ndarray,
+    def expand(self, psi0: np.ndarray) -> np.ndarray:
+        """What `propagate` evolves: the coefficients of psi0."""
+        return self.coefficients(psi0)
+
+    def propagate(self, start: np.ndarray, kt_values: np.ndarray,
                   eigvals: np.ndarray) -> np.ndarray:
-        c = self.coefficients(psi0)
+        """State columns at times kt_values from `start = expand(psi0)`."""
         phases = np.exp(-1j * np.outer(eigvals, kt_values))
-        return self._V @ (c[:, None] * phases)
+        return self._V @ (start[:, None] * phases)
 
 
 def _scaled(F: np.ndarray, coef: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -285,22 +289,33 @@ class ChiralPairVectors:
         return (np.conj(self._cu) * np.where(self._has_u, alpha[self._iu], 0)
                 + np.conj(self._cv) * np.where(self._has_v, beta[self._iv], 0))
 
-    def propagate(self, psi0: np.ndarray, kt_values: np.ndarray,
-                  eigvals: np.ndarray) -> np.ndarray:
-        """State columns at times kt_values; real columns for a real psi0.
+    def expand(self, psi0: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """What `propagate` evolves: the factor products (alpha, beta) =
+        (Uf^T psi0_+, Vt psi0_-) of psi0, or of its real and imaginary
+        parts in turn for a complex psi0."""
+        parts = (psi0.real, psi0.imag) if np.iscomplexobj(psi0) else (psi0,)
+        return [(self.Uf.T @ part[self.plus_idx], self.Vt @ part[self.minus_idx])
+                for part in parts]
+
+    def propagate(self, start: list[tuple[np.ndarray, np.ndarray]],
+                  kt_values: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
+        """State columns at times kt_values from `start = expand(psi0)`;
+        real columns for a real psi0.
 
         e^{-iHt} is real orthogonal, so a real start is evolved in real
         arithmetic, and a complex start as its real and imaginary parts.
         """
-        if np.iscomplexobj(psi0):
-            return (self.propagate(psi0.real, kt_values, eigvals)
-                    + 1j * self.propagate(psi0.imag, kt_values, eigvals))
         del eigvals  # the factored form uses the singular values directly
+        states = [self._rotate(alpha, beta, kt_values) for alpha, beta in start]
+        return states[0] if len(states) == 1 else states[0] + 1j * states[1]
+
+    def _rotate(self, alpha: np.ndarray, beta: np.ndarray,
+                kt_values: np.ndarray) -> np.ndarray:
+        """The real state columns of a real start with factor products
+        alpha and beta."""
         r = self.rank
         skt = np.outer(self.s[:r], kt_values)
         cos_m, sin_m = np.cos(skt), np.sin(skt)
-        alpha = self.Uf.T @ psi0[self.plus_idx]
-        beta = self.Vt @ psi0[self.minus_idx]
         out = np.empty((self.n_states, len(kt_values)))
         out[self.plus_idx] = (
             self.Uf[:, :r] @ (cos_m * alpha[:r, None] + sin_m * beta[:r, None])
@@ -355,7 +370,8 @@ class Spectrum:
         psi0 = np.asarray(psi0)
         if np.iscomplexobj(psi0) and not psi0.imag.any():
             psi0 = psi0.real
-        out = self.vectors.propagate(psi0, kt, self.quasienergies)
+        out = self.vectors.propagate(self.vectors.expand(psi0), kt,
+                                     self.quasienergies)
         return out.astype(np.complex128, copy=False)
 
 

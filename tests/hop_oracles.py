@@ -1,11 +1,15 @@
-"""Per-state loop implementations of the hop enumeration, the builders, the
-hop graph, union-find components and the Schmidt-cut scatter layout.
+"""Per-state loop implementations of the sector enumeration, the hop
+enumeration, the builders, the hop graph, union-find components and the
+Schmidt-cut scatter layout.
 
 These are the original scalar routes, kept as oracles for the array routes in
-`scarkit.hamiltonian`, `scarkit.graph` and `scarkit.observables`: one Python
-iteration per state and bond, a binomial-table `rank` per hop or half-word,
+`scarkit.fock_basis`, `scarkit.hamiltonian`, `scarkit.graph` and
+`scarkit.observables`: one Python iteration per state and bond (Gosper's
+hack for the sector words), a binomial-table `rank` per hop or half-word,
 and an iterative union-find.  The builders here assemble scipy.sparse
 matrices: the oracles for the arrays of scarkit's own `CSRMatrix`.
+`canonical_csr` is the sort-based assembly the builders used before they
+wrote their entries in canonical order directly.
 """
 
 import math
@@ -15,8 +19,46 @@ import scipy.sparse as sp
 
 from scarkit.fock_basis import SectorBasis
 from scarkit.graph import HilbertGraph
-from scarkit.hamiltonian import (ModelParams, amplitudes_general,
+from scarkit.hamiltonian import (CSRMatrix, ModelParams, amplitudes_general,
                                  resonant_amplitudes)
+
+
+def gosper_states(L: int, N: int) -> np.ndarray:
+    """The (L, N) sector words ascending, one Python step per state."""
+    if N == 0:
+        return np.zeros(1, dtype=np.int64)
+    out = np.empty(math.comb(L, N), dtype=np.int64)
+    v = (1 << N) - 1
+    last = v << (L - N)
+    for i in range(len(out)):
+        out[i] = v
+        if v == last:
+            break
+        # Gosper's hack: next word with the same popcount
+        t = (v | (v - 1)) + 1
+        v = t | ((((t & -t) // (v & -v)) >> 1) - 1)
+    return out
+
+
+def canonical_csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                  n: int, drop_zeros: bool) -> CSRMatrix:
+    """The n x n `CSRMatrix` holding distinct entries (rows[e], cols[e], data[e]).
+
+    Its arrays are those scipy.sparse stores for the same entries: as its
+    COO -> CSR conversion leaves them (values untouched, explicit zeros
+    kept), or with `drop_zeros` as its `diags` and `+` leave them, where every
+    value x is stored as x + 0 (a -0.0 part reads +0.0) and zeros are dropped.
+    """
+    if drop_zeros:
+        keep = data != 0
+        rows, cols, data = rows[keep], cols[keep], data[keep] + 0.0
+    index = np.int32 if max(len(data), n) <= np.iinfo(np.int32).max else np.int64
+    key = np.asarray(rows, dtype=np.int64) * n
+    key += cols
+    order = np.argsort(key, kind="stable")
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CSRMatrix(data[order], cols[order].astype(index), indptr, (n, n))
 
 
 def right_moves(basis: SectorBasis):

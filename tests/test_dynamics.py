@@ -23,9 +23,10 @@ from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.graph import tower_states
 from scarkit.hamiltonian import (ModelParams, build_effective_general,
                                  build_effective_resonant)
-from scarkit.observables import StateVector, entanglement_entropy, fock_vector
+from scarkit.observables import (StateVector, entanglement_entropy, fock_vector,
+                                 schmidt_entropies)
 from scarkit.resonance import resonant_family
-from scarkit.spectral import diagonalize
+from scarkit.spectral import ChiralPairVectors, DenseVectors, diagonalize
 
 PARAMS = resonant_family(0, 0, "+").params(g=50.0, u=0.5)
 
@@ -131,6 +132,45 @@ def test_full_fidelity_streaming_matches_block():
     psi0 = states[:, 0]
     np.testing.assert_allclose(f.values, np.abs(psi0.conj() @ states) ** 2,
                                atol=1e-10)
+
+
+@pytest.mark.parametrize("route", ["dense", "chiral"])
+def test_ee_series_expands_each_start_once(route, monkeypatch):
+    basis = SectorBasis(10, 5)
+    if route == "dense":
+        spec = diagonalize(build_effective_general(
+            basis, ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0)))
+    else:
+        spec = spectrum_for(10)
+    rng = np.random.default_rng(8)
+    mixed = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    mixed /= np.linalg.norm(mixed)
+    monkeypatch.setattr(dynamics, "EE_CHUNK", 16)
+    calls = []
+
+    def counted(name, method):
+        def wrapper(self, psi0):
+            calls.append(name)
+            return method(self, psi0)
+        return wrapper
+
+    for cls in (DenseVectors, ChiralPairVectors):
+        for name in ("coefficients", "expand"):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    for start in (pinnacle_state(10), mixed):
+        psi0 = fock_vector(basis, start).amplitudes.real \
+            if isinstance(start, FockState) else start
+        calls.clear()
+        got = ee_series(spec, start, 100).values
+        # one expansion of the start for the whole series: the coefficients
+        # on the dense route, the factor products on the chiral one
+        assert calls == (["expand", "coefficients"] if route == "dense"
+                         else ["expand"])
+        want = [schmidt_entropies(spec.vectors.propagate(
+                    spec.vectors.expand(psi0), np.arange(lo, min(lo + 16, 101))
+                    * spec.period, spec.quasienergies), basis, 5)
+                for lo in range(0, 101, 16)]
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 @pytest.mark.parametrize("cycles", [300, np.arange(5, 700, 3)],

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hop_oracles as oracle
+from conftest import extended
 from scarkit.errors import CapabilityError, DomainError
 from scarkit.fock_basis import (SECTOR_MAX, FockState, SectorBasis, chiral_parity,
                                 dim_difference_formula, dipole_moment,
@@ -24,6 +26,32 @@ def test_enumeration_is_sorted_and_complete():
         assert basis.size == math.comb(L, N)
         assert (np.diff(basis.states) > 0).all()
         assert all(bin(int(b)).count("1") == N for b in basis.states)
+
+
+def test_enumeration_equals_gosper_oracle():
+    for L in range(1, 17):
+        for N in range(L + 1):
+            got, want = SectorBasis(L, N).states, oracle.gosper_states(L, N)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (L, N)
+
+
+@extended
+def test_largest_sector_equals_gosper_oracle():
+    assert np.array_equal(SectorBasis(26, 13).states, oracle.gosper_states(26, 13))
+
+
+def test_dipoles_accumulate_in_one_array():
+    basis = SectorBasis(18, 9)
+    tracemalloc.start()
+    try:
+        dipoles = basis.dipoles
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * basis.size * 8
+    occupations = (basis.states >> np.arange(17, -1, -1)[:, None]) & 1
+    assert dipoles.dtype == np.int64
+    assert np.array_equal(dipoles, np.arange(1, 19) @ occupations)
 
 
 @given(sectors)

@@ -5,13 +5,15 @@ matrices the oracles assemble, and its block, dense and product views with
 scipy's slicing, `toarray` and matvec.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hop_oracles as oracle
-from scarkit import spectral
+from scarkit import hamiltonian, spectral
 from scarkit.errors import NumericalError
 from scarkit.fock_basis import SectorBasis
 from scarkit.graph import (HOP_CLASSES, build_graph, components, spta_matrix,
@@ -19,8 +21,7 @@ from scarkit.graph import (HOP_CLASSES, build_graph, components, spta_matrix,
 from scarkit.hamiltonian import (CSRMatrix, ModelParams, _assert_hermitian,
                                  build_effective_general,
                                  build_effective_resonant, build_half_period,
-                                 build_hop, build_onsite, canonical_csr,
-                                 hop_moves)
+                                 build_hop, build_onsite, hop_moves)
 from scarkit.resonance import resonant_family
 
 
@@ -169,29 +170,78 @@ def test_product_matches_scipy_matvec(kind, width):
 
 
 def test_hermitian_check_reads_the_final_arrays():
-    # a 2^17-state matrix, so the transpose order takes both 16-bit digits
+    # a 2^17-state matrix, so the transpose order takes both 16-bit digits,
+    # and more entries than one chunk of the comparison
     n = 1 << 17
     rng = np.random.default_rng(5)
-    a = rng.choice(n, 4000, replace=False)
-    b = rng.choice(n, 4000, replace=False)
+    a = rng.choice(n, 40000, replace=False)
+    b = rng.choice(n, 40000, replace=False)
     pairs = a != b
     a, b = a[pairs], b[pairs]
     v = rng.normal(size=len(a)) + 1j * rng.normal(size=len(a))
     rows, cols = np.concatenate((a, b)), np.concatenate((b, a))
-    m = canonical_csr(rows, cols, np.concatenate((v, v.conj())), n,
-                      drop_zeros=False)
+    m = oracle.canonical_csr(rows, cols, np.concatenate((v, v.conj())), n,
+                             drop_zeros=False)
+    assert m.nnz > hamiltonian.HERMITIAN_CHUNK
     _assert_hermitian(m)
     for bad in (np.concatenate((v, v)),                  # not conjugated
                 np.concatenate((v, v.conj() * (1 + 1e-16j)))):
         with pytest.raises(NumericalError):
-            _assert_hermitian(canonical_csr(rows, cols, bad, n, drop_zeros=False))
+            _assert_hermitian(oracle.canonical_csr(rows, cols, bad, n,
+                                                   drop_zeros=False))
     with pytest.raises(NumericalError):                  # one mirror missing
-        _assert_hermitian(canonical_csr(rows[1:], cols[1:],
-                                        np.concatenate((v, v.conj()))[1:], n,
-                                        drop_zeros=False))
+        _assert_hermitian(oracle.canonical_csr(rows[1:], cols[1:],
+                                               np.concatenate((v, v.conj()))[1:],
+                                               n, drop_zeros=False))
     shifted = CSRMatrix(m.data, (m.indices + 1) % n, m.indptr, m.shape)
     with pytest.raises(NumericalError):                  # mirror in the wrong slot
         _assert_hermitian(shifted)
+    # one bad value whose slot and whose mirror's slot both lie past the
+    # first chunk: both its row and its column start after that chunk
+    rows_of = m.row_indices()
+    past = rows_of[hamiltonian.HERMITIAN_CHUNK]
+    e = np.flatnonzero((rows_of > past) & (m.indices > past))[0]
+    data = m.data.copy()
+    data[e] += 1e-12
+    with pytest.raises(NumericalError):
+        _assert_hermitian(CSRMatrix(data, m.indices, m.indptr, m.shape))
+
+
+def test_builders_and_graph_assemble_without_sorting(monkeypatch):
+    sorted_keys, checked = [], []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: (
+        sorted_keys.append(np.asarray(a).dtype) or argsort(a, *args, **kw)))
+    basis = SectorBasis(12, 6)
+    build_graph(basis)
+    assert sorted_keys == []
+    check = hamiltonian._assert_hermitian
+    monkeypatch.setattr(hamiltonian, "_assert_hermitian",
+                        lambda m: checked.append(m) or check(m))
+    params = ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0)
+    build_onsite(basis, params)
+    build_hop(basis, params)
+    build_half_period(basis, params, 1)
+    build_effective_general(basis, params)
+    build_effective_resonant(basis, resonant_family(0, 0, "+").params(50.0, 0.5),
+                             0, 0, "+")
+    # the only sort is the Hermitian check's radix transpose of the columns
+    assert len(checked) == 4
+    assert sorted_keys == [np.dtype(np.uint16)] * 4
+
+
+def test_resonant_build_peak_is_bounded_by_its_matrix():
+    basis = SectorBasis(18, 9)
+    family = (0, 0, "+")
+    params = resonant_family(*family).params(50.0, 0.5)
+    build_effective_resonant(basis, params, *family)      # lazy imports
+    tracemalloc.start()
+    try:
+        m = build_effective_resonant(basis, params, *family).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 @settings(max_examples=60, deadline=None)

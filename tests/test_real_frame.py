@@ -155,7 +155,8 @@ def test_real_start_propagates_in_real_arithmetic():
     spec = chiral_spectrum(12, (0, 1, "-"))
     psi0 = fock_vector(spec.basis, pinnacle_state(12)).amplitudes
     kt = np.arange(50) * spec.period
-    real = spec.vectors.propagate(psi0.real, kt, spec.quasienergies)
+    real = spec.vectors.propagate(spec.vectors.expand(psi0.real), kt,
+                                  spec.quasienergies)
     assert real.dtype == np.float64
     np.testing.assert_allclose(real, spec.propagate(psi0, np.arange(50)),
                                rtol=0, atol=1e-13)
@@ -173,8 +174,8 @@ def test_spectrum_propagate_passes_a_real_start_through(chiral):
             basis, ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0)))
     psi0 = fock_vector(spec.basis, pinnacle_state(spec.basis.L)).amplitudes
     ks = np.arange(40)
-    real = spec.vectors.propagate(psi0.real, ks * spec.period,
-                                  spec.quasienergies)
+    real = spec.vectors.propagate(spec.vectors.expand(psi0.real),
+                                  ks * spec.period, spec.quasienergies)
     for start in (psi0, psi0.real):
         states = spec.propagate(start, ks)
         assert states.dtype == np.complex128
