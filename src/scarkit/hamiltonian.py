@@ -276,8 +276,7 @@ def hop_moves(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(parts) for parts in zip(*moves))
 
 
-def _hop_csr(basis: SectorBasis, lower, upper, diag=None,
-             drop_zeros: bool = False) -> CSRMatrix:
+def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
     """The sector matrix of the hops, assembled in canonical order.
 
     A class-c hop src -> dst (dst < src) stores lower[c] at (src, dst) and
@@ -287,13 +286,14 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None,
     2^(L-j-1)), its diagonal entry, then its left moves over j = L-1 ... 1.
     So `indptr` comes from the per-row move counts, and each bond writes its
     right moves at a front cursor of their rows, its left moves at a back
-    cursor.  The arrays are those scipy.sparse stores: zeros kept, as its
-    COO -> CSR conversion keeps them, or with `drop_zeros` dropped and each
-    value stored as x + 0 (a -0.0 part reads +0.0), as its `diags` and `+`
-    leave them.
+    cursor.  The arrays are those scipy.sparse stores: without a diagonal,
+    zeros kept, as its COO -> CSR conversion keeps them; with one, the sum
+    its `diags` and `+` build, zeros dropped and each value stored as x + 0
+    (a -0.0 part reads +0.0).
     """
     n, states = basis.size, basis.states
     dtype = np.result_type(*(t for t in (lower, upper, diag) if t is not None))
+    drop_zeros = diag is not None
     if drop_zeros:
         lower, upper, diag = (None if t is None else t + 0.0
                               for t in (lower, upper, diag))
@@ -356,8 +356,7 @@ def _static_energies(basis: SectorBasis, params: ModelParams) -> np.ndarray:
 
 def build_onsite(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
     """Diagonal static Hamiltonian (interaction plus tilt)."""
-    m = _hop_csr(basis, None, None, _static_energies(basis, params),
-                 drop_zeros=True)
+    m = _hop_csr(basis, None, None, _static_energies(basis, params))
     return HamiltonianMatrix(basis, "onsite", params, m)
 
 
@@ -376,8 +375,7 @@ def build_half_period(basis: SectorBasis, params: ModelParams,
         raise DomainError(f"half must be 1 or 2, got {half}")
     factor = (1.0 - params.u) if half == 1 else (1.0 + params.u)
     amps = np.full(len(HOP_CLASSES), factor * params.J)
-    m = _hop_csr(basis, amps, amps, _static_energies(basis, params),
-                 drop_zeros=True)
+    m = _hop_csr(basis, amps, amps, _static_energies(basis, params))
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, f"half_period_{half}", params, m)
 
@@ -393,8 +391,7 @@ def build_effective_general(basis: SectorBasis,
     jc = np.array(amplitudes_general(params), dtype=np.complex128)
     # moving j -> j+1 lowers the tilt energy; the raising direction is dst -> src
     diag = fold_quasienergy(_static_energies(basis, params), params.omega)
-    m = _hop_csr(basis, jc, jc.conj(), diag.astype(np.complex128),
-                 drop_zeros=True)
+    m = _hop_csr(basis, jc, jc.conj(), diag.astype(np.complex128))
     _assert_hermitian(m)
     return HamiltonianMatrix(basis, "effective_general", params, m)
 
