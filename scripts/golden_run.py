@@ -103,6 +103,16 @@ COMMANDS = [
       for model in ("effective", "full")
       for extra in (("--initial", "random:0:7"), ("--initial", "random:-1:7"),
                     ("--observables", ","))],
+    # cycle counts whose series exceed the budget: exit 3, nothing built
+    *[("dynamics", "--L", "6", *_RES, "--model", model,
+       "--cycles", "1000000000000", "--out", "never.csv")
+      for model in ("effective", "full")],
+    ("compare", "--L", "6", *_RES, "--cycles", "1000000000000",
+     "--out", "never.csv"),
+    ("compare", "--L", "6", "--family", "0,0,+", "--g", "1e12", "--u", "0.5",
+     "--out", "never.csv"),
+    ("reproduce", "--bundle", "quench-series", "--cycles", "1000000000000",
+     "--outdir", "b_quench_huge"),
 ]
 
 

@@ -580,55 +580,48 @@ def _cmd_scar(opts: dict) -> tuple:
     return payload, per_state
 
 
-_OBSERVABLE_ORDER = ("F", "EE", "Pt")
-
-
 def _parse_observables(text: str | None) -> list[str]:
+    from .dynamics import OBSERVABLES
     if not text:
-        return list(_OBSERVABLE_ORDER)
+        return list(OBSERVABLES)
     names = [n.strip() for n in str(text).split(",") if n.strip()]
-    bad = [n for n in names if n not in _OBSERVABLE_ORDER]
+    bad = [n for n in names if n not in OBSERVABLES]
     if bad or not names:
         what = f"unknown observable {bad[0]!r}" if bad else \
             f"none named in {text!r}"
         raise ConfigError(f"observables: {what} "
-                          f"(choose from {', '.join(_OBSERVABLE_ORDER)})")
-    return [n for n in _OBSERVABLE_ORDER if n in names]
+                          f"(choose from {', '.join(OBSERVABLES)})")
+    return [n for n in OBSERVABLES if n in names]
 
 
 def _cmd_dynamics(opts: dict, spec=None) -> tuple:
     """`spec`, if given, is the effective spectrum `opts` names (one solve)."""
     import numpy as np
-    from .dynamics import (ee_series, ensemble_stats, fidelity_series, fta,
-                           full_drive_ensemble, random_nontower_states,
-                           tower_probability_series)
+    from . import dynamics
     basis = _sector(opts) if spec is None else spec.basis
     model = opts.get("model") or "effective"
     if model not in ("effective", "full"):
         raise ConfigError(f"model: expected effective or full, got {model!r}")
-    cycles = _positive(opts, "cycles", 4096)
+    cycles = _positive(opts, "cycles", dynamics.DEFAULT_CYCLES)
     wanted = _parse_observables(opts.get("observables"))
     init = _parse_initial(opts.get("initial") or "tp", basis.L)
     out = _require(opts, "out")
     if init["kind"] == "state":
         starts = [init["state"]]
     else:
-        starts = random_nontower_states(basis, count=init["count"],
-                                        seed=init["seed"])
-    if model == "effective":
-        if spec is None:
-            spec = _spectrum(opts, basis)
-        series_of = {"F": fidelity_series, "EE": ee_series,
-                     "Pt": tower_probability_series}
-        runs = [{n: series_of[n](spec, s, cycles=cycles) for n in wanted}
-                for s in starts]
+        starts = dynamics.random_nontower_states(basis, count=init["count"],
+                                                 seed=init["seed"])
+    dynamics.check_cycles(cycles, len(starts) * len(wanted))
+    if model == "full":
+        source = dynamics.FullPropagator(basis, _resolve_params(opts)[0])
     else:
-        params, _ = _resolve_params(opts)
-        runs = full_drive_ensemble(basis, params, starts, cycles, wanted)
+        source = spec if spec is not None else _spectrum(opts, basis)
+    runs = dynamics.series(source, starts, cycles, wanted)
 
     series = runs[0]
     if init["kind"] == "random":
-        series = {n: ensemble_stats([r[n] for r in runs], series[n].label)
+        series = {n: dynamics.ensemble_stats([r[n] for r in runs],
+                                             series[n].label)
                   for n in wanted}
     picked = [series[n] for n in wanted]
     header = ["k"] + [s.label for s in picked]
@@ -639,7 +632,7 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
     _write_csv(out, header, [np.arange(len(columns[0])), *columns])
 
     if opts.get("fft"):
-        freqs, amps = fta(series[wanted[0]].values)
+        freqs, amps = dynamics.fta(series[wanted[0]].values)
         fft_path = opts.get("fft_out") or (os.path.splitext(out)[0] + "_fft.csv")
         _write_csv(fft_path, ["freq_rad_per_cycle", "amplitude"], [freqs, amps])
     return {"dimension": basis.size, "model": model,
@@ -649,15 +642,16 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
 
 def _cmd_compare(opts: dict) -> tuple:
     import numpy as np
-    from .dynamics import fidelity_series, full_fidelity_series
+    from .dynamics import check_cycles, fidelity_series, full_fidelity_series
     basis = _sector(opts)
     cycles = _positive(opts, "cycles", None)
     init = _parse_initial(opts.get("initial") or "tp", basis.L)
     if init["kind"] != "state":
         raise ConfigError("initial: compare runs a single Fock state")
-    spec = _spectrum(opts, basis)
-    params = spec.ham.params
+    params, _ = _resolve_params(opts)
     cycles = cycles or int(round(50 * params.g))
+    check_cycles(cycles, 3)     # F_full, F_eff and their difference
+    spec = _spectrum(opts, basis)
     f_eff = fidelity_series(spec, init["state"], cycles)
     f_full = full_fidelity_series(basis, params, init["state"], cycles)
     diff = np.abs(f_full.values - f_eff.values)
@@ -673,6 +667,7 @@ def _cmd_compare(opts: dict) -> tuple:
 
 # The bundles' working point: family (0,0,+) at g = 50, u = 0.5, half filling.
 _WORKING_POINT = {"N": None, "family": "0,0,+", "g": 50.0, "u": 0.5}
+_ENSEMBLE = 10      # quench-series' random starts, the most any bundle run holds
 
 
 def _bundle_spectral_map(opts: dict, outdir: str, sizes) -> dict:
@@ -685,13 +680,14 @@ def _bundle_spectral_map(opts: dict, outdir: str, sizes) -> dict:
 
 
 def _bundle_quench_series(opts: dict, outdir: str, sizes) -> dict:
+    from .dynamics import DEFAULT_CYCLES
     seed = 7 if opts.get("seed") is None else opts["seed"]
-    cycles = _positive(opts, "cycles", 4096)    # refused before any solve
+    cycles = _positive(opts, "cycles", DEFAULT_CYCLES)    # refused before any solve
     files = []
     for L in sizes:
         sector = {**opts, **_WORKING_POINT, "L": L, "cycles": cycles}
         spec = _spectrum(sector)
-        for initial in ("tp", "te_p:2", f"random:10:{seed}"):
+        for initial in ("tp", "te_p:2", f"random:{_ENSEMBLE}:{seed}"):
             stem = initial.replace(":", "-")
             out = os.path.join(outdir, f"quench_L{L}_{stem}.csv")
             _cmd_dynamics({**sector, "model": "effective", "initial": initial,
@@ -702,10 +698,10 @@ def _bundle_quench_series(opts: dict, outdir: str, sizes) -> dict:
 
 
 def _bundle_revival_spectra(opts: dict, outdir: str, sizes) -> dict:
-    from .dynamics import (analytic_fidelity, dominant_peaks, fta,
-                           spta_fidelity, tower_probability_series)
+    from .dynamics import (DEFAULT_CYCLES, analytic_fidelity, dominant_peaks,
+                           fta, spta_fidelity, tower_probability_series)
     from .fock_basis import pinnacle_state
-    cycles = _positive(opts, "cycles", 4096)
+    cycles = _positive(opts, "cycles", DEFAULT_CYCLES)
     files, peaks = [], {}
     for L in sizes:
         spec = _spectrum({**opts, **_WORKING_POINT, "L": L})
@@ -789,7 +785,10 @@ def _cmd_reproduce(opts: dict) -> tuple:
         for L in sizes:
             check_dense(math.comb(L, L // 2), threshold,
                         f"{bundle} --scale {scale}: the L = {L} sector")
-    _positive(opts, "cycles", None)     # refused before outdir is made
+    cycles = _positive(opts, "cycles", None)    # refused before outdir is made
+    if cycles is not None:
+        from .dynamics import OBSERVABLES, check_cycles
+        check_cycles(cycles, _ENSEMBLE * len(OBSERVABLES))
     outdir = opts.get("outdir") or f"{bundle}-{scale}"
     os.makedirs(outdir, exist_ok=True)
     result = runner(opts, outdir, sizes)

@@ -1,12 +1,14 @@
 """Stroboscopic dynamics of the driven chain and its effective descriptions.
 
-Every series is an eigenbasis rotation of a `Spectrum`: an effective
-Hamiltonian's, or, for the exact piecewise-constant drive up to
-FULL_DENSE_MAX states, the Floquet spectrum of its one-cycle map, built once
-from the two half-period Hamiltonians (`floquet_spectrum`).  The drive is
-square, so that route has no time-step error and steps nothing; its
-eigen-residual bounds the error per cycle.  Above FULL_DENSE_MAX the drive is
-stepped, each cycle a pair of sparse Krylov half-period exponentials.
+Every series reads one kind of source: an object whose `blocks` yields the
+states at the cycles `ks` in (dim x <= width) columns.  A `Spectrum` is
+one, an effective Hamiltonian's or the exact square-wave drive's Floquet
+spectrum (`floquet_spectrum`, up to FULL_DENSE_MAX states: no time-step
+error, nothing stepped, its eigen-residual bounds the error per cycle).  A
+`FullPropagator` is the other; above FULL_DENSE_MAX it steps each cycle by
+two sparse Krylov half-period exponentials.  `series` serves both models,
+and `ee_series`, `full_fidelity_series`, `evolve_effective` and
+`evolve_full` are its views of one start.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ FLOQUET_MIX_ANGLE = 0.5 * (math.sqrt(5.0) - 1.0)   # generic angle: splits Re/Im
 DEFAULT_CYCLES = 4096
 UNITARITY_TOL = 1e-8
 STATE_BLOCK_BYTES = 2_000_000_000
-EE_CHUNK = 128              # states per stacked Schmidt SVD block
+EE_CHUNK = 128              # states per block of the streamed series
 PHASE_CHUNK = 512           # cycles per phase block of the F and P_t series
+OBSERVABLES = {"F": "F", "EE": "S_EE", "Pt": "P_t"}   # name -> label, output order
 
 
 @dataclass
@@ -82,6 +85,19 @@ def _guard_block(dim: int, n_states: int) -> None:
             "state-block budget; use the chunked series functions")
 
 
+def check_cycles(cycles: int, n_series: int) -> None:
+    """Refuse a run that holds `n_series` series over cycles 0..cycles.
+
+    Each series is a float64 array of cycles + 1 values; together they must
+    fit STATE_BLOCK_BYTES.  Callers check before building anything.
+    """
+    need = n_series * (cycles + 1) * 8
+    if need > STATE_BLOCK_BYTES:
+        raise CapabilityError(
+            f"{n_series} series over {cycles} cycles need {need} bytes, over "
+            f"the series budget of {STATE_BLOCK_BYTES}")
+
+
 def evolve_effective(spec: Spectrum, initial, cycles) -> np.ndarray:
     """State columns after whole cycles under the diagonalized effective model."""
     psi0 = _as_vector(spec.basis, initial)
@@ -109,29 +125,9 @@ def fidelity_series(spec: Spectrum, initial,
     return TimeSeries("F", out)
 
 
-def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES,
-              cut: int | None = None) -> TimeSeries:
-    """Half-chain entanglement entropy along the evolution.
-
-    A real start is passed on as a real array: the chiral route then evolves
-    it in real arithmetic and the Schmidt step takes real SVDs (the dense
-    route gives the same columns either way).  The start is expanded in the
-    eigenvectors once (`vectors.expand`), then evolved in blocks of EE_CHUNK
-    cycles.
-    """
-    psi0 = _as_vector(spec.basis, initial)
-    if not np.any(psi0.imag):
-        psi0 = psi0.real
-    ks = _cycle_array(cycles)
-    if cut is None:
-        cut = spec.basis.L // 2
-    start = spec.vectors.expand(psi0)
-    out = np.empty(len(ks))
-    for lo in range(0, len(ks), EE_CHUNK):
-        kt = ks[lo:lo + EE_CHUNK] * spec.period
-        states = spec.vectors.propagate(start, kt, spec.quasienergies)
-        out[lo:lo + EE_CHUNK] = schmidt_entropies(states, spec.basis, cut)
-    return TimeSeries("S_EE", out)
+def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES) -> TimeSeries:
+    """Half-chain entanglement entropy along the evolution: the S_EE of `series`."""
+    return series(spec, [initial], cycles, ("EE",))[0]["EE"]
 
 
 def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None,
@@ -245,13 +241,15 @@ class FullPropagator:
     holds the eigen-residual max|M Q - Q lambda| of that solve, the per-cycle
     error that `check_residual` bounds.  Above it, `step` applies the two
     half-period exponentials by sparse Krylov (`expm_multiply`), trading
-    speed for memory, and `spectrum` and `residual` are None.
+    speed for memory, and `spectrum` and `residual` are None.  `blocks`
+    streams the states on either route.
     """
 
     def __init__(self, basis: SectorBasis, params: ModelParams,
                  dense_max: int = FULL_DENSE_MAX):
         h1 = build_half_period(basis, params, 1)
         h2 = build_half_period(basis, params, 2)
+        self.basis = basis
         self.spectrum, self.residual, self._halves = None, None, None
         if basis.size <= dense_max:
             self.spectrum, self.residual = floquet_spectrum(h1, h2)
@@ -265,7 +263,7 @@ class FullPropagator:
 
         Each cycle read off the spectrum can err by up to the residual, the
         role the norm drift plays for stepping; UNITARITY_TOL per cycle is
-        the same bound `_drive` applies.
+        the same bound the stepped `blocks` apply.
         """
         bound = self.residual * cycles
         if bound > UNITARITY_TOL * max(cycles, 1):
@@ -276,42 +274,73 @@ class FullPropagator:
         from scipy.sparse.linalg import expm_multiply
         return expm_multiply(self._halves[1], expm_multiply(self._halves[0], psi))
 
+    def blocks(self, psi0: np.ndarray, ks: np.ndarray, width: int):
+        """Yield the states at the cycles `ks` in (dim, <= width) column blocks.
 
-def _drive(prop: FullPropagator, psi0: np.ndarray, last: int):
-    """Yield the state after each Krylov-stepped cycle k = 0..last.
-
-    Once the last state is consumed the norm is checked: a drift above
-    UNITARITY_TOL per cycle stepped raises NumericalError.
-    """
-    psi = psi0.astype(np.complex128)
-    yield psi
-    for _ in range(last):
-        psi = prop.step(psi)
-        yield psi
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > UNITARITY_TOL * max(last, 1):
-        raise NumericalError(f"unitarity drift {drift:.2e} over {last} cycles")
-
-
-def _blocks_at(prop: FullPropagator, psi0: np.ndarray, ks: np.ndarray,
-               width: int):
-    """Yield the states at the cycles `ks` in (dim, <= width) column blocks.
-
-    One `_drive` pass steps to ks[-1]; its drift check runs once the caller
-    has taken the last block and asks for the next.
-    """
-    ptr, col = 0, 0
-    for k, psi in enumerate(_drive(prop, psi0, int(ks[-1]))):
-        if k != ks[ptr]:
-            continue
-        if col == 0:
-            block = np.empty((len(psi0), min(width, len(ks) - ptr)),
-                             dtype=np.complex128)
-        block[:, col] = psi
-        ptr, col = ptr + 1, col + 1
-        if col == block.shape[1]:
+        Below the dense bound they come from the Floquet spectrum, once
+        `check_residual` admits ks[-1] cycles.  Above it one pass steps to
+        ks[-1]; once the caller has taken the last block and asks for the
+        next, the norm is checked: a drift above UNITARITY_TOL per cycle
+        stepped raises NumericalError.
+        """
+        if self.spectrum is not None:
+            self.check_residual(int(ks[-1]))
+            yield from self.spectrum.blocks(psi0, ks, width)
+            return
+        psi, done = psi0.astype(np.complex128), 0
+        for lo in range(0, len(ks), width):
+            chunk = ks[lo:lo + width]
+            block = np.empty((len(psi), len(chunk)), dtype=np.complex128)
+            for col, k in enumerate(chunk):
+                for _ in range(k - done):
+                    psi = self.step(psi)
+                done = k
+                block[:, col] = psi
             yield block
-            col = 0
+        drift = abs(np.linalg.norm(psi) - 1.0)
+        if drift > UNITARITY_TOL * max(done, 1):
+            raise NumericalError(f"unitarity drift {drift:.2e} over {done} cycles")
+
+
+def series(source, initials, cycles=DEFAULT_CYCLES,
+           observables=tuple(OBSERVABLES)) -> list[dict[str, TimeSeries]]:
+    """F, half-chain S_EE and P_t per initial state, from one source of states.
+
+    `source` is a `Spectrum` or a `FullPropagator`: either yields the states
+    at the cycles `ks` in column blocks (`blocks`).  A propagator below its
+    dense bound stands for its Floquet spectrum once `check_residual` admits
+    the last cycle.  On a spectrum, F and P_t come from its eigenbasis
+    weights (`fidelity_series`, `tower_probability_series`) with no state
+    materialized; every other series is read from blocks of EE_CHUNK states,
+    so no (dim x cycles) array is held.  Keys are the requested names among
+    OBSERVABLES, in its order.
+    """
+    ks = _cycle_array(cycles)
+    if not isinstance(source, Spectrum) and source.spectrum is not None:
+        source.check_residual(int(ks[-1]))
+        source = source.spectrum
+    weighted = ({"F": fidelity_series, "Pt": tower_probability_series}
+                if isinstance(source, Spectrum) else {})
+    names = [n for n in OBSERVABLES if n in observables]
+    streamed = [n for n in names if n not in weighted]
+    basis = source.basis
+    t_idx = tower_states(basis.L).indices(basis) if "Pt" in streamed else None
+    runs = []
+    for initial in initials:
+        psi0 = _as_vector(basis, initial)
+        parts = {n: [weighted[n](source, psi0, cycles=ks).values]
+                 if n in weighted else [] for n in names}
+        blocks = source.blocks(psi0, ks, EE_CHUNK) if streamed else ()
+        for states in blocks:
+            if "F" in streamed:
+                parts["F"].append(np.abs(psi0.conj() @ states) ** 2)
+            if "EE" in streamed:
+                parts["EE"].append(schmidt_entropies(states, basis, basis.L // 2))
+            if "Pt" in streamed:
+                parts["Pt"].append((np.abs(states[t_idx, :]) ** 2).sum(axis=0))
+        runs.append({n: TimeSeries(OBSERVABLES[n], np.concatenate(parts[n]))
+                     for n in names})
+    return runs
 
 
 def evolve_full(basis: SectorBasis, params: ModelParams, initial, cycles,
@@ -320,59 +349,15 @@ def evolve_full(basis: SectorBasis, params: ModelParams, initial, cycles,
     psi0 = _as_vector(basis, initial)
     ks = _cycle_array(cycles)
     _guard_block(basis.size, len(ks))
-    prop = FullPropagator(basis, params, dense_max)
-    if prop.spectrum is not None:
-        prop.check_residual(int(ks[-1]))
-        return prop.spectrum.propagate(psi0, ks)
-    # unpacking asks for a second block, which runs the drift check
-    (states,) = _blocks_at(prop, psi0, ks, len(ks))
+    # unpacking asks for a second block, which runs the Krylov drift check
+    (states,) = FullPropagator(basis, params, dense_max).blocks(psi0, ks, len(ks))
     return states
 
 
 def full_fidelity_series(basis: SectorBasis, params: ModelParams, initial,
                          cycles=DEFAULT_CYCLES) -> TimeSeries:
-    """|<psi(0)|psi(k)>|^2 under the exact drive: the F of `full_drive_ensemble`."""
-    return full_drive_ensemble(basis, params, [initial], cycles, ("F",))[0]["F"]
-
-
-def full_drive_ensemble(basis: SectorBasis, params: ModelParams, initials,
-                        cycles=DEFAULT_CYCLES, observables=("F", "EE", "Pt")
-                        ) -> list[dict[str, TimeSeries]]:
-    """F, half-chain S_EE and P_t under the exact drive, per initial state.
-
-    One FullPropagator serves every start.  Below its dense bound the series
-    come from its Floquet spectrum through `fidelity_series`, `ee_series`
-    and `tower_probability_series`.  Above it each start's states are
-    stepped and stream in blocks of EE_CHUNK cycles, every requested series
-    taking its values from each block, so no (dim x cycles) array is held.
-    Keys are the requested names among "F", "EE" and "Pt", in that order.
-    """
-    psis = [_as_vector(basis, initial) for initial in initials]
-    ks = _cycle_array(cycles)
-    prop = FullPropagator(basis, params)
-    if prop.spectrum is not None:
-        prop.check_residual(int(ks[-1]))
-        series_of = {"F": fidelity_series, "EE": ee_series,
-                     "Pt": tower_probability_series}
-        return [{name: series(prop.spectrum, psi0, cycles=ks)
-                 for name, series in series_of.items() if name in observables}
-                for psi0 in psis]
-    t_idx = tower_states(basis.L).indices(basis) if "Pt" in observables else None
-    runs = []
-    for psi0 in psis:
-        bra, f, ee, pt = psi0.conj(), [], [], []
-        for states in _blocks_at(prop, psi0, ks, EE_CHUNK):
-            if "F" in observables:
-                f.append(np.abs(bra @ states) ** 2)
-            if "EE" in observables:
-                ee.append(schmidt_entropies(states, basis, basis.L // 2))
-            if "Pt" in observables:
-                pt.append((np.abs(states[t_idx, :]) ** 2).sum(axis=0))
-        series = {"F": ("F", f), "EE": ("S_EE", ee), "Pt": ("P_t", pt)}
-        runs.append({name: TimeSeries(label, np.concatenate(parts))
-                     for name, (label, parts) in series.items()
-                     if name in observables})
-    return runs
+    """|<psi(0)|psi(k)>|^2 under the exact drive: the F of `series`."""
+    return series(FullPropagator(basis, params), [initial], cycles, ("F",))[0]["F"]
 
 
 def fta(series) -> tuple[np.ndarray, np.ndarray]:

@@ -148,15 +148,22 @@ class SectorBasis:
 
     @property
     def dipoles(self) -> np.ndarray:
-        """D = sum_j j * n_j per state, accumulated site by site (int64)."""
+        """D = sum_j j * n_j per state (int64).
+
+        Site j holds bit b = L - j, so D = L N - sum_b b * bit_b, and the sum
+        is sum_t 2^t popcount(state & mask_t) over the bits t of the index b
+        (mask_t: the bits b with bit t set), one pass per bit of L - 1.
+        """
         if self._dipoles is None:
-            dipoles = np.zeros(self.size, dtype=np.int64)
+            dipoles = np.full(self.size, self.L * self.N, dtype=np.int64)
             term = np.empty_like(dipoles)
-            for j in range(1, self.L + 1):
-                np.right_shift(self.states, self.L - j, out=term)
-                term &= 1
-                term *= j
-                dipoles += term
+            count = np.empty(self.size, dtype=np.uint8)
+            for t in range((self.L - 1).bit_length()):
+                mask = sum(1 << b for b in range(self.L) if b >> t & 1)
+                np.bitwise_and(self.states, mask, out=term)
+                np.bitwise_count(term, out=count)
+                np.left_shift(count, t, out=term, dtype=np.int64)
+                dipoles -= term
             self._dipoles = dipoles
         return self._dipoles
 

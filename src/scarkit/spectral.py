@@ -360,18 +360,25 @@ class Spectrum:
         """|<n|psi_a>|^2 against every eigenstate, for one Fock basis index n."""
         return np.abs(self.vectors.rows([n])[0]) ** 2
 
-    def propagate(self, psi0: np.ndarray, cycles) -> np.ndarray:
-        """State columns after whole numbers of driving cycles, complex128.
+    def blocks(self, psi0: np.ndarray, ks, width: int):
+        """Yield the states at the cycles `ks` in (dim, <= width) column blocks.
 
-        A start with no imaginary part goes in real, so the chiral route
-        evolves it in real arithmetic only.
+        The start is expanded in the eigenvectors once.  A start with no
+        imaginary part goes in real, so the chiral route evolves it in real
+        arithmetic and yields real blocks.
         """
-        kt = np.asarray(cycles, dtype=np.float64) * self.period
+        kt = np.asarray(ks, dtype=np.float64) * self.period
         psi0 = np.asarray(psi0)
         if np.iscomplexobj(psi0) and not psi0.imag.any():
             psi0 = psi0.real
-        out = self.vectors.propagate(self.vectors.expand(psi0), kt,
-                                     self.quasienergies)
+        start = self.vectors.expand(psi0)
+        for lo in range(0, len(kt), width):
+            yield self.vectors.propagate(start, kt[lo:lo + width],
+                                         self.quasienergies)
+
+    def propagate(self, psi0: np.ndarray, cycles) -> np.ndarray:
+        """State columns after whole numbers of driving cycles, complex128."""
+        (out,) = self.blocks(psi0, cycles, len(cycles))
         return out.astype(np.complex128, copy=False)
 
 

@@ -265,6 +265,51 @@ def test_reproduce_refuses_negative_seed(tmp_path, capsys, no_solve):
     assert not outdir.exists()
 
 
+_HUGE_CYCLES = ("--cycles", "1000000000000")
+
+
+def _refused_for_series_budget(code, out, err, n_series, cycles):
+    need = n_series * (cycles + 1) * 8
+    assert (code, out) == (3, "")
+    assert err == (f"capability error: {n_series} series over {cycles} cycles "
+                   f"need {need} bytes, over the series budget of 2000000000\n")
+
+
+@pytest.mark.parametrize("model", ["effective", "full"])
+def test_dynamics_refuses_cycles_over_the_series_budget(tmp_path, capsys,
+                                                        no_solve, model):
+    out_csv = tmp_path / "x.csv"
+    for initial, n_series in (("tp", 3), ("random:4:7", 12)):
+        result = run(capsys, "dynamics", "--L", "6", *_RES, "--model", model,
+                     "--initial", initial, *_HUGE_CYCLES, "--out", str(out_csv))
+        _refused_for_series_budget(*result, n_series, 10 ** 12)
+    assert not out_csv.exists()
+
+
+def test_compare_refuses_cycles_over_the_series_budget(tmp_path, capsys,
+                                                       no_solve):
+    out_csv = tmp_path / "x.csv"
+    result = run(capsys, "compare", "--L", "6", *_RES, *_HUGE_CYCLES,
+                 "--out", str(out_csv))
+    _refused_for_series_budget(*result, 3, 10 ** 12)
+    # the default is 50 g cycles
+    result = run(capsys, "compare", "--L", "6", "--family", "0,0,+",
+                 "--g", "1e12", "--u", "0.5", "--out", str(out_csv))
+    _refused_for_series_budget(*result, 3, 5 * 10 ** 13)
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("bundle", ["quench-series", "revival-spectra",
+                                    "model-comparison"])
+def test_reproduce_refuses_cycles_over_the_series_budget(tmp_path, capsys,
+                                                         no_solve, bundle):
+    outdir = tmp_path / "b"
+    result = run(capsys, "reproduce", "--bundle", bundle, *_HUGE_CYCLES,
+                 "--outdir", str(outdir))
+    _refused_for_series_budget(*result, 30, 10 ** 12)
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("name, argv", [
     ("g", ("spectrum", "--L", "6", "--family", "0,0,+", "--g", "inf",
            "--u", "0.5", "--out", "{tmp}/x.csv")),

@@ -1,6 +1,5 @@
 """Stroboscopic evolution: effective and exact routes, spectra, ensembles."""
 
-import functools
 import math
 
 import numpy as np
@@ -14,10 +13,10 @@ from conftest import extended
 from scarkit import dynamics
 from scarkit.dynamics import (analytic_fidelity, dominant_peaks, ee_series,
                               ensemble_stats, evolve_effective, evolve_full,
-                              fidelity_series, fta, full_drive_ensemble,
-                              full_fidelity_series, local_maxima,
-                              random_nontower_states, spta_fidelity,
-                              tower_probability_series, TimeSeries)
+                              fidelity_series, fta, full_fidelity_series,
+                              local_maxima, random_nontower_states, series,
+                              spta_fidelity, tower_probability_series,
+                              TimeSeries)
 from scarkit.errors import DomainError, NumericalError
 from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.graph import tower_states
@@ -26,7 +25,8 @@ from scarkit.hamiltonian import (ModelParams, build_effective_general,
 from scarkit.observables import (StateVector, entanglement_entropy, fock_vector,
                                  schmidt_entropies)
 from scarkit.resonance import resonant_family
-from scarkit.spectral import ChiralPairVectors, DenseVectors, diagonalize
+from scarkit.spectral import (ChiralPairVectors, DenseVectors, Spectrum,
+                              diagonalize)
 
 PARAMS = resonant_family(0, 0, "+").params(g=50.0, u=0.5)
 
@@ -175,12 +175,12 @@ def test_ee_series_expands_each_start_once(route, monkeypatch):
 
 @pytest.mark.parametrize("cycles", [300, np.arange(5, 700, 3)],
                          ids=["0..300", "non-contiguous"])
-def test_full_drive_ensemble_matches_evolve_full_states(cycles):
+def test_series_on_the_drive_matches_evolve_full_states(cycles):
     # blocks of EE_CHUNK = 128 states: edges at 128 and 256, a partial last one
     basis = SectorBasis(8, 4)
     t_idx = tower_states(8).indices(basis)
     words = ["11110000", "11001010"]
-    runs = full_drive_ensemble(basis, PARAMS, words, cycles)
+    runs = series(dynamics.FullPropagator(basis, PARAMS), words, cycles)
     for word, run in zip(words, runs):
         psi0 = fock_vector(basis, word).amplitudes
         states = evolve_full(basis, PARAMS, word, cycles)
@@ -193,9 +193,10 @@ def test_full_drive_ensemble_matches_evolve_full_states(cycles):
             np.testing.assert_allclose(run[name].values, want, rtol=0, atol=1e-12)
 
 
-def test_full_drive_ensemble_matches_krylov_route():
+def test_series_on_the_drive_matches_krylov_route():
     basis = SectorBasis(8, 4)
-    (run,) = full_drive_ensemble(basis, PARAMS, ["11110000"], 300, ("F",))
+    (run,) = series(dynamics.FullPropagator(basis, PARAMS), ["11110000"], 300,
+                    ("F",))
     assert list(run) == ["F"]
     states = evolve_full(basis, PARAMS, "11110000", 300, dense_max=0)
     np.testing.assert_allclose(run["F"].values,
@@ -207,8 +208,8 @@ def _floquet_vs_stepping(L, g, starts, cycles, observables):
     """Largest |Floquet - stepped| of each series over the start columns."""
     basis = SectorBasis(L, L // 2)
     params = resonant_family(0, 0, "+").params(g=g, u=0.5)
-    runs = full_drive_ensemble(basis, params, list(starts.T), cycles,
-                               observables)
+    runs = series(dynamics.FullPropagator(basis, params), list(starts.T),
+                  cycles, observables)
     want = drive_oracles.stepped_series(basis, params, starts, cycles)
     return {name: max(np.max(np.abs(run[name].values - want[name][n]))
                       for n, run in enumerate(runs))
@@ -246,18 +247,38 @@ def test_floquet_route_matches_stepping_oracle_L14_extended():
 def test_krylov_stream_matches_floquet_route(monkeypatch):
     # above the dense bound each start streams Krylov-stepped blocks
     basis = SectorBasis(6, 3)
-    words = ["111000", "110010"]
+    words = ["111000", "110010", "101100"]
     cycles = np.arange(2, 41, 3)
-    want = full_drive_ensemble(basis, PARAMS, words, cycles)
-    monkeypatch.setattr(dynamics, "FullPropagator",
-                        functools.partial(dynamics.FullPropagator, dense_max=0))
+    want = series(dynamics.FullPropagator(basis, PARAMS), words, cycles)
     monkeypatch.setattr(dynamics, "EE_CHUNK", 4)
-    got = full_drive_ensemble(basis, PARAMS, words, cycles)
+    got = series(dynamics.FullPropagator(basis, PARAMS, dense_max=0), words,
+                 cycles)
     for run, ref in zip(got, want):
         assert list(run) == ["F", "EE", "Pt"]
         for name in run:
             np.testing.assert_allclose(run[name].values, ref[name].values,
                                        rtol=0, atol=1e-8)
+
+
+def test_series_reads_f_and_pt_off_a_spectrum_without_states(monkeypatch):
+    basis = SectorBasis(8, 4)
+    sources = [spectrum_for(8), dynamics.FullPropagator(basis, PARAMS)]
+    words = ["11110000", "11001010"]
+    want = [series(source, words, 64) for source in sources]
+
+    def no_blocks(*args, **kw):
+        raise AssertionError("a state block was materialized")
+
+    monkeypatch.setattr(Spectrum, "blocks", no_blocks)
+    monkeypatch.setattr(dynamics.FullPropagator, "blocks", no_blocks)
+    for source, ref in zip(sources, want):
+        for run, ref_run in zip(series(source, words, 64, ("F", "Pt")), ref):
+            assert list(run) == ["F", "Pt"]
+            for name in run:
+                assert run[name].values.tobytes() == \
+                    ref_run[name].values.tobytes()
+        with pytest.raises(AssertionError, match="materialized"):
+            series(source, words, 64, ("EE",))
 
 
 def test_floquet_residual_is_read_and_checked(monkeypatch):
@@ -274,7 +295,7 @@ def test_floquet_residual_is_read_and_checked(monkeypatch):
     merged.check_residual(0)      # no cycle read off it, nothing to bound
     for run in (lambda: full_fidelity_series(basis, PARAMS, "111000", 5),
                 lambda: evolve_full(basis, PARAMS, "111000", 5),
-                lambda: full_drive_ensemble(basis, PARAMS, ["111000"], 5)):
+                lambda: series(merged, ["111000"], 5)):
         with pytest.raises(NumericalError,
                            match="unitarity drift bound .* over 5 cycles"):
             run()
@@ -490,6 +511,6 @@ def test_unitarity_drift_raises_numerical_error(monkeypatch, standard_params):
         dynamics.evolve_full(basis, standard_params, pinnacle_state(4), 4)
     # the streamed ensemble checks once its last block is taken
     monkeypatch.setattr(dynamics, "EE_CHUNK", 2)
+    krylov = dynamics.FullPropagator(basis, standard_params, dense_max=0)
     with pytest.raises(NumericalError, match="unitarity drift .* over 4 cycles"):
-        dynamics.full_drive_ensemble(basis, standard_params,
-                                     [pinnacle_state(4)], 4)
+        dynamics.series(krylov, [pinnacle_state(4)], 4)
