@@ -113,6 +113,11 @@ COMMANDS = [
      "--out", "never.csv"),
     ("reproduce", "--bundle", "quench-series", "--cycles", "1000000000000",
      "--outdir", "b_quench_huge"),
+    # 50 g overflows to inf; the closed forms' phase arrays exceed the budget
+    ("compare", "--L", "6", "--family", "0,0,+", "--g", "1e308", "--u", "0.5",
+     "--out", "never.csv"),
+    ("reproduce", "--bundle", "revival-spectra", "--cycles", "8000000",
+     "--outdir", "b_revival_huge"),
 ]
 
 

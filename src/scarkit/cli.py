@@ -121,10 +121,16 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"config: {path} is not valid JSON ({exc})") \
+                from exc
         if isinstance(data.get("config"), dict):
             data = data["config"]
-        return {_normalize_key(k): v for k, v in data.items()}
+        # every value as text, as from a key = value line, for its coercion
+        return {_normalize_key(k): v if v is None else str(v)
+                for k, v in data.items()}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -226,9 +232,10 @@ def _check_options(opts: dict) -> None:
 
 
 def _require(opts: dict, *keys):
+    """opts[key] for each key; an unset or empty value is refused."""
     values = []
     for key in keys:
-        if opts.get(key) is None:
+        if opts.get(key) in (None, ""):
             raise ConfigError(f"missing required key: {key}")
         values.append(opts[key])
     return values[0] if len(values) == 1 else values
@@ -550,13 +557,11 @@ def _scar_report(spec, basis):
     return payload
 
 
-_IE_BATCH = 32    # eigenvector columns per S_IE block; small blocks stay in cache
-
-
 def _cmd_scar(opts: dict) -> tuple:
     import numpy as np
     from .fock_basis import pinnacle_state
-    from .observables import entropy_profile, shannon_entropies
+    from .observables import (eigenstate_measures, schmidt_entropies,
+                              shannon_entropies)
     basis = _sector(opts)
     if basis.L != 2 * basis.N:
         raise ConfigError("N: the scar report is defined at half filling")
@@ -564,18 +569,15 @@ def _cmd_scar(opts: dict) -> tuple:
     payload = _scar_report(spec, basis)
     per_state = opts.get("per_state")
     if per_state:
-        ee = entropy_profile(spec)
+        ee, ie = eigenstate_measures(spec, [
+            lambda cols: schmidt_entropies(cols, basis, basis.L // 2),
+            shannon_entropies])
         w_tp = spec.weight_row(basis.index_of(pinnacle_state(basis.L)))
         is_zero = np.zeros(spec.size, dtype=bool)
         is_zero[spec.zero_indices] = True
-        alphas = np.arange(spec.size)
-        ie = np.empty(spec.size)
-        for lo in range(0, spec.size, _IE_BATCH):
-            batch = alphas[lo:lo + _IE_BATCH]
-            ie[batch] = shannon_entropies(spec.vectors.columns(batch))
         _write_csv(per_state, ["alpha", "quasienergy", "S_EE", "S_IE",
                                "overlap_tp", "is_zero_mode"],
-                   [alphas, spec.quasienergies, ee, ie, w_tp,
+                   [np.arange(spec.size), spec.quasienergies, ee, ie, w_tp,
                     is_zero])
     return payload, per_state
 
@@ -649,7 +651,9 @@ def _cmd_compare(opts: dict) -> tuple:
     if init["kind"] != "state":
         raise ConfigError("initial: compare runs a single Fock state")
     params, _ = _resolve_params(opts)
-    cycles = cycles or int(round(50 * params.g))
+    if cycles is None:      # 50 g; inf for a huge g, refused below, not rounded
+        cycles = 50 * params.g
+        cycles = int(round(cycles)) if math.isfinite(cycles) else cycles
     check_cycles(cycles, 3)     # F_full, F_eff and their difference
     spec = _spectrum(opts, basis)
     f_eff = fidelity_series(spec, init["state"], cycles)
@@ -789,6 +793,8 @@ def _cmd_reproduce(opts: dict) -> tuple:
     if cycles is not None:
         from .dynamics import OBSERVABLES, check_cycles
         check_cycles(cycles, _ENSEMBLE * len(OBSERVABLES))
+        if bundle == "revival-spectra":   # its closed forms: C(L, L/2) x (K+1)
+            check_cycles(cycles, math.comb(sizes[-1], sizes[-1] // 2))
     outdir = opts.get("outdir") or f"{bundle}-{scale}"
     os.makedirs(outdir, exist_ok=True)
     result = runner(opts, outdir, sizes)

@@ -22,8 +22,8 @@ from .errors import CapabilityError, DomainError, NumericalError
 from .fock_basis import FockState, SectorBasis
 from .graph import Tower, spta_matrix, tower_states
 from .hamiltonian import HamiltonianMatrix, ModelParams, build_half_period
-from .observables import (StateVector, cluster_levels, fock_vector,
-                          schmidt_entropies)
+from .observables import (NORM_TOL, StateVector, cluster_levels,
+                          fock_vector, schmidt_entropies)
 from .spectral import Spectrum, dense_spectrum
 
 FULL_DENSE_MAX = 4096       # exact drive as a Floquet spectrum up to this dimension
@@ -73,7 +73,7 @@ def _as_vector(basis: SectorBasis, initial) -> np.ndarray:
         if amps.shape != (basis.size,):
             raise DomainError(f"initial vector shape {amps.shape} does not "
                               f"match sector dimension {basis.size}")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
         raise DomainError("initial state is not normalized")
     return amps
 
@@ -206,6 +206,9 @@ def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix
     tau, phi = h1.params.T / 2.0, FLOQUET_MIX_ANGLE
     e1, V1 = np.linalg.eigh(h1.toarray())
     e2, V2 = np.linalg.eigh(h2.toarray())
+    if not np.isfinite(tau * np.concatenate((e1, e2))).all():
+        raise NumericalError("half-period phases tau * e overflow; the drive "
+                             "parameters are out of range")
     W = V2.T @ V1
     del V2
     x_re = _congruence(W, np.cos(tau * e2))

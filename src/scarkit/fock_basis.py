@@ -120,13 +120,14 @@ class SectorBasis:
     def rank(self, bits: int) -> int:
         """Position of `bits` in the ascending state list."""
         r, k, b = 0, 0, int(bits)
+        if b.bit_count() != self.N:
+            raise DomainError(f"state has {b.bit_count()} particles, sector "
+                              f"holds {self.N}")
         while b:
             p = b & -b
             k += 1
             r += self._binom[p.bit_length() - 1, k]
             b ^= p
-        if k != self.N:
-            raise DomainError(f"state has {k} particles, sector holds {self.N}")
         return int(r)
 
     def state(self, i: int) -> FockState:

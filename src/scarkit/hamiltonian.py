@@ -60,11 +60,6 @@ class ModelParams:
     def T(self) -> float:
         return 2.0 * math.pi / self.omega
 
-    @classmethod
-    def from_ratios(cls, U_over_g: float, g_over_omega: float, g: float,
-                    u: float, J: float = 1.0) -> "ModelParams":
-        return cls(g=g, U=U_over_g * g, u=u, omega=g / g_over_omega, J=J)
-
 
 def hop_class_code(n_left, n_right):
     """0 / 1 / 2 for barrier class g-U / g / g+U from the flanking sites.
@@ -87,6 +82,9 @@ def _drive_averaged_amplitude(delta: float, T: float, u: float, J: float) -> com
     """
     if delta == 0.0:
         return complex(J)
+    if not math.isfinite(delta * T):
+        raise DomainError(f"hop phase {delta!r} * T = {delta * T} per period "
+                          "is not finite")
     y = cmath.exp(0.5j * delta * T)
     return -1j * J / (delta * T) * (y - 1.0) * ((1.0 + u) * y + (1.0 - u))
 

@@ -5,13 +5,9 @@ matrix across a cut is block diagonal in the left particle count, so each
 block is Schmidt-decomposed separately instead of reshaping the full vector.
 Real amplitude columns get real blocks and a real SVD.
 
-Chiral spectra are handled in a real frame.  The on-site phase products
-(-1)^D and i^D (D = sum_j j n_j, the dipole moment) are local unitaries, so
-they leave every Schmidt spectrum unchanged.  (-1)^D maps the pair column
-psi_- = (u, +i v)/sqrt(2) to its partner psi_+ = (u, -i v)/sqrt(2), and
-i^D psi_- is real.  `entropy_profile` therefore takes one real SVD per
-+-s pair, shares its entropy between both columns, and takes kernel columns
-as they are (already real).
+Per-eigenstate observables are read in one batched pass
+(`eigenstate_measures`).  On a chiral spectrum it reads one real column per
++-s pair, in the real frame that the `spectral` module docstring sets out.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ PAGE_OFFSET = 0.5
 COE_SPREAD_FRACTION = 0.48  # effective fraction of the basis a chaotic state covers
 PROJECTION_FLOOR = 1e-12
 CLUSTER_WIDTH = 1e-9        # quasienergy width treated as one degenerate level
-PROFILE_BATCH = 256         # eigenstate columns per `entropy_profile` block
+PROFILE_BATCH = 256         # eigenstate columns per `eigenstate_measures` block
 OUTLIER_MADS = 3.0          # median absolute deviations below the band to flag
 
 
@@ -148,29 +144,42 @@ def entanglement_entropy(state: StateVector, cut: int | None = None) -> float:
     return float(schmidt_entropies(amps[:, None], state.basis, cut)[0])
 
 
-def entropy_profile(spec: Spectrum, indices=None,
-                    cut: int | None = None) -> np.ndarray:
-    """Entanglement entropy of eigenstate columns, materialized in batches.
+def eigenstate_measures(spec: Spectrum, measures,
+                        indices=None) -> list[np.ndarray]:
+    """Each measure of the eigenstate columns `indices`, in one batched pass.
 
-    On a chiral spectrum each batch holds real columns, one per +-s pair or
-    kernel state among `indices`; both pair columns get the pair's entropy.
+    A measure maps a (dim, n) block of amplitude columns to n values.  On a
+    chiral spectrum a batch holds `real_columns`, one per +-s pair or kernel
+    state, and a pair's value goes to both its columns.  That is exact for a
+    measure that reads only Schmidt spectra and |amplitudes|: the real
+    column is a local unitary image of both, equal in |amplitude| bit for bit.
     """
     if indices is None:
         indices = np.arange(spec.size)
     indices = np.asarray(indices, dtype=np.intp)
-    if cut is None:
-        cut = spec.basis.L // 2
     vec = spec.vectors
     if isinstance(vec, ChiralPairVectors):
         keys, where = np.unique(vec.pair_keys(indices), return_inverse=True)
         columns = vec.real_columns
     else:
         keys, where, columns = indices, slice(None), vec.columns
-    out = np.empty(len(keys))
+    out = [np.empty(len(keys)) for _ in measures]
     for lo in range(0, len(keys), PROFILE_BATCH):
-        out[lo:lo + PROFILE_BATCH] = schmidt_entropies(
-            columns(keys[lo:lo + PROFILE_BATCH]), spec.basis, cut)
-    return out[where]
+        block = columns(keys[lo:lo + PROFILE_BATCH])
+        for values, measure in zip(out, measures):
+            values[lo:lo + PROFILE_BATCH] = measure(block)
+    return [values[where] for values in out]
+
+
+def entropy_profile(spec: Spectrum, indices=None,
+                    cut: int | None = None) -> np.ndarray:
+    """Entanglement entropy of eigenstate columns: `eigenstate_measures`
+    with the one measure `schmidt_entropies` (default cut at L/2)."""
+    if cut is None:
+        cut = spec.basis.L // 2
+    (ee,) = eigenstate_measures(
+        spec, [lambda cols: schmidt_entropies(cols, spec.basis, cut)], indices)
+    return ee
 
 
 def shannon_entropies(columns: np.ndarray) -> np.ndarray:

@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .hamiltonian import HamiltonianMatrix
 
 DENSE_EIG_DEFAULT = 20000       # refuse eigh / SVD above this sector dimension
-DENSE_VECTORS_MAX = 6000        # refuse materializing a full D x D eigenvector matrix
 ZERO_MODE_RTOL = 1e-9           # kernel tolerance relative to the spectral radius
 DEGENERATE_GAP = 1e-12          # level gaps below this are exact degeneracies
 
@@ -75,18 +74,11 @@ class DenseVectors:
     def __init__(self, V: np.ndarray):
         self._V = V
 
-    @property
-    def n_states(self) -> int:
-        return self._V.shape[0]
-
     def columns(self, indices) -> np.ndarray:
         return self._V[:, np.asarray(indices, dtype=np.intp)]
 
     def rows(self, indices) -> np.ndarray:
         return self._V[np.asarray(indices, dtype=np.intp), :]
-
-    def dense(self) -> np.ndarray:
-        return self._V
 
     def sector_weight(self, mask: np.ndarray) -> np.ndarray:
         return (np.abs(self._V[mask, :]) ** 2).sum(axis=0)
@@ -114,13 +106,6 @@ def _scaled(F: np.ndarray, coef: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """F * coef along the last axis where `keep`, exact +0 elsewhere."""
     out = np.zeros(F.shape, dtype=np.complex128)
     return np.multiply(F, coef, where=keep, out=out)
-
-
-def _real_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for real A and possibly complex B without upcasting A."""
-    if not np.iscomplexobj(B):
-        return A @ B
-    return (A @ B.real) + 1j * (A @ B.imag)
 
 
 class ChiralPairVectors:
@@ -264,13 +249,6 @@ class ChiralPairVectors:
             paired, self._real_v[:, None], self._has_v[a])
         return out
 
-    def dense(self) -> np.ndarray:
-        if self.n_states > DENSE_VECTORS_MAX:
-            raise CapabilityError(
-                f"refusing to materialize {self.n_states}^2 eigenvector matrix; "
-                f"bound is {DENSE_VECTORS_MAX}")
-        return self.columns(range(self.n_states))
-
     def sector_weight(self, mask: np.ndarray) -> np.ndarray:
         r = self.rank
         wu = (self.Uf[mask[self.plus_idx], :] ** 2).sum(axis=0)
@@ -283,9 +261,10 @@ class ChiralPairVectors:
         return internal[self._perm]
 
     def coefficients(self, psi0: np.ndarray) -> np.ndarray:
-        """<a|psi0> for every column a, from one product with each factor."""
-        alpha = _real_matmul(self.Uf.T, psi0[self.plus_idx])
-        beta = _real_matmul(self.Vt, psi0[self.minus_idx])
+        """<a|psi0> for every column a, from the factor products of `expand`."""
+        (alpha, beta), *imag = self.expand(psi0)
+        for alpha_im, beta_im in imag:
+            alpha, beta = alpha + 1j * alpha_im, beta + 1j * beta_im
         return (np.conj(self._cu) * np.where(self._has_u, alpha[self._iu], 0)
                 + np.conj(self._cv) * np.where(self._has_v, beta[self._iv], 0))
 

@@ -310,6 +310,35 @@ def test_reproduce_refuses_cycles_over_the_series_budget(tmp_path, capsys,
     assert not outdir.exists()
 
 
+def test_compare_refuses_a_default_cycle_count_that_overflows(tmp_path, capsys,
+                                                              no_solve):
+    # 50 g is inf: refused by the series budget, not rounded to an int
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "compare", "--L", "6", "--family", "0,0,+",
+                         "--g", "1e308", "--u", "0.5", "--out", str(out_csv))
+    assert (code, out) == (3, "")
+    assert err == ("capability error: 3 series over inf cycles need inf "
+                   "bytes, over the series budget of 2000000000\n")
+    assert not out_csv.exists()
+
+
+def test_revival_spectra_refuses_cycles_over_the_closed_form_budget(
+        tmp_path, capsys, no_solve):
+    # 30 series fit, but the closed forms' phase arrays at L = 14 do not
+    outdir = tmp_path / "b"
+    result = run(capsys, "reproduce", "--bundle", "revival-spectra",
+                 "--cycles", "8000000", "--outdir", str(outdir))
+    _refused_for_series_budget(*result, math.comb(14, 7), 8000000)
+    assert not outdir.exists()
+    # the largest count the L = 14 closed forms admit
+    admitted = 2_000_000_000 // (8 * math.comb(14, 7)) - 1
+    from scarkit.dynamics import check_cycles
+    check_cycles(admitted, math.comb(14, 7))
+    result = run(capsys, "reproduce", "--bundle", "revival-spectra",
+                 "--cycles", str(admitted + 1), "--outdir", str(outdir))
+    _refused_for_series_budget(*result, math.comb(14, 7), admitted + 1)
+
+
 @pytest.mark.parametrize("name, argv", [
     ("g", ("spectrum", "--L", "6", "--family", "0,0,+", "--g", "inf",
            "--u", "0.5", "--out", "{tmp}/x.csv")),
@@ -363,6 +392,72 @@ def test_output_path_that_is_a_directory_is_refused(tmp_path, capsys):
     assert err == f"config error: out: '{tmp_path}' is a directory\n"
 
 
+# Former tracebacks that the CLI fuzz test (tests/test_cli_fuzz.py) found.
+
+def test_empty_required_output_path_is_refused(tmp_path, capsys, no_solve):
+    for argv in (("dynamics", "--L", "6", *_RES, "--cycles", "8", "--out="),
+                 ("resonance", "--grid", "1:80:5,1:80:5", "--omega", "20",
+                  "--u", "0.5", "--out=")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "config error: missing required key: out\n"
+
+
+def test_malformed_json_config_is_refused(tmp_path, capsys):
+    config = tmp_path / "truncated.json"
+    config.write_text("{")
+    code, out, err = run(capsys, "basis", "--L", "6", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: config: {config} is not valid JSON")
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"L": [6]}, "L"), ({"L": 6.5}, "L"), ({"L": True}, "L"),
+    ({"L": 6, "fft": "maybe"}, "fft"),
+])
+def test_json_config_values_go_through_the_option_coercion(tmp_path, capsys,
+                                                           no_solve, config,
+                                                           key):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"config": config}))
+    code, out, err = run(capsys, "dynamics", "--config", str(path), *_RES,
+                         "--cycles", "8", "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {key}: ")
+
+
+def test_start_with_the_wrong_particle_count_is_refused(tmp_path, capsys):
+    # the default start tp holds L/2 = 3 particles, the sector N = 1
+    code, out, err = run(capsys, "dynamics", "--L", "6", "--N", "1",
+                         "--g", "1", "--u", "0.5", "--omega", "20",
+                         "--u-over-g", "0.7", "--cycles", "8",
+                         "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err == "config error: state has 3 particles, sector holds 1\n"
+
+
+def test_overflowing_hop_phase_is_refused(tmp_path, capsys):
+    # delta * T = 1e12 * 2 pi / 1e-300 overflows
+    code, out, err = run(capsys, "spectrum", "--L", "6", "--g", "1",
+                         "--u", "0.5", "--omega", "1e-300",
+                         "--u-over-g", "1e12")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: hop phase ")
+    assert err.endswith(" per period is not finite\n")
+
+
+def test_exact_drive_with_overflowing_levels_is_refused(tmp_path, capsys):
+    # u = 1e308 puts the half-period levels at +-inf
+    code, out, err = run(capsys, "dynamics", "--L", "6", "--g", "1",
+                         "--u", "1e308", "--omega", "20", "--u-over-g", "0.7",
+                         "--model", "full", "--cycles", "8",
+                         "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical error: half-period phases tau * e "
+                          "overflow")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_compare_outputs(tmp_path, capsys):
     out_csv = tmp_path / "cmp.csv"
     code, out, _ = run(capsys, "compare", "--L", "6", "--family", "0,0,+",
@@ -405,11 +500,12 @@ def test_scar_json_even_filling(tmp_path, capsys):
 def test_scar_per_state_ie_matches_per_column_entropy(tmp_path, capsys,
                                                       monkeypatch, family):
     # small blocks, so that S_IE comes from several column batches
+    from scarkit import observables
     from scarkit.hamiltonian import build_effective_resonant
     from scarkit.observables import StateVector, shannon_entropy
     from scarkit.resonance import resonant_family
     from scarkit.spectral import diagonalize
-    monkeypatch.setattr(cli, "_IE_BATCH", 16)
+    monkeypatch.setattr(observables, "PROFILE_BATCH", 16)
     per_state = tmp_path / "per.csv"
     code, _, _ = run(capsys, "scar", "--L", "8",
                      "--family", ",".join(map(str, family)),
@@ -423,6 +519,28 @@ def test_scar_per_state_ie_matches_per_column_entropy(tmp_path, capsys,
                                             basis))
                 for a in range(spec.size)]
     np.testing.assert_allclose(table["S_IE"], expected, rtol=1e-14, atol=0)
+
+
+def test_scar_per_state_materializes_only_kernel_columns(tmp_path, capsys,
+                                                         monkeypatch):
+    # S_EE and S_IE come from one pass over real pair columns; the complex
+    # columns are read once, for the scar state's kernel projection
+    from scarkit.spectral import ChiralPairVectors
+    asked, columns = [], ChiralPairVectors.columns
+
+    def recording(self, indices):
+        asked.append(sorted(np.asarray(indices).tolist()))
+        return columns(self, indices)
+
+    monkeypatch.setattr(ChiralPairVectors, "columns", recording)
+    per_state = tmp_path / "per.csv"
+    code, _, _ = run(capsys, "scar", "--L", "8", *_RES,
+                     "--per-state", str(per_state))
+    assert code == 0
+    table = np.genfromtxt(per_state, delimiter=",", names=True)
+    kernel = np.flatnonzero(table["is_zero_mode"]).tolist()
+    assert len(kernel) == 6
+    assert asked == [kernel]
 
 
 def test_reproduce_rejects_unknown_bundle(capsys):

@@ -264,5 +264,3 @@ def test_params_validation():
         ModelParams(g=-1.0, U=1.0, u=0.5, omega=1.0)
     with pytest.raises(Exception):
         ModelParams(g=1.0, U=1.0, u=-0.5, omega=1.0)
-    p = ModelParams.from_ratios(2.0, 1.0, g=50.0, u=0.5)
-    assert p.U == pytest.approx(100.0) and p.omega == pytest.approx(50.0)

@@ -96,6 +96,29 @@ def test_entropy_profile_matches_columns(monkeypatch):
         assert prof[a] == pytest.approx(entanglement_entropy(sv), abs=1e-10)
 
 
+@pytest.mark.parametrize("route", ["chiral", "dense"])
+def test_eigenstate_measures_match_per_column_values(monkeypatch, route):
+    from scarkit.hamiltonian import build_effective_general
+    from scarkit.observables import eigenstate_measures
+    basis = SectorBasis(8, 4)
+    ham = (build_effective_resonant(basis, PARAMS, 0, 0, "+")
+           if route == "chiral" else build_effective_general(basis, PARAMS))
+    spec = diagonalize(ham)
+    monkeypatch.setattr(observables, "PROFILE_BATCH", 7)
+    ee, ie = eigenstate_measures(
+        spec, [lambda c: schmidt_entropies(c, basis, 4), shannon_entropies])
+    for a in range(spec.size):
+        sv = StateVector(spec.vectors.columns([a])[:, 0], basis)
+        assert ie[a] == shannon_entropy(sv)     # bit for bit, pair or not
+        assert ee[a] == pytest.approx(entanglement_entropy(sv), abs=1e-10)
+    subset = [9, 2, 9, 60]
+    ee_sub, ie_sub = eigenstate_measures(
+        spec, [lambda c: schmidt_entropies(c, basis, 4), shannon_entropies],
+        subset)
+    assert ee_sub.tolist() == ee[subset].tolist()
+    assert ie_sub.tolist() == ie[subset].tolist()
+
+
 def test_reference_entropies():
     assert page_entropy(16) == pytest.approx(8 * math.log(2) - 0.5)
     assert coe_ie_reference(12870) == pytest.approx(math.log(0.48 * 12870))

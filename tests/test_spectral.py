@@ -56,7 +56,7 @@ def test_eigenpairs_reconstruct(L):
     spec = resonant_spectrum(L)
     basis = SectorBasis(L, L // 2)
     A = build_effective_resonant(basis, PARAMS, 0, 0, "+").toarray()
-    V = spec.vectors.dense()
+    V = spec.vectors.columns(np.arange(spec.size))
     resid = A @ V - V * spec.quasienergies[None, :]
     assert np.max(np.abs(resid)) < 1e-12
     # orthonormality
@@ -66,7 +66,7 @@ def test_eigenpairs_reconstruct(L):
 
 def test_vector_views_agree():
     spec = resonant_spectrum(6)
-    V = spec.vectors.dense()
+    V = spec.vectors.columns(np.arange(spec.size))
     assert np.allclose(spec.vectors.columns([3])[:, 0], V[:, 3], atol=0)
     assert np.allclose(spec.vectors.rows([5])[0], V[5, :], atol=0)
     assert np.allclose(spec.vectors.columns([1, 4, 7]), V[:, [1, 4, 7]], atol=0)
@@ -181,7 +181,7 @@ def test_sector_weights_partition():
 
 def test_phase_convention_largest_component_positive():
     spec = resonant_spectrum(6)
-    V = spec.vectors.dense()
+    V = spec.vectors.columns(np.arange(spec.size))
     for a in range(spec.size):
         lead = V[np.argmax(np.abs(V[:, a])), a]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
@@ -193,7 +193,7 @@ def test_general_route_produces_dense_vectors():
     spec = diagonalize(build_effective_general(basis, p))
     assert spec.ham.kind == "effective_general"
     A = build_effective_general(basis, p).toarray()
-    V = spec.vectors.dense()
+    V = spec.vectors.columns(np.arange(spec.size))
     resid = A @ V - V * spec.quasienergies[None, :]
     assert np.max(np.abs(resid)) < 1e-11
 
