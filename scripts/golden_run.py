@@ -118,6 +118,12 @@ COMMANDS = [
      "--out", "never.csv"),
     ("reproduce", "--bundle", "revival-spectra", "--cycles", "8000000",
      "--outdir", "b_revival_huge"),
+    # 50 g rounds to 0 cycles, and empty output paths: exit 2, nothing written
+    ("compare", "--L", "6", "--family", "0,0,+", "--g", "0.001", "--u", "0.5",
+     "--out", "never.csv"),
+    ("spectrum", "--L", "6", *_RES, "--out="),
+    ("dynamics", "--L", "6", *_RES, "--out="),
+    ("reproduce", "--bundle", "ratio-landscape", "--outdir="),
 ]
 
 

@@ -12,8 +12,8 @@ prints the payload, so bundles call handlers as plain functions.
 
 Exit codes: 0 success, 2 configuration problems, 3 capability limits or a
 failed numerical invariant (non-Hermitian build, unitarity drift).  A
-non-finite drive parameter, a negative seed, or an output path in a missing
-or unwritable directory exits 2 before anything is built.
+non-finite drive parameter, a negative seed, or an output path that is empty
+or in a missing or unwritable directory exits 2 before anything is built.
 
 Option resolution imports no numpy: the handlers import the library, so
 `--threads` can cap the BLAS pools before numpy first loads.  Importing the
@@ -207,9 +207,9 @@ def _check_writable_dir(key: str, path: str, directory: str) -> None:
 def _check_options(opts: dict) -> None:
     """Refuse, before anything is built, values that no handler can use.
 
-    Non-finite drive parameters, a negative seed, and an output path whose
-    directory is missing or unwritable (`outdir` itself may be missing, its
-    parent not).
+    Non-finite drive parameters, a negative seed, an empty output path or
+    `outdir`, and an output path whose directory is missing or unwritable
+    (`outdir` itself may be missing, its parent not).
     """
     for key in _FINITE_KEYS:
         value = opts.get(key)
@@ -217,6 +217,9 @@ def _check_options(opts: dict) -> None:
             raise ConfigError(f"{key}: must be finite, got {value}")
     if opts.get("seed") is not None and opts["seed"] < 0:
         raise ConfigError(f"seed: must be >= 0, got {opts['seed']}")
+    for key in (*_OUTPUT_FILES, "outdir"):
+        if opts.get(key) == "":
+            raise ConfigError(f"{key}: empty path")
     for key in _OUTPUT_FILES:
         path = opts.get(key)
         if path:
@@ -299,11 +302,9 @@ def _sector(opts: dict):
 
 
 def _positive(opts: dict, key: str, default):
-    """opts[key], or `default` when unset; an explicit value below 1 is refused."""
-    value = opts.get(key)
-    if value is None:
-        return default
-    if value < 1:
+    """opts[key], or `default` when unset; either is refused below 1."""
+    value = default if opts.get(key) is None else opts[key]
+    if value is not None and value < 1:
         raise ConfigError(f"{key}: must be at least 1, got {value}")
     return value
 
@@ -646,14 +647,13 @@ def _cmd_compare(opts: dict) -> tuple:
     import numpy as np
     from .dynamics import check_cycles, fidelity_series, full_fidelity_series
     basis = _sector(opts)
-    cycles = _positive(opts, "cycles", None)
     init = _parse_initial(opts.get("initial") or "tp", basis.L)
     if init["kind"] != "state":
         raise ConfigError("initial: compare runs a single Fock state")
     params, _ = _resolve_params(opts)
-    if cycles is None:      # 50 g; inf for a huge g, refused below, not rounded
-        cycles = 50 * params.g
-        cycles = int(round(cycles)) if math.isfinite(cycles) else cycles
+    default = 50 * params.g     # inf for a huge g, refused below, not rounded
+    cycles = _positive(opts, "cycles",
+                       int(round(default)) if math.isfinite(default) else default)
     check_cycles(cycles, 3)     # F_full, F_eff and their difference
     spec = _spectrum(opts, basis)
     f_eff = fidelity_series(spec, init["state"], cycles)

@@ -22,7 +22,9 @@ same matrix; `CSRMatrix.to_scipy` hands one to scipy, which this module never
 imports at load time.  No builder sorts: a row's neighbours already ascend
 in bond order (right moves over j = 1 ... L-1, the diagonal, left moves over
 j = L-1 ... 1), so `_hop_csr` writes every entry straight into its canonical
-slot, and the hop graph takes its edges from the same layout.
+slot, and the hop graph takes its edges from the same layout.  Each upper
+entry comes from the same hop as its lower mirror, so the Hermitian builders
+check their tables, never the matrix (`_hermitian_csr`).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .fock_basis import SectorBasis
 from .spectral import fold_quasienergy
 
 HOP_CLASSES = ("g-U", "g", "g+U")
+DROP_CHUNK = 1 << 16      # entries `_hop_csr` scans at a time when dropping zeros
 
 
 @dataclass(frozen=True)
@@ -214,32 +217,6 @@ class HamiltonianMatrix:
         return self.matrix.toarray()
 
 
-HERMITIAN_CHUNK = 1 << 16    # entries compared with their mirrors at a time
-
-
-def _assert_hermitian(m: CSRMatrix) -> None:
-    """Raise unless `m` stores exactly its conjugate transpose.
-
-    Every stored entry is compared with the entry in its transpose slot, a
-    chunk of HERMITIAN_CHUNK entries at a time, so no matrix-sized mirrored
-    copy is made.
-    """
-    # the transpose stores the entries ordered by column, rows ascending: a
-    # stable sort of the columns, here as a radix sort over 16-bit digits
-    # (numpy radix-sorts uint16 keys; two digits cover every sector size)
-    order = np.argsort(m.indices.astype(np.uint16), kind="stable")
-    if m.shape[1] > 1 << 16:
-        high = (m.indices[order] >> 16).astype(np.uint16)
-        order = order[np.argsort(high, kind="stable")]
-    rows = m.row_indices()
-    for lo in range(0, m.nnz, HERMITIAN_CHUNK):
-        at = order[lo:lo + HERMITIAN_CHUNK]
-        if not (np.array_equal(rows[at], m.indices[lo:lo + HERMITIAN_CHUNK])
-                and np.array_equal(np.conjugate(m.data[at]),
-                                   m.data[lo:lo + HERMITIAN_CHUNK])):
-            raise NumericalError("constructed matrix is not exactly Hermitian")
-
-
 def _bond_moves(basis: SectorBasis):
     """For each bond j = 1 ... L-1 in turn, its hops as (src, dst, cls) arrays.
 
@@ -313,7 +290,8 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
     np.cumsum(counts, out=indptr[1:])
     del counts
     # each hop slot first gets a code, its class plus 3 on the upper
-    # triangle, and one `take` turns the codes into values
+    # triangle, and one lookup turns the codes into values (indexing casts
+    # the int8 codes a buffer at a time, where `take` makes an intp copy)
     codes = np.zeros(nnz, dtype=np.int8)
     indices = np.empty(nnz, dtype=index)
     front, back = indptr[:-1].copy(), indptr[1:].copy()
@@ -333,17 +311,43 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
     for table, lo in ((lower, 0), (upper, len(HOP_CLASSES))):
         if table is not None:
             values[lo:lo + len(HOP_CLASSES)] = table
-    data = values.take(codes)
+    data = values[codes]
     del codes
     if diag is not None:                      # the slot the two cursors left
         indices[front] = np.arange(n)
         data[front] = diag
     if drop_zeros and not data.all():
-        keep = data != 0
-        kept = np.zeros(len(data) + 1, dtype=index)
-        np.cumsum(keep, out=kept[1:])
-        data, indices, indptr = data[keep], indices[keep], kept[indptr]
+        # compact in place, DROP_CHUNK entries at a time: `put` is the write
+        # cursor, and rows [row, end) are those whose start the chunk covers
+        # (its end included, so the last chunk moves the trailing row starts)
+        put = row = 0
+        for lo in range(0, nnz, DROP_CHUNK):
+            keep = data[lo:lo + DROP_CHUNK] != 0
+            kept = np.zeros(len(keep) + 1, dtype=index)
+            np.cumsum(keep, out=kept[1:])
+            end = row + int(np.searchsorted(indptr[row:], lo + DROP_CHUNK,
+                                            side="right"))
+            indptr[row:end] = put + kept[indptr[row:end] - lo]
+            data[put:put + kept[-1]] = data[lo:lo + DROP_CHUNK][keep]
+            indices[put:put + kept[-1]] = indices[lo:lo + DROP_CHUNK][keep]
+            put, row = put + int(kept[-1]), end
+        # no view of either array is left, so they shrink without a copy
+        data.resize(put, refcheck=False)
+        indices.resize(put, refcheck=False)
     return CSRMatrix(data, indices, indptr, (n, n))
+
+
+def _hermitian_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
+    """`_hop_csr` of both triangles, refused (`NumericalError`) unless the
+    tables make it exactly Hermitian: upper[c] == conj(lower[c]) for the
+    three classes (so zeros drop in mirror pairs) and `diag` equal to its
+    own conjugate (real, no NaN).  Values compare as in the matrix: -0.0
+    equals +0.0, and NaN equals nothing.
+    """
+    if not (np.array_equal(upper, np.conjugate(lower))
+            and (diag is None or np.array_equal(diag, np.conjugate(diag)))):
+        raise NumericalError("constructed matrix is not exactly Hermitian")
+    return _hop_csr(basis, lower, upper, diag)
 
 
 def _static_energies(basis: SectorBasis, params: ModelParams) -> np.ndarray:
@@ -361,8 +365,7 @@ def build_onsite(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
 def build_hop(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
     """Bare nearest-neighbour tunneling, all matrix elements J."""
     amps = np.full(len(HOP_CLASSES), params.J)
-    m = _hop_csr(basis, amps, amps)
-    _assert_hermitian(m)
+    m = _hermitian_csr(basis, amps, amps)
     return HamiltonianMatrix(basis, "hop", params, m)
 
 
@@ -373,8 +376,7 @@ def build_half_period(basis: SectorBasis, params: ModelParams,
         raise DomainError(f"half must be 1 or 2, got {half}")
     factor = (1.0 - params.u) if half == 1 else (1.0 + params.u)
     amps = np.full(len(HOP_CLASSES), factor * params.J)
-    m = _hop_csr(basis, amps, amps, _static_energies(basis, params))
-    _assert_hermitian(m)
+    m = _hermitian_csr(basis, amps, amps, _static_energies(basis, params))
     return HamiltonianMatrix(basis, f"half_period_{half}", params, m)
 
 
@@ -389,8 +391,7 @@ def build_effective_general(basis: SectorBasis,
     jc = np.array(amplitudes_general(params), dtype=np.complex128)
     # moving j -> j+1 lowers the tilt energy; the raising direction is dst -> src
     diag = fold_quasienergy(_static_energies(basis, params), params.omega)
-    m = _hop_csr(basis, jc, jc.conj(), diag.astype(np.complex128))
-    _assert_hermitian(m)
+    m = _hermitian_csr(basis, jc, jc.conj(), diag.astype(np.complex128))
     return HamiltonianMatrix(basis, "effective_general", params, m)
 
 
@@ -402,6 +403,5 @@ def build_effective_resonant(basis: SectorBasis, params: ModelParams,
     +i*Ac. Wrong-resonance parameters are rejected rather than silently built.
     """
     amps = np.array(resonant_amplitudes(params, k1, k2, branch))
-    m = _hop_csr(basis, -1j * amps, 1j * amps)
-    _assert_hermitian(m)
+    m = _hermitian_csr(basis, -1j * amps, 1j * amps)
     return HamiltonianMatrix(basis, "effective_resonant", params, m)

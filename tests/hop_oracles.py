@@ -9,7 +9,8 @@ hack for the sector words), a binomial-table `rank` per hop or half-word,
 and an iterative union-find.  The builders here assemble scipy.sparse
 matrices: the oracles for the arrays of scarkit's own `CSRMatrix`.
 `canonical_csr` is the sort-based assembly the builders used before they
-wrote their entries in canonical order directly.
+wrote their entries in canonical order directly, and `assert_hermitian` the
+check on the final arrays they ran before they checked their tables instead.
 """
 
 import math
@@ -59,6 +60,32 @@ def canonical_csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return CSRMatrix(data[order], cols[order].astype(index), indptr, (n, n))
+
+
+HERMITIAN_CHUNK = 1 << 16    # entries compared with their mirrors at a time
+
+
+def assert_hermitian(m: CSRMatrix) -> None:
+    """Raise AssertionError unless `m` stores exactly its conjugate transpose.
+
+    Every stored entry is compared, by value, with the entry in its
+    transpose slot, a chunk of HERMITIAN_CHUNK entries at a time, so no
+    matrix-sized mirrored copy is made.
+    """
+    # the transpose stores the entries ordered by column, rows ascending: a
+    # stable sort of the columns, here as a radix sort over 16-bit digits
+    # (numpy radix-sorts uint16 keys; two digits cover every sector size)
+    order = np.argsort(m.indices.astype(np.uint16), kind="stable")
+    if m.shape[1] > 1 << 16:
+        high = (m.indices[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    rows = m.row_indices()
+    for lo in range(0, m.nnz, HERMITIAN_CHUNK):
+        at = order[lo:lo + HERMITIAN_CHUNK]
+        if not (np.array_equal(rows[at], m.indices[lo:lo + HERMITIAN_CHUNK])
+                and np.array_equal(np.conjugate(m.data[at]),
+                                   m.data[lo:lo + HERMITIAN_CHUNK])):
+            raise AssertionError("matrix is not exactly Hermitian")
 
 
 def right_moves(basis: SectorBasis):

@@ -400,7 +400,35 @@ def test_empty_required_output_path_is_refused(tmp_path, capsys, no_solve):
                   "--u", "0.5", "--out=")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "config error: missing required key: out\n"
+        assert err == "config error: out: empty path\n"
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("spectrum", "--L", "6", *_RES, "--out="), "out"),
+    (("scar", "--L", "6", *_RES, "--per-state="), "per_state"),
+    (("dynamics", "--L", "6", *_RES, "--cycles", "8", "--fft",
+      "--out", "{tmp}/d.csv", "--fft-out="), "fft_out"),
+    (("basis", "--L", "6", "--out", "{tmp}/b.csv", "--manifest="), "manifest"),
+    (("graph", "--L", "6", "--out="), "out"),
+    (("reproduce", "--bundle", "ratio-landscape", "--outdir="), "outdir"),
+])
+def test_empty_path_is_refused_for_every_output(tmp_path, capsys, monkeypatch,
+                                                argv, key):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"config error: {key}: empty path\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_compare_default_cycles_below_one_exits_2(tmp_path, capsys):
+    # 50 g rounds to 0 cycles for g <= 0.01, the rule of an explicit --cycles 0
+    code, out, err = run(capsys, "compare", "--L", "6", "--family", "0,0,+",
+                         "--g", "0.001", "--u", "0.5",
+                         "--out", str(tmp_path / "c.csv"))
+    assert (code, out) == (2, "")
+    assert err == "config error: cycles: must be at least 1, got 0\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_malformed_json_config_is_refused(tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 The builders' `CSRMatrix` arrays are compared bitwise with the scipy.sparse
 matrices the oracles assemble, and its block, dense and product views with
-scipy's slicing, `toarray` and matvec.
+scipy's slicing, `toarray` and matvec.  The Hermitian builders' output is
+checked against the transpose oracle `hop_oracles.assert_hermitian`.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hop_oracles as oracle
-from scarkit import hamiltonian, spectral
+from conftest import extended
+from scarkit import cli, hamiltonian, spectral
 from scarkit.errors import NumericalError
 from scarkit.fock_basis import SectorBasis
 from scarkit.graph import (HOP_CLASSES, build_graph, components, spta_matrix,
                            tower_states)
-from scarkit.hamiltonian import (CSRMatrix, ModelParams, _assert_hermitian,
+from scarkit.hamiltonian import (CSRMatrix, ModelParams,
                                  build_effective_general,
                                  build_effective_resonant, build_half_period,
                                  build_hop, build_onsite, hop_moves)
@@ -116,6 +119,18 @@ def test_builders_drop_and_keep_zeros_as_scipy_does(L, N, params):
     assert_same_csr(got.to_scipy(), oracle.effective_resonant(basis, res, *family))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_zeros_drop_alike_at_every_chunk_size(monkeypatch, chunk):
+    # the compaction's chunk edges cut rows, and a chunk can hold no zero
+    monkeypatch.setattr(hamiltonian, "DROP_CHUNK", chunk)
+    basis = SectorBasis(10, 5)
+    for _, _, params in ZERO_CASES[:2]:
+        assert_same_csr(build_effective_general(basis, params).matrix,
+                        oracle.effective_general(basis, params))
+        assert_same_csr(build_half_period(basis, params, 1).matrix,
+                        oracle.half_period(basis, params, 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(sectors(), families, st.floats(1.0, 100.0), st.floats(0.0, 2.0))
 def test_resonant_builder_equals_oracle(basis, family, g, u):
@@ -169,6 +184,34 @@ def test_product_matches_scipy_matvec(kind, width):
         m @ np.ones(m.shape[1] + 1)
 
 
+def hermitian_builds(basis, params, res):
+    """The four Hermitian builders' matrices one at a time, both half
+    periods, with the resonant one at the (0,0,+) parameters `res`."""
+    yield build_hop(basis, params).matrix
+    for half in (1, 2):
+        yield build_half_period(basis, params, half).matrix
+    yield build_effective_general(basis, params).matrix
+    yield build_effective_resonant(basis, res, 0, 0, "+").matrix
+
+
+@settings(max_examples=40, deadline=None)
+@given(sectors(), param_values, st.floats(1.0, 100.0), st.floats(0.0, 2.0))
+def test_builders_are_hermitian(basis, params, g, u):
+    res = resonant_family(0, 0, "+").params(g, u)
+    for m in hermitian_builds(basis, params, res):
+        oracle.assert_hermitian(m)
+
+
+# L = 20 holds 184,756 states, so the oracle's transpose takes both digits
+@pytest.mark.parametrize("L", [16, pytest.param(20, marks=extended)])
+def test_builders_are_hermitian_at_large_L(L):
+    basis = SectorBasis(L, L // 2)
+    params = ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0)
+    res = resonant_family(0, 0, "+").params(50.0, 0.5)
+    for m in hermitian_builds(basis, params, res):
+        oracle.assert_hermitian(m)
+
+
 def test_hermitian_check_reads_the_final_arrays():
     # a 2^17-state matrix, so the transpose order takes both 16-bit digits,
     # and more entries than one chunk of the comparison
@@ -182,66 +225,123 @@ def test_hermitian_check_reads_the_final_arrays():
     rows, cols = np.concatenate((a, b)), np.concatenate((b, a))
     m = oracle.canonical_csr(rows, cols, np.concatenate((v, v.conj())), n,
                              drop_zeros=False)
-    assert m.nnz > hamiltonian.HERMITIAN_CHUNK
-    _assert_hermitian(m)
+    assert m.nnz > oracle.HERMITIAN_CHUNK
+    oracle.assert_hermitian(m)
     for bad in (np.concatenate((v, v)),                  # not conjugated
                 np.concatenate((v, v.conj() * (1 + 1e-16j)))):
-        with pytest.raises(NumericalError):
-            _assert_hermitian(oracle.canonical_csr(rows, cols, bad, n,
-                                                   drop_zeros=False))
-    with pytest.raises(NumericalError):                  # one mirror missing
-        _assert_hermitian(oracle.canonical_csr(rows[1:], cols[1:],
-                                               np.concatenate((v, v.conj()))[1:],
-                                               n, drop_zeros=False))
+        with pytest.raises(AssertionError):
+            oracle.assert_hermitian(oracle.canonical_csr(rows, cols, bad, n,
+                                                         drop_zeros=False))
+    with pytest.raises(AssertionError):                  # one mirror missing
+        oracle.assert_hermitian(oracle.canonical_csr(
+            rows[1:], cols[1:], np.concatenate((v, v.conj()))[1:], n,
+            drop_zeros=False))
     shifted = CSRMatrix(m.data, (m.indices + 1) % n, m.indptr, m.shape)
-    with pytest.raises(NumericalError):                  # mirror in the wrong slot
-        _assert_hermitian(shifted)
+    with pytest.raises(AssertionError):                  # mirror in the wrong slot
+        oracle.assert_hermitian(shifted)
     # one bad value whose slot and whose mirror's slot both lie past the
     # first chunk: both its row and its column start after that chunk
     rows_of = m.row_indices()
-    past = rows_of[hamiltonian.HERMITIAN_CHUNK]
+    past = rows_of[oracle.HERMITIAN_CHUNK]
     e = np.flatnonzero((rows_of > past) & (m.indices > past))[0]
     data = m.data.copy()
     data[e] += 1e-12
+    with pytest.raises(AssertionError):
+        oracle.assert_hermitian(CSRMatrix(data, m.indices, m.indptr, m.shape))
+
+
+# Each replaces a table source of one builder so that the matrix it would
+# build is not Hermitian: (function in `hamiltonian`, replacement, the
+# `hamiltonian --kind` that builds through it).
+BAD_TABLES = {
+    # lower = -i a and upper = +i a are conjugates only for a real a
+    "complex-resonant": ("resonant_amplitudes",
+                         lambda *args: (1 + 1j, 1 + 1j, 1 + 1j), "resonant"),
+    # upper = conj(lower) by construction, but a NaN equals nothing
+    "nan-amplitude": ("amplitudes_general",
+                      lambda params: (math.nan, 1j, 1.0), "effective"),
+    "imaginary-diagonal": ("fold_quasienergy",
+                           lambda e, omega: e + 1e-3j, "effective"),
+    "imaginary-onsite": ("_static_energies",
+                         lambda basis, params: np.full(basis.size, 1e-3j),
+                         "half1"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TABLES)
+def test_builders_refuse_tables_of_a_non_hermitian_matrix(monkeypatch, capsys,
+                                                          name):
+    attr, replacement, kind = BAD_TABLES[name]
+    basis = SectorBasis(6, 3)
+    res = resonant_family(0, 0, "+").params(50.0, 0.5)
+    list(hermitian_builds(basis, res, res))              # the tables as shipped
+    monkeypatch.setattr(hamiltonian, attr, replacement)
+    build = {"resonant": lambda: build_effective_resonant(basis, res, 0, 0, "+"),
+             "effective": lambda: build_effective_general(basis, res),
+             "half1": lambda: build_half_period(basis, res, 1)}[kind]
     with pytest.raises(NumericalError):
-        _assert_hermitian(CSRMatrix(data, m.indices, m.indptr, m.shape))
+        build()
+    code = cli.main(["hamiltonian", "--L", "6", "--family", "0,0,+", "--g",
+                     "50", "--u", "0.5", "--kind", kind])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "numerical error: constructed matrix is not exactly Hermitian\n"
+
+
+def test_hermitian_tables_are_compared_by_value():
+    basis = SectorBasis(8, 4)
+    a = np.array([0.25, 0.5, 1.5])
+    lower = a * np.exp(1j * np.array([0.3, -1.1, 2.0]))
+    # -i a has a -0.0 real part where +i a has +0.0: equal values
+    for ok in ((-1j * a, 1j * a, None), (lower, lower.conj(), None),
+               (lower, lower.conj(), np.linspace(-1, 1, basis.size) + 0j)):
+        oracle.assert_hermitian(hamiltonian._hermitian_csr(basis, *ok))
+    diag = np.linspace(-1, 1, basis.size)
+    for bad in ((lower, lower, None),                        # not conjugated
+                (lower, lower.conj() * (1 + 1e-16j), None),   # off by an ulp
+                (a, a, np.where(diag > 0, diag, math.nan))):  # NaN on the diagonal
+        with pytest.raises(NumericalError):
+            hamiltonian._hermitian_csr(basis, *bad)
 
 
 def test_builders_and_graph_assemble_without_sorting(monkeypatch):
-    sorted_keys, checked = [], []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: (
-        sorted_keys.append(np.asarray(a).dtype) or argsort(a, *args, **kw)))
+    sorted_keys = []
+    for name in ("argsort", "lexsort", "sort"):
+        sort = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda a, *args, _sort=sort, **kw: (
+            sorted_keys.append(np.asarray(a).dtype) or _sort(a, *args, **kw)))
     basis = SectorBasis(12, 6)
     build_graph(basis)
-    assert sorted_keys == []
-    check = hamiltonian._assert_hermitian
-    monkeypatch.setattr(hamiltonian, "_assert_hermitian",
-                        lambda m: checked.append(m) or check(m))
     params = ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0)
     build_onsite(basis, params)
-    build_hop(basis, params)
-    build_half_period(basis, params, 1)
-    build_effective_general(basis, params)
-    build_effective_resonant(basis, resonant_family(0, 0, "+").params(50.0, 0.5),
-                             0, 0, "+")
-    # the only sort is the Hermitian check's radix transpose of the columns
-    assert len(checked) == 4
-    assert sorted_keys == [np.dtype(np.uint16)] * 4
+    list(hermitian_builds(basis, params,
+                          resonant_family(0, 0, "+").params(50.0, 0.5)))
+    assert sorted_keys == []
 
 
-def test_resonant_build_peak_is_bounded_by_its_matrix():
+def test_hermitian_build_peaks_are_bounded_by_their_matrices():
     basis = SectorBasis(18, 9)
-    family = (0, 0, "+")
-    params = resonant_family(*family).params(50.0, 0.5)
-    build_effective_resonant(basis, params, *family)      # lazy imports
-    tracemalloc.start()
-    try:
-        m = build_effective_resonant(basis, params, *family).matrix
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    res = resonant_family(0, 0, "+").params(50.0, 0.5)
+    params = ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0)
+    # the g+U class amplitude is exactly 0 here, so this build drops zeros
+    zeros = ModelParams(g=2.0, U=2.0, u=1.0, omega=2.0)
+    builds = {"resonant": lambda: build_effective_resonant(basis, res, 0, 0, "+"),
+              "hop": lambda: build_hop(basis, params),
+              "half1": lambda: build_half_period(basis, params, 1),
+              "effective": lambda: build_effective_general(basis, params),
+              "effective, zeros dropped": lambda: build_effective_general(
+                  basis, zeros)}
+    for name, build in builds.items():
+        build()                                          # lazy imports
+        tracemalloc.start()
+        try:
+            m = build().matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        final = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        assert peak <= 2.0 * final, (name, peak / final)
+    assert m.nnz < basis.size + 2 * len(hop_moves(basis)[0])   # zeros dropped
 
 
 @settings(max_examples=60, deadline=None)
