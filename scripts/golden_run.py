@@ -49,6 +49,8 @@ COMMANDS = [
     ("spectrum", "--L", "8", *_RAW, "--out", "spectrum_L8_raw.csv"),
     ("graph", "--L", "10"),
     ("graph", "--L", "10", "--components", "g,g-U", "--out", "graph_L10.json"),
+    # several hook rounds: the {g-U, g} blocks of L = 14
+    ("graph", "--L", "14", "--components", "g-U,g", "--out", "graph_L14.json"),
     ("graph", "--L", "6", "--emit", "dot"),
     ("graph", "--L", "6", "--emit", "dot", "--out", "graph_L6.dot"),
     ("scar", "--L", "12", *_RES, "--per-state", "scar_L12.csv"),
@@ -124,6 +126,9 @@ COMMANDS = [
     ("spectrum", "--L", "6", *_RES, "--out="),
     ("dynamics", "--L", "6", *_RES, "--out="),
     ("reproduce", "--bundle", "ratio-landscape", "--outdir="),
+    # 2 u overflows, so the resonant amplitudes are not finite: exit 2
+    ("hamiltonian", "--L", "6", "--family", "0,0,+", "--g", "50",
+     "--u", "1e308"),
 ]
 
 

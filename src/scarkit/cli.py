@@ -54,7 +54,7 @@ def _as_bool(value) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-_CSV_BLOCK_ROWS = 65536
+_CSV_BLOCK_ROWS = 8192
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:

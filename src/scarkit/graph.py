@@ -23,10 +23,14 @@ _EDGE_COLOR = ("firebrick", "black", "forestgreen")
 
 @dataclass(frozen=True)
 class HilbertGraph:
-    """Undirected hop graph with per-edge barrier classes (a < b, stored once)."""
+    """Undirected hop graph with per-edge barrier classes (a < b, stored once).
+
+    The endpoints keep the hop matrix's index dtype (int32 for every sector),
+    half the bytes of intp.
+    """
 
     basis: SectorBasis
-    edge_a: np.ndarray      # intp
+    edge_a: np.ndarray      # the hop CSR's index dtype
     edge_b: np.ndarray
     edge_class: np.ndarray  # int8 index into HOP_CLASSES
 
@@ -72,8 +76,7 @@ def build_graph(basis: SectorBasis) -> HilbertGraph:
     matrix, class codes as values, in its canonical layout.
     """
     upper = _hop_csr(basis, None, np.arange(len(HOP_CLASSES), dtype=np.int8))
-    a = np.repeat(np.arange(basis.size, dtype=np.intp), np.diff(upper.indptr))
-    return HilbertGraph(basis, a, upper.indices.astype(np.intp), upper.data)
+    return HilbertGraph(basis, upper.row_indices(), upper.indices, upper.data)
 
 
 def bipartite_violations(graph: HilbertGraph) -> int:
@@ -91,18 +94,29 @@ def components(graph: HilbertGraph,
     joining two roots hooks the larger root onto the smaller, and pointer
     jumping then flattens the trees, until no edge joins two roots.  Each
     root is thus the smallest vertex of its component.
+
+    Each round relabels the edge list in place of the old one: an edge
+    becomes the pair of roots it joins (the labels stay in the edges'
+    dtype), which hooks as its endpoints would, and only the pairs that
+    still join two roots go on, ordered (smaller, larger).
     """
     keep = graph._edge_mask(allowed)
     a, b = graph.edge_a[keep], graph.edge_b[keep]
-    labels = np.arange(graph.n_vertices)
+    del keep
+    labels = np.arange(graph.n_vertices, dtype=np.result_type(a, b))
     while True:
-        ra, rb = labels[a], labels[b]
-        join = ra != rb
+        a = labels[a]
+        b = labels[b]
+        join = a != b
         if not join.any():
             break
         # an edge inside one tree stays inside it, so only joining edges go on
-        a, b, ra, rb = a[join], b[join], ra[join], rb[join]
-        np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
+        if not join.all():
+            a, b = a[join], b[join]
+        del join
+        high = np.maximum(a, b)
+        a, b = np.minimum(a, b, out=a), high
+        np.minimum.at(labels, b, a)
         jumped = labels[labels]
         while not np.array_equal(jumped, labels):
             labels, jumped = jumped, jumped[jumped]

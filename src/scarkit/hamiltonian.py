@@ -114,7 +114,8 @@ def resonant_amplitudes(params: ModelParams, k1: int, k2: int,
     of omega and the class-c hop j -> j+1 carries amplitude +i*Ac with
     Ac = 2*u*J / ((1 -+ U/g) * (2*k2+1) * pi); the general drive average
     reduces to exactly these values.  Parameters off that family member
-    are refused.
+    are refused, and so is a drive amplitude u so large that an Ac
+    overflows.
     """
     from .resonance import resonant_family    # resonance imports this module
     family = resonant_family(k1, k2, branch)
@@ -127,7 +128,11 @@ def resonant_amplitudes(params: ModelParams, k1: int, k2: int,
         raise DomainError(
             f"g/omega = {params.g / params.omega!r} must equal {q} for k2 = {k2}")
     base = 2.0 * params.u * params.J / (q * math.pi)
-    return base / (1.0 - a), base, base / (1.0 + a)
+    amps = base / (1.0 - a), base, base / (1.0 + a)
+    if not all(map(math.isfinite, amps)):
+        raise DomainError(f"drive amplitude u = {params.u!r} makes the "
+                          f"resonant amplitudes {amps} overflow")
+    return amps
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,9 +261,10 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
 
     A class-c hop src -> dst (dst < src) stores lower[c] at (src, dst) and
     upper[c] at (dst, src); a table left None leaves its triangle empty, and
-    `diag` fills the diagonal.  A row's columns ascend with no sort: its
-    right moves over bonds j = 1 ... L-1 (each lowers the word by
-    2^(L-j-1)), its diagonal entry, then its left moves over j = L-1 ... 1.
+    `diag` fills the diagonal (with a diagonal, an all-zero table counts as
+    None).  A row's columns ascend with no sort: its right moves over bonds
+    j = 1 ... L-1 (each lowers the word by 2^(L-j-1)), its diagonal entry,
+    then its left moves over j = L-1 ... 1.
     So `indptr` comes from the per-row move counts, and each bond writes its
     right moves at a front cursor of their rows, its left moves at a back
     cursor.  The arrays are those scipy.sparse stores: without a diagonal,
@@ -269,20 +275,22 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
     n, states = basis.size, basis.states
     dtype = np.result_type(*(t for t in (lower, upper, diag) if t is not None))
     drop_zeros = diag is not None
-    if drop_zeros:
-        lower, upper, diag = (None if t is None else t + 0.0
-                              for t in (lower, upper, diag))
-    counts = np.zeros(n, dtype=np.intp)
-    flips = (states >> 1) ^ states            # bits b whose b+1 differs
-    flips &= (1 << (basis.L - 1)) - 1
-    if lower is not None:                     # one right move per "10" pair
-        counts += np.bitwise_count(flips & (states >> 1))
-    if upper is not None:                     # one left move per "01" pair
-        counts += np.bitwise_count(flips & states)
-    del flips
+    if drop_zeros:      # an all-zero table would only write slots to drop
+        lower, upper = (None if t is None or not np.any(t) else t
+                        for t in (lower, upper))
+    hops = lower is not None or upper is not None
+    counts = np.zeros(n, dtype=np.int32)     # at most L per row
+    if hops:
+        flips = (states >> 1) ^ states        # bits b whose b+1 differs
+        flips &= (1 << (basis.L - 1)) - 1
+        if lower is not None:                 # one right move per "10" pair
+            counts += np.bitwise_count(flips & (states >> 1))
+        if upper is not None:                 # one left move per "01" pair
+            counts += np.bitwise_count(flips & states)
+        del flips
     if diag is not None:
         counts += 1
-    nnz = int(counts.sum())
+    nnz = int(counts.sum(dtype=np.int64))
     # the count before zeros are dropped; a sector (SECTOR_MAX) has far
     # fewer than 2^31 entries either way
     index = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
@@ -294,8 +302,9 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
     # the int8 codes a buffer at a time, where `take` makes an intp copy)
     codes = np.zeros(nnz, dtype=np.int8)
     indices = np.empty(nnz, dtype=index)
-    front, back = indptr[:-1].copy(), indptr[1:].copy()
-    hops = lower is not None or upper is not None
+    # the write cursors; a triangle left empty never moves its cursor
+    front = indptr[:-1].copy() if lower is not None else indptr[:-1]
+    back = indptr[1:].copy() if upper is not None else None
     for src, dst, cls in (_bond_moves(basis) if hops else ()):
         if lower is not None:                 # ascending from the row's front
             at = front[src]
@@ -314,8 +323,10 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
     data = values[codes]
     del codes
     if diag is not None:                      # the slot the two cursors left
-        indices[front] = np.arange(n)
+        indices[front] = np.arange(n, dtype=index)
         data[front] = diag
+    if drop_zeros:
+        data += 0.0                           # stored as x + 0, as scipy does
     if drop_zeros and not data.all():
         # compact in place, DROP_CHUNK entries at a time: `put` is the write
         # cursor, and rows [row, end) are those whose start the chunk covers

@@ -107,8 +107,9 @@ def scan_ratio_grid(U_values, g_values, omega: float, u: float,
 
     Returns rows (U, g, r1, r2, r3, div1, div2, div3) with g varying fastest;
     the row order is deterministic so repeated scans are byte-identical.
-    Each row holds the `AmplitudeRatios` of its point; the drive-averaged
-    amplitude is computed once per distinct signed barrier.
+    Each row holds the `AmplitudeRatios` of its point.  The table fills one
+    hop class at a time, and the drive-averaged amplitude is computed once
+    per distinct signed barrier, shared by the classes.
     """
     U_values = np.atleast_1d(np.asarray(U_values, dtype=np.float64))
     g_values = np.atleast_1d(np.asarray(g_values, dtype=np.float64))
@@ -121,20 +122,26 @@ def scan_ratio_grid(U_values, g_values, omega: float, u: float,
                         omega=omega, J=J)
     if np.any(U_values <= 0) or np.any(g_values <= 0):
         raise DomainError("g, U, omega, J must all be positive")
-    U = np.repeat(U_values, g_values.size)
-    g = np.tile(g_values, U_values.size)
-    signed = np.stack([g - U, g, g + U])        # one row per hop class
-    deltas, where = np.unique(signed, return_inverse=True)
-    amp = np.array([abs(_drive_averaged_amplitude(float(d), first.T, first.u,
-                                                  first.J)) for d in deltas])
-    amp = amp[where.reshape(signed.shape)]
-    barrier = np.abs(signed)
-    gap = np.abs(fold_quasienergy(barrier, omega))
-    divergent = gap < DIVERGENCE_CUT
-    ratio = np.full(signed.shape, np.inf)
-    np.divide(amp, np.where(divergent, barrier, gap), out=ratio,
-              where=~divergent | (barrier > DIVERGENCE_CUT))
-    out[:, 0], out[:, 1] = U, g
-    out[:, 2:5] = ratio.T
-    out[:, 5:8] = divergent.T
+    out[:, 0] = np.repeat(U_values, g_values.size)
+    out[:, 1] = np.tile(g_values, U_values.size)
+    U, g = out[:, 0], out[:, 1]
+    amplitudes: dict[float, float] = {}     # |amplitude| per signed barrier
+    for c in range(3):                      # g-U, g, g+U, as in HOP_CLASSES
+        signed = g - U if c == 0 else g + U if c == 2 else g
+        deltas, where = np.unique(signed, return_inverse=True)
+        deltas = deltas.tolist()
+        for d in deltas:
+            if d not in amplitudes:
+                amplitudes[d] = abs(_drive_averaged_amplitude(
+                    d, first.T, first.u, first.J))
+        amp = np.array([amplitudes[d] for d in deltas])[where]
+        barrier = np.abs(signed)
+        del signed, where
+        gap = np.abs(fold_quasienergy(barrier, omega))
+        divergent = gap < DIVERGENCE_CUT
+        ratio = out[:, 2 + c]
+        ratio.fill(np.inf)
+        np.divide(amp, np.where(divergent, barrier, gap), out=ratio,
+                  where=~divergent | (barrier > DIVERGENCE_CUT))
+        out[:, 5 + c] = divergent
     return out

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, NumericalError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hamiltonian import HamiltonianMatrix
@@ -382,6 +382,17 @@ def diagonalize(ham: "HamiltonianMatrix",
     return dense_spectrum(vals, V, ham)
 
 
+def _fold_levels(energies: np.ndarray, ham: "HamiltonianMatrix") -> np.ndarray:
+    """`fold_quasienergy` of a spectrum's levels, refused (`NumericalError`)
+    where energy / omega overflows and the folded level is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded = fold_quasienergy(energies, ham.params.omega)
+    if not np.isfinite(folded).all():
+        raise NumericalError("levels / omega overflow when folded; the drive "
+                             "parameters are out of range")
+    return folded
+
+
 def dense_spectrum(energies: np.ndarray, V: np.ndarray,
                    ham: "HamiltonianMatrix") -> Spectrum:
     """Spectrum of dense eigenpairs: folded, sorted, phase-fixed, kernel chosen.
@@ -389,7 +400,7 @@ def dense_spectrum(energies: np.ndarray, V: np.ndarray,
     `V` holds one eigenvector column per energy; `ham` supplies the basis
     and the drive frequency the energies fold with.
     """
-    folded = fold_quasienergy(energies, ham.params.omega)
+    folded = _fold_levels(energies, ham)
     perm = np.argsort(folded, kind="stable")
     folded, V = folded[perm], V[:, perm]
     V = _phase_fix(V)
@@ -418,7 +429,7 @@ def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
     r = int(np.count_nonzero(s > tol))
     n_zero = (len(plus_idx) - r) + (len(minus_idx) - r)
     internal = np.concatenate([-s[:r], np.zeros(n_zero), s[:r][::-1]])
-    folded = fold_quasienergy(internal, ham.params.omega)
+    folded = _fold_levels(internal, ham)
     perm = np.argsort(folded, kind="stable")
     vec = ChiralPairVectors(plus_idx, minus_idx, Uf, Vt, s, r, perm,
                             ham.basis.dipoles)

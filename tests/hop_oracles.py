@@ -184,9 +184,10 @@ def graph(basis: SectorBasis) -> HilbertGraph:
         eb.append(hi)
         ec.append(hop_class(bits, j, L))
     order = np.lexsort((eb, ea))
+    # int32 endpoints, the index dtype of every sector's hop matrix
     return HilbertGraph(basis,
-                        np.asarray(ea, dtype=np.intp)[order],
-                        np.asarray(eb, dtype=np.intp)[order],
+                        np.asarray(ea, dtype=np.int32)[order],
+                        np.asarray(eb, dtype=np.int32)[order],
                         np.asarray(ec, dtype=np.int8)[order])
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -783,6 +784,33 @@ def test_non_hermitian_build_exits_3(capsys, monkeypatch):
                          "--g", "50", "--u", "0.5")
     assert code == 3 and out == ""
     assert err == "numerical error: constructed matrix is not exactly Hermitian\n"
+
+
+@pytest.mark.parametrize("sector", [(), ("--N", "0")])
+def test_overflowing_drive_amplitude_exits_2(capsys, sector):
+    # 2 u overflows: refused by name before the amplitudes reach a table,
+    # also in a sector with no hops at all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "hamiltonian", "--L", "6", *sector,
+                             "--family", "0,0,+", "--g", "50", "--u", "1e308")
+    assert code == 2 and out == ""
+    assert err.startswith("config error: drive amplitude u = 1e+308 ")
+
+
+@pytest.mark.parametrize("command", [("spectrum",),
+                                     ("dynamics", "--cycles", "8")])
+def test_levels_overflowing_when_folded_exit_3(tmp_path, capsys, command):
+    # omega = g = 1e-300 with levels near 1e12: level / omega overflows, which
+    # wrote -inf quasienergies (spectrum) or raised LinAlgError (dynamics)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *command, "--L", "6", "--family", "0,0,+",
+                             "--g", "1e-300", "--u", "1e12",
+                             "--out", str(tmp_path / "x.csv"))
+    assert code == 3 and out == "" and not (tmp_path / "x.csv").exists()
+    assert err == ("numerical error: levels / omega overflow when folded; "
+                   "the drive parameters are out of range\n")
 
 
 def test_dynamics_accepts_bare_occupation_word(tmp_path, capsys):

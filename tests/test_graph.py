@@ -6,6 +6,7 @@ for `components` and `build_graph`'s edge order.
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from conftest import extended
 from scarkit.fock_basis import SectorBasis, pinnacle_state
 from scarkit.graph import (HilbertGraph, Tower, bipartite_violations,
                            build_graph, components, spta_matrix, to_dot,
@@ -96,16 +98,18 @@ def assert_same_partition(got, expected):
 
 @st.composite
 def edge_lists(draw):
-    """(n, a, b, classes): random edges, or a path through shuffled labels."""
+    """(n, a, b, classes): random edges, or a path through shuffled labels,
+    with intp or int32 endpoints (`build_graph` stores int32)."""
     n = draw(st.integers(1, 300))
+    dtype = draw(st.sampled_from([np.intp, np.int32]))
     if draw(st.booleans()):
-        order = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+        order = np.array(draw(st.permutations(range(n))), dtype=dtype)
         a, b = order[:-1], order[1:]
     else:
         vertex = st.integers(0, n - 1)
         pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
-        a = np.array([p[0] for p in pairs], dtype=np.intp)
-        b = np.array([p[1] for p in pairs], dtype=np.intp)
+        a = np.array([p[0] for p in pairs], dtype=dtype)
+        b = np.array([p[1] for p in pairs], dtype=dtype)
     classes = np.array(draw(st.lists(st.integers(0, 2), min_size=len(a),
                                      max_size=len(a))), dtype=np.int8)
     return n, a, b, classes
@@ -118,6 +122,9 @@ def edge_lists(draw):
           np.empty(0, np.int8)), None).via("isolated vertices only")
 @example((300, np.arange(299, 0, -1), np.arange(298, -1, -1),
           np.ones(299, np.int8)), {"g"}).via("path hooked from the far end")
+@example((300, np.arange(299, 0, -1, dtype=np.int32),
+          np.arange(298, -1, -1, dtype=np.int32), np.ones(299, np.int8)),
+         {"g"}).via("the same path, int32 endpoints")
 @settings(max_examples=200, deadline=None)
 def test_components_match_csgraph_on_random_edge_lists(case, allowed):
     n, a, b, classes = case
@@ -140,6 +147,35 @@ def test_components_match_csgraph_on_half_filled_sectors(L):
             components(graph, allowed),
             csgraph_components(graph.n_vertices, graph.edge_a[keep],
                                graph.edge_b[keep]))
+
+
+def traced_peak(fn):
+    """fn's return value and the traced peak of its allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_components_peak_is_bounded_by_the_edge_arrays():
+    graph = build_graph(SectorBasis(18, 9))
+    assert graph.edge_a.dtype == graph.edge_b.dtype == np.int32
+    edges = graph.edge_a.nbytes + graph.edge_b.nbytes + graph.edge_class.nbytes
+    components(graph, {"g-U", "g"})                      # lazy imports
+    comps, peak = traced_peak(lambda: components(graph, {"g-U", "g"}))
+    assert len(comps) == 9
+    assert peak <= 2.0 * edges, peak / edges
+
+
+@extended
+def test_graph_stage_peak_at_L20():
+    basis = SectorBasis(20, 10)
+    comps, peak = traced_peak(lambda: components(build_graph(basis),
+                                                 {"g-U", "g"}))
+    assert sum(map(len, comps)) == basis.size
+    assert peak <= 25 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("L", range(1, 13))

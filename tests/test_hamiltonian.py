@@ -209,6 +209,15 @@ def test_resonant_amplitudes_refuse_other_family_members(family, match):
         resonant_amplitudes(off, 0, 0, "+")
 
 
+def test_resonant_amplitudes_refuse_an_overflowing_drive():
+    # 2 u overflows to inf, which -1j * amps would turn into NaN
+    p = resonant_family(0, 0, "+").params(g=50.0, u=1e308)
+    with pytest.raises(DomainError, match=r"drive amplitude u = 1e\+308"):
+        resonant_amplitudes(p, 0, 0, "+")
+    assert all(map(math.isfinite, resonant_amplitudes(
+        resonant_family(0, 0, "+").params(g=50.0, u=1e307), 0, 0, "+")))
+
+
 def test_resonant_build_validates_the_family_once(monkeypatch):
     calls = []
 

@@ -319,6 +319,19 @@ def test_builders_and_graph_assemble_without_sorting(monkeypatch):
     assert sorted_keys == []
 
 
+ZERO_HOPS = ModelParams(g=43.7, U=96.14, u=1.0, omega=50.0)
+
+
+def test_all_zero_hop_tables_build_the_onsite_matrix():
+    basis = SectorBasis(18, 9)
+    new = build_half_period(basis, ZERO_HOPS, 1).matrix
+    old = build_onsite(basis, ZERO_HOPS).matrix
+    assert new.shape == old.shape
+    for name in ("data", "indices", "indptr"):      # no dense view at L = 18
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_hermitian_build_peaks_are_bounded_by_their_matrices():
     basis = SectorBasis(18, 9)
     res = resonant_family(0, 0, "+").params(50.0, 0.5)
@@ -328,6 +341,8 @@ def test_hermitian_build_peaks_are_bounded_by_their_matrices():
     builds = {"resonant": lambda: build_effective_resonant(basis, res, 0, 0, "+"),
               "hop": lambda: build_hop(basis, params),
               "half1": lambda: build_half_period(basis, params, 1),
+              # 1 - u = 0: both hop tables are all zero, so no slot is written
+              "half1, u = 1": lambda: build_half_period(basis, ZERO_HOPS, 1),
               "effective": lambda: build_effective_general(basis, params),
               "effective, zeros dropped": lambda: build_effective_general(
                   basis, zeros)}

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +166,18 @@ def test_scan_matches_loop_on_integer_grids(U, g, omega, u, J):
 def test_amplitude_ratio_is_the_scalar_oracle(g, U, omega, u, J):
     params = ModelParams(g=g, U=U, u=u, omega=omega, J=J)
     assert amplitude_ratio(params) == oracle.amplitude_ratio(params)
+
+
+def test_scan_peak_is_bounded_by_its_table():
+    grid = np.linspace(1.0, 80.0, 160)           # the ratio-landscape grid
+    scan_ratio_grid(grid, grid, 20.0, 0.5)       # lazy imports
+    tracemalloc.start()
+    try:
+        table = scan_ratio_grid(grid, grid, 20.0, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * table.nbytes, peak / table.nbytes
 
 
 def test_scan_of_an_empty_axis_is_empty():
