@@ -129,6 +129,11 @@ COMMANDS = [
     # 2 u overflows, so the resonant amplitudes are not finite: exit 2
     ("hamiltonian", "--L", "6", "--family", "0,0,+", "--g", "50",
      "--u", "1e308"),
+    # U = 2 g overflows, and at L = 12 g * D does: exit 2, nothing written
+    ("hamiltonian", "--L", "6", "--family", "0,0,+", "--g", "1e308",
+     "--u", "0.5", "--kind", "onsite", "--out", "never.csv"),
+    ("hamiltonian", "--L", "12", "--family", "0,0,+", "--g", "1e307",
+     "--u", "0.5", "--kind", "half1", "--out", "never.csv"),
 ]
 
 

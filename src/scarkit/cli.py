@@ -432,8 +432,9 @@ def _cmd_hamiltonian(opts: dict) -> tuple:
     out = opts.get("out")
     if out:
         m = ham.matrix          # canonical: stored in (row, col) order
+        values = m.values()
         _write_csv(out, ["row", "col", "real", "imag"],
-                   [m.row_indices(), m.indices, m.data.real, m.data.imag])
+                   [m.row_indices(), m.indices, values.real, values.imag])
     return {"kind": ham.kind, "dimension": ham.dimension,
             "nnz": int(ham.matrix.nnz)}, out
 
@@ -650,11 +651,15 @@ def _cmd_compare(opts: dict) -> tuple:
     init = _parse_initial(opts.get("initial") or "tp", basis.L)
     if init["kind"] != "state":
         raise ConfigError("initial: compare runs a single Fock state")
-    params, _ = _resolve_params(opts)
-    default = 50 * params.g     # inf for a huge g, refused below, not rounded
+    # the default cycles depend on g alone, so they are checked before the
+    # parameters are built: 50 g is inf for a huge g (whose U may overflow
+    # too), refused by the budget, not rounded; the parameters refuse g <= 0
+    g = _require(opts, "g")
+    default = 50 * g if g > 0 else 1
     cycles = _positive(opts, "cycles",
                        int(round(default)) if math.isfinite(default) else default)
     check_cycles(cycles, 3)     # F_full, F_eff and their difference
+    params, _ = _resolve_params(opts)
     spec = _spectrum(opts, basis)
     f_eff = fidelity_series(spec, init["state"], cycles)
     f_full = full_fidelity_series(basis, params, init["state"], cycles)

@@ -65,8 +65,10 @@ class HilbertGraph:
     def _edge_mask(self, allowed: set[str] | None) -> np.ndarray:
         if allowed is None:
             return np.ones(self.n_edges, dtype=bool)
-        codes = [HOP_CLASSES.index(name) for name in allowed]
-        return np.isin(self.edge_class, codes)
+        # a lookup table indexed by the int8 classes: no widened copy
+        table = np.zeros(len(HOP_CLASSES), dtype=bool)
+        table[[HOP_CLASSES.index(name) for name in allowed]] = True
+        return table[self.edge_class]
 
 
 def build_graph(basis: SectorBasis) -> HilbertGraph:

@@ -18,20 +18,22 @@ string-carrying oracle in the tests rather than handled here.
 
 Every builder returns its matrix as a `CSRMatrix`, a numpy compressed-row
 store whose arrays equal, bit for bit, those scipy.sparse builds for the
-same matrix; `CSRMatrix.to_scipy` hands one to scipy, which this module never
-imports at load time.  No builder sorts: a row's neighbours already ascend
-in bond order (right moves over j = 1 ... L-1, the diagonal, left moves over
-j = L-1 ... 1), so `_hop_csr` writes every entry straight into its canonical
-slot, and the hop graph takes its edges from the same layout.  Each upper
-entry comes from the same hop as its lower mirror, so the Hermitian builders
-check their tables, never the matrix (`_hermitian_csr`).
+same matrix (the purely imaginary resonant matrix stores its imaginary
+parts, `CSRMatrix.phase`); `CSRMatrix.to_scipy` hands one to scipy, which
+this module never imports at load time.  No builder sorts: a row's
+neighbours already ascend in bond order (right moves over j = 1 ... L-1,
+the diagonal, left moves over j = L-1 ... 1), so `_hop_csr` writes every
+entry straight into its canonical slot, and the hop graph takes its edges
+from the same layout.  Each upper entry comes from the same hop as its
+lower mirror, so the Hermitian builders check their tables, never the
+matrix (`_hermitian_csr`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +56,10 @@ class ModelParams:
     J: float = 1.0
 
     def __post_init__(self):
+        for name in ("g", "U", "u", "omega", "J"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)!r}")
         if self.g <= 0 or self.U <= 0 or self.omega <= 0 or self.J <= 0:
             raise DomainError("g, U, omega, J must all be positive")
         if self.u < 0:
@@ -142,18 +148,46 @@ class CSRMatrix:
     Row i stores its entries at `indptr[i]:indptr[i+1]` of `indices` (the
     columns, ascending, each once) and `data`.  The builders assemble it in
     that canonical order by construction (`_hop_csr`), with no sort; the
-    index arrays are int32 whenever they fit.  The dense views write each
-    stored value as 0 + x, as scipy's do, so a stored -0.0 reads +0.0 there.
+    index arrays are int32 whenever they fit.  The matrix is `phase` times
+    the stored entries, with `phase` 1 or 1j: a purely imaginary matrix
+    stores its imaginary parts as float64, 8 bytes an entry, and every view
+    reads the complex values with +0.0 real parts.  The dense views write
+    each stored value as 0 + x, as scipy's do, so a stored -0.0 reads +0.0
+    there.
     """
 
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple[int, int]
+    phase: complex = 1
+
+    def __post_init__(self):
+        if self.phase not in (1, 1j):
+            raise ValueError(f"phase must be 1 or 1j, got {self.phase!r}")
 
     @property
     def nnz(self) -> int:
         return len(self.data)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(self.data, self.phase)
+
+    def values(self) -> np.ndarray:
+        """phase * data: `data` itself at phase 1, else a complex copy
+        with +0.0 real parts."""
+        if self.phase == 1:
+            return self.data
+        out = np.zeros(self.nnz, dtype=self.dtype)
+        out.imag = self.data
+        return out
+
+    def _dense(self, shape, at, keep) -> np.ndarray:
+        """Zeros of `shape` holding 0 + the `keep` entries' values at `at`."""
+        out = np.zeros(shape, dtype=self.dtype)
+        (out if self.phase == 1 else out.imag)[at] = self.data[keep] + 0.0
+        return out
 
     def row_indices(self) -> np.ndarray:
         """The row of every stored entry, in storage order."""
@@ -166,9 +200,7 @@ class CSRMatrix:
     def diagonal(self) -> np.ndarray:
         rows = self.row_indices()
         on = rows == self.indices
-        out = np.zeros(min(self.shape), dtype=self.data.dtype)
-        out[rows[on]] = self.data[on] + 0.0
-        return out
+        return self._dense(min(self.shape), rows[on], on)
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The dense submatrix M[rows][:, cols]; `rows` and `cols` hold
@@ -179,9 +211,7 @@ class CSRMatrix:
         col_pos[cols] = np.arange(len(cols))
         r, c = row_pos[self.row_indices()], col_pos[self.indices]
         keep = (r >= 0) & (c >= 0)
-        out = np.zeros((len(rows), len(cols)), dtype=self.data.dtype)
-        out[r[keep], c[keep]] = self.data[keep] + 0.0
-        return out
+        return self._dense((len(rows), len(cols)), (r[keep], c[keep]), keep)
 
     def __matmul__(self, x) -> np.ndarray:
         """M @ x for a vector or a (shape[1], k) block, summed row by row in
@@ -190,7 +220,8 @@ class CSRMatrix:
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply a {self.shape} matrix by an "
                              f"array of shape {x.shape}")
-        terms = (self.data if x.ndim == 1 else self.data[:, None]) * x[self.indices]
+        data = self.values()
+        terms = (data if x.ndim == 1 else data[:, None]) * x[self.indices]
         out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
         starts = self.indptr[:-1]
         filled = starts < self.indptr[1:]
@@ -201,7 +232,7 @@ class CSRMatrix:
     def to_scipy(self):
         """The same arrays as a `scipy.sparse.csr_matrix` (imports scipy)."""
         import scipy.sparse as sp
-        return sp.csr_matrix((self.data, self.indices, self.indptr),
+        return sp.csr_matrix((self.values(), self.indices, self.indptr),
                              shape=self.shape)
 
 
@@ -353,18 +384,29 @@ def _hermitian_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
     tables make it exactly Hermitian: upper[c] == conj(lower[c]) for the
     three classes (so zeros drop in mirror pairs) and `diag` equal to its
     own conjugate (real, no NaN).  Values compare as in the matrix: -0.0
-    equals +0.0, and NaN equals nothing.
+    equals +0.0, and NaN equals nothing.  Purely imaginary tables (every
+    real part zero, no diagonal) are stored as their imaginary parts, with
+    phase 1j.
     """
     if not (np.array_equal(upper, np.conjugate(lower))
             and (diag is None or np.array_equal(diag, np.conjugate(diag)))):
         raise NumericalError("constructed matrix is not exactly Hermitian")
+    if (diag is None and np.iscomplexobj(lower)
+            and not np.real((lower, upper)).any()):
+        return replace(_hop_csr(basis, lower.imag, upper.imag), phase=1j)
     return _hop_csr(basis, lower, upper, diag)
 
 
 def _static_energies(basis: SectorBasis, params: ModelParams) -> np.ndarray:
-    """U * (adjacent pairs) - g * (dipole moment) for every sector state."""
+    """U * (adjacent pairs) - g * (dipole moment) for every sector state,
+    refused (`DomainError`) where an energy overflows."""
     pairs = np.bitwise_count(basis.states & (basis.states >> 1))
-    return params.U * pairs - params.g * basis.dipoles.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = params.U * pairs - params.g * basis.dipoles.astype(np.float64)
+    if not np.isfinite(energies).all():
+        raise DomainError(f"g = {params.g!r} and U = {params.U!r} make the "
+                          f"static energies overflow at L = {basis.L}")
+    return energies
 
 
 def build_onsite(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:

@@ -68,9 +68,9 @@ HERMITIAN_CHUNK = 1 << 16    # entries compared with their mirrors at a time
 def assert_hermitian(m: CSRMatrix) -> None:
     """Raise AssertionError unless `m` stores exactly its conjugate transpose.
 
-    Every stored entry is compared, by value, with the entry in its
-    transpose slot, a chunk of HERMITIAN_CHUNK entries at a time, so no
-    matrix-sized mirrored copy is made.
+    Every stored value (phase * data) is compared, by value, with the value
+    in its transpose slot, a chunk of HERMITIAN_CHUNK entries at a time, so
+    no matrix-sized mirrored copy is made.
     """
     # the transpose stores the entries ordered by column, rows ascending: a
     # stable sort of the columns, here as a radix sort over 16-bit digits
@@ -83,8 +83,8 @@ def assert_hermitian(m: CSRMatrix) -> None:
     for lo in range(0, m.nnz, HERMITIAN_CHUNK):
         at = order[lo:lo + HERMITIAN_CHUNK]
         if not (np.array_equal(rows[at], m.indices[lo:lo + HERMITIAN_CHUNK])
-                and np.array_equal(np.conjugate(m.data[at]),
-                                   m.data[lo:lo + HERMITIAN_CHUNK])):
+                and np.array_equal(np.conjugate(m.phase * m.data[at]),
+                                   m.phase * m.data[lo:lo + HERMITIAN_CHUNK])):
             raise AssertionError("matrix is not exactly Hermitian")
 
 

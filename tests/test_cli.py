@@ -798,6 +798,25 @@ def test_overflowing_drive_amplitude_exits_2(capsys, sector):
     assert err.startswith("config error: drive amplitude u = 1e+308 ")
 
 
+@pytest.mark.parametrize("kind", ["onsite", "half1", "half2", "effective"])
+def test_overflowing_static_energies_exit_2(tmp_path, capsys, kind):
+    # U = 2 g overflows to inf at g = 1e308, which wrote NaN diagonal
+    # entries (onsite) or failed the Hermitian check (half1); at g = 1e307
+    # g and U are finite, but g * D overflows at L = 12
+    out = tmp_path / "h.csv"
+    for L, g, message in (("6", "1e308", "U must be finite, got inf\n"),
+                          ("12", "1e307", "g = 1e+307 and U = 2e+307 make "
+                           "the static energies overflow at L = 12\n")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "hamiltonian", "--L", L,
+                                    "--family", "0,0,+", "--g", g, "--u", "0.5",
+                                    "--kind", kind, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "config error: " + message
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [("spectrum",),
                                      ("dynamics", "--cycles", "8")])
 def test_levels_overflowing_when_folded_exit_3(tmp_path, capsys, command):

@@ -169,6 +169,21 @@ def test_components_peak_is_bounded_by_the_edge_arrays():
     assert peak <= 2.0 * edges, peak / edges
 
 
+def test_edge_mask_is_a_class_lookup():
+    graph = build_graph(SectorBasis(10, 5))
+    for k in range(len(HOP_CLASSES) + 1):
+        for allowed in map(set, itertools.combinations(HOP_CLASSES, k)):
+            codes = [HOP_CLASSES.index(name) for name in allowed]
+            assert np.array_equal(graph._edge_mask(allowed),
+                                  np.isin(graph.edge_class, codes)), allowed
+
+
+def test_edge_mask_peak_is_bounded_by_the_mask():
+    graph = build_graph(SectorBasis(18, 9))
+    mask, peak = traced_peak(lambda: graph._edge_mask({"g-U", "g"}))
+    assert mask.dtype == bool and peak < 2 * mask.nbytes, peak / mask.nbytes
+
+
 @extended
 def test_graph_stage_peak_at_L20():
     basis = SectorBasis(20, 10)

@@ -218,6 +218,25 @@ def test_resonant_amplitudes_refuse_an_overflowing_drive():
         resonant_family(0, 0, "+").params(g=50.0, u=1e307), 0, 0, "+")))
 
 
+@pytest.mark.parametrize("name", ["g", "U", "u", "omega", "J"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_model_params_refuse_non_finite_values(name, value):
+    fields = {"g": 7.0, "U": 11.0, "u": 0.5, "omega": 5.0, "J": 1.0}
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        ModelParams(**{**fields, name: value})
+
+
+def test_static_energies_refuse_an_overflow():
+    # g and U are finite, but g * D overflows at L = 12 (D up to 57)
+    params = resonant_family(0, 0, "+").params(g=1e307, u=0.5)
+    basis = SectorBasis(12, 6)
+    for build in (build_onsite, build_effective_general,
+                  lambda b, p: build_half_period(b, p, 1)):
+        with pytest.raises(DomainError, match=r"g = 1e\+307 and U = 2e\+307"):
+            build(basis, params)
+    assert np.isfinite(build_onsite(SectorBasis(6, 3), params).matrix.data).all()
+
+
 def test_resonant_build_validates_the_family_once(monkeypatch):
     calls = []
 

@@ -46,12 +46,24 @@ families = st.sampled_from([(0, 0, "+"), (0, 1, "-"), (1, 0, "+"), (0, 2, "-")])
 
 
 def assert_same_csr(new, old):
+    """`new`, a `CSRMatrix` or its `to_scipy()`, holds scipy's `old`: the
+    index arrays and the values (phase * data) bitwise, signed zeros too.
+    Where every real part is zero, those compare by value: a purely
+    imaginary matrix stores its imaginary parts and reads its real parts as
+    +0.0, where scipy's complex products leave some -0.0."""
     assert new.shape == old.shape
     assert new.nnz == old.nnz
-    for name in ("data", "indices", "indptr"):
+    for name in ("indices", "indptr"):
         a, b = getattr(new, name), getattr(old, name)
         assert a.dtype == b.dtype, name
-        assert a.tobytes() == b.tobytes(), name   # bitwise: signed zeros too
+        assert a.tobytes() == b.tobytes(), name
+    a = new.values() if isinstance(new, CSRMatrix) else new.data
+    b = old.data
+    assert a.dtype == b.dtype, "data"
+    if np.iscomplexobj(b) and not b.real.any():
+        assert not a.real.any(), "data"
+        a, b = a.imag, b.imag
+    assert a.tobytes() == b.tobytes(), "data"   # bitwise: signed zeros too
     for view in ("toarray", "diagonal"):
         a, b = getattr(new, view)(), getattr(old, view)()
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), view
@@ -137,6 +149,60 @@ def test_resonant_builder_equals_oracle(basis, family, g, u):
     params = resonant_family(*family).params(g, u)
     assert_same_csr(build_effective_resonant(basis, params, *family).matrix,
                     oracle.effective_resonant(basis, params, *family))
+
+
+@pytest.mark.parametrize("family,g", [((0, 0, "+"), 50.0), ((0, 1, "-"), 21.0)])
+@pytest.mark.parametrize("L", [4, 8, 12])
+def test_resonant_matrix_stores_its_imaginary_parts(L, family, g):
+    basis = SectorBasis(L, L // 2)
+    params = resonant_family(*family).params(g, 0.5)
+    m = build_effective_resonant(basis, params, *family).matrix
+    want = oracle.effective_resonant(basis, params, *family)
+    assert (m.data.dtype, m.phase, m.dtype) == (np.float64, 1j, np.complex128)
+    assert m.data.tobytes() == want.data.imag.tobytes()
+    with pytest.raises(ValueError, match="phase must be 1 or 1j"):
+        CSRMatrix(m.data, m.indices, m.indptr, m.shape, -1j)
+    assert_same_csr(m, want)
+    assert_same_csr(m.to_scipy(), want)
+    plus = np.flatnonzero(basis.parities == 1)
+    minus = np.flatnonzero(basis.parities == -1)
+    got, block = m.block(plus, minus), want[plus][:, minus].toarray()
+    assert got.dtype == block.dtype and got.tobytes() == block.tobytes()
+    # the product of the complex arrays the builder stored before
+    complex_m = CSRMatrix(want.data, want.indices, want.indptr, want.shape)
+    rng = np.random.default_rng(L)
+    for shape in ((basis.size,), (basis.size, 3)):
+        for x in (rng.normal(size=shape),
+                  rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            a, b = m @ x, complex_m @ x
+            # bitwise but for the sign of a zero real part (+ 0.0 folds it)
+            assert a.dtype == b.dtype and (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def resonant_footprint(L):
+    """The L resonant build's final CSR bytes and its traced build peak."""
+    basis = SectorBasis(L, L // 2)
+    res = resonant_family(0, 0, "+").params(50.0, 0.5)
+    build_effective_resonant(basis, res, 0, 0, "+")      # lazy imports
+    tracemalloc.start()
+    try:
+        m = build_effective_resonant(basis, res, 0, 0, "+").matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return m, m.data.nbytes + m.indices.nbytes + m.indptr.nbytes, peak
+
+
+def test_resonant_build_stores_twelve_bytes_an_entry():
+    m, final, peak = resonant_footprint(16)
+    assert final <= 12 * m.nnz + m.indptr.nbytes      # float64 value, int32 column
+    assert peak <= 1.3 * final, peak / final
+
+
+@extended
+def test_resonant_build_footprint_at_L20():
+    _, final, peak = resonant_footprint(20)
+    assert final <= 22 * 2 ** 20 and peak <= 27 * 2 ** 20, (final, peak)
 
 
 def test_chiral_and_tower_blocks_equal_scipy_slicing(monkeypatch):
