@@ -73,6 +73,9 @@ COMMANDS = [
     ("dynamics", "--L", "8", *_RES, "--model", "full", "--cycles", "100",
      "--initial", "random:3:7", "--observables", "F,EE", "--out",
      "dyn_full_random.csv"),
+    # 12,870 states, above FULL_DENSE_MAX: the exact drive's stepping route
+    ("dynamics", "--L", "16", *_RES, "--model", "full", "--cycles", "2",
+     "--observables", "F", "--out", "dyn_full_stepped.csv"),
     ("compare", "--L", "8", "--family", "0,0,+", "--g", "20", "--u", "0.5",
      "--cycles", "150", "--out", "compare_L8.csv"),
     ("compare", "--L", "8", "--family", "0,0,+", "--g", "20", "--u", "0.5",

@@ -19,8 +19,9 @@ Option resolution imports no numpy: the handlers import the library, so
 `--threads` can cap the BLAS pools before numpy first loads.  Importing the
 library loads numpy only, no scipy module: every Hamiltonian is scarkit's
 own numpy `CSRMatrix`.  `scipy.sparse` and `scipy.sparse.linalg` (and with
-it `scipy.linalg`) load only on the Krylov branch of the exact drive, above
-FULL_DENSE_MAX states.
+it `scipy.linalg`) load only on the exact drive's stepping route
+(`dynamics.SteppedDrive`), which `dynamics.exact_drive` picks above
+FULL_DENSE_MAX states; below, it returns the drive's Floquet spectrum.
 """
 
 from __future__ import annotations
@@ -617,7 +618,7 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
                                                  seed=init["seed"])
     dynamics.check_cycles(cycles, len(starts) * len(wanted))
     if model == "full":
-        source = dynamics.FullPropagator(basis, _resolve_params(opts)[0])
+        source = dynamics.exact_drive(basis, _resolve_params(opts)[0])
     else:
         source = spec if spec is not None else _spectrum(opts, basis)
     runs = dynamics.series(source, starts, cycles, wanted)

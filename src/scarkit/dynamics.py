@@ -2,19 +2,19 @@
 
 Every series reads one kind of source: an object whose `blocks` yields the
 states at the cycles `ks` in (dim x <= width) columns.  A `Spectrum` is
-one, an effective Hamiltonian's or the exact square-wave drive's Floquet
-spectrum (`floquet_spectrum`, up to FULL_DENSE_MAX states: no time-step
-error, nothing stepped, its eigen-residual bounds the error per cycle).  A
-`FullPropagator` is the other; above FULL_DENSE_MAX it steps each cycle by
-two sparse Krylov half-period exponentials.  `series` serves both models,
-and `ee_series`, `full_fidelity_series`, `evolve_effective` and
-`evolve_full` are its views of one start.
+one, an effective Hamiltonian's or the exact drive's Floquet spectrum
+(`floquet_spectrum`), and `Spectrum.times` refuses a run longer than its
+eigen-residual admits.  A `SteppedDrive` is the other: it steps each cycle
+by two sparse Krylov half-period exponentials and bounds its norm drift.
+`exact_drive` picks the exact drive's route by size (FULL_DENSE_MAX).
+`series` serves both models, and `ee_series`, `full_fidelity_series`,
+`evolve_effective` and `evolve_full` are its views of one start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,11 +115,10 @@ def fidelity_series(spec: Spectrum, initial,
     """
     c = spec.vectors.coefficients(_as_vector(spec.basis, initial))
     w = np.abs(c) ** 2
-    ks = _cycle_array(cycles)
-    out = np.empty(len(ks))
-    for lo in range(0, len(ks), PHASE_CHUNK):
-        phase = np.outer(spec.quasienergies,
-                         ks[lo:lo + PHASE_CHUNK] * spec.period)
+    kt = spec.times(_cycle_array(cycles))
+    out = np.empty(len(kt))
+    for lo in range(0, len(kt), PHASE_CHUNK):
+        phase = np.outer(spec.quasienergies, kt[lo:lo + PHASE_CHUNK])
         out[lo:lo + PHASE_CHUNK] = ((w @ np.cos(phase)) ** 2
                                     + (w @ np.sin(phase)) ** 2)
     return TimeSeries("F", out)
@@ -142,11 +141,11 @@ def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None
     if tower is None:
         tower = tower_states(spec.basis.L)
     weights = spec.vectors.rows(tower.indices(spec.basis)) * c[None, :]
-    ks = _cycle_array(cycles)
-    out = np.empty(len(ks))
-    for lo in range(0, len(ks), PHASE_CHUNK):
+    kt = spec.times(_cycle_array(cycles))
+    out = np.empty(len(kt))
+    for lo in range(0, len(kt), PHASE_CHUNK):
         phases = np.exp(-1j * np.outer(spec.quasienergies,
-                                       ks[lo:lo + PHASE_CHUNK] * spec.period))
+                                       kt[lo:lo + PHASE_CHUNK]))
         out[lo:lo + PHASE_CHUNK] = (np.abs(weights @ phases) ** 2).sum(axis=0)
     return TimeSeries("P_t", out)
 
@@ -173,8 +172,8 @@ def analytic_fidelity(spec: Spectrum, f: FockState | str,
         raise DomainError("spectrum is not mirror symmetric; the paired "
                           "cosine form does not apply")
     wbar = 0.5 * (pw + nw)
-    ks = _cycle_array(cycles)
-    amplitude = p0 + 2.0 * (wbar @ np.cos(np.outer(pe, ks * spec.period)))
+    kt = spec.times(_cycle_array(cycles))
+    amplitude = p0 + 2.0 * (wbar @ np.cos(np.outer(pe, kt)))
     return TimeSeries("F", amplitude ** 2)
 
 
@@ -186,9 +185,8 @@ def _congruence(W: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a.T @ a - b.T @ b
 
 
-def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix
-                     ) -> tuple[Spectrum, float]:
-    """Floquet spectrum of the cycle u2 u1 (u_i = exp(-i h_i T/2)), and its residual.
+def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix) -> Spectrum:
+    """Floquet spectrum of the cycle u2 u1 (u_i = exp(-i h_i T/2)).
 
     With h_i = V_i diag(e_i) V_i^T and d = exp(-i tau e1 / 2), tau = T/2,
     the symmetrized cycle u1^(1/2) u2 u1^(1/2) reads, in the eigenframe of h1,
@@ -198,10 +196,11 @@ def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix
     (phi = FLOQUET_MIX_ANGLE, folded into d).  One real `eigh` of C gives
     their common orthogonal eigenbasis Q and mu = diag(Q^T C Q); one product
     B Q gives sigma = diag(Q^T B Q), so lambda = diag(Q^T M Q) =
-    exp(i phi) (mu + i sigma), and the residual max|B Q - Q sigma|, which is
-    max|M Q - Q lambda| up to the `eigh` backward error.  The cycle's
-    eigenvectors are V1 (conj(d) o Q), with quasienergies -arg(lambda) / T.
-    Every product is real.  The spectrum's `ham` is h1 (basis and period).
+    exp(i phi) (mu + i sigma), and the spectrum's `residual`
+    max|B Q - Q sigma|, which is max|M Q - Q lambda| up to the `eigh`
+    backward error.  The cycle's eigenvectors are V1 (conj(d) o Q), with
+    quasienergies -arg(lambda) / T.  Every product is real.  The spectrum's
+    `ham` is h1 (basis and period).
     """
     tau, phi = h1.params.T / 2.0, FLOQUET_MIX_ANGLE
     e1, V1 = np.linalg.eigh(h1.toarray())
@@ -232,46 +231,20 @@ def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix
     P = np.empty(V1.shape, dtype=np.complex128)
     P.real, P.imag = V1 @ (c[:, None] * Q), V1 @ (s[:, None] * Q)
     energies = -(phi + np.angle(mu + 1j * sigma)) / h1.params.T
-    return dense_spectrum(energies, P, h1), residual
+    return replace(dense_spectrum(energies, P, h1), residual=residual)
 
 
-class FullPropagator:
-    """The square-wave drive's one-cycle map, on the route its size allows.
-
-    Below `dense_max` the cycle is diagonalized once (`floquet_spectrum`):
-    `spectrum` holds its quasienergies and eigenvectors, so every series is
-    read off it like an effective model's, with no stepping, and `residual`
-    holds the eigen-residual max|M Q - Q lambda| of that solve, the per-cycle
-    error that `check_residual` bounds.  Above it, `step` applies the two
+class SteppedDrive:
+    """The square-wave drive stepped cycle by cycle: `step` applies the two
     half-period exponentials by sparse Krylov (`expm_multiply`), trading
-    speed for memory, and `spectrum` and `residual` are None.  `blocks`
-    streams the states on either route.
-    """
+    speed for memory, and `blocks` streams the states."""
 
-    def __init__(self, basis: SectorBasis, params: ModelParams,
-                 dense_max: int = FULL_DENSE_MAX):
-        h1 = build_half_period(basis, params, 1)
-        h2 = build_half_period(basis, params, 2)
+    def __init__(self, basis: SectorBasis, params: ModelParams):
+        half = params.T / 2.0
         self.basis = basis
-        self.spectrum, self.residual, self._halves = None, None, None
-        if basis.size <= dense_max:
-            self.spectrum, self.residual = floquet_spectrum(h1, h2)
-        else:
-            half = params.T / 2.0
-            self._halves = (h1.matrix.to_scipy().tocsc() * (-1j * half),
-                            h2.matrix.to_scipy().tocsc() * (-1j * half))
-
-    def check_residual(self, cycles: int) -> None:
-        """Refuse `cycles` cycles if residual * cycles exceeds the drift bound.
-
-        Each cycle read off the spectrum can err by up to the residual, the
-        role the norm drift plays for stepping; UNITARITY_TOL per cycle is
-        the same bound the stepped `blocks` apply.
-        """
-        bound = self.residual * cycles
-        if bound > UNITARITY_TOL * max(cycles, 1):
-            raise NumericalError(f"unitarity drift bound {bound:.2e} "
-                                 f"over {cycles} cycles")
+        self._halves = tuple(
+            build_half_period(basis, params, i).matrix.to_scipy().tocsc()
+            * (-1j * half) for i in (1, 2))
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         from scipy.sparse.linalg import expm_multiply
@@ -280,16 +253,10 @@ class FullPropagator:
     def blocks(self, psi0: np.ndarray, ks: np.ndarray, width: int):
         """Yield the states at the cycles `ks` in (dim, <= width) column blocks.
 
-        Below the dense bound they come from the Floquet spectrum, once
-        `check_residual` admits ks[-1] cycles.  Above it one pass steps to
-        ks[-1]; once the caller has taken the last block and asks for the
-        next, the norm is checked: a drift above UNITARITY_TOL per cycle
-        stepped raises NumericalError.
+        One pass steps to ks[-1]; once the caller has taken the last block
+        and asks for the next, the norm is checked: a drift above
+        UNITARITY_TOL per cycle stepped raises NumericalError.
         """
-        if self.spectrum is not None:
-            self.check_residual(int(ks[-1]))
-            yield from self.spectrum.blocks(psi0, ks, width)
-            return
         psi, done = psi0.astype(np.complex128), 0
         for lo in range(0, len(ks), width):
             chunk = ks[lo:lo + width]
@@ -305,23 +272,29 @@ class FullPropagator:
             raise NumericalError(f"unitarity drift {drift:.2e} over {done} cycles")
 
 
+def exact_drive(basis: SectorBasis, params: ModelParams) -> Spectrum | SteppedDrive:
+    """The exact drive on the route its size allows: the Floquet `Spectrum`
+    up to FULL_DENSE_MAX states, the `SteppedDrive` above."""
+    if basis.size > FULL_DENSE_MAX:
+        return SteppedDrive(basis, params)
+    return floquet_spectrum(build_half_period(basis, params, 1),
+                            build_half_period(basis, params, 2))
+
+
 def series(source, initials, cycles=DEFAULT_CYCLES,
            observables=tuple(OBSERVABLES)) -> list[dict[str, TimeSeries]]:
     """F, half-chain S_EE and P_t per initial state, from one source of states.
 
-    `source` is a `Spectrum` or a `FullPropagator`: either yields the states
-    at the cycles `ks` in column blocks (`blocks`).  A propagator below its
-    dense bound stands for its Floquet spectrum once `check_residual` admits
-    the last cycle.  On a spectrum, F and P_t come from its eigenbasis
-    weights (`fidelity_series`, `tower_probability_series`) with no state
-    materialized; every other series is read from blocks of EE_CHUNK states,
-    so no (dim x cycles) array is held.  Keys are the requested names among
-    OBSERVABLES, in its order.
+    `source` is a `Spectrum` (effective, or the exact drive's Floquet one)
+    or a `SteppedDrive`: either yields the states at the cycles `ks` in
+    column blocks (`blocks`).  On a spectrum, F and P_t come from its
+    eigenbasis weights (`fidelity_series`, `tower_probability_series`) with
+    no state materialized; every other series is read from blocks of
+    EE_CHUNK states, so no (dim x cycles) array is held.  A spectrum's
+    residual bound is checked where its times are read (`Spectrum.times`).
+    Keys are the requested names among OBSERVABLES, in its order.
     """
     ks = _cycle_array(cycles)
-    if not isinstance(source, Spectrum) and source.spectrum is not None:
-        source.check_residual(int(ks[-1]))
-        source = source.spectrum
     weighted = ({"F": fidelity_series, "Pt": tower_probability_series}
                 if isinstance(source, Spectrum) else {})
     names = [n for n in OBSERVABLES if n in observables]
@@ -346,21 +319,21 @@ def series(source, initials, cycles=DEFAULT_CYCLES,
     return runs
 
 
-def evolve_full(basis: SectorBasis, params: ModelParams, initial, cycles,
-                dense_max: int = FULL_DENSE_MAX) -> np.ndarray:
+def evolve_full(basis: SectorBasis, params: ModelParams, initial,
+                cycles) -> np.ndarray:
     """State columns at the requested cycles under the exact driven model."""
     psi0 = _as_vector(basis, initial)
     ks = _cycle_array(cycles)
     _guard_block(basis.size, len(ks))
     # unpacking asks for a second block, which runs the Krylov drift check
-    (states,) = FullPropagator(basis, params, dense_max).blocks(psi0, ks, len(ks))
+    (states,) = exact_drive(basis, params).blocks(psi0, ks, len(ks))
     return states
 
 
 def full_fidelity_series(basis: SectorBasis, params: ModelParams, initial,
                          cycles=DEFAULT_CYCLES) -> TimeSeries:
     """|<psi(0)|psi(k)>|^2 under the exact drive: the F of `series`."""
-    return series(FullPropagator(basis, params), [initial], cycles, ("F",))[0]["F"]
+    return series(exact_drive(basis, params), [initial], cycles, ("F",))[0]["F"]
 
 
 def fta(series) -> tuple[np.ndarray, np.ndarray]:

@@ -63,10 +63,16 @@ def fold_quasienergy(energy, omega: float):
     return energy - omega * floor(energy / omega + 0.5)
 
 
+def _pivots(M: np.ndarray, axis: int) -> np.ndarray:
+    """The largest-magnitude entry of each column (axis 0) or row (axis 1)
+    of M; ties go to the lowest index."""
+    idx = np.expand_dims(np.abs(M).argmax(axis=axis), axis)
+    return np.take_along_axis(M, idx, axis=axis).squeeze(axis)
+
+
 def _phase_fix(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive."""
-    idx = np.abs(V).argmax(axis=0)
-    pivot = V[idx, np.arange(V.shape[1])]
+    pivot = _pivots(V, 0)
     return V * (np.abs(pivot) / pivot)
 
 
@@ -154,14 +160,10 @@ class ChiralPairVectors:
         r = self.rank
         if self.n_plus > r:
             blk = self.Uf[:, r:]
-            idx = np.abs(blk).argmax(axis=0)
-            piv = blk[idx, np.arange(blk.shape[1])]
-            blk *= np.where(piv < 0, -1.0, 1.0)
+            blk *= np.where(_pivots(blk, 0) < 0, -1.0, 1.0)
         if self.n_minus > r:
             blk = self.Vt[r:, :]
-            idx = np.abs(blk).argmax(axis=1)
-            piv = blk[np.arange(blk.shape[0]), idx]
-            blk *= np.where(piv < 0, -1.0, 1.0)[:, None]
+            blk *= np.where(_pivots(blk, 1) < 0, -1.0, 1.0)[:, None]
 
     def _precompute_pair_phases(self):
         """Unit phases on the u and v factors of each +-s pair column.
@@ -175,11 +177,7 @@ class ChiralPairVectors:
             empty = np.zeros(0, dtype=np.complex128)
             self._ph = {k: empty for k in ("mu", "mv", "pu", "pv")}
             return
-        Ub, Vb = self.Uf[:, :r], self.Vt[:r, :]
-        iu = np.abs(Ub).argmax(axis=0)
-        upiv = Ub[iu, np.arange(r)]
-        iv = np.abs(Vb).argmax(axis=1)
-        vpiv = Vb[np.arange(r), iv]
+        upiv, vpiv = _pivots(self.Uf[:, :r], 0), _pivots(self.Vt[:r, :], 1)
         su = np.where(upiv < 0, -1.0, 1.0).astype(np.complex128)
         sv = np.where(vpiv < 0, -1.0, 1.0).astype(np.complex128)
         u_wins = np.abs(upiv) >= np.abs(vpiv)
@@ -320,6 +318,7 @@ class Spectrum:
     zero_indices: np.ndarray       # the kernel columns `diagonalize` chose
     zero_tol: float                # the kernel tolerance it applied
     ham: "HamiltonianMatrix"
+    residual: float = 0.0          # a Floquet solve's max|M Q - Q lambda|
 
     @property
     def basis(self):
@@ -341,6 +340,18 @@ class Spectrum:
         """|<n|psi_a>|^2 against every eigenstate, for one Fock basis index n."""
         return np.abs(self.vectors.rows([n])[0]) ** 2
 
+    def times(self, ks) -> np.ndarray:
+        """k T for the ascending cycles `ks`, refused (`NumericalError`) when
+        residual * K, the error of K = ks[-1] cycles read off the spectrum,
+        exceeds UNITARITY_TOL per cycle, the stepped drive's drift bound."""
+        from .dynamics import UNITARITY_TOL
+        cycles = int(ks[-1])
+        bound = self.residual * cycles
+        if bound > UNITARITY_TOL * max(cycles, 1):
+            raise NumericalError(f"unitarity drift bound {bound:.2e} "
+                                 f"over {cycles} cycles")
+        return np.asarray(ks, dtype=np.float64) * self.period
+
     def blocks(self, psi0: np.ndarray, ks, width: int):
         """Yield the states at the cycles `ks` in (dim, <= width) column blocks.
 
@@ -348,7 +359,7 @@ class Spectrum:
         imaginary part goes in real, so the chiral route evolves it in real
         arithmetic and yields real blocks.
         """
-        kt = np.asarray(ks, dtype=np.float64) * self.period
+        kt = self.times(ks)
         psi0 = np.asarray(psi0)
         if np.iscomplexobj(psi0) and not psi0.imag.any():
             psi0 = psi0.real
@@ -374,11 +385,12 @@ def diagonalize(ham: "HamiltonianMatrix",
                 dense_threshold: int = DENSE_EIG_DEFAULT) -> Spectrum:
     """Full eigensystem of a sector Hamiltonian, quasienergies folded.
 
-    Resonant stroboscopic Hamiltonians take the chiral SVD route; everything
-    else is dense-diagonalized. Sectors above `dense_threshold` are refused.
+    A purely imaginary stored matrix (`CSRMatrix.phase` 1j, as the resonant
+    builder writes) takes the chiral SVD route; everything else is
+    dense-diagonalized. Sectors above `dense_threshold` are refused.
     """
     check_dense(ham.dimension, dense_threshold)
-    if ham.kind == "effective_resonant":
+    if ham.matrix.phase == 1j:
         return _diagonalize_chiral(ham)
     vals, V = np.linalg.eigh(ham.toarray())
     return dense_spectrum(vals, V, ham)
@@ -413,8 +425,6 @@ def dense_spectrum(energies: np.ndarray, V: np.ndarray,
 
 def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
     m = ham.matrix
-    if m.phase != 1j:
-        raise DomainError("chiral route requires a purely imaginary matrix")
     parities = ham.basis.parities
     plus_idx = np.flatnonzero(parities == 1)
     minus_idx = np.flatnonzero(parities == -1)

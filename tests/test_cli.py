@@ -243,7 +243,8 @@ def no_solve(monkeypatch):
     def refuse(*args, **kw):
         raise AssertionError("a refused run reached a solve")
     monkeypatch.setattr(spectral, "diagonalize", refuse)
-    monkeypatch.setattr(dynamics, "FullPropagator", refuse)
+    monkeypatch.setattr(dynamics, "exact_drive", refuse)
+    monkeypatch.setattr(dynamics, "SteppedDrive", refuse)
 
 
 @pytest.mark.parametrize("model", ["effective", "full"])
@@ -962,12 +963,13 @@ def test_full_model_ensemble_steps_every_member_through_one_propagator(
     from scarkit import dynamics
     built = []
 
-    class Counting(dynamics.FullPropagator):
-        def __init__(self, *args, **kw):
-            built.append(1)
-            super().__init__(*args, **kw)
+    picker = dynamics.exact_drive
 
-    monkeypatch.setattr(dynamics, "FullPropagator", Counting)
+    def counting(*args, **kw):
+        built.append(1)
+        return picker(*args, **kw)
+
+    monkeypatch.setattr(dynamics, "exact_drive", counting)
     out_csv = tmp_path / "ens.csv"
     code, _, _ = run(capsys, "dynamics", "--L", "6", "--family", "0,0,+",
                      "--g", "50", "--u", "0.5", "--model", "full",

@@ -120,8 +120,9 @@ def test_full_propagator_is_unitary_and_consistent():
     norms = np.linalg.norm(states_dense, axis=0)
     np.testing.assert_allclose(norms, 1.0, atol=1e-9)
     # sparse Krylov route agrees with the dense eigendecomposition route
-    states_krylov = evolve_full(basis, PARAMS, "111000", np.arange(11),
-                                dense_max=1)
+    psi0 = fock_vector(basis, "111000").amplitudes
+    (states_krylov,) = dynamics.SteppedDrive(basis, PARAMS).blocks(
+        psi0, np.arange(11), 11)
     np.testing.assert_allclose(states_dense, states_krylov, atol=1e-8)
 
 
@@ -180,7 +181,7 @@ def test_series_on_the_drive_matches_evolve_full_states(cycles):
     basis = SectorBasis(8, 4)
     t_idx = tower_states(8).indices(basis)
     words = ["11110000", "11001010"]
-    runs = series(dynamics.FullPropagator(basis, PARAMS), words, cycles)
+    runs = series(dynamics.exact_drive(basis, PARAMS), words, cycles)
     for word, run in zip(words, runs):
         psi0 = fock_vector(basis, word).amplitudes
         states = evolve_full(basis, PARAMS, word, cycles)
@@ -195,10 +196,12 @@ def test_series_on_the_drive_matches_evolve_full_states(cycles):
 
 def test_series_on_the_drive_matches_krylov_route():
     basis = SectorBasis(8, 4)
-    (run,) = series(dynamics.FullPropagator(basis, PARAMS), ["11110000"], 300,
+    (run,) = series(dynamics.exact_drive(basis, PARAMS), ["11110000"], 300,
                     ("F",))
     assert list(run) == ["F"]
-    states = evolve_full(basis, PARAMS, "11110000", 300, dense_max=0)
+    psi0 = fock_vector(basis, "11110000").amplitudes
+    (states,) = dynamics.SteppedDrive(basis, PARAMS).blocks(
+        psi0, np.arange(301), 301)
     np.testing.assert_allclose(run["F"].values,
                                np.abs(states[:, 0].conj() @ states) ** 2,
                                rtol=0, atol=1e-8)
@@ -208,7 +211,7 @@ def _floquet_vs_stepping(L, g, starts, cycles, observables):
     """Largest |Floquet - stepped| of each series over the start columns."""
     basis = SectorBasis(L, L // 2)
     params = resonant_family(0, 0, "+").params(g=g, u=0.5)
-    runs = series(dynamics.FullPropagator(basis, params), list(starts.T),
+    runs = series(dynamics.exact_drive(basis, params), list(starts.T),
                   cycles, observables)
     want = drive_oracles.stepped_series(basis, params, starts, cycles)
     return {name: max(np.max(np.abs(run[name].values - want[name][n]))
@@ -249,10 +252,9 @@ def test_krylov_stream_matches_floquet_route(monkeypatch):
     basis = SectorBasis(6, 3)
     words = ["111000", "110010", "101100"]
     cycles = np.arange(2, 41, 3)
-    want = series(dynamics.FullPropagator(basis, PARAMS), words, cycles)
+    want = series(dynamics.exact_drive(basis, PARAMS), words, cycles)
     monkeypatch.setattr(dynamics, "EE_CHUNK", 4)
-    got = series(dynamics.FullPropagator(basis, PARAMS, dense_max=0), words,
-                 cycles)
+    got = series(dynamics.SteppedDrive(basis, PARAMS), words, cycles)
     for run, ref in zip(got, want):
         assert list(run) == ["F", "EE", "Pt"]
         for name in run:
@@ -262,7 +264,7 @@ def test_krylov_stream_matches_floquet_route(monkeypatch):
 
 def test_series_reads_f_and_pt_off_a_spectrum_without_states(monkeypatch):
     basis = SectorBasis(8, 4)
-    sources = [spectrum_for(8), dynamics.FullPropagator(basis, PARAMS)]
+    sources = [spectrum_for(8), dynamics.exact_drive(basis, PARAMS)]
     words = ["11110000", "11001010"]
     want = [series(source, words, 64) for source in sources]
 
@@ -270,7 +272,7 @@ def test_series_reads_f_and_pt_off_a_spectrum_without_states(monkeypatch):
         raise AssertionError("a state block was materialized")
 
     monkeypatch.setattr(Spectrum, "blocks", no_blocks)
-    monkeypatch.setattr(dynamics.FullPropagator, "blocks", no_blocks)
+    monkeypatch.setattr(dynamics.SteppedDrive, "blocks", no_blocks)
     for source, ref in zip(sources, want):
         for run, ref_run in zip(series(source, words, 64, ("F", "Pt")), ref):
             assert list(run) == ["F", "Pt"]
@@ -283,19 +285,37 @@ def test_series_reads_f_and_pt_off_a_spectrum_without_states(monkeypatch):
 
 def test_floquet_residual_is_read_and_checked(monkeypatch):
     basis = SectorBasis(6, 3)
-    prop = dynamics.FullPropagator(basis, PARAMS)
+    prop = dynamics.exact_drive(basis, PARAMS)
     assert 0.0 <= prop.residual < 1e-12
     # an angle that merges the lowest and highest Floquet phases in the real
     # combination leaves their eigenvectors mixed: the residual shows it
-    theta = -prop.spectrum.quasienergies * PARAMS.T
+    theta = -prop.quasienergies * PARAMS.T
     monkeypatch.setattr(dynamics, "FLOQUET_MIX_ANGLE",
                         0.5 * (theta[0] + theta[-1]))
-    merged = dynamics.FullPropagator(basis, PARAMS)
+    merged = dynamics.exact_drive(basis, PARAMS)
     assert merged.residual > 1e-3
-    merged.check_residual(0)      # no cycle read off it, nothing to bound
+    merged.times(np.arange(1))    # no cycle read off it, nothing to bound
     for run in (lambda: full_fidelity_series(basis, PARAMS, "111000", 5),
                 lambda: evolve_full(basis, PARAMS, "111000", 5),
                 lambda: series(merged, ["111000"], 5)):
+        with pytest.raises(NumericalError,
+                           match="unitarity drift bound .* over 5 cycles"):
+            run()
+
+
+def test_floquet_residual_bounds_every_read_of_the_spectrum(monkeypatch):
+    basis = SectorBasis(6, 3)
+    assert spectrum_for(6).residual == 0.0      # an effective spectrum
+    theta = -dynamics.exact_drive(basis, PARAMS).quasienergies * PARAMS.T
+    monkeypatch.setattr(dynamics, "FLOQUET_MIX_ANGLE",
+                        0.5 * (theta[0] + theta[-1]))
+    spec = dynamics.exact_drive(basis, PARAMS)
+    assert isinstance(spec, Spectrum) and spec.residual > 1e-3
+    psi0 = fock_vector(basis, "111000").amplitudes
+    # read directly, not through `series`, the spectrum still refuses
+    for run in (lambda: fidelity_series(spec, "111000", 5),
+                lambda: tower_probability_series(spec, "111000", cycles=5),
+                lambda: list(spec.blocks(psi0, np.arange(6), 4))):
         with pytest.raises(NumericalError,
                            match="unitarity drift bound .* over 5 cycles"):
             run()
@@ -511,6 +531,6 @@ def test_unitarity_drift_raises_numerical_error(monkeypatch, standard_params):
         dynamics.evolve_full(basis, standard_params, pinnacle_state(4), 4)
     # the streamed ensemble checks once its last block is taken
     monkeypatch.setattr(dynamics, "EE_CHUNK", 2)
-    krylov = dynamics.FullPropagator(basis, standard_params, dense_max=0)
+    krylov = dynamics.SteppedDrive(basis, standard_params)
     with pytest.raises(NumericalError, match="unitarity drift .* over 4 cycles"):
         dynamics.series(krylov, [pinnacle_state(4)], 4)

@@ -7,9 +7,9 @@ process.  Connected components are numpy code (no `scipy.sparse.csgraph`),
 the peak finder and p ln p are numpy code (no `scipy.signal` or
 `scipy.special`), and every LAPACK call goes through numpy (no
 `scipy.linalg`, whose second OpenBLAS thread pool would contend with
-numpy's).  `scipy.sparse` and `scipy.sparse.linalg` load only on the Krylov
-branch of the exact drive, above FULL_DENSE_MAX, where `CSRMatrix.to_scipy`
-hands the half-period Hamiltonians to `expm_multiply`.
+numpy's).  `scipy.sparse` and `scipy.sparse.linalg` load only on the exact
+drive's stepping route (`SteppedDrive`, picked above FULL_DENSE_MAX), where
+`CSRMatrix.to_scipy` hands the half-period Hamiltonians to `expm_multiply`.
 """
 
 import json
@@ -55,9 +55,13 @@ PROBE = textwrap.dedent("""
             code = cli.main([a.format(tmp=tmp) for a in argv])
         report[name] = [code, scipy_loaded()]
 
-    from scarkit import SectorBasis, evolve_full, resonant_family
+    import numpy as np
+    from scarkit import SectorBasis, fock_vector, resonant_family
+    from scarkit.dynamics import SteppedDrive
     params = resonant_family(0, 0, "+").params(50.0, 0.5)
-    states = evolve_full(SectorBasis(6, 3), params, "111000", 4, dense_max=0)
+    basis = SectorBasis(6, 3)
+    psi0 = fock_vector(basis, "111000").amplitudes
+    (states,) = SteppedDrive(basis, params).blocks(psi0, np.arange(5), 5)
     report["krylov"] = [list(states.shape),
                         float(abs(states[:, -1]).max()),
                         scipy_loaded()]

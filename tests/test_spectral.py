@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from scarkit.errors import CapabilityError, DomainError
 from scarkit.fock_basis import SectorBasis
-from scarkit.hamiltonian import build_effective_general, build_effective_resonant
+from scarkit.hamiltonian import (CSRMatrix, build_effective_general,
+                                 build_effective_resonant)
 from scarkit.resonance import resonant_family
-from scarkit.spectral import (ZERO_MODE_RTOL, diagonalize, fold_quasienergy,
-                              gap_ratio_stats, mirror_asymmetry, zero_modes)
+from scarkit.spectral import (ZERO_MODE_RTOL, ChiralPairVectors, diagonalize,
+                              fold_quasienergy, gap_ratio_stats,
+                              mirror_asymmetry, zero_modes)
 
 FAMILY = resonant_family(0, 0, "+")
 PARAMS = FAMILY.params(g=50.0, u=0.5)
@@ -203,6 +205,23 @@ def test_capability_refusal_above_threshold():
     ham = build_effective_resonant(basis, PARAMS, 0, 0, "+")
     with pytest.raises(CapabilityError):
         diagonalize(ham, dense_threshold=10)
+
+
+def test_chiral_route_is_picked_by_the_stored_phase():
+    basis = SectorBasis(4, 2)
+    ham = build_effective_resonant(basis, PARAMS, 0, 0, "+")
+    relabelled = dataclasses.replace(ham, kind="hand_built")
+    assert isinstance(diagonalize(relabelled).vectors, ChiralPairVectors)
+    # a purely imaginary matrix that couples two even-parity states
+    a, b = np.flatnonzero(basis.parities == 1)[:2]
+    indptr = np.zeros(basis.size + 1, dtype=np.int32)
+    indptr[a + 1:] += 1
+    indptr[b + 1:] += 1
+    m = CSRMatrix(np.array([1.0, -1.0]), np.array([b, a], dtype=np.int32),
+                  indptr, (basis.size, basis.size), phase=1j)
+    np.testing.assert_array_equal(m.toarray(), m.toarray().conj().T)
+    with pytest.raises(DomainError, match="couples equal-parity states"):
+        diagonalize(dataclasses.replace(ham, matrix=m))
 
 
 def test_gap_ratio_statistics_manual_oracle():
