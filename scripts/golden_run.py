@@ -66,6 +66,9 @@ COMMANDS = [
      "--fft-out", "dyn_teh3_spectrum.csv"),
     ("dynamics", "--L", "10", *_RES, "--cycles", "256",
      "--initial", "random:4:7", "--out", "dyn_random.csv"),
+    # L = 7, N = 3: S_EE across the uneven cut 3 | 4, blocks C(3,m) x C(4,3-m)
+    ("dynamics", "--L", "7", "--N", "3", *_RES, "--initial", "1110000",
+     "--observables", "F,EE", "--cycles", "64", "--out", "dyn_L7_N3.csv"),
     ("dynamics", "--L", "8", *_RAW, "--cycles", "128", "--initial", "11001100",
      "--out", "dyn_raw.csv"),
     ("dynamics", "--L", "8", *_RES, "--model", "full", "--cycles", "200",

@@ -27,6 +27,7 @@ FULL_DENSE_MAX states; below, it returns the drive's Floquet spectrum.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -245,6 +246,18 @@ def _require(opts: dict, *keys):
     return values[0] if len(values) == 1 else values
 
 
+@contextlib.contextmanager
+def _keyed(key: str):
+    """Re-raise a ValueError in the block as a ConfigError naming `key`;
+    a ConfigError, which names its own key, passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _write_manifest(command: str, opts: dict, path: str | None) -> None:
     if path is None:
         return
@@ -270,11 +283,8 @@ def _parse_family(text: str):
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 3:
         raise ConfigError("family: expected k1,k2,branch (e.g. 0,0,+)")
-    try:
-        k1, k2 = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"family: {exc}") from exc
-    return resonant_family(k1, k2, parts[2])
+    with _keyed("family"):
+        return resonant_family(int(parts[0]), int(parts[1]), parts[2])
 
 
 def _resolve_params(opts: dict):
@@ -310,45 +320,47 @@ def _positive(opts: dict, key: str, default):
     return value
 
 
-def _parse_initial(text: str, L: int):
+def _parse_initial(text: str, basis):
     """tp | te_p:<q> | te_h:<q> | [bits:]<word> | random:<n>:<seed> -> spec dict.
 
     A bare word must be L characters of 0/1, so it cannot be mistaken for
-    the other forms.
+    the other forms.  The dict's `starts` are Fock states of `basis`; a
+    refusal names `initial`, or `L` where the pinnacle needs an even L >= 4.
     """
     from .fock_basis import FockState, pinnacle_state
     text = str(text).strip()
-    if text == "tp":
-        return {"kind": "state", "state": pinnacle_state(L), "label": "tp"}
-    if text.startswith("bits:") or (len(text) == L and set(text) <= {"0", "1"}):
-        word = text.removeprefix("bits:")
-        return {"kind": "state", "state": FockState.from_string(word),
-                "label": word}
-    if text.startswith(("te_p:", "te_h:")):
-        from .graph import tower_states
-        branch, q_text = text.split(":", 1)
-        N = L // 2
-        try:
-            q = int(q_text)
-        except ValueError as exc:
-            raise ConfigError(f"initial: {exc}") from exc
-        if not 1 <= q <= N:
-            raise ConfigError(f"initial: excursion index {q} outside 1..{N}")
-        eaves = tower_states(L).eaves   # hole N..2, shared, particle 2..N
-        state = eaves[N - 2 + q] if branch == "te_p" else eaves[N - q]
-        return {"kind": "state", "state": state, "label": text}
-    if text.startswith("random:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("initial: random takes random:<count>:<seed>")
-        try:
+    with _keyed("initial"):
+        if text.startswith("random:"):
+            from .dynamics import random_nontower_states
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ConfigError("initial: random takes random:<count>:<seed>")
             count, seed = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"initial: {exc}") from exc
-        if seed < 0:
-            raise ConfigError(f"initial: random seed must be >= 0, got {seed}")
-        return {"kind": "random", "count": count, "seed": seed, "label": text}
-    raise ConfigError(f"initial: unrecognized form {text!r}")
+            if seed < 0:
+                raise ConfigError(f"initial: random seed must be >= 0, got {seed}")
+            return {"kind": "random", "label": text,
+                    "starts": random_nontower_states(basis, count, seed)}
+        if text == "tp":
+            with _keyed("L"):
+                state = pinnacle_state(basis.L)
+        elif text.startswith("bits:") or (len(text) == basis.L
+                                          and set(text) <= {"0", "1"}):
+            state = FockState.from_string(text.removeprefix("bits:"))
+        elif text.startswith(("te_p:", "te_h:")):
+            from .graph import tower_states
+            branch, q_text = text.split(":", 1)
+            N = basis.L // 2
+            q = int(q_text)
+            if not 1 <= q <= N:
+                raise ConfigError(f"initial: excursion index {q} outside 1..{N}")
+            # eaves: hole excursions N..2, the shared one, particle 2..N
+            eaves = tower_states(basis.L).eaves
+            state = eaves[N - 2 + q] if branch == "te_p" else eaves[N - q]
+        else:
+            raise ConfigError(f"initial: unrecognized form {text!r}")
+        basis.index_of(state)
+    return {"kind": "state", "label": text.removeprefix("bits:"),
+            "starts": [state]}
 
 
 def _parse_grid(text: str):
@@ -532,28 +544,25 @@ def _cmd_graph(opts: dict) -> tuple:
     return summary, out
 
 
-def _scar_report(spec, basis):
-    """Scar JSON payload; observables that need a kernel go null without one."""
+def _scar_report(spec, tp):
+    """Scar JSON payload at the pinnacle; kernel observables go null without one."""
     import numpy as np
-    from .fock_basis import pinnacle_state
     from .observables import (coe_ie_reference, entanglement_entropy,
                               page_entropy, scar_state, shannon_entropy,
                               zero_projection)
-    tp = pinnacle_state(basis.L)
-    p0 = zero_projection(tp, spec)
     payload = {
-        "dimension": basis.size,
+        "dimension": spec.size,
         "zero_mode_count": len(spec.zero_indices),
-        "P0_tp": p0,
+        "P0_tp": zero_projection(tp, spec),
         "overlap_tp_s0": None, "S_EE_s0": None, "S_IE_s0": None,
-        "page_value": page_entropy(basis.L),
-        "coe_ie": coe_ie_reference(basis.size),
+        "page_value": page_entropy(spec.basis.L),
+        "coe_ie": coe_ie_reference(spec.size),
     }
     try:
         s0 = scar_state(spec, tp)
     except DomainError:
         return payload
-    idx = basis.index_of(tp)
+    idx = spec.basis.index_of(tp)
     payload["overlap_tp_s0"] = float(np.abs(s0.amplitudes[idx]) ** 2)
     payload["S_EE_s0"] = entanglement_entropy(s0)
     payload["S_IE_s0"] = shannon_entropy(s0)
@@ -568,14 +577,16 @@ def _cmd_scar(opts: dict) -> tuple:
     basis = _sector(opts)
     if basis.L != 2 * basis.N:
         raise ConfigError("N: the scar report is defined at half filling")
+    with _keyed("L"):
+        tp = pinnacle_state(basis.L)
     spec = _spectrum(opts, basis)
-    payload = _scar_report(spec, basis)
+    payload = _scar_report(spec, tp)
     per_state = opts.get("per_state")
     if per_state:
         ee, ie = eigenstate_measures(spec, [
             lambda cols: schmidt_entropies(cols, basis, basis.L // 2),
             shannon_entropies])
-        w_tp = spec.weight_row(basis.index_of(pinnacle_state(basis.L)))
+        w_tp = spec.weight_row(basis.index_of(tp))
         is_zero = np.zeros(spec.size, dtype=bool)
         is_zero[spec.zero_indices] = True
         _write_csv(per_state, ["alpha", "quasienergy", "S_EE", "S_IE",
@@ -609,19 +620,14 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
         raise ConfigError(f"model: expected effective or full, got {model!r}")
     cycles = _positive(opts, "cycles", dynamics.DEFAULT_CYCLES)
     wanted = _parse_observables(opts.get("observables"))
-    init = _parse_initial(opts.get("initial") or "tp", basis.L)
+    init = _parse_initial(opts.get("initial") or "tp", basis)
     out = _require(opts, "out")
-    if init["kind"] == "state":
-        starts = [init["state"]]
-    else:
-        starts = dynamics.random_nontower_states(basis, count=init["count"],
-                                                 seed=init["seed"])
-    dynamics.check_cycles(cycles, len(starts) * len(wanted))
+    dynamics.check_cycles(cycles, len(init["starts"]) * len(wanted))
     if model == "full":
         source = dynamics.exact_drive(basis, _resolve_params(opts)[0])
     else:
         source = spec if spec is not None else _spectrum(opts, basis)
-    runs = dynamics.series(source, starts, cycles, wanted)
+    runs = dynamics.series(source, init["starts"], cycles, wanted)
 
     series = runs[0]
     if init["kind"] == "random":
@@ -634,10 +640,12 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
     if init["kind"] == "random":
         header += [s.label + "_sd" for s in picked]
         columns += [s.sd for s in picked]
+    if opts.get("fft"):
+        with _keyed("fft"):     # refused before anything is written
+            freqs, amps = dynamics.fta(series[wanted[0]].values)
     _write_csv(out, header, [np.arange(len(columns[0])), *columns])
 
     if opts.get("fft"):
-        freqs, amps = dynamics.fta(series[wanted[0]].values)
         fft_path = opts.get("fft_out") or (os.path.splitext(out)[0] + "_fft.csv")
         _write_csv(fft_path, ["freq_rad_per_cycle", "amplitude"], [freqs, amps])
     return {"dimension": basis.size, "model": model,
@@ -649,7 +657,7 @@ def _cmd_compare(opts: dict) -> tuple:
     import numpy as np
     from .dynamics import check_cycles, fidelity_series, full_fidelity_series
     basis = _sector(opts)
-    init = _parse_initial(opts.get("initial") or "tp", basis.L)
+    init = _parse_initial(opts.get("initial") or "tp", basis)
     if init["kind"] != "state":
         raise ConfigError("initial: compare runs a single Fock state")
     # the default cycles depend on g alone, so they are checked before the
@@ -662,8 +670,8 @@ def _cmd_compare(opts: dict) -> tuple:
     check_cycles(cycles, 3)     # F_full, F_eff and their difference
     params, _ = _resolve_params(opts)
     spec = _spectrum(opts, basis)
-    f_eff = fidelity_series(spec, init["state"], cycles)
-    f_full = full_fidelity_series(basis, params, init["state"], cycles)
+    f_eff = fidelity_series(spec, init["starts"][0], cycles)
+    f_full = full_fidelity_series(basis, params, init["starts"][0], cycles)
     diff = np.abs(f_full.values - f_eff.values)
     out = opts.get("out")
     if out:

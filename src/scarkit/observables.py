@@ -1,9 +1,10 @@
 """Entropies, kernel projections, and the low-entanglement zero-mode state.
 
 Entanglement entropy exploits particle-number conservation: the coefficient
-matrix across a cut is block diagonal in the left particle count, so each
-block is Schmidt-decomposed separately instead of reshaping the full vector.
-Real amplitude columns get real blocks and a real SVD.
+matrix across a cut is block diagonal in the left particle count.  Sorted
+by (left particle count, left word), the sector's states list each block's
+entries in row-major order, so every block is a reshaped slice of that one
+cut ordering.  Real amplitude columns get real blocks and a real SVD.
 
 Per-eigenstate observables are read in one batched pass
 (`eigenstate_measures`).  On a chiral spectrum it reads one real column per
@@ -64,31 +65,22 @@ def _require_normalized(state: StateVector) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cut_layout(L: int, N: int, cut: int):
-    """Scatter pattern of sector amplitudes into per-left-count blocks.
+    """The sector's states in cut order, and the Schmidt block shapes.
 
-    Returns (block_id, row_in_block, col_in_block, shapes): state i goes to
-    entry (row[i], col[i]) of block block_id[i], block m having shape
-    (C(cut, m), C(L-cut, N-m)).
+    Returns (order, shapes): `order` lists the state indices stable-sorted by
+    (left particle count m, left word).  Every pair of an m-particle left
+    word and an (N-m)-particle right word is a sector state, and right words
+    ascend within a left word, so block m, of shape (C(cut, m),
+    C(L-cut, N-m)), is the next a*b entries of `order` in row-major
+    (left rank, right rank) order.
     """
     basis = SectorBasis(L, N)
     right_bits = L - cut
     left_words = basis.states >> right_bits
-    right_words = basis.states & ((1 << right_bits) - 1)
-    m_lo = max(0, N - right_bits)
-    m_hi = min(cut, N)
-    block_id = np.bitwise_count(left_words).astype(np.intp) - m_lo
-    row = np.empty(basis.size, dtype=np.intp)
-    col = np.empty(basis.size, dtype=np.intp)
-    shapes = []
-    for b, m in enumerate(range(m_lo, m_hi + 1)):
-        left_basis = SectorBasis(cut, m)
-        right_basis = SectorBasis(right_bits, N - m)
-        sel = block_id == b
-        # sub-basis states ascend, so a word's rank is its sorted position
-        row[sel] = np.searchsorted(left_basis.states, left_words[sel])
-        col[sel] = np.searchsorted(right_basis.states, right_words[sel])
-        shapes.append((left_basis.size, right_basis.size))
-    return block_id, row, col, tuple(shapes)
+    order = np.lexsort((left_words, np.bitwise_count(left_words)))
+    shapes = tuple((math.comb(cut, m), math.comb(right_bits, N - m))
+                   for m in range(max(0, N - right_bits), min(cut, N) + 1))
+    return order, shapes
 
 
 def schmidt_spectrum(amplitudes: np.ndarray, basis: SectorBasis,
@@ -96,22 +88,21 @@ def schmidt_spectrum(amplitudes: np.ndarray, basis: SectorBasis,
     """Squared Schmidt coefficients across sites (1..cut | cut+1..L).
 
     A (dim, n) block of amplitude columns gives an (n, k) array, one row of
-    coefficients per column; each block shape takes one stacked SVD, real
-    when the amplitudes have a real dtype.
+    coefficients per column.  Each left particle count's coefficient blocks
+    are a slice of the cut order reshaped, and take one stacked SVD in the
+    amplitudes' own dtype: real amplitudes get a real SVD.
     """
     if not 1 <= cut < basis.L:
         raise DomainError(f"cut {cut} outside 1..{basis.L - 1}")
-    block_id, row, col, shapes = _cut_layout(basis.L, basis.N, cut)
+    order, shapes = _cut_layout(basis.L, basis.N, cut)
     amps = np.asarray(amplitudes)
     cols = amps[:, None] if amps.ndim == 1 else amps
-    dtype = np.complex128 if np.iscomplexobj(cols) else np.float64
-    lams = []
-    for b, shape in enumerate(shapes):
-        sel = block_id == b
-        blocks = np.zeros((cols.shape[1], *shape), dtype=dtype)
-        blocks[:, row[sel], col[sel]] = cols[sel].T
+    lams, lo = [], 0
+    for a, b in shapes:
+        blocks = cols[order[lo:lo + a * b]].T.reshape(-1, a, b)
         s = np.linalg.svd(blocks, compute_uv=False)
         lams.append(s * s)
+        lo += a * b
     lam = np.concatenate(lams, axis=1)
     return lam[0] if amps.ndim == 1 else lam
 

@@ -1,6 +1,6 @@
 """Per-state loop implementations of the sector enumeration, the hop
 enumeration, the builders, the hop graph, union-find components and the
-Schmidt-cut scatter layout.
+Schmidt cut order.
 
 These are the original scalar routes, kept as oracles for the array routes in
 `scarkit.fock_basis`, `scarkit.hamiltonian`, `scarkit.graph` and
@@ -11,8 +11,11 @@ matrices: the oracles for the arrays of scarkit's own `CSRMatrix`.
 `canonical_csr` is the sort-based assembly the builders used before they
 wrote their entries in canonical order directly, and `assert_hermitian` the
 check on the final arrays they ran before they checked their tables instead.
+`schmidt_spectrum_scatter` reads Schmidt spectra the way they were read
+before the cut order: amplitudes scattered into zero-filled blocks.
 """
 
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -219,23 +222,72 @@ def components(g: HilbertGraph, allowed: set[str] | None = None) -> list[np.ndar
 
 
 def cut_layout(L: int, N: int, cut: int):
-    """`observables._cut_layout` with a per-state popcount and `rank`."""
+    """`observables._cut_layout` with a per-state popcount and `rank`.
+
+    State i goes to position offset[m] + row * b + col of the cut order,
+    where m is its left particle count, (row, col) the ranks of its left and
+    right words in their sub-sectors and offset[m] the size of the blocks
+    before block m.
+    """
+    basis = SectorBasis(L, N)
+    right_bits = L - cut
+    m_lo = max(0, N - right_bits)
+    blocks = [(SectorBasis(cut, m), SectorBasis(right_bits, N - m))
+              for m in range(m_lo, min(cut, N) + 1)]
+    offsets = np.cumsum([0] + [lb.size * rb.size for lb, rb in blocks])
+    order = np.empty(basis.size, dtype=np.intp)
+    for i, word in enumerate(basis.states.tolist()):
+        left, right = word >> right_bits, word & ((1 << right_bits) - 1)
+        m = left.bit_count()
+        left_basis, right_basis = blocks[m - m_lo]
+        order[offsets[m - m_lo] + left_basis.rank(left) * right_basis.size
+              + right_basis.rank(right)] = i
+    return order, tuple((lb.size, rb.size) for lb, rb in blocks)
+
+
+@lru_cache(maxsize=None)
+def scatter_layout(L: int, N: int, cut: int):
+    """Scatter pattern of sector amplitudes into per-left-count blocks.
+
+    Returns (block_id, row_in_block, col_in_block, shapes): state i goes to
+    entry (row[i], col[i]) of block block_id[i], block m having shape
+    (C(cut, m), C(L-cut, N-m)).
+    """
     basis = SectorBasis(L, N)
     right_bits = L - cut
     left_words = basis.states >> right_bits
     right_words = basis.states & ((1 << right_bits) - 1)
     m_lo = max(0, N - right_bits)
     m_hi = min(cut, N)
-    block_id = np.empty(basis.size, dtype=np.intp)
+    block_id = np.bitwise_count(left_words).astype(np.intp) - m_lo
     row = np.empty(basis.size, dtype=np.intp)
     col = np.empty(basis.size, dtype=np.intp)
     shapes = []
     for b, m in enumerate(range(m_lo, m_hi + 1)):
         left_basis = SectorBasis(cut, m)
         right_basis = SectorBasis(right_bits, N - m)
-        sel = np.array([int(w).bit_count() == m for w in left_words])
-        block_id[sel] = b
-        row[sel] = [left_basis.rank(int(w)) for w in left_words[sel]]
-        col[sel] = [right_basis.rank(int(w)) for w in right_words[sel]]
+        sel = block_id == b
+        # sub-basis states ascend, so a word's rank is its sorted position
+        row[sel] = np.searchsorted(left_basis.states, left_words[sel])
+        col[sel] = np.searchsorted(right_basis.states, right_words[sel])
         shapes.append((left_basis.size, right_basis.size))
     return block_id, row, col, tuple(shapes)
+
+
+def schmidt_spectrum_scatter(amplitudes: np.ndarray, basis: SectorBasis,
+                             cut: int) -> np.ndarray:
+    """`observables.schmidt_spectrum` by scattering the amplitudes into
+    zero-filled blocks, complex unless the amplitudes are real."""
+    block_id, row, col, shapes = scatter_layout(basis.L, basis.N, cut)
+    amps = np.asarray(amplitudes)
+    cols = amps[:, None] if amps.ndim == 1 else amps
+    dtype = np.complex128 if np.iscomplexobj(cols) else np.float64
+    lams = []
+    for b, shape in enumerate(shapes):
+        sel = block_id == b
+        blocks = np.zeros((cols.shape[1], *shape), dtype=dtype)
+        blocks[:, row[sel], col[sel]] = cols[sel].T
+        s = np.linalg.svd(blocks, compute_uv=False)
+        lams.append(s * s)
+    lam = np.concatenate(lams, axis=1)
+    return lam[0] if amps.ndim == 1 else lam

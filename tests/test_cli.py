@@ -267,6 +267,30 @@ def test_reproduce_refuses_negative_seed(tmp_path, capsys, no_solve):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("dynamics", "--L", "6", "--N", "2"),
+     "initial: state has 3 particles, sector holds 2"),
+    (("compare", "--L", "6", "--N", "2"),
+     "initial: state has 3 particles, sector holds 2"),
+    (("dynamics", "--L", "7", "--N", "3"), "L: need even L >= 4, got 7"),
+    (("scar", "--L", "2"), "L: need even L >= 4, got 2"),
+    (("dynamics", "--L", "2", "--initial", "te_p:1"),
+     "initial: tower needs L = 2N with N >= 2, got L=2"),
+    (("dynamics", "--L", "6", "--initial", "random:0:5"),
+     "initial: ensemble size must be at least 1, got 0"),
+    (("dynamics", "--L", "6", "--initial", "random:25:5"),
+     "initial: asked for 25 states, only 14 outside the tower"),
+    (("dynamics", "--L", "6", "--fft", "--cycles", "10"),
+     "fft: series of length 11 too short for a spectrum"),
+])
+def test_domain_refusals_name_their_key(tmp_path, capsys, argv, message):
+    out_csv = tmp_path / "x.csv"
+    extra = () if argv[0] == "scar" else ("--out", str(out_csv))
+    code, out, err = run(capsys, *argv, *_RES, *extra)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+    assert not out_csv.exists()
+
+
 _HUGE_CYCLES = ("--cycles", "1000000000000")
 
 
@@ -463,7 +487,7 @@ def test_start_with_the_wrong_particle_count_is_refused(tmp_path, capsys):
                          "--u-over-g", "0.7", "--cycles", "8",
                          "--out", str(tmp_path / "x.csv"))
     assert (code, out) == (2, "")
-    assert err == "config error: state has 3 particles, sector holds 1\n"
+    assert err == "config error: initial: state has 3 particles, sector holds 1\n"
 
 
 def test_overflowing_hop_phase_is_refused(tmp_path, capsys):
@@ -857,7 +881,8 @@ def test_initial_of_another_chain_length_exits_2(tmp_path, capsys, command):
                              "--out", str(out_csv))
         sites = len(initial) - len("bits:")
         assert code == 2 and out == ""
-        assert err == f"config error: state has {sites} sites, sector has 6\n"
+        assert err == (f"config error: initial: state has {sites} sites, "
+                       "sector has 6\n")
         assert not out_csv.exists()
     for initial in ("110100", "bits:110100", "tp", "te_p:2", "te_h:3"):
         code, out, _ = run(capsys, command, *args, "--initial", initial,
@@ -909,10 +934,10 @@ def test_excursion_initials_are_the_tower_eaves(L):
     from scarkit.fock_basis import FockState
     from scarkit.graph import tower_states
     N = L // 2
-    eaves = tower_states(L).eaves
+    eaves, basis = tower_states(L).eaves, SectorBasis(L, N)
     for q in range(1, N + 1):
-        te_p = cli._parse_initial(f"te_p:{q}", L)["state"]
-        te_h = cli._parse_initial(f"te_h:{q}", L)["state"]
+        te_p = cli._parse_initial(f"te_p:{q}", basis)["starts"][0]
+        te_h = cli._parse_initial(f"te_h:{q}", basis)["starts"][0]
         assert te_p == FockState.from_string(
             "1" * (N - 1) + "0" * q + "1" + "0" * (N - q))
         assert te_h == FockState.from_string(
@@ -921,8 +946,9 @@ def test_excursion_initials_are_the_tower_eaves(L):
 
 
 def test_excursion_initial_words_at_L6():
-    assert cli._parse_initial("te_p:2", 6)["state"].to_string() == "110010"
-    assert cli._parse_initial("te_h:3", 6)["state"].to_string() == "011100"
+    for text, word in (("te_p:2", "110010"), ("te_h:3", "011100")):
+        (state,) = cli._parse_initial(text, SectorBasis(6, 3))["starts"]
+        assert state.to_string() == word
 
 
 def test_excursion_initial_needs_a_tower(tmp_path, capsys):

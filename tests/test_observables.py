@@ -1,6 +1,7 @@
 """Entanglement, information entropy, kernel projections, overlap tables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,8 +334,52 @@ def sector_cuts(draw):
 def test_cut_layout_matches_per_state_rank_oracle(LN):
     L, N = LN
     for cut in range(1, L):
-        *arrays, shapes = observables._cut_layout(L, N, cut)
-        *expected, expected_shapes = hop_oracles.cut_layout(L, N, cut)
+        order, shapes = observables._cut_layout(L, N, cut)
+        expected, expected_shapes = hop_oracles.cut_layout(L, N, cut)
         assert shapes == expected_shapes
-        for a, b in zip(arrays, expected):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert order.dtype == expected.dtype
+        assert order.tobytes() == expected.tobytes()
+
+
+@st.composite
+def schmidt_inputs(draw):
+    """(amplitudes, basis, cut): L <= 12, any N and cut, real or complex
+    (dim, n) blocks with n >= 0, or a single 1-D amplitude vector."""
+    L = draw(st.integers(2, 12))
+    basis = SectorBasis(L, draw(st.integers(0, L)))
+    cut = draw(st.integers(1, L - 1))
+    n = draw(st.one_of(st.none(), st.integers(0, 5)))
+    shape = (basis.size,) if n is None else (basis.size, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.normal(size=shape)
+    if draw(st.booleans()):
+        amps = amps + 1j * rng.normal(size=shape)
+    return amps, basis, cut
+
+
+@given(schmidt_inputs())
+@example((np.zeros((70, 0)), SectorBasis(8, 4), 4)).via("an empty block")
+@example((np.ones(35, dtype=np.complex128), SectorBasis(7, 3), 3)).via(
+    "1-D complex, uneven cut")
+@settings(max_examples=200, deadline=None)
+def test_schmidt_spectrum_bytes_equal_the_scatter_oracle(case):
+    amps, basis, cut = case
+    got = schmidt_spectrum(amps, basis, cut)
+    want = hop_oracles.schmidt_spectrum_scatter(amps, basis, cut)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_schmidt_spectrum_peak_is_bounded_by_its_input(spectrum_cache):
+    # the L = 14 half-chain blocks of a real (3432, 256) batch are slices of
+    # the input: the traced peak stays within the input's bytes
+    spec = spectrum_cache(14)
+    cols = spec.vectors.real_columns(np.arange(256))
+    schmidt_spectrum(cols[:, :1], spec.basis, 7)     # cached layout, imports
+    tracemalloc.start()
+    try:
+        schmidt_spectrum(cols, spec.basis, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cols.nbytes, peak / cols.nbytes
