@@ -140,6 +140,13 @@ COMMANDS = [
      "--u", "0.5", "--kind", "onsite", "--out", "never.csv"),
     ("hamiltonian", "--L", "12", "--family", "0,0,+", "--g", "1e307",
      "--u", "0.5", "--kind", "half1", "--out", "never.csv"),
+    # refusals that name their key: exit 2
+    ("basis", "--L", "6", "--N", "9"),
+    ("basis", "--L", "0"),
+    ("hamiltonian", "--L", "6", "--g", "-1", "--u", "0.5", "--omega", "20",
+     "--u-over-g", "0.7"),
+    ("resonance", "--grid", "1:inf:3,1:2:3", "--omega", "20", "--u", "0.5",
+     "--out", "never.csv"),
 ]
 
 

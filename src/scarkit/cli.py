@@ -298,18 +298,21 @@ def _resolve_params(opts: dict):
         return family.params(g, u), family
     from .hamiltonian import ModelParams
     g, u, omega, u_over_g = _require(opts, "g", "u", "omega", "u_over_g")
+    if g > 0 and not u_over_g > 0:      # else ModelParams names g
+        raise ConfigError(f"u_over_g: must be positive, got {u_over_g}")
     return ModelParams(g=g, U=u_over_g * g, u=u, omega=omega), None
 
 
 def _sector(opts: dict):
     from .fock_basis import SectorBasis
-    L = _require(opts, "L")
+    L = _positive(opts, "L", _require(opts, "L"))
     N = opts.get("N")
     if N is None:
         if L % 2:
             raise ConfigError("N: required when L is odd (no half filling)")
         N = L // 2
-    return SectorBasis(L, N)
+    with _keyed("N"):       # L >= 1 here, so only N can be out of range
+        return SectorBasis(L, N)
 
 
 def _positive(opts: dict, key: str, default):
@@ -367,13 +370,15 @@ def _parse_grid(text: str):
     import numpy as np
     try:
         u_part, g_part = str(text).split(",")
-        out = []
-        for part in (u_part, g_part):
-            lo, hi, n = part.split(":")
-            out.append(np.linspace(float(lo), float(hi), int(n)))
-        return out
+        axes = [part.split(":") for part in (u_part, g_part)]
+        axes = [(float(lo), float(hi), int(n)) for lo, hi, n in axes]
+        if all(0 < b < math.inf for lo, hi, _ in axes for b in (lo, hi)):
+            return [np.linspace(*axis) for axis in axes]
     except ValueError as exc:
         raise ConfigError(f"grid: expected U0:U1:n,g0:g1:m ({exc})") from exc
+    # refused before linspace, which warns on a non-finite bound; U and g
+    # must be positive
+    raise ConfigError(f"grid: bounds must be finite and positive, got {text!r}")
 
 
 def _build_effective(basis, params, family):

@@ -60,8 +60,10 @@ class ModelParams:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got "
                                   f"{getattr(self, name)!r}")
-        if self.g <= 0 or self.U <= 0 or self.omega <= 0 or self.J <= 0:
-            raise DomainError("g, U, omega, J must all be positive")
+        for name in ("g", "U", "omega", "J"):
+            if getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be positive, got "
+                                  f"{getattr(self, name)!r}")
         if self.u < 0:
             raise DomainError(f"drive amplitude u must be >= 0, got {self.u}")
 
@@ -215,13 +217,29 @@ class CSRMatrix:
 
     def __matmul__(self, x) -> np.ndarray:
         """M @ x for a vector or a (shape[1], k) block, summed row by row in
-        storage order."""
+        storage order.
+
+        At phase 1j the terms i d x are formed from real products of the
+        stored d, with no complex copy of the matrix: -d Im(x) + i d Re(x).
+        They are the complex values' terms, and are summed in the same
+        complex order, so the product is theirs bit for bit (but for the
+        sign of a zero real part).
+        """
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply a {self.shape} matrix by an "
                              f"array of shape {x.shape}")
-        data = self.values()
-        terms = (data if x.ndim == 1 else data[:, None]) * x[self.indices]
+        data = self.data if x.ndim == 1 else self.data[:, None]
+        gathered = x[self.indices]
+        if self.phase == 1:
+            terms = data * gathered
+        else:
+            terms = np.zeros(gathered.shape,
+                             dtype=np.result_type(self.data, gathered, 1j))
+            np.multiply(data, gathered.real, out=terms.imag)
+            if np.iscomplexobj(gathered):
+                np.multiply(data, gathered.imag, out=terms.real)
+                np.negative(terms.real, out=terms.real)
         out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
         starts = self.indptr[:-1]
         filled = starts < self.indptr[1:]

@@ -116,12 +116,17 @@ def scan_ratio_grid(U_values, g_values, omega: float, u: float,
     out = np.empty((U_values.size * g_values.size, 8))
     if len(out) == 0:
         return out
-    # the first point raises what ModelParams raises there; any later
-    # non-positive U or g raises the positivity error
+    # the first point, and then the first point in loop order (U outer, g
+    # inner) with a U or g that is not finite and positive, raise what
+    # ModelParams raises there
     first = ModelParams(g=float(g_values[0]), U=float(U_values[0]), u=u,
                         omega=omega, J=J)
-    if np.any(U_values <= 0) or np.any(g_values <= 0):
-        raise DomainError("g, U, omega, J must all be positive")
+    refused = ~np.outer(np.isfinite(U_values) & (U_values > 0),
+                        np.isfinite(g_values) & (g_values > 0))
+    if refused.any():
+        i, j = divmod(int(refused.argmax()), g_values.size)
+        ModelParams(g=float(g_values[j]), U=float(U_values[i]), u=u,
+                    omega=omega, J=J)
     out[:, 0] = np.repeat(U_values, g_values.size)
     out[:, 1] = np.tile(g_values, U_values.size)
     U, g = out[:, 0], out[:, 1]

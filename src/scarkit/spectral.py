@@ -7,10 +7,25 @@ unitarily equivalent (multiply odd-parity basis states by -i) to a real
 symmetric matrix of the block form [[0, C], [C^T, 0]]. The builder stores
 the matrix as its real imaginary parts (`CSRMatrix.phase` 1j), and C is cut
 straight from those stored parts, with no complex copy.  Its eigensystem is
-recovered from one real SVD of C at half the dimension, which keeps the
+recovered from the SVD factors of C at half the dimension, which keeps the
 largest half-filled sectors this package targets inside a few hundred MB,
 and the +s/-s pairing and the kernel come out exact instead of only to
 solver precision.
+
+Chiral factors.  `chiral_svd` takes them from one real `eigh` of the Gram
+matrix A A^T of C's larger side A (C, or C^T for a C with more columns):
+its eigenvectors are the larger side's full factor, the kernel included,
+and the smaller side is A^T w / s, made orthonormal again by one
+Newton-Schulz step.  That needs the smaller side at full rank, so where
+lambda_k <= GRAM_RANK_FLOOR lambda_0 (lambda_k the k-th largest eigenvalue,
+k the smaller side's size) the factors come from the full SVD instead.  The
+smallest ratio seen on a resonant sector is 1.6e-9, at L = 14 (0,1,-) for
+every g and u, against eigh's rounding floor of about 1e-16.  The pair
+residuals |C v_i - s_i u_i| grow as eps s_0^2 / s_i, where the SVD's stay
+near eps s_0 (2.6e-12 s_0 for the smallest s at L = 14 (0,1,-)).  Either
+way the kernel columns go through `canonical_kernel`, which makes them a
+function of the kernel alone, not of the factorization's choice of basis
+in it.
 
 Real frame.  With A = -iH real antisymmetric, e^{-iHt} = e^{tA} is a real
 orthogonal matrix, so a real start (every Fock state) stays real and
@@ -50,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DENSE_EIG_DEFAULT = 20000       # refuse eigh / SVD above this sector dimension
 ZERO_MODE_RTOL = 1e-9           # kernel tolerance relative to the spectral radius
 DEGENERATE_GAP = 1e-12          # level gaps below this are exact degeneracies
+GRAM_RANK_FLOOR = 1e-12         # chiral Gram route needs lambda_k > this * lambda_0
 
 
 def fold_quasienergy(energy, omega: float):
@@ -119,11 +135,12 @@ def _scaled(F: np.ndarray, coef: np.ndarray, keep: np.ndarray) -> np.ndarray:
 class ChiralPairVectors:
     """Eigenvectors of a purely imaginary chiral Hamiltonian, stored factored.
 
-    From the SVD C = U diag(s) V^T of the real off-diagonal block (rows: even
-    dipole parity, columns: odd), the paired eigenvectors of the original
-    matrix are (u_i on even rows, -+ i v_i on odd rows) / sqrt(2) with
-    eigenvalue +- s_i, and the kernel consists of the singular directions
-    beyond the rank: (u_i, 0) and (0, v_i). Only the two factor matrices are
+    From the full SVD factors C = U diag(s) V^T of the real off-diagonal
+    block (rows: even dipole parity, columns: odd; `chiral_svd`), the paired
+    eigenvectors of the original matrix are (u_i on even rows, -+ i v_i on
+    odd rows) / sqrt(2) with eigenvalue +- s_i, and the kernel consists of
+    the singular directions beyond the rank, (u_i, 0) and (0, v_i), in the
+    basis `canonical_kernel` fixes. Only the two factor matrices are
     stored; columns are materialized on demand. `dipoles` (D per basis state)
     fixes the real frame of `real_columns`.
     """
@@ -386,7 +403,8 @@ def diagonalize(ham: "HamiltonianMatrix",
     """Full eigensystem of a sector Hamiltonian, quasienergies folded.
 
     A purely imaginary stored matrix (`CSRMatrix.phase` 1j, as the resonant
-    builder writes) takes the chiral SVD route; everything else is
+    builder writes) takes the chiral route, whose factors come from one
+    Gram `eigh` of the off-diagonal block (`chiral_svd`); everything else is
     dense-diagonalized. Sectors above `dense_threshold` are refused.
     """
     check_dense(ham.dimension, dense_threshold)
@@ -423,22 +441,76 @@ def dense_spectrum(energies: np.ndarray, V: np.ndarray,
     return Spectrum(folded, DenseVectors(V), zero_idx, tol, ham)
 
 
-def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
+def chiral_block(ham: "HamiltonianMatrix"):
+    """(plus_idx, minus_idx, C) of a purely imaginary stored matrix: the
+    even- and odd-parity basis positions and the real off-diagonal block
+    C (rows even, columns odd), cut straight from the stored imaginary
+    parts.  Refused (`DomainError`) if the matrix couples equal-parity
+    states."""
     m = ham.matrix
     parities = ham.basis.parities
     plus_idx = np.flatnonzero(parities == 1)
     minus_idx = np.flatnonzero(parities == -1)
-    # the real rotated frame keeps only the even-odd block: the stored
-    # imaginary parts scatter straight into the real C
     C = replace(m, phase=1).block(plus_idx, minus_idx)
     if 2 * np.count_nonzero(C) != m.nnz:
         raise DomainError("matrix couples equal-parity states; not chiral")
-    # numpy's LAPACK, not scipy.linalg.svd(overwrite_a=True): scipy links a
-    # second OpenBLAS whose thread pool contends with numpy's, which slowed
-    # the pipeline more than the saved copy of C was worth
-    Uf, s, Vt = np.linalg.svd(C, full_matrices=True)
+    return plus_idx, minus_idx, C
+
+
+def chiral_svd(C: np.ndarray):
+    """The full SVD factors (U, s, V^T) of C, from one `eigh` of the Gram
+    matrix A A^T of the larger side A (C, or C^T when C has more columns
+    than rows).
+
+    The eigenvectors W, ordered by descending eigenvalue lambda, are the
+    larger side's full factor, its kernel included.  The top k = A.shape[1]
+    of them give the smaller side X = A^T W[:, :k] / s, with s the column
+    norms of A^T W[:, :k], made orthonormal again by one Newton-Schulz step
+    X <- X (3/2 I - X^T X / 2).  Those norms are sqrt(lambda) up to
+    rounding, and for the smallest s at L = 14 ten times closer to the
+    SVD's.  Where lambda_k <= GRAM_RANK_FLOOR lambda_0, C may lack full
+    rank on its smaller side too, and the factors come from the full SVD
+    instead.
+    """
+    A = C if C.shape[0] >= C.shape[1] else C.T
+    k = A.shape[1]
+    G = A @ A.T
+    G *= -1.0               # eigh ascends: -G gives the largest lambda first
+    lam, W = np.linalg.eigh(G)
+    del G
+    lam *= -1.0
+    if not (k and lam[k - 1] > GRAM_RANK_FLOOR * lam[0]):
+        return np.linalg.svd(C, full_matrices=True)
+    X = A.T @ W[:, :k]
+    s = np.linalg.norm(X, axis=0)
+    X /= s
+    X = X @ (1.5 * np.eye(k) - 0.5 * (X.T @ X))
+    return (W, s, X.T) if A is C else (X, s, W.T)
+
+
+def canonical_kernel(K: np.ndarray) -> np.ndarray:
+    """K Q for an orthonormal kernel block K (rows: the block's basis
+    positions), Q the eigenvectors of K^T diag(index / n) K, ascending.
+
+    The columns depend on the kernel alone, not on which orthonormal
+    basis of it K held (up to the signs `_fix_kernel_signs` sets), so
+    every route to C's factors gives the same kernel states.
+    """
+    position = np.arange(len(K)) / len(K)
+    _, Q = np.linalg.eigh(K.T @ (position[:, None] * K))
+    return K @ Q
+
+
+def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
+    plus_idx, minus_idx, C = chiral_block(ham)
+    # numpy's LAPACK, not scipy.linalg: scipy links a second OpenBLAS whose
+    # thread pool contends with numpy's (README)
+    Uf, s, Vt = chiral_svd(C)
+    del C
     tol = ZERO_MODE_RTOL * (float(s[0]) if len(s) else 0.0)
     r = int(np.count_nonzero(s > tol))
+    Uf[:, r:] = canonical_kernel(Uf[:, r:])
+    Vt[r:] = canonical_kernel(Vt[r:].T).T
     n_zero = (len(plus_idx) - r) + (len(minus_idx) - r)
     internal = np.concatenate([-s[:r], np.zeros(n_zero), s[:r][::-1]])
     folded = _fold_levels(internal, ham)

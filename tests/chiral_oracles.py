@@ -1,8 +1,9 @@
-"""Per-column and per-row loop implementations of the ChiralPairVectors
-accessors, kept as oracles for the vectorized scatters in `scarkit.spectral`.
+"""Oracles for the chiral route in `scarkit.spectral`.
 
-Each materializes one eigenvector column (or one Fock row) at a time from the
-SVD factors, exactly as the original loop did.
+The per-column and per-row loops materialize one eigenvector column (or one
+Fock row) at a time from the factors, exactly as the original loop did, for
+the vectorized ChiralPairVectors accessors.  `svd_factors` is the full SVD
+the Gram route replaced, for `chiral_svd`.
 """
 
 import math
@@ -68,3 +69,23 @@ def rows(vec, indices) -> np.ndarray:
             internal[vec.n_states - r:] = (vec._ph["pv"] * w * fac[:r])[::-1]
         out[k] = internal[vec._perm]
     return out
+
+
+def svd_factors(C: np.ndarray):
+    """(U, s, V^T) from the full numpy SVD of C, the chiral route before the
+    Gram one, with each kernel block put through `canonical_kernel` and the
+    kernel sign rule (largest-magnitude entry positive), as
+    `diagonalize` leaves them."""
+    from scarkit.spectral import ZERO_MODE_RTOL, canonical_kernel
+    U, s, Vt = np.linalg.svd(C, full_matrices=True)
+    r = int(np.count_nonzero(s > ZERO_MODE_RTOL * s[0]))
+    U[:, r:] = signed_kernel(canonical_kernel(U[:, r:]))
+    Vt[r:] = signed_kernel(canonical_kernel(Vt[r:].T)).T
+    return U, s, Vt
+
+
+def signed_kernel(K: np.ndarray) -> np.ndarray:
+    """K with each column's largest-magnitude entry (lowest index on ties)
+    made positive."""
+    pivot = K[np.abs(K).argmax(axis=0), np.arange(K.shape[1])]
+    return K * np.where(pivot < 0, -1.0, 1.0)

@@ -291,3 +291,16 @@ def schmidt_spectrum_scatter(amplitudes: np.ndarray, basis: SectorBasis,
         lams.append(s * s)
     lam = np.concatenate(lams, axis=1)
     return lam[0] if amps.ndim == 1 else lam
+
+
+def complex_copy_product(m: CSRMatrix, x: np.ndarray) -> np.ndarray:
+    """`CSRMatrix @` as it was before the stored parts were multiplied
+    directly: the complex values `values()` times x, summed row by row."""
+    data = m.values()
+    terms = (data if x.ndim == 1 else data[:, None]) * x[m.indices]
+    out = np.zeros((m.shape[0],) + x.shape[1:], dtype=terms.dtype)
+    starts = m.indptr[:-1]
+    filled = starts < m.indptr[1:]
+    if m.nnz:
+        out[filled] = np.add.reduceat(terms, starts[filled], axis=0)
+    return out

@@ -127,6 +127,38 @@ def test_oversized_sector_exits_3(capsys):
     assert "capability error" in err and "above the bound" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("basis", "--L", "6", "--N", "9"), "N: particle number 9 outside 0..6"),
+    (("basis", "--L", "0"), "L: must be at least 1, got 0"),
+    (("hamiltonian", "--L", "6", "--g", "-1", "--u", "0.5", "--omega", "20",
+      "--u-over-g", "0.7"), "g must be positive, got -1.0"),
+    (("hamiltonian", "--L", "6", "--g", "1", "--u", "0.5", "--omega", "20",
+      "--u-over-g", "-0.7"), "u_over_g: must be positive, got -0.7"),
+    (("hamiltonian", "--L", "6", "--family", "0,0,+", "--g", "0", "--u", "0.5"),
+     "g must be positive, got 0.0"),
+])
+def test_sector_and_parameter_refusals_name_their_key(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("grid", ["1:inf:3,1:2:3", "1:2:3,nan:2:3",
+                                  "0:80:5,1:80:5", "1:80:5,1:-80:5"])
+def test_grid_bound_out_of_range_is_refused_by_name(tmp_path, capsys, grid):
+    # linspace warned on inf and the scan then blamed U, and a bound of 0
+    # was refused as "U must be positive"; the grid is refused first now
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "resonance", "--grid", grid,
+                             "--omega", "20", "--u", "0.5",
+                             "--out", str(tmp_path / "g.csv"))
+    assert (code, out) == (2, "")
+    assert err == ("config error: grid: bounds must be finite and positive, "
+                   f"got {grid!r}\n")
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_env_var_fills_missing_flag(capsys, monkeypatch):
     monkeypatch.setenv("SCARKIT_L", "6")
     code, out, _ = run(capsys, "basis")
