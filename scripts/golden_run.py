@@ -147,6 +147,19 @@ COMMANDS = [
      "--u-over-g", "0.7"),
     ("resonance", "--grid", "1:inf:3,1:2:3", "--omega", "20", "--u", "0.5",
      "--out", "never.csv"),
+    # one-state sectors (N = 0 and N = L): F stays 1
+    ("dynamics", "--L", "4", "--N", "0", *_RES, "--initial", "0000",
+     "--observables", "F", "--cycles", "16", "--out", "dyn_L4_N0.csv"),
+    ("compare", "--L", "4", "--N", "4", *_RES, "--initial", "1111",
+     "--cycles", "3", "--out", "compare_L4_N4.csv"),
+    # u = 0 on a resonant family: every stored entry is 0, the kernel is all
+    ("spectrum", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0"),
+    ("scar", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0"),
+    # off half filling P_t and random starts have no tower: exit 2
+    ("dynamics", "--L", "6", "--N", "2", *_RES, "--initial", "110000",
+     "--out", "never.csv"),
+    ("dynamics", "--L", "6", "--N", "2", *_RES, "--initial", "random:2:7",
+     "--observables", "F", "--out", "never.csv"),
 ]
 
 

@@ -89,7 +89,8 @@ def _write_csv(path: str, header: list[str], columns) -> None:
 
 
 def _json_ready(obj):
-    """Round floats to the CSV precision so JSON and CSV artifacts agree."""
+    """Round floats to the CSV precision, -0.0 folded into 0, so JSON and
+    CSV artifacts agree."""
     import numpy as np
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
@@ -102,7 +103,7 @@ def _json_ready(obj):
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
         return f if f != f or f in (float("inf"), float("-inf")) \
-            else float(format(f, ".15g"))
+            else float(format(f + 0.0, ".15g"))
     return obj
 
 
@@ -323,6 +324,14 @@ def _positive(opts: dict, key: str, default):
     return value
 
 
+def _need_tower(basis, what: str) -> None:
+    """Refuse a sector without the half-filled tower (L = 2N >= 4), by a
+    ConfigError that opens with `what`: the key, the subject and its verb."""
+    if basis.L < 4 or basis.L != 2 * basis.N:
+        raise ConfigError(f"{what} the half-filled tower (L = 2N >= 4), "
+                          f"got L={basis.L}, N={basis.N}")
+
+
 def _parse_initial(text: str, basis):
     """tp | te_p:<q> | te_h:<q> | [bits:]<word> | random:<n>:<seed> -> spec dict.
 
@@ -341,6 +350,7 @@ def _parse_initial(text: str, basis):
             count, seed = int(parts[1]), int(parts[2])
             if seed < 0:
                 raise ConfigError(f"initial: random seed must be >= 0, got {seed}")
+            _need_tower(basis, "initial: random starts need")
             return {"kind": "random", "label": text,
                     "starts": random_nontower_states(basis, count, seed)}
         if text == "tp":
@@ -626,6 +636,8 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
     cycles = _positive(opts, "cycles", dynamics.DEFAULT_CYCLES)
     wanted = _parse_observables(opts.get("observables"))
     init = _parse_initial(opts.get("initial") or "tp", basis)
+    if "Pt" in wanted:
+        _need_tower(basis, "observables: P_t needs")
     out = _require(opts, "out")
     dynamics.check_cycles(cycles, len(init["starts"]) * len(wanted))
     if model == "full":

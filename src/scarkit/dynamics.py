@@ -1,14 +1,17 @@
 """Stroboscopic dynamics of the driven chain and its effective descriptions.
 
-Every series reads one kind of source: an object whose `blocks` yields the
-states at the cycles `ks` in (dim x <= width) columns.  A `Spectrum` is
-one, an effective Hamiltonian's or the exact drive's Floquet spectrum
-(`floquet_spectrum`), and `Spectrum.times` refuses a run longer than its
-eigen-residual admits.  A `SteppedDrive` is the other: it steps each cycle
-by two sparse Krylov half-period exponentials and bounds its norm drift.
-`exact_drive` picks the exact drive's route by size (FULL_DENSE_MAX).
-`series` serves both models, and `ee_series`, `full_fidelity_series`,
-`evolve_effective` and `evolve_full` are its views of one start.
+A source of states is an object whose `blocks` yields the states at the
+cycles `ks` in (dim x <= width) columns.  A `Spectrum` is one, an effective
+Hamiltonian's or the exact drive's Floquet spectrum (`floquet_spectrum`),
+and `Spectrum.times` refuses a run longer than its eigen-residual admits.
+A `SteppedDrive` is the other: it steps each cycle by two sparse Krylov
+half-period exponentials and bounds its norm drift.  `exact_drive` picks
+the exact drive's route by size (FULL_DENSE_MAX).
+
+`series` is the one reader that turns a source into F, S_EE and P_t.
+`fidelity_series`, `ee_series`, `tower_probability_series` and
+`full_fidelity_series` are calls to it, so each takes either source;
+`evolve_effective` and `evolve_full` take one block of states from theirs.
 """
 
 from __future__ import annotations
@@ -98,56 +101,35 @@ def check_cycles(cycles: int, n_series: int) -> None:
             f"the series budget of {STATE_BLOCK_BYTES}")
 
 
+def _states(source, initial, cycles) -> np.ndarray:
+    """State columns of `source` at the requested cycles, complex128."""
+    psi0 = _as_vector(source.basis, initial)
+    ks = _cycle_array(cycles)
+    _guard_block(source.basis.size, len(ks))
+    # unpacking asks for a second block, which runs the Krylov drift check
+    (states,) = source.blocks(psi0, ks, len(ks))
+    return states.astype(np.complex128, copy=False)
+
+
 def evolve_effective(spec: Spectrum, initial, cycles) -> np.ndarray:
     """State columns after whole cycles under the diagonalized effective model."""
-    psi0 = _as_vector(spec.basis, initial)
-    ks = _cycle_array(cycles)
-    _guard_block(spec.size, len(ks))
-    return spec.propagate(psi0, ks)
+    return _states(spec, initial, cycles)
 
 
-def fidelity_series(spec: Spectrum, initial,
-                    cycles=DEFAULT_CYCLES) -> TimeSeries:
-    """|<psi(0)|psi(k)>|^2 = |sum_a w_a exp(-i e_a k T)|^2, chunked over k.
-
-    The weights w_a = |c_a|^2 come from the coefficients c_a = <a|psi(0)>, one
-    pass over the eigenvectors, so no state is materialized.
-    """
-    c = spec.vectors.coefficients(_as_vector(spec.basis, initial))
-    w = np.abs(c) ** 2
-    kt = spec.times(_cycle_array(cycles))
-    out = np.empty(len(kt))
-    for lo in range(0, len(kt), PHASE_CHUNK):
-        phase = np.outer(spec.quasienergies, kt[lo:lo + PHASE_CHUNK])
-        out[lo:lo + PHASE_CHUNK] = ((w @ np.cos(phase)) ** 2
-                                    + (w @ np.sin(phase)) ** 2)
-    return TimeSeries("F", out)
+def fidelity_series(source, initial, cycles=DEFAULT_CYCLES) -> TimeSeries:
+    """|<psi(0)|psi(k)>|^2 along the evolution: the F of `series`."""
+    return series(source, [initial], cycles, ("F",))[0]["F"]
 
 
-def ee_series(spec: Spectrum, initial, cycles=DEFAULT_CYCLES) -> TimeSeries:
+def ee_series(source, initial, cycles=DEFAULT_CYCLES) -> TimeSeries:
     """Half-chain entanglement entropy along the evolution: the S_EE of `series`."""
-    return series(spec, [initial], cycles, ("EE",))[0]["EE"]
+    return series(source, [initial], cycles, ("EE",))[0]["EE"]
 
 
-def tower_probability_series(spec: Spectrum, initial, tower: Tower | None = None,
+def tower_probability_series(source, initial, tower: Tower | None = None,
                              cycles=DEFAULT_CYCLES) -> TimeSeries:
-    """Total weight on the tower states along the evolution.
-
-    P_t(k) = sum_t |sum_a V_ta c_a exp(-i e_a k T)|^2 with c_a = <a|psi(0)>,
-    from the tower rows of the eigenvectors only, in blocks of PHASE_CHUNK
-    cycles; no state is materialized.
-    """
-    c = spec.vectors.coefficients(_as_vector(spec.basis, initial))
-    if tower is None:
-        tower = tower_states(spec.basis.L)
-    weights = spec.vectors.rows(tower.indices(spec.basis)) * c[None, :]
-    kt = spec.times(_cycle_array(cycles))
-    out = np.empty(len(kt))
-    for lo in range(0, len(kt), PHASE_CHUNK):
-        phases = np.exp(-1j * np.outer(spec.quasienergies,
-                                       kt[lo:lo + PHASE_CHUNK]))
-        out[lo:lo + PHASE_CHUNK] = (np.abs(weights @ phases) ** 2).sum(axis=0)
-    return TimeSeries("P_t", out)
+    """Total weight on the tower states along the evolution: the P_t of `series`."""
+    return series(source, [initial], cycles, ("Pt",), tower)[0]["Pt"]
 
 
 def analytic_fidelity(spec: Spectrum, f: FockState | str,
@@ -282,30 +264,49 @@ def exact_drive(basis: SectorBasis, params: ModelParams) -> Spectrum | SteppedDr
 
 
 def series(source, initials, cycles=DEFAULT_CYCLES,
-           observables=tuple(OBSERVABLES)) -> list[dict[str, TimeSeries]]:
+           observables=tuple(OBSERVABLES),
+           tower: Tower | None = None) -> list[dict[str, TimeSeries]]:
     """F, half-chain S_EE and P_t per initial state, from one source of states.
 
     `source` is a `Spectrum` (effective, or the exact drive's Floquet one)
     or a `SteppedDrive`: either yields the states at the cycles `ks` in
-    column blocks (`blocks`).  On a spectrum, F and P_t come from its
-    eigenbasis weights (`fidelity_series`, `tower_probability_series`) with
-    no state materialized; every other series is read from blocks of
+    column blocks (`blocks`).  On a spectrum, F and P_t come from the
+    coefficients c_a = <a|psi(0)>, one pass over the eigenvectors, with no
+    state materialized: in blocks of PHASE_CHUNK cycles,
+    F(k) = |sum_a w_a exp(-i e_a k T)|^2 with w_a = |c_a|^2, and
+    P_t(k) = sum_t |sum_a V_ta c_a exp(-i e_a k T)|^2 over the tower rows
+    of the eigenvectors.  Every other series is read from blocks of
     EE_CHUNK states, so no (dim x cycles) array is held.  A spectrum's
     residual bound is checked where its times are read (`Spectrum.times`).
-    Keys are the requested names among OBSERVABLES, in its order.
+    P_t is the weight on `tower`, by default the half-filled tower of the
+    chain.  Keys are the requested names among OBSERVABLES, in its order.
     """
     ks = _cycle_array(cycles)
-    weighted = ({"F": fidelity_series, "Pt": tower_probability_series}
-                if isinstance(source, Spectrum) else {})
     names = [n for n in OBSERVABLES if n in observables]
+    weighted = [n for n in names if n in ("F", "Pt")] \
+        if isinstance(source, Spectrum) else []
     streamed = [n for n in names if n not in weighted]
     basis = source.basis
-    t_idx = tower_states(basis.L).indices(basis) if "Pt" in streamed else None
+    t_idx = (tower or tower_states(basis.L)).indices(basis) \
+        if "Pt" in names else None
     runs = []
     for initial in initials:
         psi0 = _as_vector(basis, initial)
-        parts = {n: [weighted[n](source, psi0, cycles=ks).values]
-                 if n in weighted else [] for n in names}
+        parts = {n: [] for n in names}
+        if weighted:
+            kt = source.times(ks)
+            c = source.vectors.coefficients(psi0)
+            w = np.abs(c) ** 2
+            if "Pt" in weighted:
+                rows = source.vectors.rows(t_idx) * c[None, :]
+            for lo in range(0, len(kt), PHASE_CHUNK):
+                phase = np.outer(source.quasienergies, kt[lo:lo + PHASE_CHUNK])
+                if "F" in weighted:
+                    parts["F"].append((w @ np.cos(phase)) ** 2
+                                      + (w @ np.sin(phase)) ** 2)
+                if "Pt" in weighted:
+                    parts["Pt"].append(
+                        (np.abs(rows @ np.exp(-1j * phase)) ** 2).sum(axis=0))
         blocks = source.blocks(psi0, ks, EE_CHUNK) if streamed else ()
         for states in blocks:
             if "F" in streamed:
@@ -322,18 +323,13 @@ def series(source, initials, cycles=DEFAULT_CYCLES,
 def evolve_full(basis: SectorBasis, params: ModelParams, initial,
                 cycles) -> np.ndarray:
     """State columns at the requested cycles under the exact driven model."""
-    psi0 = _as_vector(basis, initial)
-    ks = _cycle_array(cycles)
-    _guard_block(basis.size, len(ks))
-    # unpacking asks for a second block, which runs the Krylov drift check
-    (states,) = exact_drive(basis, params).blocks(psi0, ks, len(ks))
-    return states
+    return _states(exact_drive(basis, params), initial, cycles)
 
 
 def full_fidelity_series(basis: SectorBasis, params: ModelParams, initial,
                          cycles=DEFAULT_CYCLES) -> TimeSeries:
-    """|<psi(0)|psi(k)>|^2 under the exact drive: the F of `series`."""
-    return series(exact_drive(basis, params), [initial], cycles, ("F",))[0]["F"]
+    """|<psi(0)|psi(k)>|^2 under the exact drive: `fidelity_series` of it."""
+    return fidelity_series(exact_drive(basis, params), initial, cycles)
 
 
 def fta(series) -> tuple[np.ndarray, np.ndarray]:

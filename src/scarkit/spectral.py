@@ -132,6 +132,13 @@ def _scaled(F: np.ndarray, coef: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.multiply(F, coef, where=keep, out=out)
 
 
+def _picked(x: np.ndarray, idx: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """x[idx] where `keep`, 0 elsewhere.  An empty x (the empty parity block
+    of a one-state sector) is kept nowhere, and its placeholder indices are
+    not read."""
+    return np.where(keep, x[idx], 0) if len(x) else np.zeros(len(idx), x.dtype)
+
+
 class ChiralPairVectors:
     """Eigenvectors of a purely imaginary chiral Hamiltonian, stored factored.
 
@@ -167,20 +174,8 @@ class ChiralPairVectors:
         # i^D psi_- = (-1)^ceil(D/2) (u, v)/sqrt(2) is real (module docstring)
         sign = np.where(((dipoles + 1) // 2) & 1, -1.0, 1.0) / math.sqrt(2.0)
         self._real_u, self._real_v = sign[plus_idx], sign[minus_idx]
-        self._fix_kernel_signs()
         self._precompute_pair_phases()
         self._precompute_factor_map()
-
-    def _fix_kernel_signs(self):
-        # paired factors must not be flipped independently (that would break
-        # C v = s u), but kernel directions are unpaired and safe to fix
-        r = self.rank
-        if self.n_plus > r:
-            blk = self.Uf[:, r:]
-            blk *= np.where(_pivots(blk, 0) < 0, -1.0, 1.0)
-        if self.n_minus > r:
-            blk = self.Vt[r:, :]
-            blk *= np.where(_pivots(blk, 1) < 0, -1.0, 1.0)[:, None]
 
     def _precompute_pair_phases(self):
         """Unit phases on the u and v factors of each +-s pair column.
@@ -282,8 +277,8 @@ class ChiralPairVectors:
         (alpha, beta), *imag = self.expand(psi0)
         for alpha_im, beta_im in imag:
             alpha, beta = alpha + 1j * alpha_im, beta + 1j * beta_im
-        return (np.conj(self._cu) * np.where(self._has_u, alpha[self._iu], 0)
-                + np.conj(self._cv) * np.where(self._has_v, beta[self._iv], 0))
+        return (np.conj(self._cu) * _picked(alpha, self._iu, self._has_u)
+                + np.conj(self._cv) * _picked(beta, self._iv, self._has_v))
 
     def expand(self, psi0: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """What `propagate` evolves: the factor products (alpha, beta) =
@@ -445,15 +440,16 @@ def chiral_block(ham: "HamiltonianMatrix"):
     """(plus_idx, minus_idx, C) of a purely imaginary stored matrix: the
     even- and odd-parity basis positions and the real off-diagonal block
     C (rows even, columns odd), cut straight from the stored imaginary
-    parts.  Refused (`DomainError`) if the matrix couples equal-parity
-    states."""
+    parts.  Refused (`DomainError`) if an entry is stored between
+    equal-parity states.  The check reads the stored positions, not their
+    values, so an all-zero matrix (u = 0) is chiral too."""
     m = ham.matrix
     parities = ham.basis.parities
     plus_idx = np.flatnonzero(parities == 1)
     minus_idx = np.flatnonzero(parities == -1)
-    C = replace(m, phase=1).block(plus_idx, minus_idx)
-    if 2 * np.count_nonzero(C) != m.nnz:
+    if np.any(parities[m.row_indices()] == parities[m.indices]):
         raise DomainError("matrix couples equal-parity states; not chiral")
+    C = replace(m, phase=1).block(plus_idx, minus_idx)
     return plus_idx, minus_idx, C
 
 
@@ -490,15 +486,21 @@ def chiral_svd(C: np.ndarray):
 
 def canonical_kernel(K: np.ndarray) -> np.ndarray:
     """K Q for an orthonormal kernel block K (rows: the block's basis
-    positions), Q the eigenvectors of K^T diag(index / n) K, ascending.
+    positions), Q the eigenvectors of K^T diag(index / n) K, ascending,
+    each column signed so its largest-magnitude entry (lowest index on
+    ties) is positive.
 
     The columns depend on the kernel alone, not on which orthonormal
-    basis of it K held (up to the signs `_fix_kernel_signs` sets), so
-    every route to C's factors gives the same kernel states.
+    basis of it K held, so every route to C's factors gives the same
+    kernel states.  Kernel directions are unpaired, so their signs are
+    free; a paired factor's are not (flipping one breaks C v = s u).
     """
+    if not K.size:
+        return K
     position = np.arange(len(K)) / len(K)
     _, Q = np.linalg.eigh(K.T @ (position[:, None] * K))
-    return K @ Q
+    KQ = K @ Q
+    return KQ * np.where(_pivots(KQ, 0) < 0, -1.0, 1.0)
 
 
 def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:

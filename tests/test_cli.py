@@ -990,6 +990,81 @@ def test_excursion_initial_needs_a_tower(tmp_path, capsys):
     assert code == 2 and "tower needs L = 2N with N >= 2" in err
 
 
+def _csv_table(path) -> dict:
+    lines = path.read_text().splitlines()
+    rows = np.array([[float(c) for c in l.split(",")] for l in lines[1:]])
+    return dict(zip(lines[0].split(","), rows.T))
+
+
+@pytest.mark.parametrize("N, word", [(0, "0000"), (4, "1111")])
+def test_one_state_sector_keeps_unit_fidelity(tmp_path, capsys, N, word):
+    # an empty parity block: the lone state is the whole, static kernel
+    sector = ("--L", "4", "--N", str(N), *_RES, "--initial", word)
+    dyn, cmp_ = tmp_path / "d.csv", tmp_path / "c.csv"
+    code, _, err = run(capsys, "dynamics", *sector, "--observables", "F",
+                       "--out", str(dyn))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "compare", *sector, "--cycles", "3",
+                         "--out", str(cmp_))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["max_abs_diff"] < 1e-12
+    f_dyn, compared = _csv_table(dyn)["F"], _csv_table(cmp_)
+    assert len(f_dyn) == 4097       # the default cycles
+    for column in (f_dyn, compared["F_full"], compared["F_eff"]):
+        np.testing.assert_allclose(column, 1.0, rtol=0, atol=1e-12)
+
+
+def test_zero_u_resonant_family_is_all_kernel(capsys):
+    # every stored entry is 0 at u = 0; the stored positions stay chiral
+    code, out, _ = run(capsys, "spectrum", "--L", "6", "--family", "0,0,+",
+                       "--g", "50", "--u", "0")
+    assert code == 0 and json.loads(out)["zero_mode_count"] == 20
+    code, out, _ = run(capsys, "scar", "--L", "6", "--family", "0,0,+",
+                       "--g", "50", "--u", "0")
+    assert code == 0 and json.loads(out)["S_EE_s0"] == 0.0
+    assert "-0.0" not in out
+
+
+def test_json_folds_negative_zero_as_csv_does():
+    assert math.copysign(1.0, cli._json_ready(-0.0)) == 1.0
+    assert cli._json_ready({"x": [np.float64(-0.0), -1e-300]}) == \
+        {"x": [0.0, -1e-300]}
+
+
+_HALF = "needs the half-filled tower (L = 2N >= 4)"
+
+
+@pytest.mark.parametrize("model", ["effective", "full"])
+@pytest.mark.parametrize("argv, err", [
+    (("--L", "6", "--N", "2", "--initial", "110000"),
+     f"observables: P_t {_HALF}, got L=6, N=2"),
+    (("--L", "3", "--N", "1", "--initial", "100", "--observables", "EE,Pt"),
+     f"observables: P_t {_HALF}, got L=3, N=1"),
+    (("--L", "6", "--N", "2", "--initial", "random:2:7", "--observables", "F"),
+     "initial: random starts need the half-filled tower (L = 2N >= 4), "
+     "got L=6, N=2"),
+    (("--L", "2", "--initial", "random:1:7", "--observables", "F"),
+     "initial: random starts need the half-filled tower (L = 2N >= 4), "
+     "got L=2, N=1"),
+], ids=["Pt-N2", "Pt-L3", "random-N2", "random-L2"])
+def test_tower_reads_off_half_filling_refused_before_any_solve(
+        tmp_path, capsys, no_solve, model, argv, err):
+    out_csv = tmp_path / "x.csv"
+    code, out, got = run(capsys, "dynamics", *argv, *_RES, "--model", model,
+                         "--out", str(out_csv))
+    assert (code, out, got) == (2, "", f"config error: {err}\n")
+    assert not out_csv.exists()
+
+
+def test_off_half_filling_runs_f_and_ee(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    code, _, _ = run(capsys, "dynamics", "--L", "6", "--N", "2", *_RES,
+                     "--initial", "110000", "--observables", "F,EE",
+                     "--cycles", "8", "--out", str(out_csv))
+    assert code == 0
+    assert _csv_table(out_csv)["F"][0] == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("source", ["config", "manifest"])
 def test_threads_from_config_file_or_manifest(tmp_path, capsys, monkeypatch,
                                               source):

@@ -3,9 +3,10 @@
 Each example draws a subcommand and a set of its registered options with
 adversarial values (0, negative, nan, inf, huge, malformed words, missing
 paths, malformed config files) and runs `cli.main` in this process.  The run
-must end in exit 0, 2 or 3 and print no traceback.  Work stays small: L is at
-most 8 and cycle counts at most 64, unless the value is one that is refused
-before anything is allocated.  `reproduce` draws always carry one refused
+must end in exit 0, 2 or 3 and print no traceback.  The base run is half
+filled or, one draw in four each, a one-state sector (N = 0 or N = L).
+Work stays small: L is at most 8 and cycle counts at most 64, unless the
+value is one that is refused before anything is allocated.  `reproduce` draws always carry one refused
 option and run with the solvers disabled.
 """
 
@@ -28,7 +29,8 @@ _FLOATS = ["0", "-1", "1e-300", "0.5", "1", "1.28", "nan", "inf", "-inf",
 _POOLS = {
     "L": ["-1", "0", "1", "2", "3", "5", "6", "8", "64", "1000000000", "x",
           "4.0"],
-    "N": ["-1", "0", "1", "3", "4", "9", "1000000000000", "x"],
+    # 0 and 6 (= the base L) are one-state sectors
+    "N": ["-1", "0", "1", "3", "4", "6", "9", "1000000000000", "x"],
     "threads": ["-1", "0", "1", "2"],
     "cycles": ["0", "-1", "1", "8", "64", "1000000000000",
                "99999999999999999999", "1.5", "x", ""],
@@ -47,7 +49,7 @@ _POOLS = {
                 "random:2:7", "random:0:7", "random:-1:7", "random:3:-1",
                 "random:1000000:7", "random:2:99999999999999999999",
                 "random:x", "random:1:2:3", "bits:110", "bits:", "bits:12",
-                "11110000", "111000", "zzz", *_WORDS],
+                "11110000", "111000", "000000", "111111", "zzz", *_WORDS],
     "observables": ["F", "EE,Pt", "F,EE,Pt", ",", "X", "F,X", *_WORDS],
     "model": ["effective", "full", *_WORDS],
     "bundle": ["spectral-map", "quench-series", "revival-spectra",
@@ -97,12 +99,20 @@ def _value_pool(workdir: str, dest: str, type_) -> list[str]:
     return _FLOATS if type_ is float else _INTS if type_ is int else _WORDS
 
 
-def _base(workdir: str, route: str) -> dict:
-    """Option values of a small run that succeeds, on either drive route."""
+# the base run's sector: half filling, or a one-state sector (N = 0 or L),
+# whose lone state is the start and which has no tower to weigh
+_SECTORS = {"half": {},
+            "empty": {"N": "0", "initial": "000000", "observables": "F,EE"},
+            "full": {"N": "6", "initial": "111111", "observables": "F,EE"}}
+
+
+def _base(workdir: str, route: str, sector: str) -> dict:
+    """Option values of a small run on either drive route, in `sector`;
+    it succeeds but for `scar`, which refuses a one-state sector."""
     values = {"L": "6", "g": "1", "u": "0.5", "cycles": "8",
               "out": os.path.join(workdir, "x.csv"),
               "per_state": os.path.join(workdir, "s.csv"),
-              "outdir": os.path.join(workdir, "b")}
+              "outdir": os.path.join(workdir, "b"), **_SECTORS[sector]}
     if route == "family":
         values["family"] = "0,0,+"
     else:
@@ -120,7 +130,8 @@ def _argv(draw, workdir: str, command: str) -> list[str]:
     options = _SUBCOMMANDS[command]
     flags = {dest: flag for flag, dest, _ in options}
     route = draw(st.sampled_from(["family", "raw"]))
-    values = {dest: v for dest, v in _base(workdir, route).items()
+    sector = draw(st.sampled_from(["half", "half", "empty", "full"]))
+    values = {dest: v for dest, v in _base(workdir, route, sector).items()
               if dest in flags}
     if command == "reproduce":
         values["bundle"] = draw(st.sampled_from(_POOLS["bundle"]))

@@ -283,6 +283,56 @@ def test_series_reads_f_and_pt_off_a_spectrum_without_states(monkeypatch):
             series(source, words, 64, ("EE",))
 
 
+@pytest.mark.parametrize("route", ["dense", "chiral"])
+def test_series_reads_f_and_pt_from_one_pass_per_start(route, monkeypatch):
+    spec = off_resonant_spectrum() if route == "dense" else spectrum_for(8)
+    words = ["11110000", "11001010", "10110100"]
+    t_idx = tower_states(8).indices(spec.basis)
+    calls = []
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return wrapper
+
+    cls = type(spec.vectors)
+    monkeypatch.setattr(cls, "coefficients",
+                        counted("coefficients", cls.coefficients))
+    monkeypatch.setattr(Spectrum, "times", counted("times", Spectrum.times))
+    # 701 cycles span two PHASE_CHUNK windows: still one pass per start
+    runs = series(spec, words, 700, ("F", "Pt"))
+    assert calls == ["times", "coefficients"] * len(words)
+    for word, run in zip(words, runs):
+        assert list(run) == ["F", "Pt"]
+        psi0 = fock_vector(spec.basis, word).amplitudes
+        states = evolve_effective(spec, word, 700)
+        np.testing.assert_allclose(run["F"].values,
+                                   np.abs(psi0.conj() @ states) ** 2,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run["Pt"].values,
+                                   (np.abs(states[t_idx]) ** 2).sum(axis=0),
+                                   rtol=0, atol=1e-12)
+
+
+def test_stepped_drive_feeds_fidelity_and_tower_series():
+    # the Krylov route streams what the Floquet spectrum reads off weights
+    basis = SectorBasis(8, 4)
+    params = resonant_family(0, 0, "+").params(g=15.0, u=0.5)
+    floquet = dynamics.exact_drive(basis, params)
+    stepped = dynamics.SteppedDrive(basis, params)
+    assert isinstance(floquet, Spectrum)
+    tower = tower_states(8)
+    for start in (pinnacle_state(8), tower.eaves[4]):
+        for read in (lambda src: fidelity_series(src, start, 150),
+                     lambda src: tower_probability_series(src, start, tower,
+                                                          150)):
+            got, want = read(stepped), read(floquet)
+            assert got.label == want.label
+            np.testing.assert_allclose(got.values, want.values,
+                                       rtol=0, atol=1e-10)
+
+
 def test_floquet_residual_is_read_and_checked(monkeypatch):
     basis = SectorBasis(6, 3)
     prop = dynamics.exact_drive(basis, PARAMS)
