@@ -14,8 +14,8 @@ Compare two source trees:
     PYTHONPATH=<new>/src python scripts/golden_run.py B
     diff -r A B
 
-The five desk bundles dominate the run time; spectral-map alone spends about
-2 min in its L = 16 SVD.
+The five desk bundles dominate the run time; spectral-map alone spends over
+a minute on its L = 16 chiral factors.
 """
 
 import contextlib
@@ -152,6 +152,13 @@ COMMANDS = [
      "--observables", "F", "--cycles", "16", "--out", "dyn_L4_N0.csv"),
     ("compare", "--L", "4", "--N", "4", *_RES, "--initial", "1111",
      "--cycles", "3", "--out", "compare_L4_N4.csv"),
+    # ... whose odd-parity block is empty: every column lacks its v part
+    ("spectrum", "--L", "4", "--N", "0", *_RES, "--out", "spectrum_L4_N0.csv"),
+    ("dynamics", "--L", "3", "--N", "0", *_RES, "--initial", "000",
+     "--observables", "F,EE", "--cycles", "16", "--out", "dyn_L3_N0.csv"),
+    # L = 1 has no half-chain cut for S_EE: exit 2, nothing built
+    ("dynamics", "--L", "1", "--N", "0", *_RES, "--initial", "0",
+     "--observables", "F,EE", "--out", "never.csv"),
     # u = 0 on a resonant family: every stored entry is 0, the kernel is all
     ("spectrum", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0"),
     ("scar", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0"),

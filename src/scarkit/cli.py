@@ -507,8 +507,10 @@ def _cmd_spectrum(opts: dict) -> tuple:
         r_mean = None
     return {"dimension": spec.size,
             "zero_mode_count": len(spec.zero_indices),
+            # |n+ - n-| bounds the kernel of a chiral H only (`diagonalize`)
             "kernel_bound": (dim_difference_formula(basis.N)
-                             if basis.L == 2 * basis.N else None),
+                             if basis.L == 2 * basis.N
+                             and spec.ham.matrix.phase == 1j else None),
             "r_mean": r_mean}, out
 
 
@@ -638,6 +640,9 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
     init = _parse_initial(opts.get("initial") or "tp", basis)
     if "Pt" in wanted:
         _need_tower(basis, "observables: P_t needs")
+    if "EE" in wanted and basis.L < 2:
+        raise ConfigError(f"observables: S_EE needs a half-chain cut "
+                          f"(L >= 2), got L={basis.L}")
     out = _require(opts, "out")
     dynamics.check_cycles(cycles, len(init["starts"]) * len(wanted))
     if model == "full":

@@ -39,7 +39,10 @@ across every cut unchanged; so a +-s pair has one entanglement entropy, which
 
 Eigenvector phase convention: whenever a column is materialized, its
 largest-magnitude component is made real positive (ties: lowest basis index;
-equal maxima in both parity blocks: the even-parity block wins).
+equal maxima in both parity blocks: the even-parity block wins).  On the
+chiral route every view reads one per-column factor map: the factor index
+and the coefficient, pair phase folded in, of each column's even-row (u) and
+odd-row (v) part, the coefficient 0 where the column has no such part.
 
 Kernel tolerance.  `diagonalize` decides the kernel once and records it on
 the `Spectrum`: `zero_tol` is ZERO_MODE_RTOL times the spectral radius (the
@@ -126,17 +129,16 @@ class DenseVectors:
         return self._V @ (start[:, None] * phases)
 
 
-def _scaled(F: np.ndarray, coef: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """F * coef along the last axis where `keep`, exact +0 elsewhere."""
-    out = np.zeros(F.shape, dtype=np.complex128)
-    return np.multiply(F, coef, where=keep, out=out)
-
-
-def _picked(x: np.ndarray, idx: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """x[idx] where `keep`, 0 elsewhere.  An empty x (the empty parity block
-    of a one-state sector) is kept nowhere, and its placeholder indices are
-    not read."""
-    return np.where(keep, x[idx], 0) if len(x) else np.zeros(len(idx), x.dtype)
+def _gather(F: np.ndarray, idx: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """F[:, idx], with exact +0 columns where not `keep`.  A column not kept
+    has no such factor part and a placeholder index, whose gathered values
+    are overwritten; where no column is kept (always so on an empty parity
+    block, which has no factor to index) F is not indexed at all."""
+    if not keep.any():
+        return np.zeros((len(F), len(idx)), dtype=F.dtype)
+    out = F[:, idx]
+    out[:, ~keep] = 0.0
+    return out
 
 
 class ChiralPairVectors:
@@ -148,8 +150,9 @@ class ChiralPairVectors:
     odd rows) / sqrt(2) with eigenvalue +- s_i, and the kernel consists of
     the singular directions beyond the rank, (u_i, 0) and (0, v_i), in the
     basis `canonical_kernel` fixes. Only the two factor matrices are
-    stored; columns are materialized on demand. `dipoles` (D per basis state)
-    fixes the real frame of `real_columns`.
+    stored; every view reads them through one per-column factor map
+    (`_precompute_factor_map`). `dipoles` (D per basis state) fixes the
+    real frame of `real_columns`.
     """
 
     def __init__(self, plus_idx: np.ndarray, minus_idx: np.ndarray,
@@ -165,6 +168,8 @@ class ChiralPairVectors:
         self.n_minus = Vt.shape[0]
         self.n_states = self.n_plus + self.n_minus
         self._perm = np.asarray(perm, dtype=np.intp)
+        # each factor as columns, with the basis rows it fills
+        self._blocks = ((Uf, plus_idx), (Vt.T, minus_idx))
         # position of each basis state inside its parity block
         self._block_pos = np.empty(self.n_states, dtype=np.intp)
         self._block_pos[plus_idx] = np.arange(self.n_plus)
@@ -173,71 +178,57 @@ class ChiralPairVectors:
         self._is_plus[plus_idx] = True
         # i^D psi_- = (-1)^ceil(D/2) (u, v)/sqrt(2) is real (module docstring)
         sign = np.where(((dipoles + 1) // 2) & 1, -1.0, 1.0) / math.sqrt(2.0)
-        self._real_u, self._real_v = sign[plus_idx], sign[minus_idx]
-        self._precompute_pair_phases()
+        self._real_pair = (sign[plus_idx], sign[minus_idx])
         self._precompute_factor_map()
 
-    def _precompute_pair_phases(self):
-        """Unit phases on the u and v factors of each +-s pair column.
+    def _precompute_factor_map(self):
+        """Per spectrum column a: the factor index `_index[:, a]` and the
+        coefficient `_coef[:, a]` of its u part (row 0: a column of Uf, on
+        the even rows) and of its v part (row 1: a row of Vt, on the odd
+        rows).  The coefficient is 0 where the column has no such part, and
+        the index there a placeholder.
 
-        The bare pair column is (u, -i*sigma*v)/sqrt(2) with sigma = +-1 the
-        branch sign; the stored phases rotate whichever factor carries the
-        overall largest-magnitude component to real positive.
+        A kernel column is its factor with coefficient 1.  The bare +-s pair
+        column is (u, -i*sigma*v)/sqrt(2) with sigma = +-1 the branch sign;
+        its coefficients carry the phase that rotates whichever factor holds
+        the overall largest-magnitude component (u on ties) to real positive.
         """
-        r = self.rank
+        j = self._perm
+        r, n_plus, n = self.rank, self.n_plus, self.n_states
+        minus, plus = j < r, j >= n - r
+        paired = minus | plus
+        pair = np.where(minus, j, n - 1 - j)
+        self._column_of = np.argsort(j)          # spectrum column of each j
+        has = np.array([paired | (j < n_plus), paired | (j >= n_plus)])
+        self._index = np.where(
+            has, np.where(paired, pair, [j, j - n_plus + r]), 0)
+        self._coef = has.astype(np.complex128)
         if r == 0:
-            empty = np.zeros(0, dtype=np.complex128)
-            self._ph = {k: empty for k in ("mu", "mv", "pu", "pv")}
             return
         upiv, vpiv = _pivots(self.Uf[:, :r], 0), _pivots(self.Vt[:r, :], 1)
         su = np.where(upiv < 0, -1.0, 1.0).astype(np.complex128)
         sv = np.where(vpiv < 0, -1.0, 1.0).astype(np.complex128)
         u_wins = np.abs(upiv) >= np.abs(vpiv)
-        self._ph = {
-            "mu": np.where(u_wins, su, -1j * sv),   # '-' branch, u factor
-            "mv": np.where(u_wins, 1j * su, sv),    # '-' branch, v factor
-            "pu": np.where(u_wins, su, 1j * sv),    # '+' branch, u factor
-            "pv": np.where(u_wins, -1j * su, sv),   # '+' branch, v factor
-        }
-
-    def _precompute_factor_map(self):
-        """Per spectrum column: whether it is paired, the factor index and
-        coefficient of its u part (even rows) and v part (odd rows), and
-        whether it has each part."""
-        j = self._perm
-        r, n_plus, n = self.rank, self.n_plus, self.n_states
-        minus, plus = j < r, j >= n - r
-        paired = self._paired = minus | plus
-        pair = np.where(minus, j, n - 1 - j)
-        self._column_of = np.argsort(j)          # spectrum column of each j
-        self._has_u = paired | (j < n_plus)
-        self._has_v = paired | (j >= n_plus)
-        self._iu = np.where(paired, pair, np.where(self._has_u, j, 0))
-        self._iv = np.where(paired, pair, np.where(self._has_v, j - n_plus + r, 0))
-        self._cu = np.ones(n, dtype=np.complex128)
-        self._cv = np.ones(n, dtype=np.complex128)
         w = 1.0 / math.sqrt(2.0)
-        for m, bu, bv in ((minus, "mu", "mv"), (plus, "pu", "pv")):
-            self._cu[m] = self._ph[bu][pair[m]] * w
-            self._cv[m] = self._ph[bv][pair[m]] * w
+        for m, rot in ((minus, 1j), (plus, -1j)):    # rot = -i*sigma
+            self._coef[0, m] = np.where(u_wins, su, -rot * sv)[pair[m]] * w
+            self._coef[1, m] = np.where(u_wins, rot * su, sv)[pair[m]] * w
 
     def columns(self, indices) -> np.ndarray:
         a = np.asarray(indices, dtype=np.intp)
         out = np.empty((self.n_states, len(a)), dtype=np.complex128)
-        out[self.plus_idx] = _scaled(self.Uf[:, self._iu[a]], self._cu[a],
-                                     self._has_u[a])
-        out[self.minus_idx] = _scaled(self.Vt[self._iv[a], :].T, self._cv[a],
-                                      self._has_v[a])
+        for (F, at), i, c in zip(self._blocks, self._index[:, a],
+                                 self._coef[:, a]):
+            out[at] = _gather(F, i, c != 0) * c
         return out
 
     def rows(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.intp)
         pos, on_plus = self._block_pos[idx], self._is_plus[idx]
         out = np.empty((len(idx), self.n_states), dtype=np.complex128)
-        u_rows = np.take(self.Uf[pos[on_plus], :], self._iu, axis=1)
-        v_rows = np.take(self.Vt[:, pos[~on_plus]].T, self._iv, axis=1)
-        out[on_plus] = _scaled(u_rows, self._cu, self._has_u)
-        out[~on_plus] = _scaled(v_rows, self._cv, self._has_v)
+        for (F, _), at, i, c in zip(self._blocks, (on_plus, ~on_plus),
+                                    self._index, self._coef):
+            out[at] = _gather(F[pos[at]], i, c != 0) * c
         return out
 
     def pair_keys(self, indices) -> np.ndarray:
@@ -253,32 +244,35 @@ class ChiralPairVectors:
         a local unitary image of both; a kernel column comes as it is.
         """
         a = np.asarray(indices, dtype=np.intp)
-        paired = self._paired[a]
+        coef = self._coef[:, a]
+        paired = coef.all(axis=0)
         out = np.empty((self.n_states, len(a)))
-        out[self.plus_idx] = self.Uf[:, self._iu[a]] * np.where(
-            paired, self._real_u[:, None], self._has_u[a])
-        out[self.minus_idx] = self.Vt[self._iv[a], :].T * np.where(
-            paired, self._real_v[:, None], self._has_v[a])
+        for (F, at), sign, i, c in zip(self._blocks, self._real_pair,
+                                       self._index[:, a], coef):
+            frame = np.where(paired, sign[:, None], 1.0)
+            out[at] = _gather(F, i, c != 0) * frame
         return out
 
+    def _picks(self, alpha: np.ndarray, beta: np.ndarray) -> list:
+        """alpha (one value per u factor) and beta (per v factor) at each
+        spectrum column's factor indices, 0 where it has no such part."""
+        return [_gather(x[None, :], i, c != 0)[0]
+                for x, i, c in zip((alpha, beta), self._index, self._coef)]
+
     def sector_weight(self, mask: np.ndarray) -> np.ndarray:
-        r = self.rank
         wu = (self.Uf[mask[self.plus_idx], :] ** 2).sum(axis=0)
         wv = (self.Vt[:, mask[self.minus_idx]] ** 2).sum(axis=1)
-        internal = np.empty(self.n_states)
-        internal[:r] = 0.5 * (wu[:r] + wv[:r])
-        internal[r:self.n_plus] = wu[r:]
-        internal[self.n_plus:self.n_plus + self.n_minus - r] = wv[r:]
-        internal[self.n_states - r:] = internal[:r][::-1]
-        return internal[self._perm]
+        # each part of a pair holds half its weight (|coef|^2 = 1/2)
+        share = np.where(self._coef.all(axis=0), 0.5, 1.0)
+        return share * np.add(*self._picks(wu, wv))
 
     def coefficients(self, psi0: np.ndarray) -> np.ndarray:
         """<a|psi0> for every column a, from the factor products of `expand`."""
         (alpha, beta), *imag = self.expand(psi0)
         for alpha_im, beta_im in imag:
             alpha, beta = alpha + 1j * alpha_im, beta + 1j * beta_im
-        return (np.conj(self._cu) * _picked(alpha, self._iu, self._has_u)
-                + np.conj(self._cv) * _picked(beta, self._iv, self._has_v))
+        (cu, cv), (pu, pv) = np.conj(self._coef), self._picks(alpha, beta)
+        return cu * pu + cv * pv
 
     def expand(self, psi0: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """What `propagate` evolves: the factor products (alpha, beta) =

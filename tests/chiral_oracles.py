@@ -1,7 +1,8 @@
 """Oracles for the chiral route in `scarkit.spectral`.
 
-The per-column and per-row loops materialize one eigenvector column (or one
-Fock row) at a time from the factors, exactly as the original loop did, for
+The per-column loop materializes one eigenvector column at a time from the
+factors, with the pair phases worked out from the documented convention,
+and the per-row loop reads Fock rows off those columns; both are oracles for
 the vectorized ChiralPairVectors accessors.  `svd_factors` is the full SVD
 the Gram route replaced, for `chiral_svd`.
 """
@@ -27,6 +28,23 @@ def decode(vec, a: int) -> tuple[str, int]:
     return "+", r - 1 - j
 
 
+def pair_coefficients(vec, kind: str, i: int) -> tuple[complex, complex]:
+    """The u and v coefficients of the '-' or '+' column of pair i, worked
+    out from the documented convention.  The bare column is
+    (u, -i*sigma*v)/sqrt(2), sigma = -1 on the '-' branch and +1 on '+';
+    its largest-magnitude component is made real positive, and a tie
+    between the two factors goes to u."""
+    w = 1.0 / math.sqrt(2.0)
+    sigma = -1.0 if kind == "-" else 1.0
+    u, v = vec.Uf[:, i], vec.Vt[i, :]
+    pu, pv = u[np.argmax(np.abs(u))], v[np.argmax(np.abs(v))]
+    if abs(pu) >= abs(pv):                  # u carries the largest component
+        su = w if pu > 0 else -w
+        return complex(su, 0.0), complex(0.0, -sigma * su)
+    sv = w if pv > 0 else -w                # -i*sigma*c_u = sv makes it real
+    return complex(0.0, sigma * sv), complex(sv, 0.0)
+
+
 def column(vec, a: int) -> np.ndarray:
     kind, i = decode(vec, a)
     psi = np.zeros(vec.n_states, dtype=np.complex128)
@@ -35,10 +53,9 @@ def column(vec, a: int) -> np.ndarray:
     elif kind == "0-":
         psi[vec.minus_idx] = vec.Vt[i, :]
     else:
-        bu, bv = ("mu", "mv") if kind == "-" else ("pu", "pv")
-        w = 1.0 / math.sqrt(2.0)
-        psi[vec.plus_idx] = vec._ph[bu][i] * w * vec.Uf[:, i]
-        psi[vec.minus_idx] = vec._ph[bv][i] * w * vec.Vt[i, :]
+        cu, cv = pair_coefficients(vec, kind, i)
+        psi[vec.plus_idx] = vec.Uf[:, i] * np.complex128(cu)
+        psi[vec.minus_idx] = vec.Vt[i, :] * np.complex128(cv)
     return psi
 
 
@@ -50,25 +67,9 @@ def columns(vec, indices) -> np.ndarray:
 
 
 def rows(vec, indices) -> np.ndarray:
-    r = vec.rank
-    w = 1.0 / math.sqrt(2.0)
-    out = np.empty((len(indices), vec.n_states), dtype=np.complex128)
-    for k, n in enumerate(indices):
-        n = int(n)
-        p = vec._block_pos[n]
-        internal = np.zeros(vec.n_states, dtype=np.complex128)
-        if vec._is_plus[n]:
-            fac = vec.Uf[p, :]
-            internal[:r] = vec._ph["mu"] * w * fac[:r]
-            internal[r:vec.n_plus] = fac[r:]
-            internal[vec.n_states - r:] = (vec._ph["pu"] * w * fac[:r])[::-1]
-        else:
-            fac = vec.Vt[:, p]
-            internal[:r] = vec._ph["mv"] * w * fac[:r]
-            internal[vec.n_plus:vec.n_plus + vec.n_minus - r] = fac[r:]
-            internal[vec.n_states - r:] = (vec._ph["pv"] * w * fac[:r])[::-1]
-        out[k] = internal[vec._perm]
-    return out
+    """Fock rows `indices` of the matrix of every column."""
+    every = columns(vec, range(vec.n_states))
+    return every[np.asarray(indices, dtype=np.intp)]
 
 
 def svd_factors(C: np.ndarray):

@@ -1046,7 +1046,10 @@ _HALF = "needs the half-filled tower (L = 2N >= 4)"
     (("--L", "2", "--initial", "random:1:7", "--observables", "F"),
      "initial: random starts need the half-filled tower (L = 2N >= 4), "
      "got L=2, N=1"),
-], ids=["Pt-N2", "Pt-L3", "random-N2", "random-L2"])
+    *[(("--L", "1", "--N", N, "--initial", N, "--observables", "F,EE"),
+       "observables: S_EE needs a half-chain cut (L >= 2), got L=1")
+      for N in ("0", "1")],
+], ids=["Pt-N2", "Pt-L3", "random-N2", "random-L2", "EE-L1-N0", "EE-L1-N1"])
 def test_tower_reads_off_half_filling_refused_before_any_solve(
         tmp_path, capsys, no_solve, model, argv, err):
     out_csv = tmp_path / "x.csv"
@@ -1054,6 +1057,17 @@ def test_tower_reads_off_half_filling_refused_before_any_solve(
                          "--out", str(out_csv))
     assert (code, out, got) == (2, "", f"config error: {err}\n")
     assert not out_csv.exists()
+
+
+def test_spectrum_kernel_bound_only_on_the_chiral_route(capsys):
+    # |n+ - n-| bounds the kernel of a chiral H; the general effective H
+    # (the raw route) is not chiral, and its kernel is empty here
+    _, out, _ = run(capsys, "spectrum", "--L", "8", *_RES)
+    assert json.loads(out)["kernel_bound"] == 6
+    _, out, _ = run(capsys, "spectrum", "--L", "8", "--g", "50", "--u", "0.5",
+                    "--omega", "20", "--u-over-g", "0.7")
+    data = json.loads(out)
+    assert (data["zero_mode_count"], data["kernel_bound"]) == (0, None)
 
 
 def test_off_half_filling_runs_f_and_ee(tmp_path, capsys):

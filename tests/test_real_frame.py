@@ -115,6 +115,17 @@ def test_real_columns_are_local_phase_images(family):
 
 
 @pytest.mark.parametrize("L", [8, 12])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_real_columns_match_columns_in_magnitude_bit_for_bit(L, family):
+    # `eigenstate_measures` rests on this: a real column carries the
+    # |amplitudes| of the columns it stands for, bit for bit
+    spec = chiral_spectrum(L, family)
+    everything = np.arange(spec.size)
+    assert np.abs(spec.vectors.real_columns(everything)).tobytes() == \
+        np.abs(spec.vectors.columns(everything)).tobytes()
+
+
+@pytest.mark.parametrize("L", [8, 12])
 def test_series_match_complex_propagate(L):
     spec = chiral_spectrum(L, (0, 0, "+"))
     basis = spec.basis

@@ -12,10 +12,11 @@ from scarkit.errors import CapabilityError, DomainError
 from scarkit.fock_basis import SectorBasis
 from scarkit.hamiltonian import (CSRMatrix, build_effective_general,
                                  build_effective_resonant)
+from scarkit.observables import entropy_profile
 from scarkit.resonance import resonant_family
-from scarkit.spectral import (ZERO_MODE_RTOL, ChiralPairVectors, diagonalize,
-                              fold_quasienergy, gap_ratio_stats,
-                              mirror_asymmetry, zero_modes)
+from scarkit.spectral import (ZERO_MODE_RTOL, ChiralPairVectors,
+                              dense_spectrum, diagonalize, fold_quasienergy,
+                              gap_ratio_stats, mirror_asymmetry, zero_modes)
 
 FAMILY = resonant_family(0, 0, "+")
 PARAMS = FAMILY.params(g=50.0, u=0.5)
@@ -222,6 +223,41 @@ def test_chiral_route_is_picked_by_the_stored_phase():
     np.testing.assert_array_equal(m.toarray(), m.toarray().conj().T)
     with pytest.raises(DomainError, match="couples equal-parity states"):
         diagonalize(dataclasses.replace(ham, matrix=m))
+
+
+@pytest.mark.parametrize("L, N", [(1, 0), (1, 1), (3, 0), (4, 0), (4, 4)])
+def test_one_state_sector_views_match_the_dense_route(L, N):
+    # one parity block is empty, so every column lacks one factor part
+    ham = build_effective_resonant(SectorBasis(L, N), PARAMS, 0, 0, "+")
+    spec = diagonalize(ham)
+    dense = dense_spectrum(*np.linalg.eigh(ham.toarray()), ham)
+    vec, ref = spec.vectors, dense.vectors
+    assert isinstance(vec, ChiralPairVectors) and vec.rank == 0
+    assert min(vec.n_plus, vec.n_minus) == 0
+    a = np.arange(spec.size)
+    np.testing.assert_array_equal(spec.quasienergies, dense.quasienergies)
+    np.testing.assert_array_equal(vec.columns(a), ref.columns(a))
+    np.testing.assert_array_equal(vec.rows(a), ref.rows(a))
+    np.testing.assert_array_equal(vec.real_columns(a), ref.columns(a).real)
+    # H = 0, so the chiral route puts the one state in the kernel
+    np.testing.assert_array_equal(spec.zero_indices, [0])
+    np.testing.assert_array_equal(spec.kernel_matrix(), ref.columns([0]))
+    for mask in (spec.basis.parities == 1, spec.basis.parities == -1):
+        np.testing.assert_array_equal(vec.sector_weight(mask),
+                                      ref.sector_weight(mask))
+    for psi0 in (np.ones(1), np.array([0.6 + 0.8j])):
+        np.testing.assert_array_equal(vec.coefficients(psi0),
+                                      ref.coefficients(psi0))
+        np.testing.assert_array_equal(
+            np.hstack(list(spec.blocks(psi0, [0, 1, 5], 2))),
+            np.hstack(list(dense.blocks(psi0, [0, 1, 5], 2))))
+    if L < 2:                  # no half-chain cut: both routes refuse
+        for s in (spec, dense):
+            with pytest.raises(DomainError, match="cut"):
+                entropy_profile(s)
+    else:
+        np.testing.assert_array_equal(entropy_profile(spec),
+                                      entropy_profile(dense))
 
 
 def test_gap_ratio_statistics_manual_oracle():
