@@ -167,6 +167,13 @@ COMMANDS = [
      "--out", "never.csv"),
     ("dynamics", "--L", "6", "--N", "2", *_RES, "--initial", "random:2:7",
      "--observables", "F", "--out", "never.csv"),
+    # H = [[0]] on the raw route: its tolerance is 0, and the level is kernel
+    ("spectrum", "--L", "4", "--N", "0", *_RAW, "--out",
+     "spectrum_L4_N0_raw.csv"),
+    # refused on every emit and model: exit 2, nothing written
+    ("graph", "--L", "6", "--emit", "dot", "--components", "zz"),
+    ("dynamics", "--L", "6", *_RES, "--model", "full", "--dense-threshold", "0",
+     "--out", "never.csv"),
 ]
 
 

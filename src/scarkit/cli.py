@@ -210,7 +210,8 @@ def _check_writable_dir(key: str, path: str, directory: str) -> None:
 def _check_options(opts: dict) -> None:
     """Refuse, before anything is built, values that no handler can use.
 
-    Non-finite drive parameters, a negative seed, an empty output path or
+    Non-finite drive parameters, a dense threshold below 1 (also where
+    nothing is diagonalized), a negative seed, an empty output path or
     `outdir`, and an output path whose directory is missing or unwritable
     (`outdir` itself may be missing, its parent not).
     """
@@ -218,6 +219,7 @@ def _check_options(opts: dict) -> None:
         value = opts.get(key)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value}")
+    _positive(opts, "dense_threshold", None)
     if opts.get("seed") is not None and opts["seed"] < 0:
         raise ConfigError(f"seed: must be >= 0, got {opts['seed']}")
     for key in (*_OUTPUT_FILES, "outdir"):
@@ -489,17 +491,15 @@ def _cmd_resonance(opts: dict) -> tuple:
 def _cmd_spectrum(opts: dict) -> tuple:
     import numpy as np
     from .fock_basis import dim_difference_formula
-    from .spectral import gap_ratio_stats
+    from .spectral import ChiralPairVectors, gap_ratio_stats
     spec = _spectrum(opts)
     basis = spec.basis
     out = opts.get("out")
     if out:
-        is_zero = np.zeros(spec.size, dtype=bool)
-        is_zero[spec.zero_indices] = True
         plus_weight = spec.vectors.sector_weight(basis.parities == 1)
         _write_csv(out, ["alpha", "quasienergy", "is_zero_mode",
                          "chiral_weight_plus"],
-                   [np.arange(spec.size), spec.quasienergies, is_zero,
+                   [np.arange(spec.size), spec.quasienergies, spec.is_zero,
                     plus_weight])
     try:
         r_mean = gap_ratio_stats(spec).mean_r
@@ -507,10 +507,11 @@ def _cmd_spectrum(opts: dict) -> tuple:
         r_mean = None
     return {"dimension": spec.size,
             "zero_mode_count": len(spec.zero_indices),
-            # |n+ - n-| bounds the kernel of a chiral H only (`diagonalize`)
+            # |n+ - n-| bounds the kernel of a chiral H: the chiral route's
             "kernel_bound": (dim_difference_formula(basis.N)
                              if basis.L == 2 * basis.N
-                             and spec.ham.matrix.phase == 1j else None),
+                             and isinstance(spec.vectors, ChiralPairVectors)
+                             else None),
             "r_mean": r_mean}, out
 
 
@@ -518,9 +519,17 @@ def _cmd_graph(opts: dict) -> tuple:
     from .graph import (HOP_CLASSES, bipartite_violations, build_graph,
                         components, to_dot, tower_internal_edges, tower_states)
     basis = _sector(opts)
-    graph = build_graph(basis)
     emit = opts.get("emit") or "json"
     out = opts.get("out")
+    allowed = None
+    if opts.get("components"):
+        names = [c.strip() for c in str(opts["components"]).split(",")]
+        bad = [n for n in names if n not in HOP_CLASSES]
+        if bad:
+            raise ConfigError(f"components: unknown hop class {bad[0]!r} "
+                              f"(choose from {', '.join(HOP_CLASSES)})")
+        allowed = set(names)
+    graph = build_graph(basis)
     if emit == "dot":
         text = to_dot(graph, name=f"sector_L{basis.L}_N{basis.N}")
         if out:
@@ -531,14 +540,6 @@ def _cmd_graph(opts: dict) -> tuple:
         return None, out
     if emit != "json":
         raise ConfigError(f"emit: expected dot or json, got {emit!r}")
-    allowed = None
-    if opts.get("components"):
-        names = [c.strip() for c in str(opts["components"]).split(",")]
-        bad = [n for n in names if n not in HOP_CLASSES]
-        if bad:
-            raise ConfigError(f"components: unknown hop class {bad[0]!r} "
-                              f"(choose from {', '.join(HOP_CLASSES)})")
-        allowed = set(names)
     comps = components(graph, allowed)
     summary = {
         "L": basis.L, "N": basis.N,
@@ -604,12 +605,10 @@ def _cmd_scar(opts: dict) -> tuple:
             lambda cols: schmidt_entropies(cols, basis, basis.L // 2),
             shannon_entropies])
         w_tp = spec.weight_row(basis.index_of(tp))
-        is_zero = np.zeros(spec.size, dtype=bool)
-        is_zero[spec.zero_indices] = True
         _write_csv(per_state, ["alpha", "quasienergy", "S_EE", "S_IE",
                                "overlap_tp", "is_zero_mode"],
                    [np.arange(spec.size), spec.quasienergies, ee, ie, w_tp,
-                    is_zero])
+                    spec.is_zero])
     return payload, per_state
 
 

@@ -143,11 +143,9 @@ def analytic_fidelity(spec: Spectrum, f: FockState | str,
     idx = spec.basis.index_of(f)
     w = spec.weight_row(idx)
     eps = spec.quasienergies
-    p0 = float(w[spec.zero_indices].sum())
-    mask = np.ones(len(eps), dtype=bool)
-    mask[spec.zero_indices] = False
-    pos = mask & (eps > 0)
-    neg = mask & (eps < 0)
+    p0 = float(w[spec.is_zero].sum())
+    pos = ~spec.is_zero & (eps > 0)
+    neg = ~spec.is_zero & (eps < 0)
     pe, pw = cluster_levels(eps[pos], w[pos])
     ne, nw = cluster_levels(-eps[neg][::-1], w[neg][::-1])
     if len(pe) != len(ne) or np.max(np.abs(pe - ne), initial=0.0) > 1e-8:

@@ -215,9 +215,7 @@ def zero_projection(f: FockState | int | str, spec: Spectrum) -> float:
     number.
     """
     idx = spec.basis.index_of(f)
-    if len(spec.zero_indices) == 0:
-        return 0.0
-    return float(spec.weight_row(idx)[spec.zero_indices].sum())
+    return float(spec.weight_row(idx)[spec.is_zero].sum())
 
 
 def scar_state(spec: Spectrum, f: FockState | int | str) -> StateVector:

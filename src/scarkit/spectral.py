@@ -44,18 +44,20 @@ chiral route every view reads one per-column factor map: the factor index
 and the coefficient, pair phase folded in, of each column's even-row (u) and
 odd-row (v) part, the coefficient 0 where the column has no such part.
 
-Kernel tolerance.  `diagonalize` decides the kernel once and records it on
-the `Spectrum`: `zero_tol` is ZERO_MODE_RTOL times the spectral radius (the
-largest |folded level| on the dense route, the largest singular value on the
-chiral route, where it is the rank cut), and `zero_indices` are the columns
-it put in the kernel.  `zero_modes` and `gap_ratio_stats` read both back.
+Kernel tolerance.  The kernel is every level within one tolerance of 0,
+|level| <= `zero_tol`, and `Spectrum` derives it from its levels on every
+route: the mask `is_zero` and the columns `zero_indices`.  A route sets
+only `zero_tol`, ZERO_MODE_RTOL times the spectral radius: the largest
+|folded level| on the dense and Floquet routes, the largest singular value
+on the chiral route, where it is also the rank cut that pairs the factor
+columns.  An all-zero spectrum has `zero_tol` 0, and all of it is kernel.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -321,10 +323,15 @@ class Spectrum:
 
     quasienergies: np.ndarray      # folded into [-omega/2, omega/2), ascending
     vectors: DenseVectors | ChiralPairVectors
-    zero_indices: np.ndarray       # the kernel columns `diagonalize` chose
-    zero_tol: float                # the kernel tolerance it applied
+    zero_tol: float                # the kernel tolerance the route set
     ham: "HamiltonianMatrix"
     residual: float = 0.0          # a Floquet solve's max|M Q - Q lambda|
+    is_zero: np.ndarray = field(init=False)       # |level| <= zero_tol
+    zero_indices: np.ndarray = field(init=False)  # the kernel columns
+
+    def __post_init__(self):
+        self.is_zero = np.abs(self.quasienergies) <= self.zero_tol
+        self.zero_indices = np.flatnonzero(self.is_zero)
 
     @property
     def basis(self):
@@ -416,7 +423,7 @@ def _fold_levels(energies: np.ndarray, ham: "HamiltonianMatrix") -> np.ndarray:
 
 def dense_spectrum(energies: np.ndarray, V: np.ndarray,
                    ham: "HamiltonianMatrix") -> Spectrum:
-    """Spectrum of dense eigenpairs: folded, sorted, phase-fixed, kernel chosen.
+    """Spectrum of dense eigenpairs: folded, sorted and phase-fixed.
 
     `V` holds one eigenvector column per energy; `ham` supplies the basis
     and the drive frequency the energies fold with.
@@ -426,8 +433,7 @@ def dense_spectrum(energies: np.ndarray, V: np.ndarray,
     folded, V = folded[perm], V[:, perm]
     V = _phase_fix(V)
     tol = ZERO_MODE_RTOL * float(np.max(np.abs(folded), initial=0.0))
-    zero_idx = np.flatnonzero(np.abs(folded) < tol)
-    return Spectrum(folded, DenseVectors(V), zero_idx, tol, ham)
+    return Spectrum(folded, DenseVectors(V), tol, ham)
 
 
 def chiral_block(ham: "HamiltonianMatrix"):
@@ -513,14 +519,12 @@ def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
     perm = np.argsort(folded, kind="stable")
     vec = ChiralPairVectors(plus_idx, minus_idx, Uf, Vt, s, r, perm,
                             ham.basis.dipoles)
-    folded = folded[perm]
-    zero_idx = np.flatnonzero(folded == 0.0)
-    return Spectrum(folded, vec, zero_idx, tol, ham)
+    return Spectrum(folded[perm], vec, tol, ham)
 
 
 def zero_modes(spec: Spectrum) -> np.ndarray:
     """The kernel columns; warns if a kept level sits within 10x zero_tol."""
-    kept = np.abs(np.delete(spec.quasienergies, spec.zero_indices))
+    kept = np.abs(spec.quasienergies[~spec.is_zero])
     if len(kept) and kept.min() < 10 * spec.zero_tol:
         warnings.warn(
             f"zero-mode count is tolerance-sensitive: nearest level at "
@@ -548,7 +552,7 @@ def gap_ratio_stats(spec: Spectrum) -> GapRatioStats:
     Kernel and negative levels are excluded; gaps below DEGENERATE_GAP are
     dropped as exact degeneracies.
     """
-    eps = np.delete(spec.quasienergies, spec.zero_indices)
+    eps = spec.quasienergies[~spec.is_zero]
     pos = eps[eps > 0]                     # quasienergies ascend
     if len(pos) < 3:
         raise DomainError("need at least three positive levels for gap ratios")

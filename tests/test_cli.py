@@ -203,8 +203,10 @@ def test_graph_component_filter(capsys):
 
 
 def test_graph_rejects_unknown_class(capsys):
-    code, _, err = run(capsys, "graph", "--L", "6", "--components", "g,zz")
-    assert code == 2 and "zz" in err
+    for emit in ((), ("--emit", "dot")):    # dot draws every edge, but checks
+        code, out, err = run(capsys, "graph", "--L", "6", *emit,
+                             "--components", "g,zz")
+        assert (code, out) == (2, "") and "components" in err and "zz" in err
 
 
 def test_resonance_family_json(capsys):
@@ -800,11 +802,17 @@ def test_cycles_zero_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5"),
     ("reproduce", "--bundle", "revival-spectra", "--cycles", "64"),
+    ("dynamics", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5",
+     "--model", "full", "--cycles", "4"),
+    ("reproduce", "--bundle", "ratio-landscape"),
+    ("hamiltonian", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5"),
 ])
 def test_dense_threshold_zero_exits_2(tmp_path, capsys, argv):
-    extra = ("--outdir", str(tmp_path / "x")) if argv[0] == "reproduce" else ()
-    code, _, err = run(capsys, *argv, *extra, "--dense-threshold", "0")
+    target = tmp_path / "x"
+    flag = "--outdir" if argv[0] == "reproduce" else "--out"
+    code, _, err = run(capsys, *argv, flag, str(target), "--dense-threshold", "0")
     assert code == 2 and "dense_threshold" in err
+    assert not target.exists()
 
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -1068,6 +1076,17 @@ def test_spectrum_kernel_bound_only_on_the_chiral_route(capsys):
                     "--omega", "20", "--u-over-g", "0.7")
     data = json.loads(out)
     assert (data["zero_mode_count"], data["kernel_bound"]) == (0, None)
+
+
+def test_all_zero_raw_spectrum_keeps_its_kernel(tmp_path, capsys):
+    # N = 0: H = [[0]] on the raw route, whose kernel tolerance is then 0
+    out_csv = tmp_path / "s.csv"
+    code, out, _ = run(capsys, "spectrum", "--L", "4", "--N", "0", "--g", "50",
+                       "--u", "0.5", "--omega", "20", "--u-over-g", "0.7",
+                       "--out", str(out_csv))
+    assert code == 0 and json.loads(out)["zero_mode_count"] == 1
+    header, row = out_csv.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["is_zero_mode"] == "1"
 
 
 def test_off_half_filling_runs_f_and_ee(tmp_path, capsys):

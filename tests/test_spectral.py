@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scarkit.dynamics import exact_drive
 from scarkit.errors import CapabilityError, DomainError
 from scarkit.fock_basis import SectorBasis
 from scarkit.hamiltonian import (CSRMatrix, build_effective_general,
                                  build_effective_resonant)
 from scarkit.observables import entropy_profile
 from scarkit.resonance import resonant_family
-from scarkit.spectral import (ZERO_MODE_RTOL, ChiralPairVectors,
+from scarkit.spectral import (ZERO_MODE_RTOL, ChiralPairVectors, DenseVectors,
                               dense_spectrum, diagonalize, fold_quasienergy,
                               gap_ratio_stats, mirror_asymmetry, zero_modes)
 
@@ -120,6 +121,39 @@ def test_spectrum_carries_its_hamiltonian_period_and_tolerance():
     general = diagonalize(build_effective_general(basis, PARAMS))
     assert general.zero_tol == \
         ZERO_MODE_RTOL * float(np.max(np.abs(general.quasienergies)))
+
+
+def _kernel_cases():
+    """(route, spectrum, the route's former kernel columns): chiral routes
+    compared exact zeros, the dense and Floquet routes |level| < zero_tol."""
+    for L, fam, g in [(8, (0, 0, "+"), 50.0), (12, (0, 0, "+"), 50.0),
+                      (8, (0, 1, "-"), 21.0), (12, (0, 1, "-"), 21.0),
+                      (10, (0, 0, "+"), 1.0)]:      # g = 1: levels wrap
+        params = resonant_family(*fam).params(g=g, u=0.5)
+        spec = diagonalize(build_effective_resonant(
+            SectorBasis(L, L // 2), params, *fam))
+        yield "chiral", spec, np.flatnonzero(spec.quasienergies == 0.0)
+    basis = SectorBasis(8, 4)
+    raw = diagonalize(build_effective_general(basis, PARAMS))
+    floquet = exact_drive(basis, FAMILY.params(g=15.0, u=0.5))
+    for route, spec in (("dense", raw), ("floquet", floquet)):
+        yield route, spec, np.flatnonzero(np.abs(spec.quasienergies)
+                                          < spec.zero_tol)
+
+
+def test_kernel_is_every_level_within_the_tolerance_on_every_route():
+    for route, spec, former in _kernel_cases():
+        assert isinstance(spec.vectors, ChiralPairVectors if route == "chiral"
+                          else DenseVectors)
+        levels = np.abs(spec.quasienergies)
+        np.testing.assert_array_equal(spec.zero_indices,
+                                      np.flatnonzero(levels <= spec.zero_tol))
+        np.testing.assert_array_equal(np.flatnonzero(spec.is_zero),
+                                      spec.zero_indices)
+        np.testing.assert_array_equal(spec.zero_indices, former)
+        tighter = dataclasses.replace(spec, zero_tol=0.0)
+        np.testing.assert_array_equal(tighter.zero_indices,
+                                      np.flatnonzero(levels == 0.0))
 
 
 def test_zero_modes_warns_when_a_kept_level_is_near_the_tolerance():
@@ -236,6 +270,8 @@ def test_one_state_sector_views_match_the_dense_route(L, N):
     assert min(vec.n_plus, vec.n_minus) == 0
     a = np.arange(spec.size)
     np.testing.assert_array_equal(spec.quasienergies, dense.quasienergies)
+    # H = 0: both routes' tolerances are 0, and the one level is kernel
+    np.testing.assert_array_equal(dense.zero_indices, [0])
     np.testing.assert_array_equal(vec.columns(a), ref.columns(a))
     np.testing.assert_array_equal(vec.rows(a), ref.rows(a))
     np.testing.assert_array_equal(vec.real_columns(a), ref.columns(a).real)
