@@ -162,7 +162,9 @@ def _congruence(W: np.ndarray, w: np.ndarray) -> np.ndarray:
     pos = w >= 0
     a = np.sqrt(w[pos])[:, None] * W[pos]
     b = np.sqrt(-w[~pos])[:, None] * W[~pos]
-    return a.T @ a - b.T @ b
+    out = a.T @ a
+    out -= b.T @ b
+    return out
 
 
 def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix) -> Spectrum:
@@ -194,10 +196,20 @@ def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix) -> Spectrum:
     x_im = _congruence(W, np.sin(tau * e2))     # W^T e^{-i tau e2} W = x_re - i x_im
     del W
     c, s = np.cos(tau * e1 / 2.0 + phi / 2.0), np.sin(tau * e1 / 2.0 + phi / 2.0)
-    g_re = np.outer(c, c) - np.outer(s, s)      # e^{-i phi} d_i d_j = g_re - i g_im
-    g_im = np.outer(s, c) + np.outer(c, s)
-    C = g_re * x_re - g_im * x_im
-    B = -(g_re * x_im + g_im * x_re)
+    g_re = np.outer(c, c)        # e^{-i phi} d_i d_j = g_re - i g_im
+    g_re -= np.outer(s, s)
+    g_im = np.outer(s, c)
+    g_im += np.outer(c, s)
+    # B = -(g_re x_im + g_im x_re) and C = g_re x_re - g_im x_im, formed
+    # in place over x_re and x_im
+    B = g_im * x_re
+    x_re *= g_re
+    g_re *= x_im
+    B += g_re
+    x_im *= g_im
+    x_re -= x_im
+    np.negative(B, out=B)
+    C = x_re
     del g_re, g_im, x_re, x_im
     mu, Q = np.linalg.eigh(C)
     del C
@@ -209,7 +221,9 @@ def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix) -> Spectrum:
     del bq
     c, s = np.cos(tau * e1 / 2.0), np.sin(tau * e1 / 2.0)   # conj(d) = c + i s
     P = np.empty(V1.shape, dtype=np.complex128)
-    P.real, P.imag = V1 @ (c[:, None] * Q), V1 @ (s[:, None] * Q)
+    P.real = V1 @ (c[:, None] * Q)
+    P.imag = V1 @ (s[:, None] * Q)
+    del V1, Q
     energies = -(phi + np.angle(mu + 1j * sigma)) / h1.params.T
     return replace(dense_spectrum(energies, P, h1), residual=residual)
 

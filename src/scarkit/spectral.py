@@ -25,7 +25,14 @@ residuals |C v_i - s_i u_i| grow as eps s_0^2 / s_i, where the SVD's stay
 near eps s_0 (2.6e-12 s_0 for the smallest s at L = 14 (0,1,-)).  Either
 way the kernel columns go through `canonical_kernel`, which makes them a
 function of the kernel alone, not of the factorization's choice of basis
-in it.
+in it.  No dense C is alive across the `eigh`: `chiral_block` hands
+`chiral_svd` a `cut` that makes C afresh, once for G = A A^T and once for
+A^T W[:, :k] (or the fallback SVD), each copy dropped right after its
+product.  So the `eigh` holds only numpy's floor of five n^2 arrays (n the
+larger side): G, numpy's copy of it, syevd's 2 n^2 workspace and W, and
+that sets the route's peak: VmHWM 151 MiB at L = 14 and 1,653 MiB at
+L = 16 (0,0,+), build included, against 172 and 1,968 MiB with C held.
+Re-cutting C costs under 2 ms at L = 14.
 
 Real frame.  With A = -iH real antisymmetric, e^{-iHt} = e^{tA} is a real
 orthogonal matrix, so a real start (every Fock state) stays real and
@@ -89,12 +96,6 @@ def _pivots(M: np.ndarray, axis: int) -> np.ndarray:
     of M; ties go to the lowest index."""
     idx = np.expand_dims(np.abs(M).argmax(axis=axis), axis)
     return np.take_along_axis(M, idx, axis=axis).squeeze(axis)
-
-
-def _phase_fix(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
-    pivot = _pivots(V, 0)
-    return V * (np.abs(pivot) / pivot)
 
 
 class DenseVectors:
@@ -431,32 +432,34 @@ def dense_spectrum(energies: np.ndarray, V: np.ndarray,
     folded = _fold_levels(energies, ham)
     perm = np.argsort(folded, kind="stable")
     folded, V = folded[perm], V[:, perm]
-    V = _phase_fix(V)
+    pivot = _pivots(V, 0)      # made real positive, in place on the copy
+    V *= np.abs(pivot) / pivot
     tol = ZERO_MODE_RTOL * float(np.max(np.abs(folded), initial=0.0))
     return Spectrum(folded, DenseVectors(V), tol, ham)
 
 
 def chiral_block(ham: "HamiltonianMatrix"):
-    """(plus_idx, minus_idx, C) of a purely imaginary stored matrix: the
-    even- and odd-parity basis positions and the real off-diagonal block
-    C (rows even, columns odd), cut straight from the stored imaginary
-    parts.  Refused (`DomainError`) if an entry is stored between
-    equal-parity states.  The check reads the stored positions, not their
-    values, so an all-zero matrix (u = 0) is chiral too."""
+    """(plus_idx, minus_idx, cut) of a purely imaginary stored matrix: the
+    even- and odd-parity basis positions, and a zero-argument `cut` that
+    returns a fresh dense copy of the real off-diagonal block C (rows even,
+    columns odd), cut straight from the stored imaginary parts.  Refused
+    (`DomainError`) if an entry is stored between equal-parity states.  The
+    check reads the stored positions, not their values, so an all-zero
+    matrix (u = 0) is chiral too."""
     m = ham.matrix
     parities = ham.basis.parities
     plus_idx = np.flatnonzero(parities == 1)
     minus_idx = np.flatnonzero(parities == -1)
     if np.any(parities[m.row_indices()] == parities[m.indices]):
         raise DomainError("matrix couples equal-parity states; not chiral")
-    C = replace(m, phase=1).block(plus_idx, minus_idx)
-    return plus_idx, minus_idx, C
+    stored = replace(m, phase=1)
+    return plus_idx, minus_idx, lambda: stored.block(plus_idx, minus_idx)
 
 
-def chiral_svd(C: np.ndarray):
-    """The full SVD factors (U, s, V^T) of C, from one `eigh` of the Gram
-    matrix A A^T of the larger side A (C, or C^T when C has more columns
-    than rows).
+def chiral_svd(cut):
+    """The full SVD factors (U, s, V^T) of the C that `cut()` returns, from
+    one `eigh` of the Gram matrix A A^T of the larger side A (C, or C^T
+    when C has more columns than rows).
 
     The eigenvectors W, ordered by descending eigenvalue lambda, are the
     larger side's full factor, its kernel included.  The top k = A.shape[1]
@@ -466,22 +469,30 @@ def chiral_svd(C: np.ndarray):
     rounding, and for the smallest s at L = 14 ten times closer to the
     SVD's.  Where lambda_k <= GRAM_RANK_FLOOR lambda_0, C may lack full
     rank on its smaller side too, and the factors come from the full SVD
-    instead.
+    of C instead.
+
+    C is cut afresh for each product that reads it (G = A A^T, then
+    A^T W[:, :k], or the fallback SVD) and dropped right after, so none is
+    alive across the `eigh` or the Newton-Schulz step.
     """
-    A = C if C.shape[0] >= C.shape[1] else C.T
+    A = cut()
+    tall = A.shape[0] >= A.shape[1]
+    A = A if tall else A.T
     k = A.shape[1]
     G = A @ A.T
+    del A
     G *= -1.0               # eigh ascends: -G gives the largest lambda first
     lam, W = np.linalg.eigh(G)
     del G
     lam *= -1.0
     if not (k and lam[k - 1] > GRAM_RANK_FLOOR * lam[0]):
-        return np.linalg.svd(C, full_matrices=True)
-    X = A.T @ W[:, :k]
+        del W
+        return np.linalg.svd(cut(), full_matrices=True)
+    X = (cut().T if tall else cut()) @ W[:, :k]      # A^T W[:, :k]
     s = np.linalg.norm(X, axis=0)
     X /= s
     X = X @ (1.5 * np.eye(k) - 0.5 * (X.T @ X))
-    return (W, s, X.T) if A is C else (X, s, W.T)
+    return (W, s, X.T) if tall else (X, s, W.T)
 
 
 def canonical_kernel(K: np.ndarray) -> np.ndarray:
@@ -504,11 +515,10 @@ def canonical_kernel(K: np.ndarray) -> np.ndarray:
 
 
 def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
-    plus_idx, minus_idx, C = chiral_block(ham)
+    plus_idx, minus_idx, cut = chiral_block(ham)
     # numpy's LAPACK, not scipy.linalg: scipy links a second OpenBLAS whose
     # thread pool contends with numpy's (README)
-    Uf, s, Vt = chiral_svd(C)
-    del C
+    Uf, s, Vt = chiral_svd(cut)
     tol = ZERO_MODE_RTOL * (float(s[0]) if len(s) else 0.0)
     r = int(np.count_nonzero(s > tol))
     Uf[:, r:] = canonical_kernel(Uf[:, r:])

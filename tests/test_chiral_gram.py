@@ -6,6 +6,8 @@ then go through `canonical_kernel`.  The SVD stays here as the oracle
 (`chiral_oracles.svd_factors`).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ def test_gram_factors_match_the_svd(L, family):
     ham = resonant_ham(L, family)
     vec = spectral.diagonalize(ham).vectors
     U, s, Vt, r = vec.Uf, vec.s, vec.Vt, vec.rank
-    _, _, C = spectral.chiral_block(ham)
+    C = spectral.chiral_block(ham)[2]()
     U0, s0, Vt0 = oracle.svd_factors(C)
     assert U.shape == U0.shape and Vt.shape == Vt0.shape
     assert r == len(s) == int(np.count_nonzero(
@@ -49,6 +51,35 @@ def test_gram_factors_match_the_svd(L, family):
     assert np.max(np.abs(Vt[r:] - Vt0[r:]), initial=0.0) <= 1e-9
 
 
+# L = 8 takes the Gram matrix C C^T, L = 12 C^T C, L = 14 the square C's
+@pytest.mark.parametrize("L, family", [(8, (0, 0, "+")), (8, (0, 1, "-")),
+                                       (12, (0, 0, "+")), (12, (0, 1, "-")),
+                                       (14, (0, 0, "+"))])
+def test_no_dense_block_is_alive_across_the_gram_eigh(L, family, monkeypatch):
+    # at the Gram eigh's entry the route holds G, the parity index arrays
+    # and a few small objects, but no dense copy of C, which would add
+    # C's bytes, nearly G's
+    ham = resonant_ham(L, family)
+    ham.basis.parities                      # cached before the baseline
+    eigh, seen = np.linalg.eigh, []
+
+    def traced_eigh(a, *args, **kw):
+        seen.append((tracemalloc.get_traced_memory()[0] - base, a.nbytes))
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", traced_eigh)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spectral.diagonalize(ham)
+    finally:
+        tracemalloc.stop()
+    held, gram = seen[0]                    # the Gram eigh comes first
+    split = ham.basis.chiral_split()
+    assert gram == 8 * max(split.n_plus, split.n_minus) ** 2
+    assert held <= gram + 8 * ham.basis.size + 8192, held / gram
+
+
 @extended
 def test_gram_kernel_matches_the_svd_at_L16():
     ham = resonant_ham(16, (0, 0, "+"))
@@ -56,7 +87,7 @@ def test_gram_kernel_matches_the_svd_at_L16():
     r = vec.rank
     kernels = vec.Uf[:, r:].copy(), vec.Vt[r:].copy()
     del vec
-    _, _, C = spectral.chiral_block(ham)
+    C = spectral.chiral_block(ham)[2]()
     U0, _, Vt0 = oracle.svd_factors(C)
     assert kernels[0].shape[1] + kernels[1].shape[0] == 70
     assert np.max(np.abs(kernels[0] - U0[:, r:]), initial=0.0) <= 1e-9
@@ -64,7 +95,7 @@ def test_gram_kernel_matches_the_svd_at_L16():
 
 
 def test_canonical_kernel_ignores_the_basis_it_is_given():
-    _, _, C = spectral.chiral_block(resonant_ham(12, (0, 1, "-")))
+    C = spectral.chiral_block(resonant_ham(12, (0, 1, "-")))[2]()
     _, s, Vt = np.linalg.svd(C, full_matrices=True)
     K = Vt[len(s):].T                       # the 20 odd-side kernel columns
     R, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(20, 20)))
@@ -83,12 +114,12 @@ def test_rank_deficient_smaller_side_falls_back_to_the_svd(shape, monkeypatch):
     monkeypatch.setattr(spectral.np.linalg, "svd",
                         lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
     C = np.random.default_rng(3).normal(size=shape)
-    assert spectral.chiral_svd(C)[1].shape == (5,) and calls == []
+    assert spectral.chiral_svd(lambda: C)[1].shape == (5,) and calls == []
     if shape[0] > shape[1]:
         C[:, 3] = C[:, 1]
     else:
         C[3] = C[1]
-    got = spectral.chiral_svd(C)
+    got = spectral.chiral_svd(lambda: C)
     want = svd(C, full_matrices=True)
     assert calls == [shape]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -1,6 +1,7 @@
 """Stroboscopic evolution: effective and exact routes, spectra, ensembles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from scarkit.errors import DomainError, NumericalError
 from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.graph import tower_states
 from scarkit.hamiltonian import (ModelParams, build_effective_general,
-                                 build_effective_resonant)
+                                 build_effective_resonant, build_half_period)
 from scarkit.observables import (StateVector, entanglement_entropy, fock_vector,
                                  schmidt_entropies)
 from scarkit.resonance import resonant_family
@@ -237,6 +238,23 @@ def test_floquet_route_matches_stepping_oracle(L, g):
     diff = _floquet_vs_stepping(L, g, _drive_starts(L), cycles,
                                 ("F", "EE", "Pt"))
     assert max(diff.values()) < 1e-10, diff
+
+
+def test_floquet_spectrum_footprint_at_L12():
+    # the traced peak is six float64 D^2 arrays, reached while x_im is
+    # formed and again while B is: B and C are formed in place over x_re
+    # and x_im
+    basis = SectorBasis(12, 6)
+    params = resonant_family(0, 0, "+").params(g=15.0, u=0.5)
+    halves = [build_half_period(basis, params, i) for i in (1, 2)]
+    dynamics.exact_drive(SectorBasis(4, 2), params)       # lazy imports
+    tracemalloc.start()
+    try:
+        dynamics.floquet_spectrum(*halves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.1 * 8 * basis.size ** 2, peak / (8 * basis.size ** 2)
 
 
 @extended

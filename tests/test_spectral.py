@@ -1,6 +1,7 @@
 """Diagonalization routes, folding, kernel extraction, level statistics."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from scarkit.dynamics import exact_drive
 from scarkit.errors import CapabilityError, DomainError
 from scarkit.fock_basis import SectorBasis
-from scarkit.hamiltonian import (CSRMatrix, build_effective_general,
+from scarkit.hamiltonian import (CSRMatrix, ModelParams,
+                                 build_effective_general,
                                  build_effective_resonant)
 from scarkit.observables import entropy_profile
 from scarkit.resonance import resonant_family
@@ -233,6 +235,22 @@ def test_general_route_produces_dense_vectors():
     V = spec.vectors.columns(np.arange(spec.size))
     resid = A @ V - V * spec.quasienergies[None, :]
     assert np.max(np.abs(resid)) < 1e-11
+
+
+def test_dense_route_keeps_one_permuted_copy():
+    # eigh's V, its column-permuted copy (phase-fixed in place) and the real
+    # |V| the pivots read: 2.5 complex D^2 arrays at the traced peak
+    basis = SectorBasis(12, 6)
+    ham = build_effective_general(
+        basis, ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0))
+    diagonalize(build_effective_general(SectorBasis(4, 2), ham.params))
+    tracemalloc.start()
+    try:
+        diagonalize(ham)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 16 * basis.size ** 2, peak / (16 * basis.size ** 2)
 
 
 def test_capability_refusal_above_threshold():
