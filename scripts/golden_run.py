@@ -174,6 +174,14 @@ COMMANDS = [
     ("graph", "--L", "6", "--emit", "dot", "--components", "zz"),
     ("dynamics", "--L", "6", *_RES, "--model", "full", "--dense-threshold", "0",
      "--out", "never.csv"),
+    # refused before any work: exit 2, no outdir and nothing written
+    ("reproduce", "--bundle", "revival-spectra", "--cycles", "10",
+     "--outdir", "b_revival_short"),
+    ("dynamics", "--L", "6", *_RES, "--cycles", "10", "--fft",
+     "--out", "never.csv"),
+    ("basis", "--L", "4", "--threads", "0"),
+    ("resonance", "--grid", "1:2:0,1:2:3", "--omega", "20", "--u", "0.5",
+     "--out", "never.csv"),
 ]
 
 

@@ -17,20 +17,19 @@ _EXPORTS = {
     "dipole_moment": ".fock_basis",
     "parity_dim_sums": ".fock_basis", "pinnacle_state": ".fock_basis",
     "pinnacle_in_larger_sector": ".fock_basis", "subspace_dims": ".fock_basis",
-    "CSRMatrix": ".hamiltonian",
+    "CSRMatrix": ".hamiltonian", "ResonantFamily": ".hamiltonian",
     "HOP_CLASSES": ".hamiltonian", "HamiltonianMatrix": ".hamiltonian",
     "ModelParams": ".hamiltonian", "amplitudes_general": ".hamiltonian",
-    "build_effective_general": ".hamiltonian",
+    "build_effective_general": ".hamiltonian", "fold_quasienergy": ".hamiltonian",
     "build_effective_resonant": ".hamiltonian", "build_half_period": ".hamiltonian",
     "build_hop": ".hamiltonian", "build_onsite": ".hamiltonian",
     "hop_moves": ".hamiltonian", "resonant_amplitudes": ".hamiltonian",
-    "AmplitudeRatios": ".resonance", "ResonantFamily": ".resonance",
-    "amplitude_ratio": ".resonance", "is_resonant": ".resonance",
-    "resonant_family": ".resonance", "scan_ratio_grid": ".resonance",
+    "resonant_family": ".hamiltonian",
+    "AmplitudeRatios": ".resonance", "amplitude_ratio": ".resonance",
+    "is_resonant": ".resonance", "scan_ratio_grid": ".resonance",
     "GapRatioStats": ".spectral", "Spectrum": ".spectral",
-    "diagonalize": ".spectral", "fold_quasienergy": ".spectral",
-    "gap_ratio_stats": ".spectral", "mirror_asymmetry": ".spectral",
-    "zero_modes": ".spectral",
+    "diagonalize": ".spectral", "gap_ratio_stats": ".spectral",
+    "mirror_asymmetry": ".spectral", "zero_modes": ".spectral",
     "HilbertGraph": ".graph", "Tower": ".graph", "build_graph": ".graph",
     "components": ".graph", "spta_matrix": ".graph", "to_dot": ".graph",
     "tower_states": ".graph",

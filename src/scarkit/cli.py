@@ -210,8 +210,8 @@ def _check_writable_dir(key: str, path: str, directory: str) -> None:
 def _check_options(opts: dict) -> None:
     """Refuse, before anything is built, values that no handler can use.
 
-    Non-finite drive parameters, a dense threshold below 1 (also where
-    nothing is diagonalized), a negative seed, an empty output path or
+    Non-finite drive parameters, a dense threshold or thread count below 1
+    (also where nothing uses it), a negative seed, an empty output path or
     `outdir`, and an output path whose directory is missing or unwritable
     (`outdir` itself may be missing, its parent not).
     """
@@ -220,6 +220,7 @@ def _check_options(opts: dict) -> None:
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value}")
     _positive(opts, "dense_threshold", None)
+    _positive(opts, "threads", None)
     if opts.get("seed") is not None and opts["seed"] < 0:
         raise ConfigError(f"seed: must be >= 0, got {opts['seed']}")
     for key in (*_OUTPUT_FILES, "outdir"):
@@ -282,7 +283,7 @@ def _manifest_path(opts: dict, primary_output: str | None) -> str | None:
 # ------------------------------------------------------- parameter helpers
 
 def _parse_family(text: str):
-    from .resonance import resonant_family
+    from .hamiltonian import resonant_family
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 3:
         raise ConfigError("family: expected k1,k2,branch (e.g. 0,0,+)")
@@ -363,14 +364,8 @@ def _parse_initial(text: str, basis):
             state = FockState.from_string(text.removeprefix("bits:"))
         elif text.startswith(("te_p:", "te_h:")):
             from .graph import tower_states
-            branch, q_text = text.split(":", 1)
-            N = basis.L // 2
-            q = int(q_text)
-            if not 1 <= q <= N:
-                raise ConfigError(f"initial: excursion index {q} outside 1..{N}")
-            # eaves: hole excursions N..2, the shared one, particle 2..N
-            eaves = tower_states(basis.L).eaves
-            state = eaves[N - 2 + q] if branch == "te_p" else eaves[N - q]
+            q = int(text.split(":", 1)[1])
+            state = tower_states(basis.L).excursion(q, hole=text.startswith("te_h"))
         else:
             raise ConfigError(f"initial: unrecognized form {text!r}")
         basis.index_of(state)
@@ -384,13 +379,16 @@ def _parse_grid(text: str):
         u_part, g_part = str(text).split(",")
         axes = [part.split(":") for part in (u_part, g_part)]
         axes = [(float(lo), float(hi), int(n)) for lo, hi, n in axes]
-        if all(0 < b < math.inf for lo, hi, _ in axes for b in (lo, hi)):
-            return [np.linspace(*axis) for axis in axes]
     except ValueError as exc:
         raise ConfigError(f"grid: expected U0:U1:n,g0:g1:m ({exc})") from exc
     # refused before linspace, which warns on a non-finite bound; U and g
-    # must be positive
-    raise ConfigError(f"grid: bounds must be finite and positive, got {text!r}")
+    # must be positive, and an axis with no sample scans nothing
+    if not all(0 < b < math.inf for lo, hi, _ in axes for b in (lo, hi)):
+        raise ConfigError("grid: bounds must be finite and positive, "
+                          f"got {text!r}")
+    if not all(n >= 1 for *_, n in axes):
+        raise ConfigError(f"grid: each axis needs n >= 1 samples, got {text!r}")
+    return [np.linspace(*axis) for axis in axes]
 
 
 def _build_effective(basis, params, family):
@@ -643,6 +641,9 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
         raise ConfigError(f"observables: S_EE needs a half-chain cut "
                           f"(L >= 2), got L={basis.L}")
     out = _require(opts, "out")
+    if opts.get("fft"):
+        with _keyed("fft"):     # cycles + 1 samples, refused before any solve
+            dynamics.check_fta_length(cycles + 1)
     dynamics.check_cycles(cycles, len(init["starts"]) * len(wanted))
     if model == "full":
         source = dynamics.exact_drive(basis, _resolve_params(opts)[0])
@@ -661,12 +662,10 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
     if init["kind"] == "random":
         header += [s.label + "_sd" for s in picked]
         columns += [s.sd for s in picked]
-    if opts.get("fft"):
-        with _keyed("fft"):     # refused before anything is written
-            freqs, amps = dynamics.fta(series[wanted[0]].values)
     _write_csv(out, header, [np.arange(len(columns[0])), *columns])
 
     if opts.get("fft"):
+        freqs, amps = dynamics.fta(series[wanted[0]].values)
         fft_path = opts.get("fft_out") or (os.path.splitext(out)[0] + "_fft.csv")
         _write_csv(fft_path, ["freq_rad_per_cycle", "amplitude"], [freqs, amps])
     return {"dimension": basis.size, "model": model,
@@ -826,10 +825,12 @@ def _cmd_reproduce(opts: dict) -> tuple:
                         f"{bundle} --scale {scale}: the L = {L} sector")
     cycles = _positive(opts, "cycles", None)    # refused before outdir is made
     if cycles is not None:
-        from .dynamics import OBSERVABLES, check_cycles
+        from .dynamics import OBSERVABLES, check_cycles, check_fta_length
         check_cycles(cycles, _ENSEMBLE * len(OBSERVABLES))
         if bundle == "revival-spectra":   # its closed forms: C(L, L/2) x (K+1)
             check_cycles(cycles, math.comb(sizes[-1], sizes[-1] // 2))
+            with _keyed("cycles"):        # the spectra of K + 1 samples
+                check_fta_length(cycles + 1)
     outdir = opts.get("outdir") or f"{bundle}-{scale}"
     os.makedirs(outdir, exist_ok=True)
     result = runner(opts, outdir, sizes)
@@ -949,8 +950,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_options(opts)
         if opts.get("threads") is not None:
             # set before any handler imports numpy; overrides inherited sizes
-            n = str(max(1, opts["threads"]))
-            os.environ.update(dict.fromkeys(_THREAD_VARS, n))
+            os.environ.update(dict.fromkeys(_THREAD_VARS, str(opts["threads"])))
         payload, primary_output = _HANDLERS[ns.command](opts)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

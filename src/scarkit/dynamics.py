@@ -27,12 +27,11 @@ from .graph import Tower, spta_matrix, tower_states
 from .hamiltonian import HamiltonianMatrix, ModelParams, build_half_period
 from .observables import (NORM_TOL, StateVector, cluster_levels,
                           fock_vector, schmidt_entropies)
-from .spectral import Spectrum, dense_spectrum
+from .spectral import Spectrum, check_drift, dense_spectrum
 
 FULL_DENSE_MAX = 4096       # exact drive as a Floquet spectrum up to this dimension
 FLOQUET_MIX_ANGLE = 0.5 * (math.sqrt(5.0) - 1.0)   # generic angle: splits Re/Im of the cycle
 DEFAULT_CYCLES = 4096
-UNITARITY_TOL = 1e-8
 STATE_BLOCK_BYTES = 2_000_000_000
 EE_CHUNK = 128              # states per block of the streamed series
 PHASE_CHUNK = 512           # cycles per phase block of the F and P_t series
@@ -249,7 +248,7 @@ class SteppedDrive:
 
         One pass steps to ks[-1]; once the caller has taken the last block
         and asks for the next, the norm is checked: a drift above
-        UNITARITY_TOL per cycle stepped raises NumericalError.
+        UNITARITY_TOL per cycle stepped is refused (`check_drift`).
         """
         psi, done = psi0.astype(np.complex128), 0
         for lo in range(0, len(ks), width):
@@ -261,9 +260,7 @@ class SteppedDrive:
                 done = k
                 block[:, col] = psi
             yield block
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        if drift > UNITARITY_TOL * max(done, 1):
-            raise NumericalError(f"unitarity drift {drift:.2e} over {done} cycles")
+        check_drift(abs(np.linalg.norm(psi) - 1.0), done, "unitarity drift")
 
 
 def exact_drive(basis: SectorBasis, params: ModelParams) -> Spectrum | SteppedDrive:
@@ -352,12 +349,17 @@ def fta(series) -> tuple[np.ndarray, np.ndarray]:
     """
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series)
     n = len(values)
-    if n < 64:
-        raise DomainError(f"series of length {n} too short for a spectrum")
+    check_fta_length(n)
     amps = np.abs(np.fft.rfft(np.asarray(values, dtype=np.float64)))[1:]
     freqs = 2.0 * np.pi * np.arange(1, len(amps) + 1) / n
     peak = amps.max()
     return freqs, amps / peak if peak > 0 else amps
+
+
+def check_fta_length(n: int) -> None:
+    """Refuse (`DomainError`) a series of n < 64 samples, too short for `fta`."""
+    if n < 64:
+        raise DomainError(f"series of length {n} too short for a spectrum")
 
 
 def local_maxima(x: np.ndarray, height: float | None = None) -> np.ndarray:

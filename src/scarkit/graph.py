@@ -149,6 +149,13 @@ class Tower:
     def indices(self, basis: SectorBasis) -> np.ndarray:
         return np.array([basis.index_of(s) for s in self.states], dtype=np.intp)
 
+    def excursion(self, q: int, hole: bool = False) -> FockState:
+        """The particle excursion q (with `hole`, the hole one), 1 <= q <= N."""
+        N = self.L // 2
+        if not 1 <= q <= N:
+            raise DomainError(f"excursion index {q} outside 1..{N}")
+        return self.eaves[N - q if hole else N - 2 + q]
+
     def membership_mask(self, basis: SectorBasis) -> np.ndarray:
         mask = np.zeros(basis.size, dtype=bool)
         mask[self.indices(basis)] = True

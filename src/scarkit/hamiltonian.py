@@ -10,6 +10,9 @@ ends) in configuration (0,1) / equal / (1,0), the energy barrier of the hop is
 |g-U| / g / g+U respectively. Averaging the drive over one period at first
 order gives each hop class a complex amplitude; at a drive resonance these
 collapse to the purely imaginary values built by `build_effective_resonant`.
+All three barriers resonate at once only on `resonant_family` members (U/g
+exact), which the resonant builder checks; `fold_quasienergy` is the one
+fold into [-omega/2, omega/2), for builders, spectra and ratio scans.
 
 Adjacent hops in a site-ordered fermion basis carry no Jordan-Wigner string
 sign (no occupied site can sit between the two bond sites), so the builders
@@ -34,12 +37,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .fock_basis import SectorBasis
-from .spectral import fold_quasienergy
 
 HOP_CLASSES = ("g-U", "g", "g+U")
 DROP_CHUNK = 1 << 16      # entries `_hop_csr` scans at a time when dropping zeros
@@ -70,6 +73,60 @@ class ModelParams:
     @property
     def T(self) -> float:
         return 2.0 * math.pi / self.omega
+
+
+def fold_quasienergy(energy, omega: float):
+    """Fold an energy (or an array of them) into [-omega/2, omega/2).
+
+    The upper endpoint maps to -omega/2, keeping the window half open.
+    """
+    if omega <= 0:
+        raise DomainError(f"omega must be positive, got {omega}")
+    floor = math.floor if isinstance(energy, float) else np.floor  # same value
+    return energy - omega * floor(energy / omega + 0.5)
+
+
+@dataclass(frozen=True)
+class ResonantFamily:
+    """One member of the two-branch family on which all three barriers resonate.
+
+    U_over_g is exact: 1 +/- (2*k1+1)/(2*k2+1), the minus branch requiring
+    k2 > k1 to keep the interaction repulsive.  g_over_omega = 2*k2 + 1, and
+    k3 indexes the resonance order of the g+U process.
+    """
+
+    k1: int
+    k2: int
+    branch: str
+    U_over_g: Fraction
+    g_over_omega: int
+    k3: int
+
+    def params(self, g: float, u: float, J: float = 1.0) -> ModelParams:
+        """Concrete model parameters at tilt g and drive amplitude u."""
+        return ModelParams(g=g, U=g * float(self.U_over_g), u=u,
+                           omega=g / self.g_over_omega, J=J)
+
+    def barriers(self, g: float) -> tuple[float, float, float]:
+        return (abs(g - g * float(self.U_over_g)), g, g + g * float(self.U_over_g))
+
+
+def resonant_family(k1: int, k2: int, branch: str) -> ResonantFamily:
+    """The family member at integer indices (k1, k2) on the given branch."""
+    if k1 < 0 or k2 < 0:
+        raise DomainError(f"family indices must be non-negative, got ({k1}, {k2})")
+    if branch == "+":
+        ratio = 1 + Fraction(2 * k1 + 1, 2 * k2 + 1)
+        k3 = 2 * k2 + k1 + 1
+    elif branch == "-":
+        if k2 <= k1:
+            raise DomainError(
+                f"branch '-' needs k2 > k1 to keep U > 0, got k1={k1}, k2={k2}")
+        ratio = 1 - Fraction(2 * k1 + 1, 2 * k2 + 1)
+        k3 = 2 * k2 - k1
+    else:
+        raise DomainError(f"branch must be '+' or '-', got {branch!r}")
+    return ResonantFamily(k1, k2, branch, ratio, 2 * k2 + 1, k3)
 
 
 def hop_class_code(n_left, n_right):
@@ -125,7 +182,6 @@ def resonant_amplitudes(params: ModelParams, k1: int, k2: int,
     are refused, and so is a drive amplitude u so large that an Ac
     overflows.
     """
-    from .resonance import resonant_family    # resonance imports this module
     family = resonant_family(k1, k2, branch)
     ratio, q = float(family.U_over_g), family.g_over_omega
     a = params.U / params.g
@@ -149,8 +205,8 @@ class CSRMatrix:
 
     Row i stores its entries at `indptr[i]:indptr[i+1]` of `indices` (the
     columns, ascending, each once) and `data`.  The builders assemble it in
-    that canonical order by construction (`_hop_csr`), with no sort; the
-    index arrays are int32 whenever they fit.  The matrix is `phase` times
+    that canonical order by construction (`_hop_csr`), with no sort and
+    int32 index arrays.  The matrix is `phase` times
     the stored entries, with `phase` 1 or 1j: a purely imaginary matrix
     stores its imaginary parts as float64, 8 bytes an entry, and every view
     reads the complex values with +0.0 real parts.  The dense views write
@@ -340,9 +396,9 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
     if diag is not None:
         counts += 1
     nnz = int(counts.sum(dtype=np.int64))
-    # the count before zeros are dropped; a sector (SECTOR_MAX) has far
-    # fewer than 2^31 entries either way
-    index = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    # int32 indices: a row holds at most L <= 63 entries and a sector at most
+    # SECTOR_MAX = 2^24 rows, so nnz < 2^31
+    index = np.int32
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(counts, out=indptr[1:])
     del counts

@@ -4,19 +4,20 @@ A tunneling process with static energy barrier ``delta`` is resonant with the
 square-wave drive when ``|delta|`` is zero or an odd multiple of the driving
 frequency.  All three barrier classes (|g-U|, g, g+U) are resonant
 simultaneously only on discrete parameter families: g an odd multiple of
-omega and U/g displaced from 1 by an odd/odd rational.
+omega and U/g displaced from 1 by an odd/odd rational, the families of
+`hamiltonian.resonant_family`, which the resonant builder checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import ModelParams, _drive_averaged_amplitude
-from .spectral import fold_quasienergy
+from .hamiltonian import (ModelParams, ResonantFamily,  # noqa: F401
+                          _drive_averaged_amplitude, fold_quasienergy,
+                          resonant_family)    # the family names stay bound here
 
 RESONANCE_RTOL = 1e-9
 # folded barrier below this is reported as a divergent ratio, not an error
@@ -36,49 +37,6 @@ def is_resonant(delta: float, omega: float) -> bool:
         return True
     m = round(d / omega)
     return m % 2 == 1 and abs(d - m * omega) <= RESONANCE_RTOL * m * omega
-
-
-@dataclass(frozen=True)
-class ResonantFamily:
-    """One member of the two-branch family on which all three barriers resonate.
-
-    U_over_g is exact: 1 +/- (2*k1+1)/(2*k2+1), the minus branch requiring
-    k2 > k1 to keep the interaction repulsive.  g_over_omega = 2*k2 + 1, and
-    k3 indexes the resonance order of the g+U process.
-    """
-
-    k1: int
-    k2: int
-    branch: str
-    U_over_g: Fraction
-    g_over_omega: int
-    k3: int
-
-    def params(self, g: float, u: float, J: float = 1.0) -> ModelParams:
-        """Concrete model parameters at tilt g and drive amplitude u."""
-        return ModelParams(g=g, U=g * float(self.U_over_g), u=u,
-                           omega=g / self.g_over_omega, J=J)
-
-    def barriers(self, g: float) -> tuple[float, float, float]:
-        return (abs(g - g * float(self.U_over_g)), g, g + g * float(self.U_over_g))
-
-
-def resonant_family(k1: int, k2: int, branch: str) -> ResonantFamily:
-    """The family member at integer indices (k1, k2) on the given branch."""
-    if k1 < 0 or k2 < 0:
-        raise DomainError(f"family indices must be non-negative, got ({k1}, {k2})")
-    if branch == "+":
-        ratio = 1 + Fraction(2 * k1 + 1, 2 * k2 + 1)
-        k3 = 2 * k2 + k1 + 1
-    elif branch == "-":
-        if k2 <= k1:
-            raise DomainError(
-                f"branch '-' needs k2 > k1 to keep U > 0, got k1={k1}, k2={k2}")
-        ratio = 1 - Fraction(2 * k1 + 1, 2 * k2 + 1)
-        k3 = 2 * k2 - k1
-    else:
-        raise DomainError(f"branch must be '+' or '-', got {branch!r}")
-    return ResonantFamily(k1, k2, branch, ratio, 2 * k2 + 1, k3)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Diagonalization, folding, zero modes, and level statistics.
+"""Diagonalization, folded levels, zero modes, level statistics, drift bound.
 
 Two eigensolver routes live here. Generic Hermitian matrices go through dense
 `eigh`. The resonant stroboscopic Hamiltonian is purely imaginary with zero
@@ -65,30 +65,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericalError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .hamiltonian import HamiltonianMatrix
+from .hamiltonian import HamiltonianMatrix, fold_quasienergy
 
 DENSE_EIG_DEFAULT = 20000       # refuse eigh / SVD above this sector dimension
 ZERO_MODE_RTOL = 1e-9           # kernel tolerance relative to the spectral radius
 DEGENERATE_GAP = 1e-12          # level gaps below this are exact degeneracies
 GRAM_RANK_FLOOR = 1e-12         # chiral Gram route needs lambda_k > this * lambda_0
-
-
-def fold_quasienergy(energy, omega: float):
-    """Fold an energy (or an array of them) into [-omega/2, omega/2).
-
-    The upper endpoint maps to -omega/2, keeping the window half open.
-    """
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    floor = math.floor if isinstance(energy, float) else np.floor  # same value
-    return energy - omega * floor(energy / omega + 0.5)
+UNITARITY_TOL = 1e-8            # the exact drive's error bound per cycle
 
 
 def _pivots(M: np.ndarray, axis: int) -> np.ndarray:
@@ -325,7 +312,7 @@ class Spectrum:
     quasienergies: np.ndarray      # folded into [-omega/2, omega/2), ascending
     vectors: DenseVectors | ChiralPairVectors
     zero_tol: float                # the kernel tolerance the route set
-    ham: "HamiltonianMatrix"
+    ham: HamiltonianMatrix
     residual: float = 0.0          # a Floquet solve's max|M Q - Q lambda|
     is_zero: np.ndarray = field(init=False)       # |level| <= zero_tol
     zero_indices: np.ndarray = field(init=False)  # the kernel columns
@@ -355,15 +342,11 @@ class Spectrum:
         return np.abs(self.vectors.rows([n])[0]) ** 2
 
     def times(self, ks) -> np.ndarray:
-        """k T for the ascending cycles `ks`, refused (`NumericalError`) when
+        """k T for the ascending cycles `ks`, refused (`check_drift`) when
         residual * K, the error of K = ks[-1] cycles read off the spectrum,
         exceeds UNITARITY_TOL per cycle, the stepped drive's drift bound."""
-        from .dynamics import UNITARITY_TOL
         cycles = int(ks[-1])
-        bound = self.residual * cycles
-        if bound > UNITARITY_TOL * max(cycles, 1):
-            raise NumericalError(f"unitarity drift bound {bound:.2e} "
-                                 f"over {cycles} cycles")
+        check_drift(self.residual * cycles, cycles, "unitarity drift bound")
         return np.asarray(ks, dtype=np.float64) * self.period
 
     def blocks(self, psi0: np.ndarray, ks, width: int):
@@ -388,6 +371,13 @@ class Spectrum:
         return out.astype(np.complex128, copy=False)
 
 
+def check_drift(error: float, cycles: int, what: str) -> None:
+    """Refuse (`NumericalError`) an exact-drive `error` over `cycles` cycles
+    above UNITARITY_TOL per cycle, `what` naming it; both routes call this."""
+    if error > UNITARITY_TOL * max(cycles, 1):
+        raise NumericalError(f"{what} {error:.2e} over {cycles} cycles")
+
+
 def check_dense(dimension: int, threshold: int, what: str = "sector") -> None:
     """Refuse a dense eigensolve of a `dimension` above `threshold`."""
     if dimension > threshold:
@@ -395,7 +385,7 @@ def check_dense(dimension: int, threshold: int, what: str = "sector") -> None:
                               f"threshold {threshold}")
 
 
-def diagonalize(ham: "HamiltonianMatrix",
+def diagonalize(ham: HamiltonianMatrix,
                 dense_threshold: int = DENSE_EIG_DEFAULT) -> Spectrum:
     """Full eigensystem of a sector Hamiltonian, quasienergies folded.
 
@@ -411,7 +401,7 @@ def diagonalize(ham: "HamiltonianMatrix",
     return dense_spectrum(vals, V, ham)
 
 
-def _fold_levels(energies: np.ndarray, ham: "HamiltonianMatrix") -> np.ndarray:
+def _fold_levels(energies: np.ndarray, ham: HamiltonianMatrix) -> np.ndarray:
     """`fold_quasienergy` of a spectrum's levels, refused (`NumericalError`)
     where energy / omega overflows and the folded level is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -423,7 +413,7 @@ def _fold_levels(energies: np.ndarray, ham: "HamiltonianMatrix") -> np.ndarray:
 
 
 def dense_spectrum(energies: np.ndarray, V: np.ndarray,
-                   ham: "HamiltonianMatrix") -> Spectrum:
+                   ham: HamiltonianMatrix) -> Spectrum:
     """Spectrum of dense eigenpairs: folded, sorted and phase-fixed.
 
     `V` holds one eigenvector column per energy; `ham` supplies the basis
@@ -438,7 +428,7 @@ def dense_spectrum(energies: np.ndarray, V: np.ndarray,
     return Spectrum(folded, DenseVectors(V), tol, ham)
 
 
-def chiral_block(ham: "HamiltonianMatrix"):
+def chiral_block(ham: HamiltonianMatrix):
     """(plus_idx, minus_idx, cut) of a purely imaginary stored matrix: the
     even- and odd-parity basis positions, and a zero-argument `cut` that
     returns a fresh dense copy of the real off-diagonal block C (rows even,
@@ -514,7 +504,7 @@ def canonical_kernel(K: np.ndarray) -> np.ndarray:
     return KQ * np.where(_pivots(KQ, 0) < 0, -1.0, 1.0)
 
 
-def _diagonalize_chiral(ham: "HamiltonianMatrix") -> Spectrum:
+def _diagonalize_chiral(ham: HamiltonianMatrix) -> Spectrum:
     plus_idx, minus_idx, cut = chiral_block(ham)
     # numpy's LAPACK, not scipy.linalg: scipy links a second OpenBLAS whose
     # thread pool contends with numpy's (README)

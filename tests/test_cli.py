@@ -217,6 +217,19 @@ def test_resonance_family_json(capsys):
     assert data["U_over_g_exact"] == "2/3"
 
 
+@pytest.mark.parametrize("grid", ["1:2:0,1:2:3", "1:2:3,1:2:0",
+                                  "1:80:-2,1:80:2"])
+def test_grid_axis_without_samples_is_refused_by_name(tmp_path, capsys, grid):
+    # a 0-sample axis wrote a header-only CSV and reported "rows": 0
+    code, out, err = run(capsys, "resonance", "--grid", grid, "--omega", "20",
+                         "--u", "0.5", "--out", str(tmp_path / "g.csv"))
+    assert (code, out) == (2, "")
+    assert err == ("config error: grid: each axis needs n >= 1 samples, "
+                   f"got {grid!r}\n")
+    assert not (tmp_path / "g.csv").exists()
+    assert not (tmp_path / "g.csv.manifest.json").exists()
+
+
 def test_resonance_grid_csv(tmp_path, capsys):
     out_csv = tmp_path / "grid.csv"
     code, _, _ = run(capsys, "resonance", "--omega", "20", "--u", "0.5",
@@ -290,6 +303,28 @@ def test_dynamics_refuses_negative_random_seed(tmp_path, capsys, no_solve,
     assert (code, out) == (2, "")
     assert err == "config error: initial: random seed must be >= 0, got -1\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("model", ["effective", "full"])
+def test_dynamics_refuses_a_short_fft_before_any_solve(tmp_path, capsys,
+                                                       no_solve, model):
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "dynamics", "--L", "6", *_RES, "--model",
+                         model, "--cycles", "10", "--fft", "--out", str(out_csv))
+    assert (code, out) == (2, "")
+    assert err == "config error: fft: series of length 11 too short for a spectrum\n"
+    assert not out_csv.exists() and not (tmp_path / "x_fft.csv").exists()
+
+
+def test_reproduce_refuses_short_spectra_before_the_outdir(tmp_path, capsys,
+                                                         no_solve):
+    outdir = tmp_path / "rs"
+    code, out, err = run(capsys, "reproduce", "--bundle", "revival-spectra",
+                         "--cycles", "10", "--outdir", str(outdir))
+    assert (code, out) == (2, "")
+    assert err == ("config error: cycles: series of length 11 too short for "
+                   "a spectrum\n")
+    assert not outdir.exists()
 
 
 def test_reproduce_refuses_negative_seed(tmp_path, capsys, no_solve):
@@ -831,6 +866,19 @@ def test_threads_request_overrides_inherited_env(capsys, monkeypatch, via_env):
         code, _, _ = run(capsys, "basis", "--L", "4", "--threads", "1")
     assert code == 0
     assert all(os.environ[var] == "1" for var in _THREAD_VARS)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_are_refused(tmp_path, capsys, monkeypatch, threads):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "4")
+    out_csv = tmp_path / "b.csv"
+    code, out, err = run(capsys, "basis", "--L", "4", "--threads", threads,
+                         "--out", str(out_csv))
+    assert (code, out) == (2, "")
+    assert err == f"config error: threads: must be at least 1, got {threads}\n"
+    assert all(os.environ[var] == "4" for var in _THREAD_VARS)
+    assert not out_csv.exists()
 
 
 def test_no_threads_request_keeps_inherited_env(capsys, monkeypatch):

@@ -440,6 +440,13 @@ def test_fta_rejects_short_series():
         fta(np.ones(32))
 
 
+def test_fta_length_rule_is_64_samples():
+    dynamics.check_fta_length(64)
+    assert len(fta(np.arange(64.0))[0]) == 32
+    with pytest.raises(DomainError, match="^series of length 63 too short"):
+        dynamics.check_fta_length(63)
+
+
 def test_dominant_peaks_on_synthetic_spectrum():
     k = np.arange(2048)
     series = 0.6 * np.cos(0.25 * k) + 0.3 * np.cos(0.8 * k)
@@ -588,9 +595,9 @@ def test_explicit_cycle_lists():
 
 
 def test_unitarity_drift_raises_numerical_error(monkeypatch, standard_params):
-    from scarkit import dynamics
+    from scarkit import dynamics, spectral
     from scarkit.errors import NumericalError
-    monkeypatch.setattr(dynamics, "UNITARITY_TOL", -1.0)
+    monkeypatch.setattr(spectral, "UNITARITY_TOL", -1.0)
     basis = SectorBasis(4, 2)
     # both entry points report the cycles actually stepped
     with pytest.raises(NumericalError, match="unitarity drift .* over 4 cycles"):

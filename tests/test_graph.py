@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from conftest import extended
+from scarkit.errors import DomainError
 from scarkit.fock_basis import SectorBasis, pinnacle_state
 from scarkit.graph import (HilbertGraph, Tower, bipartite_violations,
                            build_graph, components, spta_matrix, to_dot,
@@ -217,6 +218,19 @@ def test_tower_shape(L):
     shared = "1" * (N - 1) + "01" + "0" * (N - 1)
     # path order: N-1 hole excursions, the shared rung, N-1 particle ones
     assert tower.eaves[N - 1].to_string() == shared
+
+
+@pytest.mark.parametrize("L", [4, 6, 10])
+def test_tower_excursions_are_the_eaves(L):
+    tower, N = tower_states(L), L // 2
+    particle = [tower.excursion(q) for q in range(1, N + 1)]
+    hole = [tower.excursion(q, hole=True) for q in range(1, N + 1)]
+    # path order: hole excursions N..2, the shared rung (q = 1), particle 2..N
+    assert tower.eaves == (*hole[:0:-1], *particle)
+    assert hole[0] == particle[0]
+    for q in (0, N + 1, -1):
+        with pytest.raises(DomainError, match=rf"^excursion index {q} outside 1..{N}$"):
+            tower.excursion(q)
 
 
 def test_tower_membership_tools():

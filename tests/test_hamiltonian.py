@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hop_oracles
-from scarkit import resonance
+from scarkit import hamiltonian
 from scarkit.errors import DomainError
 from scarkit.fock_basis import SectorBasis
 from scarkit.hamiltonian import (HOP_CLASSES, ModelParams,
@@ -244,7 +244,7 @@ def test_resonant_build_validates_the_family_once(monkeypatch):
         calls.append(args)
         return resonant_family(*args)
 
-    monkeypatch.setattr(resonance, "resonant_family", counting)
+    monkeypatch.setattr(hamiltonian, "resonant_family", counting)
     p = resonant_family(0, 1, "-").params(g=21.0, u=0.5)
     build_effective_resonant(SectorBasis(6, 3), p, 0, 1, "-")
     assert calls == [(0, 1, "-")]

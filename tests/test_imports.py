@@ -10,13 +10,18 @@ the peak finder and p ln p are numpy code (no `scipy.signal` or
 numpy's).  `scipy.sparse` and `scipy.sparse.linalg` load only on the exact
 drive's stepping route (`SteppedDrive`, picked above FULL_DENSE_MAX), where
 `CSRMatrix.to_scipy` hands the half-period Hamiltonians to `expm_multiply`.
+
+Layering: a library module imports the package at module level only, and
+those imports form a DAG, so a rule two modules share lives in the lower.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from graphlib import TopologicalSorter
 
 import scarkit
 
@@ -83,3 +88,44 @@ def test_no_scipy_until_the_krylov_branch():
     assert shape == [20, 5] and 0.0 < peak <= 1.0
     assert "scipy.sparse" in krylov_loaded
     assert "scipy.sparse.linalg" in krylov_loaded
+
+
+def _package_imports(tree: ast.Module, package: str):
+    """(node, submodules) for every import of the package in `tree`:
+    `from .x`, `from . import x` and `import scarkit.x` or `from scarkit...`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith(package):
+                continue
+            base = (node.module or "").removeprefix(package).lstrip(".")
+            yield node, ([base.split(".")[0]] if base
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names
+                     if alias.name.split(".")[0] == package]
+            if names:
+                yield node, [parts[1] if len(parts) > 1 else "__init__"
+                             for parts in names]
+
+
+def test_library_imports_go_down_at_module_level():
+    """Every library module (all but `cli` and `__init__`) imports the
+    package at module level only, never in a function, a class body or an
+    `if TYPE_CHECKING` block, and those imports form a DAG."""
+    here = os.path.dirname(scarkit.__file__)
+    misplaced, graph = [], {}
+    for name, ext in map(os.path.splitext, sorted(os.listdir(here))):
+        if ext != ".py" or name in ("cli", "__init__"):
+            continue
+        path = os.path.join(here, name + ext)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        top = set(map(id, tree.body))
+        graph[name] = set()
+        for node, targets in _package_imports(tree, "scarkit"):
+            if id(node) in top:
+                graph[name].update(targets)
+            else:
+                misplaced.append(f"{name}.py:{node.lineno}")
+    assert misplaced == []
+    TopologicalSorter(graph).prepare()      # raises CycleError on a cycle
