@@ -27,7 +27,7 @@ from .graph import Tower, spta_matrix, tower_states
 from .hamiltonian import HamiltonianMatrix, ModelParams, build_half_period
 from .observables import (NORM_TOL, StateVector, cluster_levels,
                           fock_vector, schmidt_entropies)
-from .spectral import Spectrum, check_drift, dense_spectrum
+from .spectral import Spectrum, check_drift, dense_spectrum, eigh_inplace
 
 FULL_DENSE_MAX = 4096       # exact drive as a Floquet spectrum up to this dimension
 FLOQUET_MIX_ANGLE = 0.5 * (math.sqrt(5.0) - 1.0)   # generic angle: splits Re/Im of the cycle
@@ -184,8 +184,8 @@ def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix) -> Spectrum:
     `ham` is h1 (basis and period).
     """
     tau, phi = h1.params.T / 2.0, FLOQUET_MIX_ANGLE
-    e1, V1 = np.linalg.eigh(h1.toarray())
-    e2, V2 = np.linalg.eigh(h2.toarray())
+    e1, V1 = eigh_inplace(h1.toarray())
+    e2, V2 = eigh_inplace(h2.toarray())
     if not np.isfinite(tau * np.concatenate((e1, e2))).all():
         raise NumericalError("half-period phases tau * e overflow; the drive "
                              "parameters are out of range")
@@ -210,7 +210,7 @@ def floquet_spectrum(h1: HamiltonianMatrix, h2: HamiltonianMatrix) -> Spectrum:
     np.negative(B, out=B)
     C = x_re
     del g_re, g_im, x_re, x_im
-    mu, Q = np.linalg.eigh(C)
+    mu, Q = eigh_inplace(C)
     del C
     bq = B @ Q
     del B
@@ -402,7 +402,7 @@ def spta_fidelity(ham: HamiltonianMatrix, cycles=DEFAULT_CYCLES) -> TimeSeries:
     is diagonalized at the sector dimension; the block evolves in closed
     form.
     """
-    vals, vecs = np.linalg.eigh(spta_matrix(ham))
+    vals, vecs = eigh_inplace(spta_matrix(ham))
     weights = np.abs(vecs[-1, :]) ** 2       # pinnacle sits in the last row
     ks = _cycle_array(cycles)
     phases = np.exp(-1j * np.outer(vals, ks * ham.params.T))

@@ -1,8 +1,9 @@
 """Diagonalization, folded levels, zero modes, level statistics, drift bound.
 
-Two eigensolver routes live here. Generic Hermitian matrices go through dense
-`eigh`. The resonant stroboscopic Hamiltonian is purely imaginary with zero
-diagonal and anticommutes with the diagonal dipole-parity operator, so it is
+Two eigensolver routes live here. Generic Hermitian matrices go through
+`eigh_inplace`, numpy's dense `eigh` on the caller's own buffer. The
+resonant stroboscopic Hamiltonian is purely imaginary with zero diagonal
+and anticommutes with the diagonal dipole-parity operator, so it is
 unitarily equivalent (multiply odd-parity basis states by -i) to a real
 symmetric matrix of the block form [[0, C], [C^T, 0]]. The builder stores
 the matrix as its real imaginary parts (`CSRMatrix.phase` 1j), and C is cut
@@ -28,11 +29,13 @@ function of the kernel alone, not of the factorization's choice of basis
 in it.  No dense C is alive across the `eigh`: `chiral_block` hands
 `chiral_svd` a `cut` that makes C afresh, once for G = A A^T and once for
 A^T W[:, :k] (or the fallback SVD), each copy dropped right after its
-product.  So the `eigh` holds only numpy's floor of five n^2 arrays (n the
-larger side): G, numpy's copy of it, syevd's 2 n^2 workspace and W, and
-that sets the route's peak: VmHWM 151 MiB at L = 14 and 1,653 MiB at
-L = 16 (0,0,+), build included, against 172 and 1,968 MiB with C held.
-Re-cutting C costs under 2 ms at L = 14.
+product.  The `eigh` is `eigh_inplace`, numpy's own LAPACKE syevd run on
+G's memory, so it holds three n^2 arrays (n the larger side): G, which
+becomes W, and syevd's 2 n^2 workspace; `np.linalg.eigh` added its own
+copy of G and a fresh W.  The route's peak is now the Newton-Schulz
+product, with W, X, E and X E alive: VmHWM 130 MiB at L = 14 and
+1,323 MiB at L = 16 (0,0,+), build included, against 151 and 1,653 MiB
+with `np.linalg.eigh`.  Re-cutting C costs under 2 ms at L = 14.
 
 Real frame.  With A = -iH real antisymmetric, e^{-iHt} = e^{tA} is a real
 orthogonal matrix, so a real start (every Fock state) stays real and
@@ -62,6 +65,8 @@ columns.  An all-zero spectrum has `zero_tol` 0, and all of it is kernel.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -76,6 +81,70 @@ ZERO_MODE_RTOL = 1e-9           # kernel tolerance relative to the spectral radi
 DEGENERATE_GAP = 1e-12          # level gaps below this are exact degeneracies
 GRAM_RANK_FLOOR = 1e-12         # chiral Gram route needs lambda_k > this * lambda_0
 UNITARITY_TOL = 1e-8            # the exact drive's error bound per cycle
+
+
+# numpy's own OpenBLAS LAPACKE divide-and-conquer eigensolvers (ILP64)
+_EVD_SYMBOLS = {np.dtype(np.float64): "scipy_LAPACKE_dsyevd64_",
+                np.dtype(np.complex128): "scipy_LAPACKE_zheevd64_"}
+_COL_MAJOR = 102                # LAPACK_COL_MAJOR
+_WORK_MEMORY_ERROR = -1010      # LAPACKE could not allocate the workspace
+_TRANSPOSE_BLOCK = 32           # rows per strip of the in-place transpose
+
+
+@functools.cache
+def _evd(dtype: np.dtype):
+    """numpy's LAPACKE_dsyevd / LAPACKE_zheevd for `dtype`, or None where
+    numpy's LAPACK does not export it; resolved at the first call."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        solve = getattr(lib, _EVD_SYMBOLS[dtype])
+    except (OSError, AttributeError, KeyError):
+        return None
+    solve.restype = ctypes.c_int64
+    solve.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                      ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                      ctypes.c_void_p)
+    return solve
+
+
+def _transpose_inplace(a: np.ndarray) -> None:
+    """a <- a^T for a square C-ordered a, one row strip and its column
+    strip at a time, so no temporary is larger than a strip."""
+    b = _TRANSPOSE_BLOCK
+    for i in range(0, len(a), b):
+        row = a[i:i + b, i:].copy()
+        a[i:i + b, i:] = a[i:, i:i + b].T
+        a[i:, i:i + b] = row.T
+
+
+def eigh_inplace(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) as `np.linalg.eigh(a)` gives them, bit for bit, solved in the
+    memory of `a`, a C-ordered float64 or complex128 matrix: v is a.
+
+    numpy's own LAPACKE_dsyevd / LAPACKE_zheevd runs column-major with 'L'
+    on a transposed in place, so it reads the lower triangle numpy's call
+    reads.  The call holds a and syevd's workspace (2 n^2 reals; heevd's
+    n^2 complex and 2 n^2 reals), where numpy's `eigh` adds its own copy
+    of a and a fresh v.  The vectors are transposed back in place after
+    LAPACK has freed its workspace.  Anything else (numpy's LAPACK without
+    the symbols, another dtype, or not one writeable C-ordered square
+    matrix) is `np.linalg.eigh(a)`: a is left as it was, v is new.
+    """
+    solve = _evd(a.dtype)
+    if (solve is None or not a.flags.carray or a.ndim != 2
+            or a.shape[0] != a.shape[1]):
+        return np.linalg.eigh(a)
+    n = len(a)
+    w = np.empty(n)
+    _transpose_inplace(a)
+    info = solve(_COL_MAJOR, b"V", b"L", n, a.ctypes.data, max(n, 1),
+                 w.ctypes.data)
+    if info == _WORK_MEMORY_ERROR:
+        raise MemoryError(f"no workspace for a {n} x {n} eigh")
+    if info:        # not converged, or a NaN that LAPACKE's check refused
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    _transpose_inplace(a)
+    return w, a
 
 
 def _pivots(M: np.ndarray, axis: int) -> np.ndarray:
@@ -397,7 +466,7 @@ def diagonalize(ham: HamiltonianMatrix,
     check_dense(ham.dimension, dense_threshold)
     if ham.matrix.phase == 1j:
         return _diagonalize_chiral(ham)
-    vals, V = np.linalg.eigh(ham.toarray())
+    vals, V = eigh_inplace(ham.toarray())
     return dense_spectrum(vals, V, ham)
 
 
@@ -472,7 +541,7 @@ def chiral_svd(cut):
     G = A @ A.T
     del A
     G *= -1.0               # eigh ascends: -G gives the largest lambda first
-    lam, W = np.linalg.eigh(G)
+    lam, W = eigh_inplace(G)
     del G
     lam *= -1.0
     if not (k and lam[k - 1] > GRAM_RANK_FLOOR * lam[0]):
@@ -481,7 +550,11 @@ def chiral_svd(cut):
     X = (cut().T if tall else cut()) @ W[:, :k]      # A^T W[:, :k]
     s = np.linalg.norm(X, axis=0)
     X /= s
-    X = X @ (1.5 * np.eye(k) - 0.5 * (X.T @ X))
+    E = X.T @ X             # 3/2 I - X^T X / 2, built in place
+    E *= -0.5
+    E += 0.0                # -0.0 to +0.0, as 0.0 - 0.5 * (+-0.0) gives
+    E.flat[::k + 1] += 1.5
+    X = X @ E
     return (W, s, X.T) if tall else (X, s, W.T)
 
 
@@ -499,7 +572,7 @@ def canonical_kernel(K: np.ndarray) -> np.ndarray:
     if not K.size:
         return K
     position = np.arange(len(K)) / len(K)
-    _, Q = np.linalg.eigh(K.T @ (position[:, None] * K))
+    _, Q = eigh_inplace(K.T @ (position[:, None] * K))
     KQ = K @ Q
     return KQ * np.where(_pivots(KQ, 0) < 0, -1.0, 1.0)
 
