@@ -182,6 +182,15 @@ COMMANDS = [
     ("basis", "--L", "4", "--threads", "0"),
     ("resonance", "--grid", "1:2:0,1:2:3", "--omega", "20", "--u", "0.5",
      "--out", "never.csv"),
+    # options that the run would not read: exit 2, nothing written
+    ("resonance", "--family", "0,0,+", "--grid", "1:2:3,1:2:3", "--omega",
+     "20", "--u", "0.5", "--out", "never.csv"),
+    ("dynamics", "--L", "6", *_RES, "--cycles", "100", "--out", "never.csv",
+     "--fft-out", "never_fft.csv"),
+    ("reproduce", "--bundle", "ratio-landscape", "--seed", "3", "--cycles",
+     "5", "--outdir", "b_ratio_unread"),
+    ("reproduce", "--bundle", "spectral-map", "--cycles", "64",
+     "--outdir", "b_spectral_map_unread"),
 ]
 
 

@@ -34,15 +34,14 @@ _EXPORTS = {
     "components": ".graph", "spta_matrix": ".graph", "to_dot": ".graph",
     "tower_states": ".graph",
     "StateVector": ".observables", "coe_ie_reference": ".observables",
-    "ee_outlier_flags": ".observables", "entanglement_entropy": ".observables",
+    "entanglement_entropy": ".observables",
     "entropy_profile": ".observables", "fock_vector": ".observables",
     "overlap_table": ".observables", "page_entropy": ".observables",
     "scar_state": ".observables", "shannon_entropy": ".observables",
     "zero_projection": ".observables",
     "TimeSeries": ".dynamics", "analytic_fidelity": ".dynamics",
     "dominant_peaks": ".dynamics", "ee_series": ".dynamics",
-    "ensemble_stats": ".dynamics", "evolve_effective": ".dynamics",
-    "evolve_full": ".dynamics", "fidelity_series": ".dynamics",
+    "ensemble_stats": ".dynamics", "fidelity_series": ".dynamics",
     "fta": ".dynamics", "full_fidelity_series": ".dynamics",
     "random_nontower_states": ".dynamics", "spta_fidelity": ".dynamics",
     "tower_probability_series": ".dynamics",

@@ -471,6 +471,11 @@ def _cmd_resonance(opts: dict) -> tuple:
     from .resonance import scan_ratio_grid
     family_text = opts.get("family")
     if family_text is not None:
+        stray = [k for k in ("grid", "omega", "u", "out")
+                 if opts.get(k) is not None]
+        if stray:
+            raise ConfigError(f"{stray[0]}: not read with family, which "
+                              "prints its point and writes no table")
         fam = _parse_family(family_text)
         return {"k1": fam.k1, "k2": fam.k2, "branch": fam.branch,
                 "U_over_g": float(fam.U_over_g),
@@ -600,8 +605,7 @@ def _cmd_scar(opts: dict) -> tuple:
     per_state = opts.get("per_state")
     if per_state:
         ee, ie = eigenstate_measures(spec, [
-            lambda cols: schmidt_entropies(cols, basis, basis.L // 2),
-            shannon_entropies])
+            lambda cols: schmidt_entropies(cols, basis), shannon_entropies])
         w_tp = spec.weight_row(basis.index_of(tp))
         _write_csv(per_state, ["alpha", "quasienergy", "S_EE", "S_IE",
                                "overlap_tp", "is_zero_mode"],
@@ -641,6 +645,8 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
         raise ConfigError(f"observables: S_EE needs a half-chain cut "
                           f"(L >= 2), got L={basis.L}")
     out = _require(opts, "out")
+    if opts.get("fft_out") is not None and not opts.get("fft"):
+        raise ConfigError("fft_out: needs --fft")
     if opts.get("fft"):
         with _keyed("fft"):     # cycles + 1 samples, refused before any solve
             dynamics.check_fta_length(cycles + 1)
@@ -805,6 +811,10 @@ _BUNDLES = {
     "ratio-landscape": (_bundle_ratio_landscape,
                         {"desk": (160,), "paper": (320,)}),
 }
+# each bundle-only option -> the bundles that read it
+_BUNDLE_READERS = {"cycles": ("quench-series", "revival-spectra",
+                              "model-comparison"),
+                   "seed": ("quench-series",)}
 
 
 def _cmd_reproduce(opts: dict) -> tuple:
@@ -816,6 +826,9 @@ def _cmd_reproduce(opts: dict) -> tuple:
     if scale not in ("desk", "paper"):
         raise ConfigError(f"scale: expected desk or paper, got {scale!r}")
     runner, scales = _BUNDLES[bundle]
+    for key, readers in _BUNDLE_READERS.items():
+        if opts.get(key) is not None and bundle not in readers:
+            raise ConfigError(f"{key}: bundle {bundle!r} does not read it")
     sizes = scales[scale]
     if bundle != "ratio-landscape":
         from .spectral import DENSE_EIG_DEFAULT, check_dense

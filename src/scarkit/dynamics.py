@@ -11,7 +11,7 @@ the exact drive's route by size (FULL_DENSE_MAX).
 `series` is the one reader that turns a source into F, S_EE and P_t.
 `fidelity_series`, `ee_series`, `tower_probability_series` and
 `full_fidelity_series` are calls to it, so each takes either source;
-`evolve_effective` and `evolve_full` take one block of states from theirs.
+`Spectrum.propagate` returns a spectrum's states as one block.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from .graph import Tower, spta_matrix, tower_states
 from .hamiltonian import HamiltonianMatrix, ModelParams, build_half_period
 from .observables import (NORM_TOL, StateVector, cluster_levels,
                           fock_vector, schmidt_entropies)
-from .spectral import Spectrum, check_drift, dense_spectrum, eigh_inplace
+from .spectral import (STATE_BLOCK_BYTES, Spectrum, check_drift,
+                       dense_spectrum, eigh_inplace)
 
 FULL_DENSE_MAX = 4096       # exact drive as a Floquet spectrum up to this dimension
 FLOQUET_MIX_ANGLE = 0.5 * (math.sqrt(5.0) - 1.0)   # generic angle: splits Re/Im of the cycle
 DEFAULT_CYCLES = 4096
-STATE_BLOCK_BYTES = 2_000_000_000
 EE_CHUNK = 128              # states per block of the streamed series
+PEAK_MIN_HEIGHT = 0.05      # lowest local maximum `dominant_peaks` counts
 PHASE_CHUNK = 512           # cycles per phase block of the F and P_t series
 OBSERVABLES = {"F": "F", "EE": "S_EE", "Pt": "P_t"}   # name -> label, output order
 
@@ -80,13 +81,6 @@ def _as_vector(basis: SectorBasis, initial) -> np.ndarray:
     return amps
 
 
-def _guard_block(dim: int, n_states: int) -> None:
-    if dim * n_states * 16 > STATE_BLOCK_BYTES:
-        raise CapabilityError(
-            f"materializing {n_states} states of dimension {dim} exceeds the "
-            "state-block budget; use the chunked series functions")
-
-
 def check_cycles(cycles: int, n_series: int) -> None:
     """Refuse a run that holds `n_series` series over cycles 0..cycles.
 
@@ -98,21 +92,6 @@ def check_cycles(cycles: int, n_series: int) -> None:
         raise CapabilityError(
             f"{n_series} series over {cycles} cycles need {need} bytes, over "
             f"the series budget of {STATE_BLOCK_BYTES}")
-
-
-def _states(source, initial, cycles) -> np.ndarray:
-    """State columns of `source` at the requested cycles, complex128."""
-    psi0 = _as_vector(source.basis, initial)
-    ks = _cycle_array(cycles)
-    _guard_block(source.basis.size, len(ks))
-    # unpacking asks for a second block, which runs the Krylov drift check
-    (states,) = source.blocks(psi0, ks, len(ks))
-    return states.astype(np.complex128, copy=False)
-
-
-def evolve_effective(spec: Spectrum, initial, cycles) -> np.ndarray:
-    """State columns after whole cycles under the diagonalized effective model."""
-    return _states(spec, initial, cycles)
 
 
 def fidelity_series(source, initial, cycles=DEFAULT_CYCLES) -> TimeSeries:
@@ -321,18 +300,12 @@ def series(source, initials, cycles=DEFAULT_CYCLES,
             if "F" in streamed:
                 parts["F"].append(np.abs(psi0.conj() @ states) ** 2)
             if "EE" in streamed:
-                parts["EE"].append(schmidt_entropies(states, basis, basis.L // 2))
+                parts["EE"].append(schmidt_entropies(states, basis))
             if "Pt" in streamed:
                 parts["Pt"].append((np.abs(states[t_idx, :]) ** 2).sum(axis=0))
         runs.append({n: TimeSeries(OBSERVABLES[n], np.concatenate(parts[n]))
                      for n in names})
     return runs
-
-
-def evolve_full(basis: SectorBasis, params: ModelParams, initial,
-                cycles) -> np.ndarray:
-    """State columns at the requested cycles under the exact driven model."""
-    return _states(exact_drive(basis, params), initial, cycles)
 
 
 def full_fidelity_series(basis: SectorBasis, params: ModelParams, initial,
@@ -362,12 +335,13 @@ def check_fta_length(n: int) -> None:
         raise DomainError(f"series of length {n} too short for a spectrum")
 
 
-def local_maxima(x: np.ndarray, height: float | None = None) -> np.ndarray:
-    """Indices of the local maxima of a 1-D array, by scipy's `find_peaks` rules.
+def local_maxima(x: np.ndarray, height: float) -> np.ndarray:
+    """Indices of the local maxima of a 1-D array with x >= height, by
+    scipy's `find_peaks(x, height=height)` rules.
 
     A peak has a strictly lower neighbour on each side; a flat top counts
     once, at its middle sample (rounded down); the first and last samples are
-    never peaks.  With `height`, only peaks with x >= height are kept.
+    never peaks.
     """
     x = np.asarray(x, dtype=np.float64)
     steps = np.flatnonzero(x[1:] != x[:-1])  # x[j + 1] differs from x[j]
@@ -375,19 +349,17 @@ def local_maxima(x: np.ndarray, height: float | None = None) -> np.ndarray:
     fall = x[steps + 1] < x[steps]
     top = rise[:-1] & fall[1:]                # a rise, then a fall at the next step
     peaks = (steps[:-1][top] + 1 + steps[1:][top]) // 2
-    if height is not None:
-        peaks = peaks[x[peaks] >= height]
-    return peaks
+    return peaks[x[peaks] >= height]
 
 
-def dominant_peaks(freqs: np.ndarray, amps: np.ndarray, count: int = 2,
-                   min_height: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
+def dominant_peaks(freqs: np.ndarray, amps: np.ndarray,
+                   count: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Strongest local maxima of an amplitude spectrum, descending by height.
 
-    With no local maximum at or above `min_height`, the global maximum is
+    With no local maximum at or above PEAK_MIN_HEIGHT, the global maximum is
     returned instead.
     """
-    idx = local_maxima(amps, min_height)
+    idx = local_maxima(amps, PEAK_MIN_HEIGHT)
     if len(idx) == 0:
         idx = np.array([int(np.argmax(amps))])
     heights = amps[idx]

@@ -1,8 +1,8 @@
 """Hamiltonians for the square-wave-driven tilted chain of spinless fermions.
 
 The static part is U * sum_j n_j n_{j+1} - g * sum_j j n_j (open chain, 1-based
-sites). Nearest-neighbour tunneling J is modulated by a square wave taking the
-value -u over the first half period and +u over the second, period T = 2*pi/omega.
+sites). Nearest-neighbour tunneling J = 1 (the unit) is modulated by a square
+wave, -u over the first half period and +u over the second, T = 2*pi/omega.
 
 Stroboscopic physics is organised by the change in static energy a hop causes.
 With the two sites beside a hopping bond (j-1 and j+2, empty beyond the open
@@ -50,20 +50,19 @@ DROP_CHUNK = 1 << 16      # entries `_hop_csr` scans at a time when dropping zer
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Chain and drive parameters; J is the energy unit and defaults to 1."""
+    """Chain and drive parameters, in units of the tunneling J = 1."""
 
     g: float
     U: float
     u: float
     omega: float
-    J: float = 1.0
 
     def __post_init__(self):
-        for name in ("g", "U", "u", "omega", "J"):
+        for name in ("g", "U", "u", "omega"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got "
                                   f"{getattr(self, name)!r}")
-        for name in ("g", "U", "omega", "J"):
+        for name in ("g", "U", "omega"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive, got "
                                   f"{getattr(self, name)!r}")
@@ -102,13 +101,10 @@ class ResonantFamily:
     g_over_omega: int
     k3: int
 
-    def params(self, g: float, u: float, J: float = 1.0) -> ModelParams:
+    def params(self, g: float, u: float) -> ModelParams:
         """Concrete model parameters at tilt g and drive amplitude u."""
         return ModelParams(g=g, U=g * float(self.U_over_g), u=u,
-                           omega=g / self.g_over_omega, J=J)
-
-    def barriers(self, g: float) -> tuple[float, float, float]:
-        return (abs(g - g * float(self.U_over_g)), g, g + g * float(self.U_over_g))
+                           omega=g / self.g_over_omega)
 
 
 def resonant_family(k1: int, k2: int, branch: str) -> ResonantFamily:
@@ -139,22 +135,22 @@ def hop_class_code(n_left, n_right):
     return 1 + n_left - n_right
 
 
-def _drive_averaged_amplitude(delta: float, T: float, u: float, J: float) -> complex:
-    """First-order one-period average of J*(1+u(t))*e^{i*delta*t}.
+def _drive_averaged_amplitude(delta: float, T: float, u: float) -> complex:
+    """First-order one-period average of (1+u(t))*e^{i*delta*t}.
 
     This is the amplitude acquired by the hop that RAISES the static energy
     by `delta` (the reverse hop gets the conjugate). The drive contributes
     u*(e^{i delta T/2}-1)^2 / (i delta) and the undriven part
     (e^{i delta T}-1) / (i delta); together they factor as below. At delta=0
-    the average is exactly J.
+    the average is exactly 1.
     """
     if delta == 0.0:
-        return complex(J)
+        return complex(1.0)
     if not math.isfinite(delta * T):
         raise DomainError(f"hop phase {delta!r} * T = {delta * T} per period "
                           "is not finite")
     y = cmath.exp(0.5j * delta * T)
-    return -1j * J / (delta * T) * (y - 1.0) * ((1.0 + u) * y + (1.0 - u))
+    return -1j / (delta * T) * (y - 1.0) * ((1.0 + u) * y + (1.0 - u))
 
 
 def amplitudes_general(params: ModelParams) -> tuple[complex, complex, complex]:
@@ -163,11 +159,11 @@ def amplitudes_general(params: ModelParams) -> tuple[complex, complex, complex]:
     Each is attached to the hop direction that raises the static energy:
     J1 for barrier g-U (signed), J2 for g, J3 for g+U.
     """
-    T, u, J = params.T, params.u, params.J
+    T, u = params.T, params.u
     return (
-        _drive_averaged_amplitude(params.g - params.U, T, u, J),
-        _drive_averaged_amplitude(params.g, T, u, J),
-        _drive_averaged_amplitude(params.g + params.U, T, u, J),
+        _drive_averaged_amplitude(params.g - params.U, T, u),
+        _drive_averaged_amplitude(params.g, T, u),
+        _drive_averaged_amplitude(params.g + params.U, T, u),
     )
 
 
@@ -177,7 +173,7 @@ def resonant_amplitudes(params: ModelParams, k1: int, k2: int,
 
     At the (k1, k2, branch) drive resonance every barrier is an odd multiple
     of omega and the class-c hop j -> j+1 carries amplitude +i*Ac with
-    Ac = 2*u*J / ((1 -+ U/g) * (2*k2+1) * pi); the general drive average
+    Ac = 2*u / ((1 -+ U/g) * (2*k2+1) * pi); the general drive average
     reduces to exactly these values.  Parameters off that family member
     are refused, and so is a drive amplitude u so large that an Ac
     overflows.
@@ -191,7 +187,7 @@ def resonant_amplitudes(params: ModelParams, k1: int, k2: int,
     if not math.isclose(params.g / params.omega, q, rel_tol=1e-12):
         raise DomainError(
             f"g/omega = {params.g / params.omega!r} must equal {q} for k2 = {k2}")
-    base = 2.0 * params.u * params.J / (q * math.pi)
+    base = 2.0 * params.u / (q * math.pi)
     amps = base / (1.0 - a), base, base / (1.0 + a)
     if not all(map(math.isfinite, amps)):
         raise DomainError(f"drive amplitude u = {params.u!r} makes the "
@@ -254,11 +250,6 @@ class CSRMatrix:
 
     def toarray(self) -> np.ndarray:
         return self.block(np.arange(self.shape[0]), np.arange(self.shape[1]))
-
-    def diagonal(self) -> np.ndarray:
-        rows = self.row_indices()
-        on = rows == self.indices
-        return self._dense(min(self.shape), rows[on], on)
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The dense submatrix M[rows][:, cols]; `rows` and `cols` hold
@@ -490,8 +481,8 @@ def build_onsite(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
 
 
 def build_hop(basis: SectorBasis, params: ModelParams) -> HamiltonianMatrix:
-    """Bare nearest-neighbour tunneling, all matrix elements J."""
-    amps = np.full(len(HOP_CLASSES), params.J)
+    """Bare nearest-neighbour tunneling, all matrix elements J = 1."""
+    amps = np.full(len(HOP_CLASSES), 1.0)
     m = _hermitian_csr(basis, amps, amps)
     return HamiltonianMatrix(basis, "hop", params, m)
 
@@ -502,7 +493,7 @@ def build_half_period(basis: SectorBasis, params: ModelParams,
     if half not in (1, 2):
         raise DomainError(f"half must be 1 or 2, got {half}")
     factor = (1.0 - params.u) if half == 1 else (1.0 + params.u)
-    amps = np.full(len(HOP_CLASSES), factor * params.J)
+    amps = np.full(len(HOP_CLASSES), factor)
     m = _hermitian_csr(basis, amps, amps, _static_energies(basis, params))
     return HamiltonianMatrix(basis, f"half_period_{half}", params, m)
 

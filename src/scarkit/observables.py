@@ -1,10 +1,11 @@
 """Entropies, kernel projections, and the low-entanglement zero-mode state.
 
-Entanglement entropy exploits particle-number conservation: the coefficient
-matrix across a cut is block diagonal in the left particle count.  Sorted
-by (left particle count, left word), the sector's states list each block's
-entries in row-major order, so every block is a reshaped slice of that one
-cut ordering.  Real amplitude columns get real blocks and a real SVD.
+Entanglement entropy, always across the half-chain cut after site L // 2,
+exploits particle-number conservation: the coefficient matrix across the
+cut is block diagonal in the left particle count.  Sorted by (left particle
+count, left word), the sector's states list each block's entries in
+row-major order, so every block is a reshaped slice of that one cut
+ordering.  Real amplitude columns get real blocks and a real SVD.
 
 Per-eigenstate observables are read in one batched pass
 (`eigenstate_measures`).  On a chiral spectrum it reads one real column per
@@ -30,7 +31,6 @@ COE_SPREAD_FRACTION = 0.48  # effective fraction of the basis a chaotic state co
 PROJECTION_FLOOR = 1e-12
 CLUSTER_WIDTH = 1e-9        # quasienergy width treated as one degenerate level
 PROFILE_BATCH = 256         # eigenstate columns per `eigenstate_measures` block
-OUTLIER_MADS = 3.0          # median absolute deviations below the band to flag
 
 
 @dataclass
@@ -64,8 +64,9 @@ def _require_normalized(state: StateVector) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cut_layout(L: int, N: int, cut: int):
-    """The sector's states in cut order, and the Schmidt block shapes.
+def _cut_layout(L: int, N: int):
+    """The sector's states in cut order (cut = L // 2), and the Schmidt
+    block shapes.
 
     Returns (order, shapes): `order` lists the state indices stable-sorted by
     (left particle count m, left word).  Every pair of an m-particle left
@@ -74,7 +75,10 @@ def _cut_layout(L: int, N: int, cut: int):
     C(L-cut, N-m)), is the next a*b entries of `order` in row-major
     (left rank, right rank) order.
     """
+    if L < 2:
+        raise DomainError(f"L = {L} has no half-chain cut")
     basis = SectorBasis(L, N)
+    cut = L // 2
     right_bits = L - cut
     left_words = basis.states >> right_bits
     order = np.lexsort((left_words, np.bitwise_count(left_words)))
@@ -83,28 +87,23 @@ def _cut_layout(L: int, N: int, cut: int):
     return order, shapes
 
 
-def schmidt_spectrum(amplitudes: np.ndarray, basis: SectorBasis,
-                     cut: int) -> np.ndarray:
-    """Squared Schmidt coefficients across sites (1..cut | cut+1..L).
+def schmidt_spectrum(columns: np.ndarray, basis: SectorBasis) -> np.ndarray:
+    """Squared Schmidt coefficients at the half chain, one row per column.
 
-    A (dim, n) block of amplitude columns gives an (n, k) array, one row of
-    coefficients per column.  Each left particle count's coefficient blocks
-    are a slice of the cut order reshaped, and take one stacked SVD in the
-    amplitudes' own dtype: real amplitudes get a real SVD.
+    A (dim, n) block of amplitude columns gives an (n, k) array.  Each left
+    particle count's coefficient blocks are a slice of the cut order
+    reshaped, and take one stacked SVD in the amplitudes' own dtype: real
+    amplitudes get a real SVD.
     """
-    if not 1 <= cut < basis.L:
-        raise DomainError(f"cut {cut} outside 1..{basis.L - 1}")
-    order, shapes = _cut_layout(basis.L, basis.N, cut)
-    amps = np.asarray(amplitudes)
-    cols = amps[:, None] if amps.ndim == 1 else amps
+    order, shapes = _cut_layout(basis.L, basis.N)
+    cols = np.asarray(columns)
     lams, lo = [], 0
     for a, b in shapes:
         blocks = cols[order[lo:lo + a * b]].T.reshape(-1, a, b)
         s = np.linalg.svd(blocks, compute_uv=False)
         lams.append(s * s)
         lo += a * b
-    lam = np.concatenate(lams, axis=1)
-    return lam[0] if amps.ndim == 1 else lam
+    return np.concatenate(lams, axis=1)
 
 
 def plogp(p: np.ndarray) -> np.ndarray:
@@ -114,25 +113,22 @@ def plogp(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def schmidt_entropies(columns: np.ndarray, basis: SectorBasis,
-                      cut: int) -> np.ndarray:
-    """Von Neumann entropy in nats of each amplitude column across the cut.
+def schmidt_entropies(columns: np.ndarray, basis: SectorBasis) -> np.ndarray:
+    """Half-chain von Neumann entropy in nats of each amplitude column.
 
     Reduced-density eigenvalues below SCHMIDT_FLOOR are dropped.
     """
     out = np.empty(columns.shape[1])
-    for i, lam in enumerate(schmidt_spectrum(columns, basis, cut)):
+    for i, lam in enumerate(schmidt_spectrum(columns, basis)):
         lam = lam[lam >= SCHMIDT_FLOOR]
         out[i] = -plogp(lam).sum()
     return out
 
 
-def entanglement_entropy(state: StateVector, cut: int | None = None) -> float:
-    """Half-chain von Neumann entropy in nats (default cut at L/2)."""
+def entanglement_entropy(state: StateVector) -> float:
+    """Half-chain von Neumann entropy in nats."""
     amps = _require_normalized(state)
-    if cut is None:
-        cut = state.basis.L // 2
-    return float(schmidt_entropies(amps[:, None], state.basis, cut)[0])
+    return float(schmidt_entropies(amps[:, None], state.basis)[0])
 
 
 def eigenstate_measures(spec: Spectrum, measures,
@@ -162,14 +158,11 @@ def eigenstate_measures(spec: Spectrum, measures,
     return [values[where] for values in out]
 
 
-def entropy_profile(spec: Spectrum, indices=None,
-                    cut: int | None = None) -> np.ndarray:
-    """Entanglement entropy of eigenstate columns: `eigenstate_measures`
-    with the one measure `schmidt_entropies` (default cut at L/2)."""
-    if cut is None:
-        cut = spec.basis.L // 2
+def entropy_profile(spec: Spectrum, indices=None) -> np.ndarray:
+    """Half-chain entanglement entropy of eigenstate columns:
+    `eigenstate_measures` with the one measure `schmidt_entropies`."""
     (ee,) = eigenstate_measures(
-        spec, [lambda cols: schmidt_entropies(cols, spec.basis, cut)], indices)
+        spec, [lambda cols: schmidt_entropies(cols, spec.basis)], indices)
     return ee
 
 
@@ -251,27 +244,11 @@ def cluster_levels(eps: np.ndarray,
     return np.asarray(means), np.asarray(sums)
 
 
-def overlap_table(spec: Spectrum, f: FockState | int | str,
-                  aggregate: bool = True) -> np.ndarray:
+def overlap_table(spec: Spectrum, f: FockState | int | str) -> np.ndarray:
     """Rows (quasienergy, overlap weight) of a Fock state against eigenstates.
 
-    With aggregation, quasienergies closer than CLUSTER_WIDTH are merged into
-    one row carrying the summed weight, so the degenerate kernel shows up as
-    a single entry.
+    Quasienergies closer than CLUSTER_WIDTH are merged into one row carrying
+    the summed weight, so the degenerate kernel shows up as a single entry.
     """
     w = spec.weight_row(spec.basis.index_of(f))
-    eps = spec.quasienergies
-    if not aggregate:
-        return np.column_stack([eps, w])
-    return np.column_stack(cluster_levels(eps, w))
-
-
-def ee_outlier_flags(entropies: np.ndarray) -> np.ndarray:
-    """Flag entropies sitting below the band by more than OUTLIER_MADS median
-    absolute deviations; mechanical, no interpretation attached."""
-    s = np.asarray(entropies, dtype=np.float64)
-    med = np.median(s)
-    mad = np.median(np.abs(s - med))
-    if mad == 0.0:
-        return np.zeros(len(s), dtype=bool)
-    return s < med - OUTLIER_MADS * mad
+    return np.column_stack(cluster_levels(spec.quasienergies, w))

@@ -54,13 +54,12 @@ class AmplitudeRatios:
 
 def amplitude_ratio(params: ModelParams) -> AmplitudeRatios:
     """Perturbative validity measure |J_i| / |folded barrier_i| at one point."""
-    row = scan_ratio_grid(params.U, params.g, params.omega, params.u,
-                          params.J)[0].tolist()
+    row = scan_ratio_grid(params.U, params.g, params.omega,
+                          params.u)[0].tolist()
     return AmplitudeRatios(tuple(row[2:5]), tuple(f == 1.0 for f in row[5:8]))
 
 
-def scan_ratio_grid(U_values, g_values, omega: float, u: float,
-                    J: float = 1.0) -> np.ndarray:
+def scan_ratio_grid(U_values, g_values, omega: float, u: float) -> np.ndarray:
     """Amplitude-ratio table over a (U, g) grid at fixed drive.
 
     Returns rows (U, g, r1, r2, r3, div1, div2, div3) with g varying fastest;
@@ -78,13 +77,13 @@ def scan_ratio_grid(U_values, g_values, omega: float, u: float,
     # inner) with a U or g that is not finite and positive, raise what
     # ModelParams raises there
     first = ModelParams(g=float(g_values[0]), U=float(U_values[0]), u=u,
-                        omega=omega, J=J)
+                        omega=omega)
     refused = ~np.outer(np.isfinite(U_values) & (U_values > 0),
                         np.isfinite(g_values) & (g_values > 0))
     if refused.any():
         i, j = divmod(int(refused.argmax()), g_values.size)
         ModelParams(g=float(g_values[j]), U=float(U_values[i]), u=u,
-                    omega=omega, J=J)
+                    omega=omega)
     out[:, 0] = np.repeat(U_values, g_values.size)
     out[:, 1] = np.tile(g_values, U_values.size)
     U, g = out[:, 0], out[:, 1]
@@ -96,7 +95,7 @@ def scan_ratio_grid(U_values, g_values, omega: float, u: float,
         for d in deltas:
             if d not in amplitudes:
                 amplitudes[d] = abs(_drive_averaged_amplitude(
-                    d, first.T, first.u, first.J))
+                    d, first.T, first.u))
         amp = np.array([amplitudes[d] for d in deltas])[where]
         barrier = np.abs(signed)
         del signed, where

@@ -81,6 +81,7 @@ ZERO_MODE_RTOL = 1e-9           # kernel tolerance relative to the spectral radi
 DEGENERATE_GAP = 1e-12          # level gaps below this are exact degeneracies
 GRAM_RANK_FLOOR = 1e-12         # chiral Gram route needs lambda_k > this * lambda_0
 UNITARITY_TOL = 1e-8            # the exact drive's error bound per cycle
+STATE_BLOCK_BYTES = 2_000_000_000   # the most one block of states or series may hold
 
 
 # numpy's own OpenBLAS LAPACKE divide-and-conquer eigensolvers (ILP64)
@@ -435,7 +436,13 @@ class Spectrum:
                                          self.quasienergies)
 
     def propagate(self, psi0: np.ndarray, cycles) -> np.ndarray:
-        """State columns after whole numbers of driving cycles, complex128."""
+        """State columns after whole numbers of driving cycles, complex128,
+        as one block, refused (`CapabilityError`) over STATE_BLOCK_BYTES."""
+        if self.size * len(cycles) * 16 > STATE_BLOCK_BYTES:
+            raise CapabilityError(
+                f"materializing {len(cycles)} states of dimension {self.size} "
+                "exceeds the state-block budget; use the chunked series "
+                "functions")
         (out,) = self.blocks(psi0, cycles, len(cycles))
         return out.astype(np.complex128, copy=False)
 

@@ -49,6 +49,6 @@ def stepped_series(basis, params, starts: np.ndarray, last: int) -> dict:
     t_idx = tower_states(basis.L).indices(basis)
     f = np.abs(np.einsum("in,ink->nk", starts.conj(), states)) ** 2
     pt = (np.abs(states[t_idx]) ** 2).sum(axis=0)
-    ee = np.stack([schmidt_entropies(states[:, n, :], basis, basis.L // 2)
+    ee = np.stack([schmidt_entropies(states[:, n, :], basis)
                    for n in range(states.shape[1])])
     return {"F": f, "EE": ee, "Pt": pt}

@@ -137,7 +137,7 @@ def hop(basis: SectorBasis, params: ModelParams) -> sp.csr_matrix:
     for a, b, _, _ in right_moves(basis):
         rows += [a, b]
         cols += [b, a]
-    data = np.full(len(rows), params.J)
+    data = np.full(len(rows), 1.0)
     return sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
 
 
@@ -274,13 +274,12 @@ def scatter_layout(L: int, N: int, cut: int):
     return block_id, row, col, tuple(shapes)
 
 
-def schmidt_spectrum_scatter(amplitudes: np.ndarray, basis: SectorBasis,
+def schmidt_spectrum_scatter(cols: np.ndarray, basis: SectorBasis,
                              cut: int) -> np.ndarray:
-    """`observables.schmidt_spectrum` by scattering the amplitudes into
-    zero-filled blocks, complex unless the amplitudes are real."""
+    """`observables.schmidt_spectrum` of a (dim, n) block, across any cut,
+    by scattering the amplitudes into zero-filled blocks, complex unless
+    the amplitudes are real."""
     block_id, row, col, shapes = scatter_layout(basis.L, basis.N, cut)
-    amps = np.asarray(amplitudes)
-    cols = amps[:, None] if amps.ndim == 1 else amps
     dtype = np.complex128 if np.iscomplexobj(cols) else np.float64
     lams = []
     for b, shape in enumerate(shapes):
@@ -289,8 +288,7 @@ def schmidt_spectrum_scatter(amplitudes: np.ndarray, basis: SectorBasis,
         blocks[:, row[sel], col[sel]] = cols[sel].T
         s = np.linalg.svd(blocks, compute_uv=False)
         lams.append(s * s)
-    lam = np.concatenate(lams, axis=1)
-    return lam[0] if amps.ndim == 1 else lam
+    return np.concatenate(lams, axis=1)
 
 
 def complex_copy_product(m: CSRMatrix, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ def amplitude_ratio(params: ModelParams) -> AmplitudeRatios:
     return AmplitudeRatios(tuple(ratios), tuple(flags))
 
 
-def scan_ratio_grid(U_values, g_values, omega, u, J=1.0):
+def scan_ratio_grid(U_values, g_values, omega, u):
     """Rows (U, g, r1, r2, r3, div1, div2, div3), g varying fastest."""
     U_values = np.atleast_1d(np.asarray(U_values, dtype=np.float64))
     g_values = np.atleast_1d(np.asarray(g_values, dtype=np.float64))
@@ -39,7 +39,7 @@ def scan_ratio_grid(U_values, g_values, omega, u, J=1.0):
     for U in U_values:
         for g in g_values:
             point = amplitude_ratio(ModelParams(g=float(g), U=float(U),
-                                                u=u, omega=omega, J=J))
+                                                u=u, omega=omega))
             out[i, 0], out[i, 1] = U, g
             out[i, 2:5] = point.ratios
             out[i, 5:8] = point.divergent

@@ -217,6 +217,24 @@ def test_resonance_family_json(capsys):
     assert data["U_over_g_exact"] == "2/3"
 
 
+@pytest.mark.parametrize("stray", [
+    ("--grid", "1:2:3,1:2:3", "--omega", "20", "--u", "0.5", "--out", "r.csv"),
+    ("--out", "r.csv", "--u", "0.5"),
+    ("--omega", "20",),
+], ids=["grid-first", "u-before-out", "omega"])
+def test_resonance_family_refuses_the_scan_options(tmp_path, capsys,
+                                                   monkeypatch, stray):
+    # a family run prints its point; the scan's options were silently ignored
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "resonance", "--family", "0,0,+", *stray)
+    first = next(k for k in ("grid", "omega", "u", "out")
+                 if f"--{k}" in stray)
+    assert (code, out) == (2, "")
+    assert err == (f"config error: {first}: not read with family, which "
+                   "prints its point and writes no table\n")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("grid", ["1:2:0,1:2:3", "1:2:3,1:2:0",
                                   "1:80:-2,1:80:2"])
 def test_grid_axis_without_samples_is_refused_by_name(tmp_path, capsys, grid):
@@ -314,6 +332,47 @@ def test_dynamics_refuses_a_short_fft_before_any_solve(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err == "config error: fft: series of length 11 too short for a spectrum\n"
     assert not out_csv.exists() and not (tmp_path / "x_fft.csv").exists()
+
+
+@pytest.mark.parametrize("model", ["effective", "full"])
+def test_dynamics_refuses_fft_out_without_fft(tmp_path, capsys, no_solve,
+                                              model):
+    # the spectrum path was accepted, and no spectrum was written
+    out_csv, fft_csv = tmp_path / "d.csv", tmp_path / "f.csv"
+    code, out, err = run(capsys, "dynamics", "--L", "6", *_RES, "--model",
+                         model, "--cycles", "100", "--out", str(out_csv),
+                         "--fft-out", str(fft_csv))
+    assert (code, out) == (2, "")
+    assert err == "config error: fft_out: needs --fft\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("bundle, extra, key", [
+    ("ratio-landscape", ("--seed", "3", "--cycles", "5"), "cycles"),
+    ("ratio-landscape", ("--seed", "3"), "seed"),
+    ("spectral-map", ("--cycles", "64"), "cycles"),
+    ("revival-spectra", ("--seed", "3"), "seed"),
+    ("model-comparison", ("--seed", "0"), "seed"),
+])
+def test_reproduce_refuses_options_the_bundle_does_not_read(
+        tmp_path, capsys, no_solve, bundle, extra, key):
+    outdir = tmp_path / "b"
+    code, out, err = run(capsys, "reproduce", "--bundle", bundle, *extra,
+                         "--outdir", str(outdir))
+    assert (code, out) == (2, "")
+    assert err == f"config error: {key}: bundle {bundle!r} does not read it\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_bundle_manifest_with_an_unread_key_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "bundle.manifest.json"
+    manifest.write_text(json.dumps({"command": "reproduce", "config": {
+        "bundle": "ratio-landscape", "outdir": str(tmp_path / "rl"),
+        "seed": 3}}))
+    code, _, err = run(capsys, "reproduce", "--config", str(manifest))
+    assert code == 2
+    assert err == "config error: seed: bundle 'ratio-landscape' does not read it\n"
+    assert not (tmp_path / "rl").exists()
 
 
 def test_reproduce_refuses_short_spectra_before_the_outdir(tmp_path, capsys,
@@ -980,12 +1039,14 @@ def test_initial_of_another_chain_length_exits_2(tmp_path, capsys, command):
 
 
 def _full_columns(L, initial, cycles):
-    """F, S_EE and P_t computed directly from `evolve_full` states."""
+    """F, S_EE and P_t computed directly from the exact drive's states."""
     from scarkit import (SectorBasis, StateVector, entanglement_entropy,
-                         evolve_full, resonant_family, tower_states)
+                         fock_vector, resonant_family, tower_states)
+    from scarkit.dynamics import exact_drive
     basis = SectorBasis(L, L // 2)
     params = resonant_family(0, 0, "+").params(g=50.0, u=0.5)
-    states = evolve_full(basis, params, initial, cycles)
+    states = exact_drive(basis, params).propagate(
+        fock_vector(basis, initial).amplitudes, np.arange(cycles + 1))
     f = np.abs(states[:, 0].conj() @ states) ** 2
     ee = [entanglement_entropy(StateVector(states[:, k], basis))
           for k in range(states.shape[1])]

@@ -13,11 +13,10 @@ import drive_oracles
 from conftest import extended
 from scarkit import dynamics
 from scarkit.dynamics import (analytic_fidelity, dominant_peaks, ee_series,
-                              ensemble_stats, evolve_effective, evolve_full,
-                              fidelity_series, fta, full_fidelity_series,
-                              local_maxima, random_nontower_states, series,
-                              spta_fidelity, tower_probability_series,
-                              TimeSeries)
+                              ensemble_stats, fidelity_series, fta,
+                              full_fidelity_series, local_maxima,
+                              random_nontower_states, series, spta_fidelity,
+                              tower_probability_series, TimeSeries)
 from scarkit.errors import DomainError, NumericalError
 from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.graph import tower_states
@@ -91,7 +90,7 @@ def test_tower_probability_shortcut_matches_projection():
     idx = tower.indices(basis)
     ks = np.arange(33)
     series = tower_probability_series(spec, "11110000", cycles=32).values
-    states = evolve_effective(spec, "11110000", ks)
+    states = spec.propagate(fock_vector(basis, "11110000").amplitudes, ks)
     direct = (np.abs(states[idx, :]) ** 2).sum(axis=0)
     np.testing.assert_allclose(series, direct, atol=1e-10)
     assert series[0] == pytest.approx(1.0, abs=1e-12)
@@ -117,11 +116,12 @@ def test_tower_probability_chunks_agree(L, cycles, monkeypatch):
 
 def test_full_propagator_is_unitary_and_consistent():
     basis = SectorBasis(6, 3)
-    states_dense = evolve_full(basis, PARAMS, "111000", np.arange(11))
+    psi0 = fock_vector(basis, "111000").amplitudes
+    states_dense = dynamics.exact_drive(basis, PARAMS).propagate(
+        psi0, np.arange(11))
     norms = np.linalg.norm(states_dense, axis=0)
     np.testing.assert_allclose(norms, 1.0, atol=1e-9)
     # sparse Krylov route agrees with the dense eigendecomposition route
-    psi0 = fock_vector(basis, "111000").amplitudes
     (states_krylov,) = dynamics.SteppedDrive(basis, PARAMS).blocks(
         psi0, np.arange(11), 11)
     np.testing.assert_allclose(states_dense, states_krylov, atol=1e-8)
@@ -130,8 +130,8 @@ def test_full_propagator_is_unitary_and_consistent():
 def test_full_fidelity_streaming_matches_block():
     basis = SectorBasis(6, 3)
     f = full_fidelity_series(basis, PARAMS, "110010", 20)
-    states = evolve_full(basis, PARAMS, "110010", np.arange(21))
-    psi0 = states[:, 0]
+    psi0 = fock_vector(basis, "110010").amplitudes
+    states = dynamics.exact_drive(basis, PARAMS).propagate(psi0, np.arange(21))
     np.testing.assert_allclose(f.values, np.abs(psi0.conj() @ states) ** 2,
                                atol=1e-10)
 
@@ -170,7 +170,7 @@ def test_ee_series_expands_each_start_once(route, monkeypatch):
                          else ["expand"])
         want = [schmidt_entropies(spec.vectors.propagate(
                     spec.vectors.expand(psi0), np.arange(lo, min(lo + 16, 101))
-                    * spec.period, spec.quasienergies), basis, 5)
+                    * spec.period, spec.quasienergies), basis)
                 for lo in range(0, 101, 16)]
         assert got.tobytes() == np.concatenate(want).tobytes()
 
@@ -182,10 +182,12 @@ def test_series_on_the_drive_matches_evolve_full_states(cycles):
     basis = SectorBasis(8, 4)
     t_idx = tower_states(8).indices(basis)
     words = ["11110000", "11001010"]
-    runs = series(dynamics.exact_drive(basis, PARAMS), words, cycles)
+    drive = dynamics.exact_drive(basis, PARAMS)
+    ks = np.arange(cycles + 1) if np.isscalar(cycles) else cycles
+    runs = series(drive, words, cycles)
     for word, run in zip(words, runs):
         psi0 = fock_vector(basis, word).amplitudes
-        states = evolve_full(basis, PARAMS, word, cycles)
+        states = drive.propagate(psi0, ks)
         assert [s.label for s in run.values()] == ["F", "S_EE", "P_t"]
         ee = [entanglement_entropy(StateVector(states[:, k], basis))
               for k in range(states.shape[1])]
@@ -324,7 +326,7 @@ def test_series_reads_f_and_pt_from_one_pass_per_start(route, monkeypatch):
     for word, run in zip(words, runs):
         assert list(run) == ["F", "Pt"]
         psi0 = fock_vector(spec.basis, word).amplitudes
-        states = evolve_effective(spec, word, 700)
+        states = spec.propagate(psi0, np.arange(701))
         np.testing.assert_allclose(run["F"].values,
                                    np.abs(psi0.conj() @ states) ** 2,
                                    rtol=0, atol=1e-12)
@@ -363,8 +365,9 @@ def test_floquet_residual_is_read_and_checked(monkeypatch):
     merged = dynamics.exact_drive(basis, PARAMS)
     assert merged.residual > 1e-3
     merged.times(np.arange(1))    # no cycle read off it, nothing to bound
+    psi0 = fock_vector(basis, "111000").amplitudes
     for run in (lambda: full_fidelity_series(basis, PARAMS, "111000", 5),
-                lambda: evolve_full(basis, PARAMS, "111000", 5),
+                lambda: merged.propagate(psi0, np.arange(6)),
                 lambda: series(merged, ["111000"], 5)):
         with pytest.raises(NumericalError,
                            match="unitarity drift bound .* over 5 cycles"):
@@ -404,7 +407,7 @@ def test_series_from_complex_start_match_evolved_states(route, L,
     rng = np.random.default_rng(L)
     psi0 = rng.normal(size=spec.size) + 1j * rng.normal(size=spec.size)
     psi0 /= np.linalg.norm(psi0)
-    states = evolve_effective(spec, psi0, 200)
+    states = spec.propagate(psi0, np.arange(201))
     t_idx = tower_states(L).indices(spec.basis)
     np.testing.assert_allclose(fidelity_series(spec, psi0, 200).values,
                                np.abs(psi0.conj() @ states) ** 2,
@@ -457,7 +460,8 @@ def test_dominant_peaks_on_synthetic_spectrum():
 
 
 def scipy_dominant_peaks(freqs, amps, count=2, min_height=0.05):
-    """The find_peaks route `dominant_peaks` replaced, kept as its oracle."""
+    """The find_peaks route `dominant_peaks` replaced, kept as its oracle;
+    `dominant_peaks` reads its min_height from PEAK_MIN_HEIGHT."""
     idx, props = find_peaks(amps, height=min_height)
     if len(idx) == 0:
         idx = np.array([int(np.argmax(amps))])
@@ -468,19 +472,17 @@ def scipy_dominant_peaks(freqs, amps, count=2, min_height=0.05):
     return freqs[idx[order]], amps[idx[order]]
 
 
-@given(st.lists(st.integers(0, 3), max_size=64),
-       st.one_of(st.none(), st.integers(0, 3)))
+@given(st.lists(st.integers(0, 3), max_size=64), st.integers(-1, 4))
 @settings(max_examples=400, deadline=None)
 def test_local_maxima_matches_find_peaks_on_plateaus(values, height):
     # small integers make plateaus, flat edges and edge maxima common
     x = np.asarray(values, dtype=np.float64)
-    h = None if height is None else float(height)
-    expected, _ = find_peaks(x, height=h)
-    assert np.array_equal(local_maxima(x, h), expected)
+    expected, _ = find_peaks(x, height=float(height))
+    assert np.array_equal(local_maxima(x, float(height)), expected)
 
 
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=64),
-       st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False)))
+       st.floats(-1e6, 1e6, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_local_maxima_matches_find_peaks_on_floats(values, height):
     x = np.asarray(values, dtype=np.float64)
@@ -494,7 +496,9 @@ def test_local_maxima_matches_find_peaks_on_floats(values, height):
 ])
 def test_local_maxima_matches_find_peaks_on_nan_and_inf(values):
     x = np.asarray(values)
-    assert np.array_equal(local_maxima(x), find_peaks(x)[0])
+    for height in (-np.inf, 0.5, dynamics.PEAK_MIN_HEIGHT, np.inf):
+        assert np.array_equal(local_maxima(x, height),
+                              find_peaks(x, height=height)[0])
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=64),
@@ -504,7 +508,9 @@ def test_dominant_peaks_matches_find_peaks_route(values, count, min_height):
     # min_height 4.0 is above every value, so the argmax fallback runs
     amps = np.asarray(values, dtype=np.float64)
     freqs = np.arange(1, len(amps) + 1) * 0.5
-    got = dominant_peaks(freqs, amps, count, min_height)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "PEAK_MIN_HEIGHT", min_height)
+        got = dominant_peaks(freqs, amps, count)
     want = scipy_dominant_peaks(freqs, amps, count, min_height)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -515,7 +521,7 @@ def test_dominant_peaks_matches_find_peaks_route(values, count, min_height):
 def test_dominant_peaks_falls_back_to_argmax(amps):
     amps = np.asarray(amps)
     freqs = np.arange(len(amps), dtype=np.float64)
-    assert len(local_maxima(amps, 0.05)) == 0
+    assert len(local_maxima(amps, dynamics.PEAK_MIN_HEIGHT)) == 0
     f, a = dominant_peaks(freqs, amps)
     assert f.tolist() == [float(np.argmax(amps))]
     assert a.tolist() == [amps.max()]
@@ -602,8 +608,14 @@ def test_unitarity_drift_raises_numerical_error(monkeypatch, standard_params):
     # both entry points report the cycles actually stepped
     with pytest.raises(NumericalError, match="unitarity drift .* over 4 cycles"):
         dynamics.full_fidelity_series(basis, standard_params, pinnacle_state(4), 4)
+    psi0 = fock_vector(basis, pinnacle_state(4)).amplitudes
     with pytest.raises(NumericalError, match="unitarity drift .* over 4 cycles"):
-        dynamics.evolve_full(basis, standard_params, pinnacle_state(4), 4)
+        dynamics.exact_drive(basis, standard_params).propagate(psi0,
+                                                               np.arange(5))
+    # one block off the stepper: unpacking asks for a second, which checks
+    with pytest.raises(NumericalError, match="unitarity drift .* over 4 cycles"):
+        (states,) = dynamics.SteppedDrive(basis, standard_params).blocks(
+            psi0, np.arange(5), 5)
     # the streamed ensemble checks once its last block is taken
     monkeypatch.setattr(dynamics, "EE_CHUNK", 2)
     krylov = dynamics.SteppedDrive(basis, standard_params)

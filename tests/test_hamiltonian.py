@@ -30,8 +30,9 @@ param_values = st.builds(
 )
 
 
-def fermion_hop_oracle(basis: SectorBasis, J: float) -> np.ndarray:
-    """Dense hop matrix built from creation/annihilation string arithmetic.
+def fermion_hop_oracle(basis: SectorBasis) -> np.ndarray:
+    """Dense hop matrix (J = 1) built from creation/annihilation string
+    arithmetic.
 
     Tracks the full anticommutation string between the two bond sites, which
     for nearest neighbours is always empty; this independently confirms the
@@ -47,15 +48,15 @@ def fermion_hop_oracle(basis: SectorBasis, J: float) -> np.ndarray:
                 string = (-1) ** sum(occ[j + 1:j + 1])  # sites strictly between
                 moved = word[:j] + "01" + word[j + 2:]
                 b = words[moved]
-                H[b, a] += J * string
-                H[a, b] += J * string
+                H[b, a] += string
+                H[a, b] += string
     return H
 
 
 def onsite_energy(word: str, params: ModelParams) -> float:
     """The `build_onsite` diagonal entry of one occupation word."""
     basis = SectorBasis(len(word), word.count("1"))
-    return build_onsite(basis, params).matrix.diagonal()[basis.index_of(word)]
+    return build_onsite(basis, params).toarray().diagonal()[basis.index_of(word)]
 
 
 def hops_of(word: str, params: ModelParams = PARAMS) -> dict:
@@ -65,7 +66,7 @@ def hops_of(word: str, params: ModelParams = PARAMS) -> dict:
     """
     basis = SectorBasis(len(word), word.count("1"))
     src, dst, cls = hop_moves(basis)
-    energy = build_onsite(basis, params).matrix.diagonal()
+    energy = build_onsite(basis, params).toarray().diagonal()
     a = basis.index_of(word)
     out = {}
     for s, d, c in zip(src.tolist(), dst.tolist(), cls.tolist()):
@@ -114,7 +115,7 @@ def test_signed_delta_matches_barrier(LN):
     L, N = LN
     basis = SectorBasis(L, N)
     src, dst, cls = hop_moves(basis)
-    energy = build_onsite(basis, PARAMS).matrix.diagonal()
+    energy = build_onsite(basis, PARAMS).toarray().diagonal()
     barriers = np.array([abs(PARAMS.g - PARAMS.U), PARAMS.g,
                          PARAMS.g + PARAMS.U])
     assert len(src) > 0
@@ -126,7 +127,7 @@ def test_signed_delta_matches_barrier(LN):
 def test_hop_matrix_matches_fermion_string_oracle(L, N):
     basis = SectorBasis(L, N)
     built = build_hop(basis, PARAMS).toarray()
-    assert np.array_equal(built, fermion_hop_oracle(basis, PARAMS.J))
+    assert np.array_equal(built, fermion_hop_oracle(basis))
 
 
 def test_half_period_combination():
@@ -150,10 +151,10 @@ def test_amplitude_at_zero_barrier_is_bare_J():
 @given(param_values)
 @settings(max_examples=80, deadline=None)
 def test_general_amplitudes_bounded_by_J(p):
-    # |average of J(1+u(t)) e^{i d t}| can never exceed J at u <= 1
+    # |average of J(1+u(t)) e^{i d t}| can never exceed J = 1 at u <= 1
     if p.u <= 1.0:
         for amp in amplitudes_general(p):
-            assert abs(amp) <= p.J + 1e-12
+            assert abs(amp) <= 1.0 + 1e-12
 
 
 def test_amplitudes_by_quadrature():
@@ -218,10 +219,10 @@ def test_resonant_amplitudes_refuse_an_overflowing_drive():
         resonant_family(0, 0, "+").params(g=50.0, u=1e307), 0, 0, "+")))
 
 
-@pytest.mark.parametrize("name", ["g", "U", "u", "omega", "J"])
+@pytest.mark.parametrize("name", ["g", "U", "u", "omega"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_model_params_refuse_non_finite_values(name, value):
-    fields = {"g": 7.0, "U": 11.0, "u": 0.5, "omega": 5.0, "J": 1.0}
+    fields = {"g": 7.0, "U": 11.0, "u": 0.5, "omega": 5.0}
     with pytest.raises(DomainError, match=f"^{name} must be finite"):
         ModelParams(**{**fields, name: value})
 

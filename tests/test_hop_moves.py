@@ -64,9 +64,8 @@ def assert_same_csr(new, old):
         assert not a.real.any(), "data"
         a, b = a.imag, b.imag
     assert a.tobytes() == b.tobytes(), "data"   # bitwise: signed zeros too
-    for view in ("toarray", "diagonal"):
-        a, b = getattr(new, view)(), getattr(old, view)()
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), view
+    a, b = new.toarray(), old.toarray()
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), "toarray"
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,7 +414,8 @@ def test_hermitian_build_peaks_are_bounded_by_their_matrices():
     basis = SectorBasis(18, 9)
     res = resonant_family(0, 0, "+").params(50.0, 0.5)
     params = ModelParams(g=43.7, U=2.2 * 43.7, u=0.5, omega=50.0)
-    # the g+U class amplitude is exactly 0 here, so this build drops zeros
+    # every static energy here is an even multiple of omega, so every folded
+    # diagonal entry is 0 and this build drops all of them
     zeros = ModelParams(g=2.0, U=2.0, u=1.0, omega=2.0)
     builds = {"resonant": lambda: build_effective_resonant(basis, res, 0, 0, "+"),
               "hop": lambda: build_hop(basis, params),

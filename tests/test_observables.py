@@ -16,21 +16,21 @@ from scarkit.errors import DomainError
 from scarkit.fock_basis import FockState, SectorBasis, pinnacle_state
 from scarkit.hamiltonian import build_effective_resonant
 from scarkit.observables import (SCHMIDT_FLOOR, StateVector, coe_ie_reference,
-                                 ee_outlier_flags, entanglement_entropy,
-                                 entropy_profile, fock_vector, overlap_table,
-                                 page_entropy, plogp, scar_state,
-                                 schmidt_entropies, schmidt_spectrum,
-                                 shannon_entropies, shannon_entropy,
-                                 zero_projection)
+                                 entanglement_entropy, entropy_profile,
+                                 fock_vector, overlap_table, page_entropy,
+                                 plogp, scar_state, schmidt_entropies,
+                                 schmidt_spectrum, shannon_entropies,
+                                 shannon_entropy, zero_projection)
 from scarkit.resonance import resonant_family
 from scarkit.spectral import diagonalize
 
 PARAMS = resonant_family(0, 0, "+").params(g=50.0, u=0.5)
 
 
-def dense_entropy_oracle(amplitudes, basis, cut):
-    """EE via embedding into the full 2^L lattice space and one big SVD."""
-    L = basis.L
+def dense_entropy_oracle(amplitudes, basis):
+    """Half-chain EE via embedding into the full 2^L lattice space and one
+    big SVD."""
+    L, cut = basis.L, basis.L // 2
     full = np.zeros(2 ** L, dtype=np.complex128)
     for i, bits in enumerate(basis.states):
         full[int(bits)] = amplitudes[i]
@@ -40,15 +40,15 @@ def dense_entropy_oracle(amplitudes, basis, cut):
     return float(-(lam * np.log(lam)).sum())
 
 
-@pytest.mark.parametrize("cut", [1, 3, 4, 6, 7])
-def test_entropy_matches_dense_reshape_oracle(cut):
-    basis = SectorBasis(8, 4)
+@pytest.mark.parametrize("L", [3, 4, 6, 7, 8, 9])
+def test_entropy_matches_dense_reshape_oracle(L):
+    # odd L cuts unevenly, (L - 1)/2 | (L + 1)/2 sites
+    basis = SectorBasis(L, L // 2)
     rng = np.random.default_rng(17)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     amps /= np.linalg.norm(amps)
-    mine = entanglement_entropy(StateVector(amps, basis), cut)
-    assert mine == pytest.approx(dense_entropy_oracle(amps, basis, cut),
-                                 abs=1e-10)
+    mine = entanglement_entropy(StateVector(amps, basis))
+    assert mine == pytest.approx(dense_entropy_oracle(amps, basis), abs=1e-10)
 
 
 def test_schmidt_spectrum_is_a_distribution():
@@ -56,7 +56,7 @@ def test_schmidt_spectrum_is_a_distribution():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     amps /= np.linalg.norm(amps)
-    lam = schmidt_spectrum(amps, basis, 4)
+    (lam,) = schmidt_spectrum(amps[:, None], basis)
     assert (lam >= -1e-14).all()
     assert lam.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -64,8 +64,7 @@ def test_schmidt_spectrum_is_a_distribution():
 def test_fock_state_is_unentangled():
     basis = SectorBasis(6, 3)
     sv = fock_vector(basis, FockState.from_string("101010"))
-    for cut in range(1, 6):
-        assert entanglement_entropy(sv, cut) == pytest.approx(0.0, abs=1e-12)
+    assert entanglement_entropy(sv) == pytest.approx(0.0, abs=1e-12)
     assert shannon_entropy(sv) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -76,7 +75,7 @@ def test_two_term_superposition_gives_ln2():
     amps = np.zeros(basis.size, dtype=np.complex128)
     amps[a] = amps[b] = 1.0 / math.sqrt(2.0)
     sv = StateVector(amps, basis)
-    assert entanglement_entropy(sv, 2) == pytest.approx(math.log(2), abs=1e-12)
+    assert entanglement_entropy(sv) == pytest.approx(math.log(2), abs=1e-12)
     assert shannon_entropy(sv) == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -107,14 +106,14 @@ def test_eigenstate_measures_match_per_column_values(monkeypatch, route):
     spec = diagonalize(ham)
     monkeypatch.setattr(observables, "PROFILE_BATCH", 7)
     ee, ie = eigenstate_measures(
-        spec, [lambda c: schmidt_entropies(c, basis, 4), shannon_entropies])
+        spec, [lambda c: schmidt_entropies(c, basis), shannon_entropies])
     for a in range(spec.size):
         sv = StateVector(spec.vectors.columns([a])[:, 0], basis)
         assert ie[a] == shannon_entropy(sv)     # bit for bit, pair or not
         assert ee[a] == pytest.approx(entanglement_entropy(sv), abs=1e-10)
     subset = [9, 2, 9, 60]
     ee_sub, ie_sub = eigenstate_measures(
-        spec, [lambda c: schmidt_entropies(c, basis, 4), shannon_entropies],
+        spec, [lambda c: schmidt_entropies(c, basis), shannon_entropies],
         subset)
     assert ee_sub.tolist() == ee[subset].tolist()
     assert ie_sub.tolist() == ie[subset].tolist()
@@ -203,18 +202,11 @@ def test_int_state_is_a_bit_word_everywhere():
 def test_overlap_table_aggregation_reduces_rows():
     basis = SectorBasis(8, 4)
     spec = diagonalize(build_effective_resonant(basis, PARAMS, 0, 0, "+"))
-    fine = overlap_table(spec, pinnacle_state(8), aggregate=False)
-    coarse = overlap_table(spec, pinnacle_state(8), aggregate=True)
-    assert len(coarse) <= len(fine)
-    assert coarse[:, 1].sum() == pytest.approx(fine[:, 1].sum(), abs=1e-12)
-
-
-def test_ee_outlier_flags_plants():
-    values = np.concatenate([np.full(50, 5.0) + np.linspace(0, 0.1, 50),
-                             [1.0]])
-    flags = ee_outlier_flags(values)
-    assert flags[-1]
-    assert flags[:-1].sum() == 0
+    tp = pinnacle_state(8)
+    fine = spec.weight_row(basis.index_of(tp))      # one weight per eigenstate
+    coarse = overlap_table(spec, tp)
+    assert len(coarse) < len(fine)                  # the kernel is one row
+    assert coarse[:, 1].sum() == pytest.approx(fine.sum(), abs=1e-12)
 
 
 @given(st.integers(2, 5))
@@ -250,10 +242,10 @@ def test_plogp_at_the_schmidt_floor():
     assert plogp(p)[-1] == 0.0
 
 
-def xlogy_entropies(columns, basis, cut):
+def xlogy_entropies(columns, basis):
     """The xlogy formula `schmidt_entropies` used before plogp."""
     out = []
-    for lam in schmidt_spectrum(columns, basis, cut):
+    for lam in schmidt_spectrum(columns, basis):
         lam = lam[lam >= SCHMIDT_FLOOR]
         out.append(-xlogy(lam, lam).sum())
     return np.array(out)
@@ -270,10 +262,9 @@ def test_schmidt_entropies_match_xlogy_formula(L):
     random /= np.linalg.norm(random, axis=0)
     for cols in (spec.vectors.columns(picks), random,
                  np.eye(basis.size)[:, :6]):
-        for cut in (1, L // 2):
-            np.testing.assert_allclose(schmidt_entropies(cols, basis, cut),
-                                       xlogy_entropies(cols, basis, cut),
-                                       rtol=0, atol=PLOGP_ATOL)
+        np.testing.assert_allclose(schmidt_entropies(cols, basis),
+                                   xlogy_entropies(cols, basis),
+                                   rtol=0, atol=PLOGP_ATOL)
 
 
 @pytest.mark.parametrize("L", [8, 12])
@@ -321,51 +312,49 @@ def test_shannon_entropies_check_every_column_norm():
 
 
 @st.composite
-def sector_cuts(draw):
-    L = draw(st.integers(1, 14))
+def sectors(draw):
+    L = draw(st.integers(2, 14))
     return L, draw(st.integers(0, L))
 
 
-@given(sector_cuts())
+@given(sectors())
 @example((14, 7)).via("the largest half-filled sector")
+@example((13, 6)).via("an uneven cut")
 @example((6, 0)).via("empty chain")
 @example((6, 6)).via("full chain")
 @settings(max_examples=60, deadline=None)
 def test_cut_layout_matches_per_state_rank_oracle(LN):
     L, N = LN
-    for cut in range(1, L):
-        order, shapes = observables._cut_layout(L, N, cut)
-        expected, expected_shapes = hop_oracles.cut_layout(L, N, cut)
-        assert shapes == expected_shapes
-        assert order.dtype == expected.dtype
-        assert order.tobytes() == expected.tobytes()
+    order, shapes = observables._cut_layout(L, N)
+    expected, expected_shapes = hop_oracles.cut_layout(L, N, L // 2)
+    assert shapes == expected_shapes
+    assert order.dtype == expected.dtype
+    assert order.tobytes() == expected.tobytes()
 
 
 @st.composite
 def schmidt_inputs(draw):
-    """(amplitudes, basis, cut): L <= 12, any N and cut, real or complex
-    (dim, n) blocks with n >= 0, or a single 1-D amplitude vector."""
+    """(amplitudes, basis): L <= 12, any N, real or complex (dim, n) blocks
+    with n >= 0."""
     L = draw(st.integers(2, 12))
     basis = SectorBasis(L, draw(st.integers(0, L)))
-    cut = draw(st.integers(1, L - 1))
-    n = draw(st.one_of(st.none(), st.integers(0, 5)))
-    shape = (basis.size,) if n is None else (basis.size, n)
+    shape = (basis.size, draw(st.integers(0, 5)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     amps = rng.normal(size=shape)
     if draw(st.booleans()):
         amps = amps + 1j * rng.normal(size=shape)
-    return amps, basis, cut
+    return amps, basis
 
 
 @given(schmidt_inputs())
-@example((np.zeros((70, 0)), SectorBasis(8, 4), 4)).via("an empty block")
-@example((np.ones(35, dtype=np.complex128), SectorBasis(7, 3), 3)).via(
-    "1-D complex, uneven cut")
+@example((np.zeros((70, 0)), SectorBasis(8, 4))).via("an empty block")
+@example((np.ones((35, 1), dtype=np.complex128), SectorBasis(7, 3))).via(
+    "complex, uneven cut")
 @settings(max_examples=200, deadline=None)
 def test_schmidt_spectrum_bytes_equal_the_scatter_oracle(case):
-    amps, basis, cut = case
-    got = schmidt_spectrum(amps, basis, cut)
-    want = hop_oracles.schmidt_spectrum_scatter(amps, basis, cut)
+    amps, basis = case
+    got = schmidt_spectrum(amps, basis)
+    want = hop_oracles.schmidt_spectrum_scatter(amps, basis, basis.L // 2)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 
@@ -375,10 +364,10 @@ def test_schmidt_spectrum_peak_is_bounded_by_its_input(spectrum_cache):
     # the input: the traced peak stays within the input's bytes
     spec = spectrum_cache(14)
     cols = spec.vectors.real_columns(np.arange(256))
-    schmidt_spectrum(cols[:, :1], spec.basis, 7)     # cached layout, imports
+    schmidt_spectrum(cols[:, :1], spec.basis)       # cached layout, imports
     tracemalloc.start()
     try:
-        schmidt_spectrum(cols, spec.basis, 7)
+        schmidt_spectrum(cols, spec.basis)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chiral_oracles
-from scarkit.dynamics import ee_series, evolve_effective, fidelity_series
+from scarkit.dynamics import ee_series, fidelity_series
 from scarkit.fock_basis import SectorBasis, pinnacle_state
 from scarkit.hamiltonian import (ModelParams, build_effective_general,
                                  build_effective_resonant)
@@ -31,8 +31,8 @@ def chiral_spectrum(L, family):
     return _CACHE[L, family]
 
 
-def complex_entropies(spec, indices, cut):
-    return schmidt_entropies(spec.vectors.columns(indices), spec.basis, cut)
+def complex_entropies(spec, indices):
+    return schmidt_entropies(spec.vectors.columns(indices), spec.basis)
 
 
 def partner(spec, a):
@@ -62,10 +62,7 @@ def test_entropy_profile_matches_complex_columns(L, family, monkeypatch):
     spec = chiral_spectrum(L, family)
     everything = np.arange(spec.size)
     np.testing.assert_allclose(
-        entropy_profile(spec), complex_entropies(spec, everything, L // 2),
-        rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        entropy_profile(spec, cut=3), complex_entropies(spec, everything, 3),
+        entropy_profile(spec), complex_entropies(spec, everything),
         rtol=0, atol=1e-12)
     # a subset in scrambled order, with repeats, both partners of some pairs
     # and (L = 8, 12) kernel columns, over several small batches
@@ -75,8 +72,8 @@ def test_entropy_profile_matches_complex_columns(L, family, monkeypatch):
                              [partner(spec, 0), 0]])
     monkeypatch.setattr(observables, "PROFILE_BATCH", 5)
     np.testing.assert_allclose(
-        entropy_profile(spec, subset, cut=L // 2 - 1),
-        complex_entropies(spec, subset, L // 2 - 1), rtol=0, atol=1e-12)
+        entropy_profile(spec, subset), complex_entropies(spec, subset),
+        rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("L", [8, 12])
@@ -89,8 +86,8 @@ def test_pair_entropies_are_equal(L, family):
     plus = np.array([partner(spec, a) for a in minus])
     assert len(minus) == vec.rank
     np.testing.assert_array_equal(prof[minus], prof[plus])
-    np.testing.assert_allclose(complex_entropies(spec, minus, L // 2),
-                               complex_entropies(spec, plus, L // 2),
+    np.testing.assert_allclose(complex_entropies(spec, minus),
+                               complex_entropies(spec, plus),
                                rtol=0, atol=1e-12)
 
 
@@ -143,7 +140,7 @@ def test_series_match_complex_propagate(L):
             np.abs(psi0.conj() @ states) ** 2, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             ee_series(spec, start, 130).values,
-            schmidt_entropies(states, basis, L // 2), rtol=0, atol=1e-12)
+            schmidt_entropies(states, basis), rtol=0, atol=1e-12)
 
 
 def test_fidelity_weights_on_the_dense_route():
@@ -171,7 +168,7 @@ def test_real_start_propagates_in_real_arithmetic():
     assert real.dtype == np.float64
     np.testing.assert_allclose(real, spec.propagate(psi0, np.arange(50)),
                                rtol=0, atol=1e-13)
-    assert evolve_effective(spec, pinnacle_state(12), 3).dtype == np.complex128
+    assert spec.propagate(psi0.real, np.arange(4)).dtype == np.complex128
 
 
 @pytest.mark.parametrize("chiral", [True, False])
@@ -198,14 +195,13 @@ def test_spectrum_propagate_passes_a_real_start_through(chiral):
 
 
 def test_schmidt_real_dtype_matches_complex():
-    basis = SectorBasis(10, 5)
     rng = np.random.default_rng(4)
-    cols = rng.normal(size=(basis.size, 6))
-    cols /= np.linalg.norm(cols, axis=0)
-    for cut in (2, 5, 7):
+    for basis in (SectorBasis(10, 5), SectorBasis(9, 4)):
+        cols = rng.normal(size=(basis.size, 6))
+        cols /= np.linalg.norm(cols, axis=0)
         np.testing.assert_allclose(
-            schmidt_spectrum(cols, basis, cut),
-            schmidt_spectrum(cols.astype(np.complex128), basis, cut),
+            schmidt_spectrum(cols, basis),
+            schmidt_spectrum(cols.astype(np.complex128), basis),
             rtol=0, atol=1e-14)
 
 

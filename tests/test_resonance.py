@@ -56,10 +56,9 @@ def test_family_consistency_relations(knb):
 @settings(max_examples=60, deadline=None)
 def test_family_barriers_all_resonant(knb, g):
     k1, k2, branch = knb
-    fam = resonant_family(k1, k2, branch)
-    omega = g / fam.g_over_omega
-    for barrier in fam.barriers(g):
-        assert is_resonant(barrier, omega)
+    p = resonant_family(k1, k2, branch).params(g, 0.5)
+    for barrier in (abs(p.g - p.U), p.g, p.g + p.U):
+        assert is_resonant(barrier, p.omega)
 
 
 def test_is_resonant_odd_multiples_only():
@@ -149,22 +148,24 @@ def test_scan_is_bitwise_the_per_point_loop(U, g, omega, u):
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=8),
        st.lists(st.integers(1, 60), min_size=1, max_size=8),
        st.sampled_from([1.0, 3.0, 7.5, 20.0]),
-       st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([1.0, 0.3]))
+       st.sampled_from([0.0, 0.5, 2.0]))
 @settings(max_examples=150, deadline=None)
-def test_scan_matches_loop_on_integer_grids(U, g, omega, u, J):
+def test_scan_matches_loop_on_integer_grids(U, g, omega, u):
     # integer barriers hit exact resonances: divergent flags and zero folds
     U, g = np.asarray(U, dtype=np.float64), np.asarray(g, dtype=np.float64)
-    table = scan_ratio_grid(U, g, omega, u, J)
-    assert table.tobytes() == oracle.scan_ratio_grid(U, g, omega, u, J).tobytes()
+    table = scan_ratio_grid(U, g, omega, u)
+    assert table.tobytes() == oracle.scan_ratio_grid(U, g, omega, u).tobytes()
 
 
+# Points whose energies are given in units of a tunneling J enter scarkit,
+# whose unit is J = 1, divided by J.
 @pytest.mark.parametrize("g, U, omega, u, J", [
     (20.0, 40.0, 20.0, 0.5, 1.0), (20.0, 47.0, 20.0, 0.5, 1.0),
     (7.0, 40.0, 20.0, 0.5, 1.0), (30.0, 30.0, 20.0, 0.5, 1.0),
     (40.0, 80.0, 20.0, 0.5, 1.0), (11.0, 33.0, 20.0, 1.5, 0.7),
 ])
 def test_amplitude_ratio_is_the_scalar_oracle(g, U, omega, u, J):
-    params = ModelParams(g=g, U=U, u=u, omega=omega, J=J)
+    params = ModelParams(g=g / J, U=U / J, u=u, omega=omega / J)
     assert amplitude_ratio(params) == oracle.amplitude_ratio(params)
 
 
@@ -189,11 +190,12 @@ def test_scan_of_an_empty_axis_is_empty():
     ([10.0], [5.0, 0.0], 20.0, 0.5, 1.0),
     ([0.0], [5.0], 20.0, -0.5, 1.0),       # both wrong: first point decides
     ([10.0], [5.0], 0.0, 0.5, 1.0),
-    ([10.0], [5.0], 20.0, 0.5, 0.0),
+    ([10.0], [5.0], 20.0, math.inf, 2.0),
     ([10.0, 20.0], [5.0], 20.0, -0.5, 1.0),
 ])
 def test_scan_raises_what_the_loop_raises(U, g, omega, u, J):
+    U, g, omega = np.divide(U, J), np.divide(g, J), omega / J    # units of J
     with pytest.raises(DomainError) as loop:
-        oracle.scan_ratio_grid(U, g, omega, u, J)
+        oracle.scan_ratio_grid(U, g, omega, u)
     with pytest.raises(DomainError, match=re.escape(str(loop.value))):
-        scan_ratio_grid(U, g, omega, u, J)
+        scan_ratio_grid(U, g, omega, u)

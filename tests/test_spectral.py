@@ -104,6 +104,23 @@ def test_propagation_is_unitary_and_periodic_at_zero():
     assert np.allclose(out[:, 0], psi0, atol=1e-12)
 
 
+def test_propagate_refuses_a_block_over_the_budget(monkeypatch):
+    from scarkit import spectral
+    spec = resonant_spectrum(6)
+    psi0 = np.zeros(spec.size)
+    psi0[0] = 1.0
+    monkeypatch.setattr(spectral, "STATE_BLOCK_BYTES", spec.size * 3 * 16)
+    assert spec.propagate(psi0, np.arange(3)).shape == (spec.size, 3)
+
+    def no_blocks(*args, **kw):
+        raise AssertionError("states were evolved before the refusal")
+
+    monkeypatch.setattr(spectral.Spectrum, "blocks", no_blocks)
+    with pytest.raises(CapabilityError, match="4 states of dimension 20 "
+                       "exceeds the state-block budget"):
+        spec.propagate(psi0, np.arange(4))
+
+
 @pytest.mark.parametrize("L,count", [(4, 2), (6, 0), (8, 6), (10, 0), (12, 20)])
 def test_zero_mode_counts(L, count):
     spec = resonant_spectrum(L)
