@@ -12,7 +12,12 @@ Compare two source trees:
 
     PYTHONPATH=<old>/src python scripts/golden_run.py A
     PYTHONPATH=<new>/src python scripts/golden_run.py B
-    diff -r A B
+    python scripts/golden_run.py --compare A B
+
+The compare mode prints one line per file that is not byte-identical in A
+and B: its path and, for a CSV or JSON file of the same shape, the largest
+|delta| over its numeric cells (JSON: its leaves).  It exits 1 when any
+file differs or exists on one side only, else 0.
 
 The five desk bundles dominate the run time; spectral-map alone spends over
 a minute on its L = 16 chiral factors.
@@ -21,6 +26,8 @@ a minute on its L = 16 chiral factors.
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
 import sys
 
@@ -230,7 +237,90 @@ def run(outdir: str, commands=COMMANDS) -> int:
     return 0
 
 
+def _files(root: str) -> set[str]:
+    """Every file under root but SHA256SUMS, as a path relative to root."""
+    found = {os.path.relpath(os.path.join(d, name), root)
+             for d, _, names in os.walk(root) for name in names}
+    return found - {"SHA256SUMS"}
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _leaves(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _leaves(value)
+    else:
+        yield obj
+
+
+def _cells(path: str):
+    """A CSV file's cells or a JSON file's keys and leaves, in order; None
+    for any other file."""
+    with open(path) as fh:
+        if path.endswith(".csv"):
+            return [c for line in fh for c in line.rstrip("\n").split(",")]
+        if path.endswith(".json"):
+            return list(_leaves(json.load(fh)))
+    return None
+
+
+def _number(cell):
+    if isinstance(cell, bool):
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def max_delta(a: str, b: str):
+    """The largest |delta| over the numeric cells of two CSV or JSON files
+    (inf where one cell is NaN and the other not), or None where they do
+    not pair cell by cell: another kind of file, another number of cells,
+    or a non-numeric cell that differs."""
+    ca, cb = _cells(a), _cells(b)
+    if ca is None or cb is None or len(ca) != len(cb):
+        return None
+    worst = 0.0
+    for x, y in zip(ca, cb):
+        fx, fy = _number(x), _number(y)
+        if x == y or (fx is not None and fy is not None
+                      and math.isnan(fx) and math.isnan(fy)):
+            continue
+        if fx is None or fy is None:
+            return None
+        delta = abs(fx - fy)
+        worst = max(worst, delta if delta == delta else math.inf)
+    return worst
+
+
+def compare(a: str, b: str) -> int:
+    """Print each file that differs between the runs a and b (module
+    docstring); 1 if any does, else 0."""
+    fa, fb = _files(a), _files(b)
+    differs = False
+    for path in sorted(fa | fb):
+        if path not in fb or path not in fa:
+            print(f"{path}  only in {a if path in fa else b}")
+            differs = True
+            continue
+        pa, pb = os.path.join(a, path), os.path.join(b, path)
+        with open(pa, "rb") as fh, open(pb, "rb") as gh:
+            if fh.read() == gh.read():
+                continue
+        differs = True
+        delta = max_delta(pa, pb)
+        print(f"{path}  differs" if delta is None
+              else f"{path}  max |delta| {delta:.3g}")
+    return int(differs)
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR | --compare A B")
     sys.exit(run(sys.argv[1]))

@@ -167,7 +167,8 @@ class _OptionRegistry:
 
 def _resolve_options(ns: argparse.Namespace, registry: _OptionRegistry) -> dict:
     config = _load_config(ns.config) if getattr(ns, "config", None) else {}
-    known = {_normalize_key(d) for d in registry.types}
+    # the running subcommand's options are the ones its namespace holds
+    known = {_normalize_key(d) for d in registry.types if hasattr(ns, d)}
     stray = sorted(set(config) - known)
     if stray:
         raise ConfigError(f"config: unknown key {stray[0]!r}")
@@ -719,7 +720,9 @@ def _bundle_spectral_map(opts: dict, outdir: str, sizes) -> dict:
     run = {**opts, **_WORKING_POINT, "L": L,
            "per_state": os.path.join(outdir, f"states_L{L}.csv")}
     _cmd_scar(run)
-    _write_manifest("scar", run, os.path.join(outdir, "manifest.json"))
+    scar_keys = vars(build_parser()[0].parse_args(["scar"]))
+    _write_manifest("scar", {k: v for k, v in run.items() if k in scar_keys},
+                    os.path.join(outdir, "manifest.json"))
     return {"files": [run["per_state"]]}
 
 
@@ -811,10 +814,12 @@ _BUNDLES = {
     "ratio-landscape": (_bundle_ratio_landscape,
                         {"desk": (160,), "paper": (320,)}),
 }
-# each bundle-only option -> the bundles that read it
+# each option that some bundles do not read -> the bundles that read it
 _BUNDLE_READERS = {"cycles": ("quench-series", "revival-spectra",
                               "model-comparison"),
-                   "seed": ("quench-series",)}
+                   "seed": ("quench-series",),
+                   "dense_threshold": ("spectral-map", "quench-series",
+                                       "revival-spectra", "model-comparison")}
 
 
 def _cmd_reproduce(opts: dict) -> tuple:
@@ -830,7 +835,7 @@ def _cmd_reproduce(opts: dict) -> tuple:
         if opts.get(key) is not None and bundle not in readers:
             raise ConfigError(f"{key}: bundle {bundle!r} does not read it")
     sizes = scales[scale]
-    if bundle != "ratio-landscape":
+    if bundle in _BUNDLE_READERS["dense_threshold"]:
         from .spectral import DENSE_EIG_DEFAULT, check_dense
         threshold = _positive(opts, "dense_threshold", DENSE_EIG_DEFAULT)
         for L in sizes:

@@ -32,10 +32,13 @@ A^T W[:, :k] (or the fallback SVD), each copy dropped right after its
 product.  The `eigh` is `eigh_inplace`, numpy's own LAPACKE syevd run on
 G's memory, so it holds three n^2 arrays (n the larger side): G, which
 becomes W, and syevd's 2 n^2 workspace; `np.linalg.eigh` added its own
-copy of G and a fresh W.  The route's peak is now the Newton-Schulz
-product, with W, X, E and X E alive: VmHWM 130 MiB at L = 14 and
-1,323 MiB at L = 16 (0,0,+), build included, against 151 and 1,653 MiB
-with `np.linalg.eigh`.  Re-cutting C costs under 2 ms at L = 14.
+copy of G and a fresh W.  After it each phase holds at most three arrays
+of C's size, besides strips: X (k x k, k the smaller side) is made before
+C is cut, and A^T W[:, :k] is written into it (W, C, X); the norms square
+X once (W, X, X^2); the Newton-Schulz step holds W, X, E and one strip of
+X E.  The views that follow take |M| and fill columns in strips too.  VmHWM 114 MiB at L = 14 and 1,027 MiB at L = 16 (0,0,+), build
+included, against 130 and 1,323 MiB with the one-GEMM step, and 151 and
+1,653 MiB with `np.linalg.eigh`.  Re-cutting C costs under 2 ms at L = 14.
 
 Real frame.  With A = -iH real antisymmetric, e^{-iHt} = e^{tA} is a real
 orthogonal matrix, so a real start (every Fock state) stays real and
@@ -90,6 +93,8 @@ _EVD_SYMBOLS = {np.dtype(np.float64): "scipy_LAPACKE_dsyevd64_",
 _COL_MAJOR = 102                # LAPACK_COL_MAJOR
 _WORK_MEMORY_ERROR = -1010      # LAPACKE could not allocate the workspace
 _TRANSPOSE_BLOCK = 32           # rows per strip of the in-place transpose
+_PRODUCT_STRIP = 512            # rows per strip of the in-place X <- X E
+_VIEW_STRIP = 64                # pivots per |M| strip; columns per view chunk
 
 
 @functools.cache
@@ -150,9 +155,15 @@ def eigh_inplace(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pivots(M: np.ndarray, axis: int) -> np.ndarray:
     """The largest-magnitude entry of each column (axis 0) or row (axis 1)
-    of M; ties go to the lowest index."""
-    idx = np.expand_dims(np.abs(M).argmax(axis=axis), axis)
-    return np.take_along_axis(M, idx, axis=axis).squeeze(axis)
+    of M; ties go to the lowest index.  |M| is taken one strip of those
+    columns or rows at a time, so no full-size copy of M is made."""
+    lines = M.T if axis == 0 else M         # one line per pivot
+    out = np.empty(len(lines), dtype=M.dtype)
+    for lo in range(0, len(lines), _VIEW_STRIP):
+        part = lines[lo:lo + _VIEW_STRIP]
+        out[lo:lo + len(part)] = part[np.arange(len(part)),
+                                      np.abs(part).argmax(axis=1)]
+    return out
 
 
 class DenseVectors:
@@ -275,11 +286,15 @@ class ChiralPairVectors:
             self._coef[1, m] = np.where(u_wins, rot * su, sv)[pair[m]] * w
 
     def columns(self, indices) -> np.ndarray:
+        """The spectrum columns `indices`, filled _VIEW_STRIP at a time, so
+        each gathered factor part and its complex product are chunk-sized."""
         a = np.asarray(indices, dtype=np.intp)
         out = np.empty((self.n_states, len(a)), dtype=np.complex128)
-        for (F, at), i, c in zip(self._blocks, self._index[:, a],
-                                 self._coef[:, a]):
-            out[at] = _gather(F, i, c != 0) * c
+        for lo in range(0, len(a), _VIEW_STRIP):
+            part = a[lo:lo + _VIEW_STRIP]
+            for (F, at), i, c in zip(self._blocks, self._index[:, part],
+                                     self._coef[:, part]):
+                out[at, lo:lo + len(part)] = _gather(F, i, c != 0) * c
         return out
 
     def rows(self, indices) -> np.ndarray:
@@ -539,7 +554,10 @@ def chiral_svd(cut):
 
     C is cut afresh for each product that reads it (G = A A^T, then
     A^T W[:, :k], or the fallback SVD) and dropped right after, so none is
-    alive across the `eigh` or the Newton-Schulz step.
+    alive across the `eigh` or the Newton-Schulz step.  That step runs in
+    place, _PRODUCT_STRIP rows of X E at a time, so it makes no second
+    X-sized array.  A k <= _PRODUCT_STRIP is one strip, the one-GEMM
+    product bit for bit; more strips agree with it to rounding.
     """
     A = cut()
     tall = A.shape[0] >= A.shape[1]
@@ -554,14 +572,16 @@ def chiral_svd(cut):
     if not (k and lam[k - 1] > GRAM_RANK_FLOOR * lam[0]):
         del W
         return np.linalg.svd(cut(), full_matrices=True)
-    X = (cut().T if tall else cut()) @ W[:, :k]      # A^T W[:, :k]
+    X = np.empty((k, k))    # before C, so freeing C leaves no hole under X
+    np.matmul(cut().T if tall else cut(), W[:, :k], out=X)   # A^T W[:, :k]
     s = np.linalg.norm(X, axis=0)
     X /= s
     E = X.T @ X             # 3/2 I - X^T X / 2, built in place
     E *= -0.5
     E += 0.0                # -0.0 to +0.0, as 0.0 - 0.5 * (+-0.0) gives
     E.flat[::k + 1] += 1.5
-    X = X @ E
+    for lo in range(0, k, _PRODUCT_STRIP):
+        X[lo:lo + _PRODUCT_STRIP] = X[lo:lo + _PRODUCT_STRIP] @ E
     return (W, s, X.T) if tall else (X, s, W.T)
 
 

@@ -4,7 +4,8 @@ The per-column loop materializes one eigenvector column at a time from the
 factors, with the pair phases worked out from the documented convention,
 and the per-row loop reads Fock rows off those columns; both are oracles for
 the vectorized ChiralPairVectors accessors.  `svd_factors` is the full SVD
-the Gram route replaced, for `chiral_svd`.
+the Gram route replaced, for `chiral_svd`, and `gram_factors` the Gram
+route with its Newton-Schulz product as one GEMM.
 """
 
 import math
@@ -90,3 +91,22 @@ def signed_kernel(K: np.ndarray) -> np.ndarray:
     made positive."""
     pivot = K[np.abs(K).argmax(axis=0), np.arange(K.shape[1])]
     return K * np.where(pivot < 0, -1.0, 1.0)
+
+
+def gram_factors(C: np.ndarray):
+    """(U, s, V^T) of a C of full rank on its smaller side, as `chiral_svd`
+    takes them, with `np.linalg.eigh` for the Gram matrix and the
+    Newton-Schulz step X <- X E as one X-sized product."""
+    tall = C.shape[0] >= C.shape[1]
+    A = C if tall else C.T
+    k = A.shape[1]
+    _, W = np.linalg.eigh(-(A @ A.T))
+    X = A.T @ W[:, :k]
+    s = np.linalg.norm(X, axis=0)
+    X /= s
+    E = X.T @ X
+    E *= -0.5
+    E += 0.0
+    E.flat[::k + 1] += 1.5
+    X = X @ E
+    return (W, s, X.T) if tall else (X, s, W.T)

@@ -94,6 +94,38 @@ def test_stray_config_key_exits_2_and_names_it(tmp_path, capsys):
     assert "fammily" in err
 
 
+def test_config_keys_are_checked_against_the_running_command(tmp_path,
+                                                             capsys):
+    # `bundle` and `outdir` are reproduce's options, not scar's
+    cfg, per_state = tmp_path / "c.json", tmp_path / "s.csv"
+    cfg.write_text(json.dumps({"bundle": "spectral-map", "outdir": "o"}))
+    code, out, err = run(capsys, "scar", "--config", str(cfg), "--L", "4",
+                         "--per-state", str(per_state))
+    assert (code, out) == (2, "")
+    assert err == "config error: config: unknown key 'bundle'\n"
+    assert not per_state.exists()
+
+
+def test_spectral_map_manifest_replays_as_a_scar_run(tmp_path, capsys,
+                                                     monkeypatch):
+    # the bundle at L = 8; its manifest holds only scar's options
+    monkeypatch.setitem(cli._BUNDLES, "spectral-map",
+                        (cli._bundle_spectral_map, {"desk": (8,)}))
+    outdir = tmp_path / "b"
+    code, _, _ = run(capsys, "reproduce", "--bundle", "spectral-map",
+                     "--dense-threshold", "100", "--outdir", str(outdir))
+    assert code == 0
+    manifest = outdir / "manifest.json"
+    config = json.loads(manifest.read_text())["config"]
+    assert set(config) == {"L", "family", "g", "u", "per_state",
+                           "dense_threshold"}
+    replay = tmp_path / "replay.csv"
+    code, _, _ = run(capsys, "scar", "--config", str(manifest),
+                     "--per-state", str(replay), "--manifest", os.devnull)
+    assert code == 0
+    assert replay.read_bytes() == (outdir / "states_L8.csv").read_bytes()
+
+
 def test_bad_value_type_exits_2(capsys):
     code, _, err = run(capsys, "basis", "--config", "/nonexistent/x.cfg")
     assert code == 2
@@ -353,6 +385,7 @@ def test_dynamics_refuses_fft_out_without_fft(tmp_path, capsys, no_solve,
     ("spectral-map", ("--cycles", "64"), "cycles"),
     ("revival-spectra", ("--seed", "3"), "seed"),
     ("model-comparison", ("--seed", "0"), "seed"),
+    ("ratio-landscape", ("--dense-threshold", "5"), "dense_threshold"),
 ])
 def test_reproduce_refuses_options_the_bundle_does_not_read(
         tmp_path, capsys, no_solve, bundle, extra, key):
