@@ -286,14 +286,15 @@ def max_delta(a: str, b: str):
         return None
     worst = 0.0
     for x, y in zip(ca, cb):
-        fx, fy = _number(x), _number(y)
-        if x == y or (fx is not None and fy is not None
-                      and math.isnan(fx) and math.isnan(fy)):
+        if x == y:
             continue
+        fx, fy = _number(x), _number(y)
         if fx is None or fy is None:
             return None
         delta = abs(fx - fy)
-        worst = max(worst, delta if delta == delta else math.inf)
+        if math.isnan(delta):
+            delta = 0.0 if math.isnan(fx) and math.isnan(fy) else math.inf
+        worst = max(worst, delta)
     return worst
 
 
