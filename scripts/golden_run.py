@@ -198,6 +198,12 @@ COMMANDS = [
      "5", "--outdir", "b_ratio_unread"),
     ("reproduce", "--bundle", "spectral-map", "--cycles", "64",
      "--outdir", "b_spectral_map_unread"),
+    # argparse's help and usage errors: SystemExit, its text on stdout/stderr
+    ("--help",),
+    ("reproduce", "--help"),
+    ("bogus",),
+    ("basis", "--bogus"),
+    ("scar", "--threads", "x"),
 ]
 
 

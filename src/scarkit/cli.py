@@ -65,27 +65,37 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     A column is a 1-D numpy array or a list of str.  Float cells take 15
     significant digits with -0.0 folded into 0, integer and bool cells are
     decimal integers, strings pass through.  Each block of _CSV_BLOCK_ROWS
-    rows formats every distinct value of a numeric column once.
+    rows formats every distinct value of a numeric column once, followed by
+    the separator of its column (`,`, or `\\n` in the last one); a str
+    column keeps its words and takes a column of separators beside them.
+    The block is written by one join over its cells.
     """
     import numpy as np
 
-    def cells(column) -> list[str]:
+    def cells(column, end: str) -> tuple:
+        """The object columns of `column`'s cells and separators."""
         if isinstance(column, list):
-            return column
+            return (np.array(column, dtype=object),
+                    np.full(len(column), end, dtype=object))
         if column.dtype.kind == "f":
             uniq, inv = np.unique(column + 0.0, return_inverse=True)
-            words = [format(v, ".15g") for v in uniq.tolist()]
-        else:   # integers and bools
-            uniq, inv = np.unique(column, return_inverse=True)
-            words = [str(int(v)) for v in uniq.tolist()]
-        return np.array(words, dtype=object)[inv].tolist()
+            words = [f"{v:.15g}{end}" for v in uniq.tolist()]
+        else:   # integers, and bools as 0/1
+            uniq, inv = np.unique(column.astype(np.uint8, copy=False)
+                                  if column.dtype.kind == "b" else column,
+                                  return_inverse=True)
+            words = [f"{v}{end}" for v in uniq.tolist()]
+        return (np.array(words, dtype=object)[inv],)
 
     n = len(columns[0])
+    ends = [","] * (len(columns) - 1) + ["\n"]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, _CSV_BLOCK_ROWS):
-            block = [cells(c[lo:lo + _CSV_BLOCK_ROWS]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+            block = np.column_stack([
+                part for c, end in zip(columns, ends)
+                for part in cells(c[lo:lo + _CSV_BLOCK_ROWS], end)])
+            fh.write("".join(block.ravel().tolist()))
 
 
 def _json_ready(obj):
@@ -154,45 +164,52 @@ class _OptionRegistry:
         self.types: dict[str, object] = {}
         self.defaults: dict[str, object] = {}
 
-    def add(self, parser, *flags, type=str, flag=False, **kw):
+    def add(self, parser, flag_name: str, type=str, flag=False, **kw):
+        """Record the option `flag_name` (`--name`); a `parser`, if given,
+        gets its argument."""
         if flag:
             kw.update(action="store_const", const=True)
             type = _as_bool
         else:
             kw["type"] = type
-        action = parser.add_argument(*flags, default=None, **kw)
-        self.types[action.dest] = type
-        self.defaults[action.dest] = False if flag else None
+        dest = flag_name.removeprefix("--").replace("-", "_")
+        if parser is not None:
+            parser.add_argument(flag_name, dest=dest, default=None, **kw)
+        self.types[dest] = type
+        self.defaults[dest] = False if flag else None
 
 
-def _resolve_options(ns: argparse.Namespace, registry: _OptionRegistry) -> dict:
+def _resolve_options(ns: argparse.Namespace,
+                     registry: _OptionRegistry) -> tuple[dict, dict]:
+    """The running subcommand's options, and where each value came from:
+    "flag", "env", "config" or "default"."""
     config = _load_config(ns.config) if getattr(ns, "config", None) else {}
     # the running subcommand's options are the ones its namespace holds
     known = {_normalize_key(d) for d in registry.types if hasattr(ns, d)}
     stray = sorted(set(config) - known)
     if stray:
         raise ConfigError(f"config: unknown key {stray[0]!r}")
-    resolved = {}
+    resolved, sources = {}, {}
     for dest, typefn in registry.types.items():
         if not hasattr(ns, dest):
             continue
-        value = getattr(ns, dest)
+        value, source = getattr(ns, dest), "flag"
         if value is None:
             env_key = ENV_PREFIX + dest.upper()
             cfg_key = _normalize_key(dest)
             if env_key in os.environ:
-                value = os.environ[env_key]
+                value, source = os.environ[env_key], "env"
             elif cfg_key in config:
-                value = config[cfg_key]
+                value, source = config[cfg_key], "config"
             else:
-                value = registry.defaults[dest]
+                value, source = registry.defaults[dest], "default"
         if value is not None and isinstance(value, str):
             try:
                 value = typefn(value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{dest}: {exc}") from exc
-        resolved[dest] = value
-    return resolved
+        resolved[dest], sources[dest] = value, source
+    return resolved, sources
 
 
 _FINITE_KEYS = ("g", "u", "omega", "u_over_g")
@@ -720,7 +737,7 @@ def _bundle_spectral_map(opts: dict, outdir: str, sizes) -> dict:
     run = {**opts, **_WORKING_POINT, "L": L,
            "per_state": os.path.join(outdir, f"states_L{L}.csv")}
     _cmd_scar(run)
-    scar_keys = vars(build_parser()[0].parse_args(["scar"]))
+    scar_keys = vars(build_parser("scar")[0].parse_args(["scar"]))
     _write_manifest("scar", {k: v for k, v in run.items() if k in scar_keys},
                     os.path.join(outdir, "manifest.json"))
     return {"files": [run["per_state"]]}
@@ -822,6 +839,16 @@ _BUNDLE_READERS = {"cycles": ("quench-series", "revival-spectra",
                                        "revival-spectra", "model-comparison")}
 
 
+def _drop_unread_env(opts: dict, sources: dict) -> None:
+    """Drop from `opts` each environment value that its bundle does not
+    read: it is set for other runs, and a manifest that kept it would be
+    refused on replay.  A flag or config value it does not read is refused
+    by `_cmd_reproduce`."""
+    for key, readers in _BUNDLE_READERS.items():
+        if sources.get(key) == "env" and opts.get("bundle") not in readers:
+            del opts[key]
+
+
 def _cmd_reproduce(opts: dict) -> tuple:
     bundle = _require(opts, "bundle")
     if bundle not in _BUNDLES:
@@ -859,7 +886,7 @@ def _cmd_reproduce(opts: dict) -> tuple:
 
 # ------------------------------------------------------------------ main
 
-def _add_common(reg: _OptionRegistry, sub: argparse.ArgumentParser,
+def _add_common(reg: _OptionRegistry, sub: argparse.ArgumentParser | None,
                 sector=True, params=True) -> None:
     reg.add(sub, "--config", help="key = value file or a manifest JSON")
     reg.add(sub, "--manifest", help="manifest path (default: <out>.manifest.json)")
@@ -878,24 +905,35 @@ def _add_common(reg: _OptionRegistry, sub: argparse.ArgumentParser,
                 help="refuse dense eigensolves above this dimension")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, _OptionRegistry]:
+def build_parser(command: str | None = None
+                 ) -> tuple[argparse.ArgumentParser, _OptionRegistry]:
+    """The parser and the option registry of every subcommand.
+
+    With a `command`, only that subcommand's parser gets its option
+    arguments; every subcommand is still listed with its help line, and the
+    registry still records every option.
+    """
     reg = _OptionRegistry()
     parser = argparse.ArgumentParser(
         prog="scarkit",
         description="Driven tilted-chain toolkit: spectra, graphs, dynamics.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("basis", help="sector summary and state table")
+    def sub(name: str, help_line: str):
+        p = subs.add_parser(name, help=help_line)
+        return p if command in (None, name) else None
+
+    p = sub("basis", "sector summary and state table")
     _add_common(reg, p, params=False)
     reg.add(p, "--out", help="per-state CSV path")
 
-    p = subs.add_parser("hamiltonian", help="operator matrices as sparse CSV")
+    p = sub("hamiltonian", "operator matrices as sparse CSV")
     _add_common(reg, p)
     reg.add(p, "--kind",
             help="onsite | hop | half1 | half2 | effective | resonant")
     reg.add(p, "--out", help="COO CSV path")
 
-    p = subs.add_parser("resonance", help="families and amplitude-ratio maps")
+    p = sub("resonance", "families and amplitude-ratio maps")
     _add_common(reg, p, sector=False, params=False)
     reg.add(p, "--family", help="resonant family as k1,k2,branch")
     reg.add(p, "--omega", type=float, help="drive frequency")
@@ -903,21 +941,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, _OptionRegistry]:
     reg.add(p, "--grid", help="scan ranges U0:U1:n,g0:g1:m")
     reg.add(p, "--out", help="ratio table CSV path")
 
-    p = subs.add_parser("spectrum", help="diagonalize one sector")
+    p = sub("spectrum", "diagonalize one sector")
     _add_common(reg, p)
     reg.add(p, "--out", help="per-level CSV path")
 
-    p = subs.add_parser("graph", help="hop graph, components, tower")
+    p = sub("graph", "hop graph, components, tower")
     _add_common(reg, p, params=False)
     reg.add(p, "--emit", help="dot | json (default json)")
     reg.add(p, "--components", help="hop classes to keep, e.g. g,g-U")
     reg.add(p, "--out", help="output path (default stdout)")
 
-    p = subs.add_parser("scar", help="kernel projection report")
+    p = sub("scar", "kernel projection report")
     _add_common(reg, p)
     reg.add(p, "--per-state", help="per-eigenstate CSV path")
 
-    p = subs.add_parser("dynamics", help="stroboscopic time series")
+    p = sub("dynamics", "stroboscopic time series")
     _add_common(reg, p)
     reg.add(p, "--model", help="effective | full")
     reg.add(p, "--initial",
@@ -928,13 +966,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, _OptionRegistry]:
     reg.add(p, "--fft", flag=True, help="also write the amplitude spectrum")
     reg.add(p, "--fft-out", help="amplitude spectrum CSV path")
 
-    p = subs.add_parser("compare", help="exact drive vs effective model")
+    p = sub("compare", "exact drive vs effective model")
     _add_common(reg, p)
     reg.add(p, "--initial", help="initial state (default tp)")
     reg.add(p, "--cycles", type=int, help="cycles (default 50*g)")
     reg.add(p, "--out", help="per-cycle CSV path")
 
-    p = subs.add_parser("reproduce", help="canned experiment bundles")
+    p = sub("reproduce", "canned experiment bundles")
     _add_common(reg, p, sector=False, params=False)
     reg.add(p, "--bundle", help=" | ".join(_BUNDLES))
     reg.add(p, "--scale", help="desk | paper (default desk)")
@@ -961,11 +999,17 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, registry = build_parser()
-    ns = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the subcommand is the first word that is not an option; an unknown or
+    # missing one gets the full parser, which reports it
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser, registry = build_parser(command if command in _HANDLERS else None)
+    ns = parser.parse_args(argv)
     try:
-        opts = _resolve_options(ns, registry)
+        opts, sources = _resolve_options(ns, registry)
         _check_options(opts)
+        if ns.command == "reproduce":
+            _drop_unread_env(opts, sources)
         if opts.get("threads") is not None:
             # set before any handler imports numpy; overrides inherited sizes
             os.environ.update(dict.fromkeys(_THREAD_VARS, str(opts["threads"])))

@@ -146,11 +146,18 @@ def _drive_averaged_amplitude(delta: float, T: float, u: float) -> complex:
     """
     if delta == 0.0:
         return complex(1.0)
-    if not math.isfinite(delta * T):
-        raise DomainError(f"hop phase {delta!r} * T = {delta * T} per period "
+    phase = delta * T
+    if not math.isfinite(phase):
+        raise DomainError(f"hop phase {delta!r} * T = {phase} per period "
                           "is not finite")
-    y = cmath.exp(0.5j * delta * T)
-    return -1j / (delta * T) * (y - 1.0) * ((1.0 + u) * y + (1.0 - u))
+    if phase == 0.0:
+        raise DomainError(f"hop phase {delta!r} * T underflows to 0 per period")
+    y = cmath.exp(0.5j * phase)
+    amp = -1j / phase * (y - 1.0) * ((1.0 + u) * y + (1.0 - u))
+    if not cmath.isfinite(amp):     # a huge u, or a phase near underflow
+        raise DomainError(f"drive amplitude u = {u!r} at hop phase {phase!r} "
+                          f"per period gives the amplitude {amp}")
+    return amp
 
 
 def amplitudes_general(params: ModelParams) -> tuple[complex, complex, complex]:

@@ -87,6 +87,7 @@ def scan_ratio_grid(U_values, g_values, omega: float, u: float) -> np.ndarray:
     out[:, 0] = np.repeat(U_values, g_values.size)
     out[:, 1] = np.tile(g_values, U_values.size)
     U, g = out[:, 0], out[:, 1]
+    T, drive = first.T, first.u
     amplitudes: dict[float, float] = {}     # |amplitude| per signed barrier
     for c in range(3):                      # g-U, g, g+U, as in HOP_CLASSES
         signed = g - U if c == 0 else g + U if c == 2 else g
@@ -94,8 +95,7 @@ def scan_ratio_grid(U_values, g_values, omega: float, u: float) -> np.ndarray:
         deltas = deltas.tolist()
         for d in deltas:
             if d not in amplitudes:
-                amplitudes[d] = abs(_drive_averaged_amplitude(
-                    d, first.T, first.u))
+                amplitudes[d] = abs(_drive_averaged_amplitude(d, T, drive))
         amp = np.array([amplitudes[d] for d in deltas])[where]
         barrier = np.abs(signed)
         del signed, where

@@ -1,5 +1,6 @@
 """Command-line behaviour: precedence, formats, exit codes, manifests."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -408,6 +409,27 @@ def test_bundle_manifest_with_an_unread_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "rl").exists()
 
 
+@pytest.mark.parametrize("bundle, reads", [("ratio-landscape", False),
+                                           ("spectral-map", True)])
+def test_reproduce_drops_an_environment_value_the_bundle_does_not_read(
+        tmp_path, capsys, monkeypatch, bundle, reads):
+    # an environment value is set for other runs too: a bundle that does not
+    # read it runs, and its manifest, which replays, does not record it
+    monkeypatch.setitem(cli._BUNDLES, "spectral-map",
+                        (cli._bundle_spectral_map, {"desk": (8,)}))
+    monkeypatch.setenv("SCARKIT_DENSE_THRESHOLD", "50000")
+    outdir = tmp_path / "b"
+    code, _, err = run(capsys, "reproduce", "--bundle", bundle,
+                       "--outdir", str(outdir))
+    assert (code, err) == (0, "")
+    manifest = outdir / "bundle.manifest.json"
+    config = json.loads(manifest.read_text())["config"]
+    assert ("dense_threshold" in config) == reads
+    monkeypatch.delenv("SCARKIT_DENSE_THRESHOLD")
+    code, _, err = run(capsys, "reproduce", "--config", str(manifest))
+    assert (code, err) == (0, "")
+
+
 def test_reproduce_refuses_short_spectra_before_the_outdir(tmp_path, capsys,
                                                          no_solve):
     outdir = tmp_path / "rs"
@@ -661,6 +683,27 @@ def test_overflowing_hop_phase_is_refused(tmp_path, capsys):
     assert err.endswith(" per period is not finite\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # 2 u overflows: the g-U amplitude is inf, and eigh met a NaN matrix
+    (("spectrum", "--L", "6", "--g", "1", "--u", "1e308", "--omega", "1e-300",
+      "--u-over-g", "0.7"), "drive amplitude u = 1e+308 at hop phase "),
+    (("resonance", "--grid", "1:80:5,1:80:5", "--omega", "20",
+      "--u", "1e308"), "drive amplitude u = 1e+308 at hop phase "),
+    # a subnormal phase: -1j / phase overflows, and the amplitude is NaN
+    (("spectrum", "--L", "6", "--g", "1", "--u", "0.5", "--omega", "1e300",
+      "--u-over-g", "0.9999999999999999"), "drive amplitude u = 0.5 at "),
+    # delta * T underflows to 0: a division by zero
+    (("spectrum", "--L", "6", "--g", "1e-300", "--u", "0.5",
+      "--omega", "1e308", "--u-over-g", "0.7"), "hop phase "),
+])
+def test_non_finite_general_amplitude_is_refused(tmp_path, capsys, argv,
+                                                 message):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: " + message)
+    assert os.listdir(tmp_path) == []
+
+
 def test_exact_drive_with_overflowing_levels_is_refused(tmp_path, capsys):
     # u = 1e308 puts the half-period levels at +-inf
     code, out, err = run(capsys, "dynamics", "--L", "6", "--g", "1",
@@ -781,6 +824,48 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["dimension"] == 6
 
 
+def _parse_exit(capsys, parse, argv):
+    """The exit code and the stdout and stderr of an argparse exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--help"] for name in cli._HANDLERS),
+    *([name, "--bogus"] for name in cli._HANDLERS),
+    *([name, "--threads"] for name in cli._HANDLERS),
+    *([name, "--threads", "x"] for name in cli._HANDLERS),
+    ["bogus"], [], ["--help"], ["--L", "8", "basis"], ["-h", "basis"]],
+    ids=" ".join)
+def test_command_scoped_parser_matches_the_full_parser(capsys, argv):
+    # main parses with its subcommand's options alone; every message
+    # argparse prints is the full parser's
+    full = _parse_exit(capsys, cli.build_parser()[0].parse_args, argv)
+    assert full[0] in (0, 2)
+    assert _parse_exit(capsys, cli.main, argv) == full
+
+
+def test_main_builds_only_its_subcommands_options(capsys, monkeypatch):
+    built = []
+
+    def spy(command=None):
+        parser, registry = build_parser(command)
+        (subs,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        built.append({name: len(sub._actions)
+                      for name, sub in subs.choices.items()})
+        return parser, registry
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(capsys, "basis", "--L", "4")[0] == 0
+    (actions,) = built
+    assert list(actions) == list(cli._HANDLERS)
+    assert actions["basis"] > 1
+    assert {n for name, n in actions.items() if name != "basis"} == {1}  # -h
+
+
 def test_threads_flag_accepted(capsys):
     code, out, _ = run(capsys, "basis", "--L", "4", "--threads", "1")
     assert code == 0
@@ -832,8 +917,9 @@ float32s = st.floats(width=32) | st.sampled_from([-0.0, math.inf, math.nan])
 
 @st.composite
 def csv_columns(draw):
-    """Equal-length columns of every kind the writer takes, with repeats."""
-    n = draw(st.integers(1, 30))
+    """Equal-length columns of every kind the writer takes, with repeats;
+    n = 0 rows is a header-only table."""
+    n = draw(st.integers(0, 30))
 
     def with_repeats(values):
         pool = draw(st.lists(values, min_size=1, max_size=6))
@@ -869,6 +955,14 @@ def test_column_writer_matches_row_oracle(tmp_path_factory, columns, block):
     assert text == csv_oracles.csv_text(header, zip(*columns))
     plain = [c if isinstance(c, list) else c.tolist() for c in columns]
     assert text == csv_oracles.csv_text(header, zip(*plain))
+
+
+def test_empty_operator_writes_a_header_only_table(tmp_path, capsys):
+    path = tmp_path / "h.csv"
+    code, out, _ = run(capsys, "hamiltonian", "--L", "4", "--N", "0", *_RES,
+                       "--out", str(path))
+    assert (code, json.loads(out)["nnz"]) == (0, 0)
+    assert path.read_text() == "row,col,real,imag\n"
 
 
 @pytest.mark.parametrize("L,N", [(1, 0), (1, 1), (6, 0), (7, 3), (8, 4),
