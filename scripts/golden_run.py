@@ -200,7 +200,9 @@ COMMANDS = [
      "--outdir", "b_spectral_map_unread"),
     # argparse's help and usage errors: SystemExit, its text on stdout/stderr
     ("--help",),
-    ("reproduce", "--help"),
+    *[(name, "--help") for name in ("basis", "hamiltonian", "resonance",
+                                    "spectrum", "graph", "scar", "dynamics",
+                                    "compare", "reproduce")],
     ("bogus",),
     ("basis", "--bogus"),
     ("scar", "--threads", "x"),

@@ -157,42 +157,22 @@ def _load_config(path: str) -> dict:
     return out
 
 
-class _OptionRegistry:
-    """Records each option's coercion and default so env/config can fill it."""
-
-    def __init__(self):
-        self.types: dict[str, object] = {}
-        self.defaults: dict[str, object] = {}
-
-    def add(self, parser, flag_name: str, type=str, flag=False, **kw):
-        """Record the option `flag_name` (`--name`); a `parser`, if given,
-        gets its argument."""
-        if flag:
-            kw.update(action="store_const", const=True)
-            type = _as_bool
-        else:
-            kw["type"] = type
-        dest = flag_name.removeprefix("--").replace("-", "_")
-        if parser is not None:
-            parser.add_argument(flag_name, dest=dest, default=None, **kw)
-        self.types[dest] = type
-        self.defaults[dest] = False if flag else None
+def _option_types(command: str) -> dict:
+    """{dest: type} of `command`'s options, in its `--help` order."""
+    return {flag[2:].replace("-", "_"): type_
+            for flag, type_, _ in _COMMANDS[command][2]}
 
 
-def _resolve_options(ns: argparse.Namespace,
-                     registry: _OptionRegistry) -> tuple[dict, dict]:
+def _resolve_options(ns: argparse.Namespace) -> tuple[dict, dict]:
     """The running subcommand's options, and where each value came from:
     "flag", "env", "config" or "default"."""
-    config = _load_config(ns.config) if getattr(ns, "config", None) else {}
-    # the running subcommand's options are the ones its namespace holds
-    known = {_normalize_key(d) for d in registry.types if hasattr(ns, d)}
-    stray = sorted(set(config) - known)
+    config = _load_config(ns.config) if ns.config else {}
+    types = _option_types(ns.command)
+    stray = sorted(set(config) - {_normalize_key(d) for d in types})
     if stray:
         raise ConfigError(f"config: unknown key {stray[0]!r}")
     resolved, sources = {}, {}
-    for dest, typefn in registry.types.items():
-        if not hasattr(ns, dest):
-            continue
+    for dest, type_ in types.items():
         value, source = getattr(ns, dest), "flag"
         if value is None:
             env_key = ENV_PREFIX + dest.upper()
@@ -202,17 +182,16 @@ def _resolve_options(ns: argparse.Namespace,
             elif cfg_key in config:
                 value, source = config[cfg_key], "config"
             else:
-                value, source = registry.defaults[dest], "default"
-        if value is not None and isinstance(value, str):
+                value, source = (False if type_ is bool else None), "default"
+        if isinstance(value, str):
             try:
-                value = typefn(value)
+                value = (_as_bool if type_ is bool else type_)(value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{dest}: {exc}") from exc
         resolved[dest], sources[dest] = value, source
     return resolved, sources
 
 
-_FINITE_KEYS = ("g", "u", "omega", "u_over_g")
 _OUTPUT_FILES = ("out", "per_state", "fft_out", "manifest")
 
 
@@ -228,14 +207,14 @@ def _check_writable_dir(key: str, path: str, directory: str) -> None:
 def _check_options(opts: dict) -> None:
     """Refuse, before anything is built, values that no handler can use.
 
-    Non-finite drive parameters, a dense threshold or thread count below 1
-    (also where nothing uses it), a negative seed, an empty output path or
-    `outdir`, and an output path whose directory is missing or unwritable
-    (`outdir` itself may be missing, its parent not).
+    A non-finite value of a float option (the drive parameters), a dense
+    threshold or thread count below 1 (also where nothing uses it), a
+    negative seed, an empty output path or `outdir`, and an output path
+    whose directory is missing or unwritable (`outdir` itself may be
+    missing, its parent not).
     """
-    for key in _FINITE_KEYS:
-        value = opts.get(key)
-        if value is not None and not math.isfinite(value):
+    for key, value in opts.items():
+        if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value}")
     _positive(opts, "dense_threshold", None)
     _positive(opts, "threads", None)
@@ -737,7 +716,7 @@ def _bundle_spectral_map(opts: dict, outdir: str, sizes) -> dict:
     run = {**opts, **_WORKING_POINT, "L": L,
            "per_state": os.path.join(outdir, f"states_L{L}.csv")}
     _cmd_scar(run)
-    scar_keys = vars(build_parser("scar")[0].parse_args(["scar"]))
+    scar_keys = _option_types("scar")
     _write_manifest("scar", {k: v for k, v in run.items() if k in scar_keys},
                     os.path.join(outdir, "manifest.json"))
     return {"files": [run["per_state"]]}
@@ -818,25 +797,25 @@ def _bundle_ratio_landscape(opts: dict, outdir: str, sizes) -> dict:
     return {"files": files, "steps": steps}
 
 
-# bundle -> (runner, sizes per scale).  The sizes are chain lengths at half
-# filling, except ratio-landscape's, which are grid steps per axis.
+# bundle -> (runner, sizes per scale, the options of _BUNDLE_OPTIONS it
+# reads).  The sizes are chain lengths at half filling, except
+# ratio-landscape's, which are grid steps per axis.
+_BUNDLE_OPTIONS = ("cycles", "seed", "dense_threshold")
 _BUNDLES = {
-    "spectral-map": (_bundle_spectral_map, {"desk": (16,), "paper": (18,)}),
+    "spectral-map": (_bundle_spectral_map, {"desk": (16,), "paper": (18,)},
+                     ("dense_threshold",)),
     "quench-series": (_bundle_quench_series,
-                      {"desk": (12, 14), "paper": (16, 18)}),
+                      {"desk": (12, 14), "paper": (16, 18)},
+                      ("cycles", "seed", "dense_threshold")),
     "revival-spectra": (_bundle_revival_spectra,
-                        {"desk": (12, 14), "paper": (16, 18)}),
+                        {"desk": (12, 14), "paper": (16, 18)},
+                        ("cycles", "dense_threshold")),
     "model-comparison": (_bundle_model_comparison,
-                         {"desk": (12,), "paper": (16,)}),
+                         {"desk": (12,), "paper": (16,)},
+                         ("cycles", "dense_threshold")),
     "ratio-landscape": (_bundle_ratio_landscape,
-                        {"desk": (160,), "paper": (320,)}),
+                        {"desk": (160,), "paper": (320,)}, ()),
 }
-# each option that some bundles do not read -> the bundles that read it
-_BUNDLE_READERS = {"cycles": ("quench-series", "revival-spectra",
-                              "model-comparison"),
-                   "seed": ("quench-series",),
-                   "dense_threshold": ("spectral-map", "quench-series",
-                                       "revival-spectra", "model-comparison")}
 
 
 def _drop_unread_env(opts: dict, sources: dict) -> None:
@@ -844,8 +823,9 @@ def _drop_unread_env(opts: dict, sources: dict) -> None:
     read: it is set for other runs, and a manifest that kept it would be
     refused on replay.  A flag or config value it does not read is refused
     by `_cmd_reproduce`."""
-    for key, readers in _BUNDLE_READERS.items():
-        if sources.get(key) == "env" and opts.get("bundle") not in readers:
+    _, _, reads = _BUNDLES.get(opts["bundle"], (None, None, ()))
+    for key in _BUNDLE_OPTIONS:
+        if sources[key] == "env" and key not in reads:
             del opts[key]
 
 
@@ -857,12 +837,12 @@ def _cmd_reproduce(opts: dict) -> tuple:
     scale = opts.get("scale") or "desk"
     if scale not in ("desk", "paper"):
         raise ConfigError(f"scale: expected desk or paper, got {scale!r}")
-    runner, scales = _BUNDLES[bundle]
-    for key, readers in _BUNDLE_READERS.items():
-        if opts.get(key) is not None and bundle not in readers:
+    runner, scales, reads = _BUNDLES[bundle]
+    for key in _BUNDLE_OPTIONS:
+        if opts.get(key) is not None and key not in reads:
             raise ConfigError(f"{key}: bundle {bundle!r} does not read it")
     sizes = scales[scale]
-    if bundle in _BUNDLE_READERS["dense_threshold"]:
+    if "dense_threshold" in reads:
         from .spectral import DENSE_EIG_DEFAULT, check_dense
         threshold = _positive(opts, "dense_threshold", DENSE_EIG_DEFAULT)
         for L in sizes:
@@ -886,116 +866,91 @@ def _cmd_reproduce(opts: dict) -> tuple:
 
 # ------------------------------------------------------------------ main
 
-def _add_common(reg: _OptionRegistry, sub: argparse.ArgumentParser | None,
-                sector=True, params=True) -> None:
-    reg.add(sub, "--config", help="key = value file or a manifest JSON")
-    reg.add(sub, "--manifest", help="manifest path (default: <out>.manifest.json)")
-    reg.add(sub, "--threads", type=int, help="cap BLAS/worker thread pools")
-    if sector:
-        reg.add(sub, "--L", type=int, help="chain length")
-        reg.add(sub, "--N", type=int, help="particle number (default L/2)")
-    if params:
-        reg.add(sub, "--family", help="resonant family as k1,k2,branch")
-        reg.add(sub, "--g", type=float, help="tilt strength")
-        reg.add(sub, "--u", type=float, help="drive amplitude")
-        reg.add(sub, "--omega", type=float, help="drive frequency (raw route)")
-        reg.add(sub, "--u-over-g", type=float,
-                help="interaction over tilt (raw route)")
-        reg.add(sub, "--dense-threshold", type=int,
-                help="refuse dense eigensolves above this dimension")
+# Each subcommand's options as (flag, type, help) rows, in `--help` order;
+# type bool is a flag that takes no value.
+_COMMON = (("--config", str, "key = value file or a manifest JSON"),
+           ("--manifest", str, "manifest path (default: <out>.manifest.json)"),
+           ("--threads", int, "cap BLAS/worker thread pools"))
+_SECTOR = (("--L", int, "chain length"),
+           ("--N", int, "particle number (default L/2)"))
+_FAMILY = ("--family", str, "resonant family as k1,k2,branch")
+_MODEL = (_FAMILY,
+          ("--g", float, "tilt strength"),
+          ("--u", float, "drive amplitude"),
+          ("--omega", float, "drive frequency (raw route)"),
+          ("--u-over-g", float, "interaction over tilt (raw route)"))
+_DENSE = ("--dense-threshold", int,
+          "refuse dense eigensolves above this dimension")
+_SOLVE = (*_COMMON, *_SECTOR, *_MODEL, _DENSE)     # the diagonalizing commands
+
+# subcommand -> (handler, help line, option rows), in `--help` order
+_COMMANDS = {
+    "basis": (_cmd_basis, "sector summary and state table",
+              (*_COMMON, *_SECTOR, ("--out", str, "per-state CSV path"))),
+    "hamiltonian": (_cmd_hamiltonian, "operator matrices as sparse CSV", (
+        *_COMMON, *_SECTOR, *_MODEL,
+        ("--kind", str, "onsite | hop | half1 | half2 | effective | resonant"),
+        ("--out", str, "COO CSV path"))),
+    "resonance": (_cmd_resonance, "families and amplitude-ratio maps", (
+        *_COMMON, _FAMILY,
+        ("--omega", float, "drive frequency"),
+        ("--u", float, "drive amplitude"),
+        ("--grid", str, "scan ranges U0:U1:n,g0:g1:m"),
+        ("--out", str, "ratio table CSV path"))),
+    "spectrum": (_cmd_spectrum, "diagonalize one sector",
+                 (*_SOLVE, ("--out", str, "per-level CSV path"))),
+    "graph": (_cmd_graph, "hop graph, components, tower", (
+        *_COMMON, *_SECTOR,
+        ("--emit", str, "dot | json (default json)"),
+        ("--components", str, "hop classes to keep, e.g. g,g-U"),
+        ("--out", str, "output path (default stdout)"))),
+    "scar": (_cmd_scar, "kernel projection report",
+             (*_SOLVE, ("--per-state", str, "per-eigenstate CSV path"))),
+    "dynamics": (_cmd_dynamics, "stroboscopic time series", (
+        *_SOLVE,
+        ("--model", str, "effective | full"),
+        ("--initial", str,
+         "tp | te_p:<q> | te_h:<q> | [bits:]<word> | random:<n>:<seed>"),
+        ("--cycles", int, "driving cycles (default 4096)"),
+        ("--observables", str, "comma list from F,EE,Pt"),
+        ("--out", str, "series CSV path"),
+        ("--fft", bool, "also write the amplitude spectrum"),
+        ("--fft-out", str, "amplitude spectrum CSV path"))),
+    "compare": (_cmd_compare, "exact drive vs effective model", (
+        *_SOLVE,
+        ("--initial", str, "initial state (default tp)"),
+        ("--cycles", int, "cycles (default 50*g)"),
+        ("--out", str, "per-cycle CSV path"))),
+    "reproduce": (_cmd_reproduce, "canned experiment bundles", (
+        *_COMMON,
+        ("--bundle", str, " | ".join(_BUNDLES)),
+        ("--scale", str, "desk | paper (default desk)"),
+        ("--outdir", str, "bundle output directory"),
+        ("--cycles", int, "override bundle cycle counts"),
+        ("--seed", int, "ensemble seed (default 7)"),
+        _DENSE)),
+}
 
 
-def build_parser(command: str | None = None
-                 ) -> tuple[argparse.ArgumentParser, _OptionRegistry]:
-    """The parser and the option registry of every subcommand.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand in `_COMMANDS`.
 
     With a `command`, only that subcommand's parser gets its option
-    arguments; every subcommand is still listed with its help line, and the
-    registry still records every option.
+    arguments; every subcommand is still listed with its help line.
     """
-    reg = _OptionRegistry()
     parser = argparse.ArgumentParser(
         prog="scarkit",
         description="Driven tilted-chain toolkit: spectra, graphs, dynamics.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name: str, help_line: str):
-        p = subs.add_parser(name, help=help_line)
-        return p if command in (None, name) else None
-
-    p = sub("basis", "sector summary and state table")
-    _add_common(reg, p, params=False)
-    reg.add(p, "--out", help="per-state CSV path")
-
-    p = sub("hamiltonian", "operator matrices as sparse CSV")
-    _add_common(reg, p)
-    reg.add(p, "--kind",
-            help="onsite | hop | half1 | half2 | effective | resonant")
-    reg.add(p, "--out", help="COO CSV path")
-
-    p = sub("resonance", "families and amplitude-ratio maps")
-    _add_common(reg, p, sector=False, params=False)
-    reg.add(p, "--family", help="resonant family as k1,k2,branch")
-    reg.add(p, "--omega", type=float, help="drive frequency")
-    reg.add(p, "--u", type=float, help="drive amplitude")
-    reg.add(p, "--grid", help="scan ranges U0:U1:n,g0:g1:m")
-    reg.add(p, "--out", help="ratio table CSV path")
-
-    p = sub("spectrum", "diagonalize one sector")
-    _add_common(reg, p)
-    reg.add(p, "--out", help="per-level CSV path")
-
-    p = sub("graph", "hop graph, components, tower")
-    _add_common(reg, p, params=False)
-    reg.add(p, "--emit", help="dot | json (default json)")
-    reg.add(p, "--components", help="hop classes to keep, e.g. g,g-U")
-    reg.add(p, "--out", help="output path (default stdout)")
-
-    p = sub("scar", "kernel projection report")
-    _add_common(reg, p)
-    reg.add(p, "--per-state", help="per-eigenstate CSV path")
-
-    p = sub("dynamics", "stroboscopic time series")
-    _add_common(reg, p)
-    reg.add(p, "--model", help="effective | full")
-    reg.add(p, "--initial",
-            help="tp | te_p:<q> | te_h:<q> | [bits:]<word> | random:<n>:<seed>")
-    reg.add(p, "--cycles", type=int, help="driving cycles (default 4096)")
-    reg.add(p, "--observables", help="comma list from F,EE,Pt")
-    reg.add(p, "--out", help="series CSV path")
-    reg.add(p, "--fft", flag=True, help="also write the amplitude spectrum")
-    reg.add(p, "--fft-out", help="amplitude spectrum CSV path")
-
-    p = sub("compare", "exact drive vs effective model")
-    _add_common(reg, p)
-    reg.add(p, "--initial", help="initial state (default tp)")
-    reg.add(p, "--cycles", type=int, help="cycles (default 50*g)")
-    reg.add(p, "--out", help="per-cycle CSV path")
-
-    p = sub("reproduce", "canned experiment bundles")
-    _add_common(reg, p, sector=False, params=False)
-    reg.add(p, "--bundle", help=" | ".join(_BUNDLES))
-    reg.add(p, "--scale", help="desk | paper (default desk)")
-    reg.add(p, "--outdir", help="bundle output directory")
-    reg.add(p, "--cycles", type=int, help="override bundle cycle counts")
-    reg.add(p, "--seed", type=int, help="ensemble seed (default 7)")
-    reg.add(p, "--dense-threshold", type=int,
-            help="refuse dense eigensolves above this dimension")
-
-    return parser, reg
-
-
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "hamiltonian": _cmd_hamiltonian,
-    "resonance": _cmd_resonance,
-    "spectrum": _cmd_spectrum,
-    "graph": _cmd_graph,
-    "scar": _cmd_scar,
-    "dynamics": _cmd_dynamics,
-    "compare": _cmd_compare,
-    "reproduce": _cmd_reproduce,
-}
+    for name, (_, help_line, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        if command not in (None, name):
+            continue
+        for flag, type_, help_text in options:
+            kw = (dict(action="store_const", const=True) if type_ is bool
+                  else dict(type=type_))
+            sub.add_argument(flag, default=None, help=help_text, **kw)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1003,17 +958,17 @@ def main(argv: list[str] | None = None) -> int:
     # the subcommand is the first word that is not an option; an unknown or
     # missing one gets the full parser, which reports it
     command = next((a for a in argv if not a.startswith("-")), None)
-    parser, registry = build_parser(command if command in _HANDLERS else None)
+    parser = build_parser(command if command in _COMMANDS else None)
     ns = parser.parse_args(argv)
     try:
-        opts, sources = _resolve_options(ns, registry)
+        opts, sources = _resolve_options(ns)
         _check_options(opts)
         if ns.command == "reproduce":
             _drop_unread_env(opts, sources)
         if opts.get("threads") is not None:
             # set before any handler imports numpy; overrides inherited sizes
             os.environ.update(dict.fromkeys(_THREAD_VARS, str(opts["threads"])))
-        payload, primary_output = _HANDLERS[ns.command](opts)
+        payload, primary_output = _COMMANDS[ns.command][0](opts)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

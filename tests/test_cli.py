@@ -111,7 +111,8 @@ def test_spectral_map_manifest_replays_as_a_scar_run(tmp_path, capsys,
                                                      monkeypatch):
     # the bundle at L = 8; its manifest holds only scar's options
     monkeypatch.setitem(cli._BUNDLES, "spectral-map",
-                        (cli._bundle_spectral_map, {"desk": (8,)}))
+                        (cli._bundle_spectral_map, {"desk": (8,)},
+                         ("dense_threshold",)))
     outdir = tmp_path / "b"
     code, _, _ = run(capsys, "reproduce", "--bundle", "spectral-map",
                      "--dense-threshold", "100", "--outdir", str(outdir))
@@ -416,7 +417,8 @@ def test_reproduce_drops_an_environment_value_the_bundle_does_not_read(
     # an environment value is set for other runs too: a bundle that does not
     # read it runs, and its manifest, which replays, does not record it
     monkeypatch.setitem(cli._BUNDLES, "spectral-map",
-                        (cli._bundle_spectral_map, {"desk": (8,)}))
+                        (cli._bundle_spectral_map, {"desk": (8,)},
+                         ("dense_threshold",)))
     monkeypatch.setenv("SCARKIT_DENSE_THRESHOLD", "50000")
     outdir = tmp_path / "b"
     code, _, err = run(capsys, "reproduce", "--bundle", bundle,
@@ -833,16 +835,16 @@ def _parse_exit(capsys, parse, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    *([name, "--help"] for name in cli._HANDLERS),
-    *([name, "--bogus"] for name in cli._HANDLERS),
-    *([name, "--threads"] for name in cli._HANDLERS),
-    *([name, "--threads", "x"] for name in cli._HANDLERS),
+    *([name, "--help"] for name in cli._COMMANDS),
+    *([name, "--bogus"] for name in cli._COMMANDS),
+    *([name, "--threads"] for name in cli._COMMANDS),
+    *([name, "--threads", "x"] for name in cli._COMMANDS),
     ["bogus"], [], ["--help"], ["--L", "8", "basis"], ["-h", "basis"]],
     ids=" ".join)
 def test_command_scoped_parser_matches_the_full_parser(capsys, argv):
     # main parses with its subcommand's options alone; every message
     # argparse prints is the full parser's
-    full = _parse_exit(capsys, cli.build_parser()[0].parse_args, argv)
+    full = _parse_exit(capsys, cli.build_parser().parse_args, argv)
     assert full[0] in (0, 2)
     assert _parse_exit(capsys, cli.main, argv) == full
 
@@ -851,17 +853,17 @@ def test_main_builds_only_its_subcommands_options(capsys, monkeypatch):
     built = []
 
     def spy(command=None):
-        parser, registry = build_parser(command)
+        parser = build_parser(command)
         (subs,) = [a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction)]
         built.append({name: len(sub._actions)
                       for name, sub in subs.choices.items()})
-        return parser, registry
+        return parser
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", spy)
     assert run(capsys, "basis", "--L", "4")[0] == 0
     (actions,) = built
-    assert list(actions) == list(cli._HANDLERS)
+    assert list(actions) == list(cli._COMMANDS)
     assert actions["basis"] > 1
     assert {n for name, n in actions.items() if name != "basis"} == {1}  # -h
 
@@ -1026,7 +1028,8 @@ def test_cycles_zero_exits_2(tmp_path, capsys, argv):
     ("dynamics", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5",
      "--model", "full", "--cycles", "4"),
     ("reproduce", "--bundle", "ratio-landscape"),
-    ("hamiltonian", "--L", "6", "--family", "0,0,+", "--g", "50", "--u", "0.5"),
+    ("compare", "--L", "6", "--family", "0,0,+", "--g", "1", "--u", "0.5",
+     "--cycles", "4"),
 ])
 def test_dense_threshold_zero_exits_2(tmp_path, capsys, argv):
     target = tmp_path / "x"
@@ -1034,6 +1037,47 @@ def test_dense_threshold_zero_exits_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, flag, str(target), "--dense-threshold", "0")
     assert code == 2 and "dense_threshold" in err
     assert not target.exists()
+
+
+def test_hamiltonian_takes_no_dense_threshold(tmp_path, capsys, monkeypatch):
+    # it diagonalizes nothing: the flag is a usage error, the config key is
+    # unknown and the environment value is ignored, as for `basis`
+    argv = ("hamiltonian", "--L", "6", "--family", "0,0,+", "--g", "50",
+            "--u", "0.5")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--dense-threshold", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dense-threshold 5" \
+        in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dense_threshold = 5\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "config error: config: unknown key 'dense_threshold'\n"
+    monkeypatch.setenv("SCARKIT_DENSE_THRESHOLD", "0")
+    out_csv = tmp_path / "h.csv"
+    code, _, err = run(capsys, *argv, "--out", str(out_csv))
+    assert (code, err) == (0, "")
+    manifest = json.loads((tmp_path / "h.csv.manifest.json").read_text())
+    assert "dense_threshold" not in manifest["config"]
+
+
+@pytest.mark.parametrize("argv, env, key", [
+    (("reproduce", "--bundle", "ratio-landscape", "--outdir", "{tmp}/x"),
+     {"SCARKIT_CYCLES": "x", "SCARKIT_DENSE_THRESHOLD": "y"}, "cycles"),
+    (("resonance", "--grid", "1:2:3,1:2:3", "--out", "{tmp}/x.csv"),
+     {"SCARKIT_U": "x", "SCARKIT_OMEGA": "y"}, "omega"),
+], ids=["reproduce", "resonance"])
+def test_two_bad_values_name_the_first_in_help_order(tmp_path, capsys,
+                                                     monkeypatch, argv, env,
+                                                     key):
+    # options resolve in the order of the subcommand's own --help
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {key}: ")
+    assert os.listdir(tmp_path) == []
 
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -1401,7 +1445,7 @@ def test_quench_series_diagonalizes_once_per_chain_length(tmp_path, capsys,
 
     real_diagonalize = spectral.diagonalize
     monkeypatch.setattr(spectral, "diagonalize", counting)
-    runner, _ = cli._BUNDLES["quench-series"]
+    runner, _, _ = cli._BUNDLES["quench-series"]
     result = runner({"cycles": 64}, str(tmp_path), (6, 8))
     assert solved == [6, 8]
     # each start's CSV is the one a separate `dynamics` run writes

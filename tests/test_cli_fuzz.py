@@ -69,12 +69,14 @@ _CONFIGS = {
 
 
 def _subcommands():
-    """{subcommand: [(flag, dest, type)]} from the parser's own registry."""
-    parser, registry = cli.build_parser()
-    (subs,) = [a for a in parser._actions
+    """{subcommand: [(flag, dest, type)]} from the parser's own actions;
+    the type of a flag that takes no value is bool."""
+    (subs,) = [a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)]
-    return {name: [(a.option_strings[-1], a.dest, registry.types[a.dest])
-                   for a in sub._actions if a.dest in registry.types]
+    return {name: [(a.option_strings[-1], a.dest,
+                    bool if a.const is True else a.type)
+                   for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction)]
             for name, sub in subs.choices.items()}
 
 
@@ -137,7 +139,7 @@ def _argv(draw, workdir: str, command: str) -> list[str]:
         values["bundle"] = draw(st.sampled_from(_POOLS["bundle"]))
     for _, dest, type_ in draw(st.lists(st.sampled_from(options),
                                         unique=True, max_size=3)):
-        pool = [True] if type_ is cli._as_bool else \
+        pool = [True] if type_ is bool else \
             _value_pool(workdir, dest, type_)
         if not (command == "dynamics" and dest == "cycles"):
             pool = [_DROP, *pool]   # dynamics' default 4096 cycles is not small
@@ -214,7 +216,9 @@ def test_cli_fuzz_reproduce_refusals_exit_before_any_solve(data, fuzz_dir,
 
 
 def test_cli_fuzz_covers_every_registered_option():
-    _, registry = cli.build_parser()
-    assert set(_SUBCOMMANDS) == set(cli._HANDLERS)
-    assert {dest for opts in _SUBCOMMANDS.values() for _, dest, _ in opts} \
-        == set(registry.types)
+    # per subcommand: the parser's options are its command table rows
+    assert list(_SUBCOMMANDS) == list(cli._COMMANDS)
+    for name, (_, _, options) in cli._COMMANDS.items():
+        assert _SUBCOMMANDS[name] == [
+            (flag, flag[2:].replace("-", "_"), type_)
+            for flag, type_, _ in options], name
