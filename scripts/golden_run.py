@@ -43,6 +43,14 @@ COMMANDS = [
       for kind in ("resonant", "onsite", "hop", "half1", "half2", "effective")],
     ("hamiltonian", "--L", "8", *_RAW, "--kind", "effective",
      "--out", "h_raw.csv"),
+    # zero diagonal entries: a row emptied mid-matrix at U = 3 g (110000 has
+    # energy 0, and 1 - u = 0 leaves half1 no hop), and an all-zero folded
+    # diagonal at U = g = omega
+    *[("hamiltonian", "--L", "6", "--N", n, "--g", g, "--u", "1",
+       "--omega", omega, "--u-over-g", ratio, "--kind", kind,
+       "--out", f"h_zeros_N{n}_{kind}.csv")
+      for n, g, omega, ratio in (("2", "1", "7", "3"), ("3", "2", "2", "1"))
+      for kind in ("onsite", "half1", "half2", "effective")],
     ("resonance", "--family", "0,1,-"),
     ("resonance", "--grid", "1:80:25,1:80:30", "--omega", "20", "--u", "0.5",
      "--out", "ratio_grid.csv"),

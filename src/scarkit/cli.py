@@ -529,6 +529,8 @@ def _cmd_graph(opts: dict) -> tuple:
             raise ConfigError(f"components: unknown hop class {bad[0]!r} "
                               f"(choose from {', '.join(HOP_CLASSES)})")
         allowed = set(names)
+    if emit not in ("dot", "json"):
+        raise ConfigError(f"emit: expected dot or json, got {emit!r}")
     graph = build_graph(basis)
     if emit == "dot":
         text = to_dot(graph, name=f"sector_L{basis.L}_N{basis.N}")
@@ -538,8 +540,6 @@ def _cmd_graph(opts: dict) -> tuple:
         else:
             sys.stdout.write(text)
         return None, out
-    if emit != "json":
-        raise ConfigError(f"emit: expected dot or json, got {emit!r}")
     comps = components(graph, allowed)
     summary = {
         "L": basis.L, "N": basis.N,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,8 +97,6 @@ class SectorBasis:
             for k in range(min(p, N) + 1):
                 self._binom[p, k] = math.comb(p, k)
         self.states = self._enumerate()
-        self._parities: np.ndarray | None = None
-        self._dipoles: np.ndarray | None = None
 
     def _enumerate(self) -> np.ndarray:
         """The sector's words ascending, built by their top bit.
@@ -147,7 +146,7 @@ class SectorBasis:
             raise DomainError(f"bits {bits:#x} do not fit {self.L} sites")
         return self.rank(bits)
 
-    @property
+    @cached_property
     def dipoles(self) -> np.ndarray:
         """D = sum_j j * n_j per state (int64).
 
@@ -155,25 +154,21 @@ class SectorBasis:
         is sum_t 2^t popcount(state & mask_t) over the bits t of the index b
         (mask_t: the bits b with bit t set), one pass per bit of L - 1.
         """
-        if self._dipoles is None:
-            dipoles = np.full(self.size, self.L * self.N, dtype=np.int64)
-            term = np.empty_like(dipoles)
-            count = np.empty(self.size, dtype=np.uint8)
-            for t in range((self.L - 1).bit_length()):
-                mask = sum(1 << b for b in range(self.L) if b >> t & 1)
-                np.bitwise_and(self.states, mask, out=term)
-                np.bitwise_count(term, out=count)
-                np.left_shift(count, t, out=term, dtype=np.int64)
-                dipoles -= term
-            self._dipoles = dipoles
-        return self._dipoles
+        dipoles = np.full(self.size, self.L * self.N, dtype=np.int64)
+        term = np.empty_like(dipoles)
+        count = np.empty(self.size, dtype=np.uint8)
+        for t in range((self.L - 1).bit_length()):
+            mask = sum(1 << b for b in range(self.L) if b >> t & 1)
+            np.bitwise_and(self.states, mask, out=term)
+            np.bitwise_count(term, out=count)
+            np.left_shift(count, t, out=term, dtype=np.int64)
+            dipoles -= term
+        return dipoles
 
-    @property
+    @cached_property
     def parities(self) -> np.ndarray:
         """Dipole parity (+1/-1) per state, aligned with `states`."""
-        if self._parities is None:
-            self._parities = np.where(self.dipoles & 1, -1, 1).astype(np.int8)
-        return self._parities
+        return np.where(self.dipoles & 1, -1, 1).astype(np.int8)
 
     def chiral_split(self) -> ChiralSplit:
         n_plus = int(np.count_nonzero(self.parities == 1))

@@ -45,7 +45,6 @@ from .errors import DomainError, NumericalError
 from .fock_basis import SectorBasis
 
 HOP_CLASSES = ("g-U", "g", "g+U")
-DROP_CHUNK = 1 << 16      # entries `_hop_csr` scans at a time when dropping zeros
 
 
 @dataclass(frozen=True)
@@ -244,12 +243,6 @@ class CSRMatrix:
         out.imag = self.data
         return out
 
-    def _dense(self, shape, at, keep) -> np.ndarray:
-        """Zeros of `shape` holding 0 + the `keep` entries' values at `at`."""
-        out = np.zeros(shape, dtype=self.dtype)
-        (out if self.phase == 1 else out.imag)[at] = self.data[keep] + 0.0
-        return out
-
     def row_indices(self) -> np.ndarray:
         """The row of every stored entry, in storage order."""
         return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
@@ -267,7 +260,10 @@ class CSRMatrix:
         col_pos[cols] = np.arange(len(cols))
         r, c = row_pos[self.row_indices()], col_pos[self.indices]
         keep = (r >= 0) & (c >= 0)
-        return self._dense((len(rows), len(cols)), (r[keep], c[keep]), keep)
+        out = np.zeros((len(rows), len(cols)), dtype=self.dtype)
+        (out if self.phase == 1 else out.imag)[r[keep], c[keep]] = (
+            self.data[keep] + 0.0)
+        return out
 
     def __matmul__(self, x) -> np.ndarray:
         """M @ x for a vector or a (shape[1], k) block, summed row by row in
@@ -364,21 +360,27 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
 
     A class-c hop src -> dst (dst < src) stores lower[c] at (src, dst) and
     upper[c] at (dst, src); a table left None leaves its triangle empty, and
-    `diag` fills the diagonal (with a diagonal, an all-zero table counts as
-    None).  A row's columns ascend with no sort: its right moves over bonds
-    j = 1 ... L-1 (each lowers the word by 2^(L-j-1)), its diagonal entry,
-    then its left moves over j = L-1 ... 1.
-    So `indptr` comes from the per-row move counts, and each bond writes its
+    `diag` fills the diagonal.  A row's columns ascend with no sort: its
+    right moves over bonds j = 1 ... L-1 (each lowers the word by
+    2^(L-j-1)), its diagonal entry, then its left moves over j = L-1 ... 1.
+    So `indptr` comes from the per-row slot counts, and each bond writes its
     right moves at a front cursor of their rows, its left moves at a back
     cursor.  The arrays are those scipy.sparse stores: without a diagonal,
     zeros kept, as its COO -> CSR conversion keeps them; with one, the sum
     its `diags` and `+` build, zeros dropped and each value stored as x + 0
-    (a -0.0 part reads +0.0).
+    (a -0.0 part reads +0.0).  No zero is written and then dropped: a zero
+    diagonal entry gets no slot when the slots are counted, and an all-zero
+    table counts as None.  A table that mixes zero and nonzero classes
+    beside a diagonal would keep zeros scipy drops, and is refused
+    (`NumericalError`).
     """
     n, states = basis.size, basis.states
     dtype = np.result_type(*(t for t in (lower, upper, diag) if t is not None))
-    drop_zeros = diag is not None
-    if drop_zeros:      # an all-zero table would only write slots to drop
+    if diag is not None:        # an all-zero table would only write zeros
+        for t in (lower, upper):
+            if t is not None and np.any(t) and not np.all(t):
+                raise NumericalError(f"hop table {t} mixes zero and nonzero "
+                                     "classes beside a diagonal")
         lower, upper = (None if t is None or not np.any(t) else t
                         for t in (lower, upper))
     hops = lower is not None or upper is not None
@@ -392,7 +394,10 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
             counts += np.bitwise_count(flips & states)
         del flips
     if diag is not None:
-        counts += 1
+        keep = diag != 0        # the rows whose diagonal entry is stored
+        counts += keep
+        if keep.all():
+            keep = None
     nnz = int(counts.sum(dtype=np.int64))
     # int32 indices: a row holds at most L <= 63 entries and a sector at most
     # SECTOR_MAX = 2^24 rows, so nnz < 2^31
@@ -426,28 +431,14 @@ def _hop_csr(basis: SectorBasis, lower, upper, diag=None) -> CSRMatrix:
     data = values[codes]
     del codes
     if diag is not None:                      # the slot the two cursors left
-        indices[front] = np.arange(n, dtype=index)
-        data[front] = diag
-    if drop_zeros:
+        if keep is None:
+            indices[front] = np.arange(n, dtype=index)
+            data[front] = diag
+        else:
+            at = front[keep]
+            indices[at] = np.flatnonzero(keep)
+            data[at] = diag[keep]
         data += 0.0                           # stored as x + 0, as scipy does
-    if drop_zeros and not data.all():
-        # compact in place, DROP_CHUNK entries at a time: `put` is the write
-        # cursor, and rows [row, end) are those whose start the chunk covers
-        # (its end included, so the last chunk moves the trailing row starts)
-        put = row = 0
-        for lo in range(0, nnz, DROP_CHUNK):
-            keep = data[lo:lo + DROP_CHUNK] != 0
-            kept = np.zeros(len(keep) + 1, dtype=index)
-            np.cumsum(keep, out=kept[1:])
-            end = row + int(np.searchsorted(indptr[row:], lo + DROP_CHUNK,
-                                            side="right"))
-            indptr[row:end] = put + kept[indptr[row:end] - lo]
-            data[put:put + kept[-1]] = data[lo:lo + DROP_CHUNK][keep]
-            indices[put:put + kept[-1]] = indices[lo:lo + DROP_CHUNK][keep]
-            put, row = put + int(kept[-1]), end
-        # no view of either array is left, so they shrink without a copy
-        data.resize(put, refcheck=False)
-        indices.resize(put, refcheck=False)
     return CSRMatrix(data, indices, indptr, (n, n))
 
 

@@ -243,6 +243,18 @@ def test_graph_rejects_unknown_class(capsys):
         assert (code, out) == (2, "") and "components" in err and "zz" in err
 
 
+def test_graph_refuses_an_unknown_emit_before_building(monkeypatch, capsys):
+    def no_build(basis):
+        raise AssertionError("graph built before --emit was checked")
+    monkeypatch.setattr("scarkit.graph.build_graph", no_build)
+    code, out, err = run(capsys, "graph", "--L", "18", "--emit", "bogus")
+    assert (code, out) == (2, "") and "emit:" in err and "bogus" in err
+    # a bad --components is still named first
+    code, _, err = run(capsys, "graph", "--L", "6", "--emit", "bogus",
+                       "--components", "zz")
+    assert code == 2 and "components" in err and "emit" not in err
+
+
 def test_resonance_family_json(capsys):
     code, out, _ = run(capsys, "resonance", "--family", "0,1,-")
     data = json.loads(out)

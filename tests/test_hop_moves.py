@@ -130,16 +130,56 @@ def test_builders_drop_and_keep_zeros_as_scipy_does(L, N, params):
     assert_same_csr(got.to_scipy(), oracle.effective_resonant(basis, res, *family))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_zeros_drop_alike_at_every_chunk_size(monkeypatch, chunk):
-    # the compaction's chunk edges cut rows, and a chunk can hold no zero
-    monkeypatch.setattr(hamiltonian, "DROP_CHUNK", chunk)
+# Rows whose diagonal entry is zero (-0.0 among them): such a row gets no
+# diagonal slot, so its neighbours' slots start earlier, and a row with no
+# hop and a zero diagonal is left empty.
+ZERO_ROWS = {"none": [], "first": [0], "last": [-1],
+             "runs": [*range(20, 40), *range(100, 103), 251],
+             "every": slice(None)}
+
+
+@pytest.mark.parametrize("hops", [False, True], ids=["diagonal", "hops"])
+@pytest.mark.parametrize("pattern", ZERO_ROWS)
+def test_zero_diagonal_entries_drop_as_scipy_does(pattern, hops):
     basis = SectorBasis(10, 5)
-    for _, _, params in ZERO_CASES[:2]:
-        assert_same_csr(build_effective_general(basis, params).matrix,
-                        oracle.effective_general(basis, params))
-        assert_same_csr(build_half_period(basis, params, 1).matrix,
-                        oracle.half_period(basis, params, 1))
+    n = basis.size
+    at = np.arange(n)
+    diag = np.where(at % 2, -0.25, 0.25) * (at + 1)
+    zeros = at[ZERO_ROWS[pattern]]
+    diag[zeros] = np.where(zeros % 2, -0.0, 0.0)
+    if hops:                                  # every imaginary part -0.0
+        diag = diag - 0.0j
+    lower = np.array([1 + 2j, -0.5j, 3.0]) if hops else None
+    upper = np.conjugate(lower) if hops else None
+    got = hamiltonian._hop_csr(basis, lower, upper, diag)
+    src, dst, cls = hop_moves(basis)
+    if hops:
+        rows, cols, data = (np.concatenate((src, dst, at)),
+                            np.concatenate((dst, src, at)),
+                            np.concatenate((lower[cls], upper[cls], diag)))
+    else:
+        rows, cols, data = at, at, diag
+    want = oracle.canonical_csr(rows, cols, data, n, drop_zeros=True)
+    assert got.nnz == np.count_nonzero(data) == len(data) - len(zeros)
+    assert_same_csr(got, want)
+
+
+def test_mixed_zero_tables_beside_a_diagonal_are_refused():
+    # scipy would drop the class-0 zeros, which the slot count cannot see
+    basis = SectorBasis(6, 3)
+    table = np.array([0.0, 1.0, 1.0])
+    with pytest.raises(NumericalError, match="mixes zero"):
+        hamiltonian._hop_csr(basis, table, table, np.ones(basis.size))
+
+
+def test_mixed_zero_amplitudes_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(hamiltonian, "amplitudes_general",
+                        lambda params: (0, 1j, 1.0))
+    code = cli.main(["hamiltonian", "--L", "6", "--g", "50", "--u", "0.5",
+                     "--omega", "20", "--u-over-g", "0.7",
+                     "--kind", "effective"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "") and "mixes zero" in out.err
 
 
 @settings(max_examples=40, deadline=None)
