@@ -163,36 +163,58 @@ def _option_types(command: str) -> dict:
             for flag, type_, _ in _COMMANDS[command][2]}
 
 
-def _resolve_options(ns: argparse.Namespace) -> tuple[dict, dict]:
-    """The running subcommand's options, and where each value came from:
-    "flag", "env", "config" or "default"."""
+def _resolve_options(ns: argparse.Namespace) -> dict:
+    """The running subcommand's options, each parsed in `--help` order and
+    all checked by `_check_options`.  An option of `_unread` that a flag or
+    the config file sets is then refused; an environment value, set for
+    other runs too, is dropped, so the manifest leaves it out and replays."""
     config = _load_config(ns.config) if ns.config else {}
     types = _option_types(ns.command)
     stray = sorted(set(config) - {_normalize_key(d) for d in types})
     if stray:
         raise ConfigError(f"config: unknown key {stray[0]!r}")
-    resolved, sources = {}, {}
+    opts = {}
     for dest, type_ in types.items():
-        value, source = getattr(ns, dest), "flag"
-        if value is None:
-            env_key = ENV_PREFIX + dest.upper()
-            cfg_key = _normalize_key(dest)
-            if env_key in os.environ:
-                value, source = os.environ[env_key], "env"
-            elif cfg_key in config:
-                value, source = config[cfg_key], "config"
-            else:
-                value, source = (False if type_ is bool else None), "default"
+        value = getattr(ns, dest)
+        if value is None:       # flag > environment > config file > default
+            value = os.environ.get(ENV_PREFIX + dest.upper(),
+                                   config.get(_normalize_key(dest)))
         if isinstance(value, str):
             try:
                 value = (_as_bool if type_ is bool else type_)(value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{dest}: {exc}") from exc
-        resolved[dest], sources[dest] = value, source
-    return resolved, sources
+        opts[dest] = bool(value) if type_ is bool else value
+    _check_options(opts)
+    for key, why in _unread(ns.command, opts).items():
+        if getattr(ns, key) is None and ENV_PREFIX + key.upper() in os.environ:
+            opts[key] = None
+        elif opts[key] is not None:
+            raise ConfigError(f"{key}: {why}")
+    return opts
+
+
+def _unread(command: str, opts: dict) -> dict:
+    """{option this run does not read: the reason a refusal gives}, in the
+    order a refusal names them."""
+    if command == "reproduce":
+        bundle = opts["bundle"]     # an unknown one is refused by its handler
+        reads = _BUNDLES[bundle][2] if bundle in _BUNDLES else _BUNDLE_OPTIONS
+        return {k: f"bundle {bundle!r} does not read it"
+                for k in _BUNDLE_OPTIONS if k not in reads}
+    unread = {}
+    if opts.get("family") is not None and command == "resonance":
+        unread = dict.fromkeys(("grid", "omega", "u", "out"), "not read with "
+                               "family, which prints its point and writes no table")
+    elif opts.get("family") is not None:
+        unread = dict.fromkeys(("omega", "u_over_g"), "not read with family")
+    if command == "dynamics" and not opts["fft"]:
+        unread["fft_out"] = "needs --fft"
+    return unread
 
 
 _OUTPUT_FILES = ("out", "per_state", "fft_out", "manifest")
+_COUNTS = ("L", "cycles", "dense_threshold", "threads")
 
 
 def _check_writable_dir(key: str, path: str, directory: str) -> None:
@@ -207,17 +229,17 @@ def _check_writable_dir(key: str, path: str, directory: str) -> None:
 def _check_options(opts: dict) -> None:
     """Refuse, before anything is built, values that no handler can use.
 
-    A non-finite value of a float option (the drive parameters), a dense
-    threshold or thread count below 1 (also where nothing uses it), a
-    negative seed, an empty output path or `outdir`, and an output path
-    whose directory is missing or unwritable (`outdir` itself may be
-    missing, its parent not).
+    A non-finite value of a float option (the drive parameters) and a
+    count of `_COUNTS` below 1 (also where nothing uses it), both named in
+    `--help` order, a negative seed, an empty output path or `outdir`, and
+    an output path whose directory is missing or unwritable (`outdir`
+    itself may be missing, its parent not).
     """
     for key, value in opts.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value}")
-    _positive(opts, "dense_threshold", None)
-    _positive(opts, "threads", None)
+        if key in _COUNTS and value is not None and value < 1:
+            raise ConfigError(f"{key}: must be at least 1, got {value}")
     if opts.get("seed") is not None and opts["seed"] < 0:
         raise ConfigError(f"seed: must be >= 0, got {opts['seed']}")
     for key in (*_OUTPUT_FILES, "outdir"):
@@ -292,8 +314,6 @@ def _resolve_params(opts: dict):
     """(ModelParams, ResonantFamily | None) from the family or raw route."""
     family_text = opts.get("family")
     if family_text is not None:
-        if opts.get("u_over_g") is not None or opts.get("omega") is not None:
-            raise ConfigError("family: mutually exclusive with u_over_g/omega")
         family = _parse_family(family_text)
         g, u = _require(opts, "g", "u")
         return family.params(g, u), family
@@ -306,7 +326,7 @@ def _resolve_params(opts: dict):
 
 def _sector(opts: dict):
     from .fock_basis import SectorBasis
-    L = _positive(opts, "L", _require(opts, "L"))
+    L = _require(opts, "L")
     N = opts.get("N")
     if N is None:
         if L % 2:
@@ -314,14 +334,6 @@ def _sector(opts: dict):
         N = L // 2
     with _keyed("N"):       # L >= 1 here, so only N can be out of range
         return SectorBasis(L, N)
-
-
-def _positive(opts: dict, key: str, default):
-    """opts[key], or `default` when unset; either is refused below 1."""
-    value = default if opts.get(key) is None else opts[key]
-    if value is not None and value < 1:
-        raise ConfigError(f"{key}: must be at least 1, got {value}")
-    return value
 
 
 def _need_tower(basis, what: str) -> None:
@@ -406,7 +418,7 @@ def _spectrum(opts: dict, basis=None):
     if basis is None:
         basis = _sector(opts)
     params, family = _resolve_params(opts)
-    threshold = _positive(opts, "dense_threshold", DENSE_EIG_DEFAULT)
+    threshold = opts.get("dense_threshold") or DENSE_EIG_DEFAULT
     ham = _build_effective(basis, params, family)
     return diagonalize(ham, dense_threshold=threshold)
 
@@ -468,11 +480,6 @@ def _cmd_resonance(opts: dict) -> tuple:
     from .resonance import scan_ratio_grid
     family_text = opts.get("family")
     if family_text is not None:
-        stray = [k for k in ("grid", "omega", "u", "out")
-                 if opts.get(k) is not None]
-        if stray:
-            raise ConfigError(f"{stray[0]}: not read with family, which "
-                              "prints its point and writes no table")
         fam = _parse_family(family_text)
         return {"k1": fam.k1, "k2": fam.k2, "branch": fam.branch,
                 "U_over_g": float(fam.U_over_g),
@@ -633,7 +640,7 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
     model = opts.get("model") or "effective"
     if model not in ("effective", "full"):
         raise ConfigError(f"model: expected effective or full, got {model!r}")
-    cycles = _positive(opts, "cycles", dynamics.DEFAULT_CYCLES)
+    cycles = opts.get("cycles") or dynamics.DEFAULT_CYCLES
     wanted = _parse_observables(opts.get("observables"))
     init = _parse_initial(opts.get("initial") or "tp", basis)
     if "Pt" in wanted:
@@ -642,8 +649,6 @@ def _cmd_dynamics(opts: dict, spec=None) -> tuple:
         raise ConfigError(f"observables: S_EE needs a half-chain cut "
                           f"(L >= 2), got L={basis.L}")
     out = _require(opts, "out")
-    if opts.get("fft_out") is not None and not opts.get("fft"):
-        raise ConfigError("fft_out: needs --fft")
     if opts.get("fft"):
         with _keyed("fft"):     # cycles + 1 samples, refused before any solve
             dynamics.check_fta_length(cycles + 1)
@@ -687,9 +692,12 @@ def _cmd_compare(opts: dict) -> tuple:
     # parameters are built: 50 g is inf for a huge g (whose U may overflow
     # too), refused by the budget, not rounded; the parameters refuse g <= 0
     g = _require(opts, "g")
-    default = 50 * g if g > 0 else 1
-    cycles = _positive(opts, "cycles",
-                       int(round(default)) if math.isfinite(default) else default)
+    cycles = opts.get("cycles")
+    if cycles is None:
+        default = 50 * g if g > 0 else 1
+        cycles = int(round(default)) if math.isfinite(default) else default
+        if cycles < 1:
+            raise ConfigError(f"cycles: must be at least 1, got {cycles}")
     check_cycles(cycles, 3)     # F_full, F_eff and their difference
     params, _ = _resolve_params(opts)
     spec = _spectrum(opts, basis)
@@ -725,7 +733,7 @@ def _bundle_spectral_map(opts: dict, outdir: str, sizes) -> dict:
 def _bundle_quench_series(opts: dict, outdir: str, sizes) -> dict:
     from .dynamics import DEFAULT_CYCLES
     seed = 7 if opts.get("seed") is None else opts["seed"]
-    cycles = _positive(opts, "cycles", DEFAULT_CYCLES)    # refused before any solve
+    cycles = opts.get("cycles") or DEFAULT_CYCLES
     files = []
     for L in sizes:
         sector = {**opts, **_WORKING_POINT, "L": L, "cycles": cycles}
@@ -744,7 +752,7 @@ def _bundle_revival_spectra(opts: dict, outdir: str, sizes) -> dict:
     from .dynamics import (DEFAULT_CYCLES, analytic_fidelity, dominant_peaks,
                            fta, spta_fidelity, tower_probability_series)
     from .fock_basis import pinnacle_state
-    cycles = _positive(opts, "cycles", DEFAULT_CYCLES)
+    cycles = opts.get("cycles") or DEFAULT_CYCLES
     files, peaks = [], {}
     for L in sizes:
         spec = _spectrum({**opts, **_WORKING_POINT, "L": L})
@@ -818,17 +826,6 @@ _BUNDLES = {
 }
 
 
-def _drop_unread_env(opts: dict, sources: dict) -> None:
-    """Drop from `opts` each environment value that its bundle does not
-    read: it is set for other runs, and a manifest that kept it would be
-    refused on replay.  A flag or config value it does not read is refused
-    by `_cmd_reproduce`."""
-    _, _, reads = _BUNDLES.get(opts["bundle"], (None, None, ()))
-    for key in _BUNDLE_OPTIONS:
-        if sources[key] == "env" and key not in reads:
-            del opts[key]
-
-
 def _cmd_reproduce(opts: dict) -> tuple:
     bundle = _require(opts, "bundle")
     if bundle not in _BUNDLES:
@@ -838,17 +835,14 @@ def _cmd_reproduce(opts: dict) -> tuple:
     if scale not in ("desk", "paper"):
         raise ConfigError(f"scale: expected desk or paper, got {scale!r}")
     runner, scales, reads = _BUNDLES[bundle]
-    for key in _BUNDLE_OPTIONS:
-        if opts.get(key) is not None and key not in reads:
-            raise ConfigError(f"{key}: bundle {bundle!r} does not read it")
     sizes = scales[scale]
     if "dense_threshold" in reads:
         from .spectral import DENSE_EIG_DEFAULT, check_dense
-        threshold = _positive(opts, "dense_threshold", DENSE_EIG_DEFAULT)
+        threshold = opts.get("dense_threshold") or DENSE_EIG_DEFAULT
         for L in sizes:
             check_dense(math.comb(L, L // 2), threshold,
                         f"{bundle} --scale {scale}: the L = {L} sector")
-    cycles = _positive(opts, "cycles", None)    # refused before outdir is made
+    cycles = opts.get("cycles")     # refused before outdir is made
     if cycles is not None:
         from .dynamics import OBSERVABLES, check_cycles, check_fta_length
         check_cycles(cycles, _ENSEMBLE * len(OBSERVABLES))
@@ -961,10 +955,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(command if command in _COMMANDS else None)
     ns = parser.parse_args(argv)
     try:
-        opts, sources = _resolve_options(ns)
-        _check_options(opts)
-        if ns.command == "reproduce":
-            _drop_unread_env(opts, sources)
+        opts = _resolve_options(ns)
         if opts.get("threads") is not None:
             # set before any handler imports numpy; overrides inherited sizes
             os.environ.update(dict.fromkeys(_THREAD_VARS, str(opts["threads"])))
