@@ -214,6 +214,18 @@ COMMANDS = [
     ("bogus",),
     ("basis", "--bogus"),
     ("scar", "--threads", "x"),
+    # appended after the list above, so its records keep their numbers:
+    # a raw-route option beside --family, and two outputs of one run at one
+    # path; each exits 2 and writes nothing
+    ("spectrum", "--L", "6", *_RES, "--omega", "3"),
+    ("spectrum", "--L", "6", *_RES, "--out", "clash_s.csv",
+     "--manifest", "clash_s.csv"),
+    ("scar", "--L", "6", *_RES, "--per-state", "clash_p.csv",
+     "--manifest", "./clash_p.csv"),
+    ("dynamics", "--L", "6", *_RES, "--cycles", "64", "--out", "clash_d.csv",
+     "--fft", "--fft-out", "clash_d.csv"),
+    ("dynamics", "--L", "6", *_RES, "--cycles", "64", "--out", "clash_e.csv",
+     "--fft", "--fft-out", "clash_f.csv", "--manifest", "clash_f.csv"),
 ]
 
 

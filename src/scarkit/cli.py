@@ -2,18 +2,27 @@
 
 Subcommands: basis, hamiltonian, resonance, spectrum, graph, scar, dynamics,
 compare, reproduce.  Every option resolves as flag > SCARKIT_<NAME> env var >
-config file > built-in default; config files are `key = value` lines (or a
-previously written manifest, whose stored configuration is reused).  Each
-file-writing run drops a manifest JSON beside its primary output so the run
-can be repeated verbatim with `--config <manifest>`; `reproduce` drops it at
-`<outdir>/bundle.manifest.json`.  `--manifest` names another path.  Handlers
-return `(payload, primary_output)`: `main` alone writes the manifest and
-prints the payload, so bundles call handlers as plain functions.
+config file (`--config`, or else `SCARKIT_CONFIG`) > built-in default; config
+files are `key = value` lines (or a previously written manifest, whose stored
+configuration is reused).  Each file-writing run drops a manifest JSON beside
+its primary output so the run can be repeated verbatim with
+`--config <manifest>`; `reproduce` drops it at `<outdir>/bundle.manifest.json`.
+`--manifest` names another path.  Handlers return `(payload, primary_output)`:
+`main` alone writes the manifest and prints the payload, so bundles call
+handlers as plain functions.
+
+`_resolve_options` is the one pass from flags, environment and config to a
+run's options.  It parses and checks every value, then applies one rule to
+the options that `_unread` lists for the run: a flag or config value of one
+exits 2, and an environment value of one is dropped and left out of the
+manifest.  Handlers check only what needs the sector or parses a word.
 
 Exit codes: 0 success, 2 configuration problems, 3 capability limits or a
 failed numerical invariant (non-Hermitian build, unitarity drift).  A
-non-finite drive parameter, a negative seed, or an output path that is empty
-or in a missing or unwritable directory exits 2 before anything is built.
+non-finite drive parameter, a count (L, cycles, dense threshold, threads)
+below 1, a negative seed, or an output path that is empty, in a missing or
+unwritable directory, or another output's path exits 2 before anything is
+built.
 
 Option resolution imports no numpy: the handlers import the library, so
 `--threads` can cap the BLAS pools before numpy first loads.  Importing the
@@ -168,9 +177,13 @@ def _resolve_options(ns: argparse.Namespace) -> dict:
     all checked by `_check_options`.  An option of `_unread` that a flag or
     the config file sets is then refused; an environment value, set for
     other runs too, is dropped, so the manifest leaves it out and replays."""
-    config = _load_config(ns.config) if ns.config else {}
+    path = ns.config if ns.config is not None else \
+        os.environ.get(ENV_PREFIX + "CONFIG")
+    config = _load_config(path) if path else {}
     types = _option_types(ns.command)
-    stray = sorted(set(config) - {_normalize_key(d) for d in types})
+    # a config file cannot name another, so its `config` key is unknown
+    stray = sorted(set(config) - {_normalize_key(d) for d in types
+                                  if d != "config"})
     if stray:
         raise ConfigError(f"config: unknown key {stray[0]!r}")
     opts = {}
@@ -233,7 +246,7 @@ def _check_options(opts: dict) -> None:
     count of `_COUNTS` below 1 (also where nothing uses it), both named in
     `--help` order, a negative seed, an empty output path or `outdir`, and
     an output path whose directory is missing or unwritable (`outdir`
-    itself may be missing, its parent not).
+    itself may be missing, its parent not), or that is another output's.
     """
     for key, value in opts.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -245,12 +258,16 @@ def _check_options(opts: dict) -> None:
     for key in (*_OUTPUT_FILES, "outdir"):
         if opts.get(key) == "":
             raise ConfigError(f"{key}: empty path")
+    written = {}        # real path -> the output key that writes it
     for key in _OUTPUT_FILES:
         path = opts.get(key)
         if path:
             if os.path.isdir(path):
                 raise ConfigError(f"{key}: {path!r} is a directory")
             _check_writable_dir(key, path, os.path.dirname(path) or ".")
+            first = written.setdefault(os.path.realpath(path), key)
+            if first != key:
+                raise ConfigError(f"{key}: {path!r} is the {first} path too")
     outdir = opts.get("outdir")
     if outdir:
         if os.path.exists(outdir) and not os.path.isdir(outdir):

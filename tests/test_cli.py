@@ -222,6 +222,27 @@ def test_env_beats_config(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["dimension"] == 20
 
 
+def test_scarkit_config_names_the_config_file(tmp_path, capsys, monkeypatch):
+    # the file was resolved into the options but never loaded
+    (tmp_path / "six.cfg").write_text("L = 6\n")
+    (tmp_path / "eight.cfg").write_text("L = 8\n")
+    monkeypatch.setenv("SCARKIT_CONFIG", str(tmp_path / "six.cfg"))
+    code, out, _ = run(capsys, "basis")
+    assert code == 0 and json.loads(out)["dimension"] == 20
+    code, out, _ = run(capsys, "basis", "--config", str(tmp_path / "eight.cfg"))
+    assert code == 0 and json.loads(out)["dimension"] == 70
+
+
+def test_config_file_naming_a_config_file_exits_2(tmp_path, capsys):
+    # a config file's own `config` key would never be read
+    (tmp_path / "six.cfg").write_text("L = 6\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"config = {tmp_path / 'six.cfg'}\n")
+    code, out, err = run(capsys, "basis", "--L", "4", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "config error: config: unknown key 'config'\n"
+
+
 def test_graph_dot_output(capsys):
     code, out, _ = run(capsys, "graph", "--L", "4", "--emit", "dot")
     assert code == 0
@@ -444,6 +465,69 @@ def test_reproduce_drops_an_environment_value_the_bundle_does_not_read(
     assert (code, err) == (0, "")
 
 
+_UNREAD = [
+    (("resonance", "--family", "0,1,-", "--manifest", "r.json"), "r.json",
+     "u = 0.5",
+     "u: not read with family, which prints its point and writes no table"),
+    (("spectrum", "--L", "6", *_RES, "--out", "s.csv"), "s.csv.manifest.json",
+     "omega = 20", "omega: not read with family"),
+    (("hamiltonian", "--L", "6", *_RES, "--out", "h.csv"),
+     "h.csv.manifest.json", "u_over_g = 0.7", "u_over_g: not read with family"),
+    (("dynamics", "--L", "6", *_RES, "--cycles", "16", "--out", "d.csv"),
+     "d.csv.manifest.json", "fft_out = x.csv", "fft_out: needs --fft"),
+]
+
+
+@pytest.mark.parametrize("argv, manifest, line, _", _UNREAD,
+                         ids=["resonance", "omega", "u_over_g", "fft_out"])
+def test_an_unread_environment_value_is_dropped(tmp_path, capsys, monkeypatch,
+                                               argv, manifest, line, _):
+    # set for other runs too: the run goes on without it, and its manifest
+    # leaves it out and replays with the variable still set
+    key, value = (word.strip() for word in line.split("="))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.ENV_PREFIX + key.upper(), value)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert key not in json.loads((tmp_path / manifest).read_text())["config"]
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(capsys, argv[0], "--config", manifest) == (0, out, "")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv, _, line, message", _UNREAD,
+                         ids=["resonance", "omega", "u_over_g", "fft_out"])
+def test_an_unread_flag_or_config_value_is_refused(tmp_path, capsys,
+                                                  monkeypatch, no_solve, argv,
+                                                  _, line, message, via):
+    key, value = (word.strip() for word in line.split("="))
+    monkeypatch.chdir(tmp_path)
+    if via == "flag":
+        extra = (f"--{key.replace('_', '-')}", value)
+    else:
+        (tmp_path / "c.cfg").write_text(line + "\n")
+        extra = ("--config", "c.cfg")
+    assert run(capsys, *argv, *extra) == (2, "", f"config error: {message}\n")
+    assert os.listdir(tmp_path) == (["c.cfg"] if via == "config" else [])
+
+
+@pytest.mark.parametrize("var, value, message", [
+    ("SCARKIT_SEED", "-1", "seed: must be >= 0, got -1"),
+    ("SCARKIT_DENSE_THRESHOLD", "0",
+     "dense_threshold: must be at least 1, got 0"),
+], ids=["seed", "dense_threshold"])
+def test_an_unread_environment_value_is_still_checked(tmp_path, capsys,
+                                                      monkeypatch, var, value,
+                                                      message):
+    # ratio-landscape reads neither, but it parses and checks every value
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, "reproduce", "--bundle", "ratio-landscape",
+                         "--outdir", str(tmp_path / "rl"))
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_reproduce_refuses_short_spectra_before_the_outdir(tmp_path, capsys,
                                                          no_solve):
     outdir = tmp_path / "rs"
@@ -641,6 +725,37 @@ def test_empty_path_is_refused_for_every_output(tmp_path, capsys, monkeypatch,
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert (code, out) == (2, "")
     assert err == f"config error: {key}: empty path\n"
+    assert os.listdir(tmp_path) == []
+
+
+_GRID = ("--grid", "1:80:5,1:80:5", "--omega", "20", "--u", "0.5")
+
+
+@pytest.mark.parametrize("argv, first, later", [
+    (("basis", "--L", "6"), "out", "manifest"),
+    (("hamiltonian", "--L", "6", *_RES), "out", "manifest"),
+    (("resonance", *_GRID), "out", "manifest"),
+    (("spectrum", "--L", "6", *_RES), "out", "manifest"),
+    (("graph", "--L", "6"), "out", "manifest"),
+    (("scar", "--L", "6", *_RES), "per_state", "manifest"),
+    (("dynamics", "--L", "6", *_RES, "--cycles", "64", "--fft"),
+     "out", "fft_out"),
+    (("dynamics", "--L", "6", *_RES, "--cycles", "64"), "out", "manifest"),
+    (("dynamics", "--L", "6", *_RES, "--cycles", "64", "--fft",
+      "--out", "d.csv"), "fft_out", "manifest"),
+    (("compare", "--L", "6", *_RES, "--cycles", "4"), "out", "manifest"),
+], ids=["basis", "hamiltonian", "resonance", "spectrum", "graph", "scar",
+        "dynamics-fft", "dynamics", "dynamics-fft-manifest", "compare"])
+def test_two_outputs_at_one_path_are_refused(tmp_path, capsys, monkeypatch,
+                                             no_solve, argv, first, later):
+    # the later file was written over the earlier one, and the run exited 0
+    monkeypatch.chdir(tmp_path)
+    flag = {k: "--" + k.replace("_", "-") for k in (first, later)}
+    code, out, err = run(capsys, *argv, flag[first], "x.csv",
+                         flag[later], str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err == (f"config error: {later}: '{tmp_path / 'x.csv'}' is the "
+                   f"{first} path too\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -1129,6 +1244,38 @@ def test_no_threads_request_keeps_inherited_env(capsys, monkeypatch):
     monkeypatch.delenv("SCARKIT_THREADS", raising=False)
     assert run(capsys, "basis", "--L", "4")[0] == 0
     assert all(os.environ[var] == "4" for var in _THREAD_VARS)
+
+
+# runs argv through cli.main in a fresh interpreter and reports, last on
+# stderr, OPENBLAS_NUM_THREADS as it stood when numpy was first imported
+_FIRST_NUMPY_IMPORT = """
+import os, sys
+seen = []
+class FirstImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, FirstImport())
+from scarkit import cli
+code = cli.main(sys.argv[1:])
+print(f"exit {code}, numpy first imported with {seen}", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--L", "6", *_RES),
+    ("reproduce", "--bundle", "ratio-landscape", "--outdir", "{tmp}/rl"),
+], ids=["spectrum", "reproduce"])
+def test_numpy_first_loads_after_threads_sets_the_pools(tmp_path, argv):
+    env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "4")}
+    env.pop("SCARKIT_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_NUMPY_IMPORT,
+         *(a.format(tmp=tmp_path) for a in argv), "--threads", "1"],
+        capture_output=True, text=True, env=env)
+    assert proc.stderr.splitlines()[-1] == \
+        "exit 0, numpy first imported with ['1']", proc.stderr
 
 
 def test_non_hermitian_build_exits_3(capsys, monkeypatch):
