@@ -12,10 +12,10 @@ its primary output so the run can be repeated verbatim with
 handlers as plain functions.
 
 `_resolve_options` is the one pass from flags, environment and config to a
-run's options.  It parses and checks every value, then applies one rule to
-the options that `_unread` lists for the run: a flag or config value of one
-exits 2, and an environment value of one is dropped and left out of the
-manifest.  Handlers check only what needs the sector or parses a word.
+run's options: it parses and checks every value, then refuses a flag or
+config value of an option that `_unread` lists for the run and drops an
+environment one, which the manifest leaves out.  Handlers check only what
+needs the sector, parses a word or derives a default.
 
 Exit codes: 0 success, 2 configuration problems, 3 capability limits or a
 failed numerical invariant (non-Hermitian build, unitarity drift).  A
